@@ -25,14 +25,16 @@ from .actions import ACTIONS, Action
 from .config import resolve_config
 from .errors import FidelityQError, GridTooLargeError, GuaranteeViolationError
 from .simulate import PolicySampler
-from .solver import value_iteration
+from .solver import validate_policy, value_iteration
 from .structure import (
+    BUSY_EMPTY_FRACTION,
     check_value_gap_bounds,
     check_value_shape,
-    checked_queue_range,
     compute_rho,
     dominance_margins,
+    gamma_mgf_bound,
     slowest_service,
+    threshold_report,
     verify_threshold_structure,
 )
 from .svgplot import policy_heatmap, value_heatmap
@@ -83,6 +85,34 @@ def _sim_settings(cfg, args):
     return episodes, seed
 
 
+def _estimate(cfg, sampler, start, episodes, seed):
+    sim = cfg.simulation
+    return sampler.estimate(
+        start,
+        episodes=episodes,
+        seed=seed,
+        bias_ratio=float(sim["bias_ratio"]),
+        pilot_episodes=int(sim["pilot_episodes"]),
+    )
+
+
+def _threshold_cells(report, margins):
+    """Per-level threshold columns shared by thresholds.csv and sweep.csv:
+    q1, q2, q3, is_threshold, guaranteed, switch_margin, violations."""
+    return [
+        (
+            float(row.q1),
+            float(row.q2),
+            float(row.q3) if row.q3 is not None else None,
+            row.is_threshold,
+            guaranteed,
+            float(margins.combined_margin(row.cog_index)),
+            "; ".join(row.violations),
+        )
+        for row, guaranteed in zip(report.rows, report.guaranteed)
+    ]
+
+
 def _default_start(model):
     return (model.n_q // 2, model.grid.star_index)
 
@@ -113,8 +143,6 @@ def read_policy_csv(path, model):
                 continue
             q, cog, action = line.split(",")
             policy[int(q), int(cog)] = action
-    from .solver import validate_policy
-
     return validate_policy(model, policy)
 
 
@@ -188,7 +216,7 @@ def cmd_check(args):
 
     sampler = PolicySampler(model, solution.policy)
     start = _starts(cfg, model)[0]
-    estimate = sampler.estimate(start, episodes=episodes, seed=seed)
+    estimate = _estimate(cfg, sampler, start, episodes, seed)
 
     gap = check_value_gap_bounds(
         model,
@@ -200,28 +228,11 @@ def cmd_check(args):
     shape_notes = check_value_shape(model, solution.values,
                                     buffer_fraction=buffer_fraction)
 
-    q_range = checked_queue_range(model.n_q, buffer_fraction)
-    rows = []
-    from .structure import extract_thresholds
-
-    for cog in range(model.n_cog):
-        row = extract_thresholds(
-            solution.policy[:, cog], cog, model.grid.star_index, q_range
-        )
-        guaranteed = margins.combined_margin(cog) >= 0.0
-        rows.append(
-            (
-                cog,
-                model.grid.level(cog),
-                float(row.q1),
-                float(row.q2),
-                float(row.q3) if row.q3 is not None else None,
-                row.is_threshold,
-                guaranteed,
-                float(margins.combined_margin(cog)),
-                "; ".join(row.violations),
-            )
-        )
+    report = threshold_report(model, solution.policy, margins, buffer_fraction)
+    rows = [
+        (cog, model.grid.level(cog), *cells)
+        for cog, cells in enumerate(_threshold_cells(report, margins))
+    ]
     comments = [f"config: {cfg.digest}", f"seed: {seed}"]
     _write_csv(
         os.path.join(out, "thresholds.csv"),
@@ -257,7 +268,7 @@ def cmd_check(args):
             "switch_margins": margins.per_cog,
             "all_guaranteed": margins.all_guaranteed,
             "empty_queue_fraction": estimate.empty_queue_fraction,
-            "busy_assumption_ok": estimate.empty_queue_fraction <= 0.01,
+            "busy_assumption_ok": estimate.empty_queue_fraction <= BUSY_EMPTY_FRACTION,
             "value_gap": {
                 "lower_bound_rate": gap.lower_bound_rate,
                 "upper_bound_rate": gap.upper_bound_rate,
@@ -276,7 +287,7 @@ def cmd_check(args):
     verify_threshold_structure(
         model, solution.policy, margins=margins, buffer_fraction=buffer_fraction
     )
-    n_threshold = sum(1 for r in rows if r[5])
+    n_threshold = sum(1 for row in report.rows if row.is_threshold)
     print(
         f"structure checks written to {out}: rho={bound_report.rho:.6f}, "
         f"{n_threshold}/{model.n_cog} threshold rows, "
@@ -305,9 +316,7 @@ def cmd_simulate(args):
     starts = _starts(cfg, model)
     estimates = []
     for start in starts:
-        estimates.append(
-            sampler.estimate(start, episodes=episodes, seed=seed)
-        )
+        estimates.append(_estimate(cfg, sampler, start, episodes, seed))
     _write_json(
         os.path.join(out, "mc_value.json"),
         {
@@ -402,26 +411,11 @@ def cmd_sweep(args):
             any_unconverged = True
         bound_report = compute_rho(model)
         margins = dominance_margins(model, bound_report)
-        q_range = checked_queue_range(model.n_q, buffer_fraction)
-        from .structure import extract_thresholds
-
-        for cog in range(model.n_cog):
-            row = extract_thresholds(
-                solution.policy[:, cog], cog, model.grid.star_index, q_range
-            )
-            rows.append(
-                (
-                    float(rate),
-                    cog,
-                    float(row.q1),
-                    float(row.q2),
-                    float(row.q3) if row.q3 is not None else None,
-                    row.is_threshold,
-                    margins.combined_margin(cog) >= 0.0,
-                    float(margins.combined_margin(cog)),
-                    "; ".join(row.violations),
-                )
-            )
+        report = threshold_report(model, solution.policy, margins, buffer_fraction)
+        rows.extend(
+            (float(rate), cog, *cells)
+            for cog, cells in enumerate(_threshold_cells(report, margins))
+        )
     _write_csv(
         os.path.join(out, "sweep.csv"),
         [f"config: {cfg.digest}"],
@@ -446,8 +440,6 @@ def cmd_export_moments(args):
     cfg = resolve_config(args.config)
     model = cfg.build_model()
     out = _outdir(args)
-    from .structure import gamma_mgf_bound
-
     gamma = model.params.discount
     rows = []
     for cog in range(model.n_cog):

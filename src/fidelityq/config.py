@@ -9,6 +9,7 @@ can be addressed by name.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -222,9 +223,29 @@ def config_digest(data):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _check_simulation(sim):
+    """Reject Monte-Carlo settings the estimator cannot honour: the
+    horizon targets a positive bias ratio, and the pilot batch needs two
+    runs for a sample standard deviation."""
+    try:
+        bias_ratio = float(sim["bias_ratio"])
+        pilot_episodes = int(sim["pilot_episodes"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"simulation settings must be numbers: {exc}") from exc
+    if not 0 < bias_ratio < math.inf:
+        raise ConfigError(
+            f"simulation.bias_ratio must be positive and finite, got {bias_ratio!r}"
+        )
+    if pilot_episodes < 2:
+        raise ConfigError(
+            f"simulation.pilot_episodes must be at least 2, got {pilot_episodes}"
+        )
+
+
 def from_mapping(doc):
     """Merge a parsed document over the defaults and wrap it."""
     merged = _merge(DEFAULTS, doc or {})
+    _check_simulation(merged["simulation"])
     name = str(merged["name"])
     return RunConfig(name=name, data=merged, digest=config_digest(merged))
 

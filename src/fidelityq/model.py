@@ -7,7 +7,6 @@ together form the discounted semi-Markov kernel the solver consumes.
 """
 
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,6 @@ from .actions import ACTIONS, DECREMENT, Action
 from .cogchain import build_step_matrix, step_powers
 from .errors import InadmissibleRestError
 from .sojourn import rest_pmf, service_pmf, skip_pmf, wait_pmf
-
-State = namedtuple("State", ["q", "cog"])
-
-KERNEL_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,71 +59,24 @@ def admissible(q, cog_index, grid):
     return (Action.SKIP, Action.NORMAL, Action.HIGH)
 
 
-def queue_arrival_row(start, tau, rate, capacity):
-    """Distribution of the next queue length from ``start`` pending tasks
-    after ``tau`` time units of Poisson(rate) arrivals; overflow mass is
-    lumped at the capacity."""
-    out = np.zeros(capacity + 1)
-    lam = rate * tau
-    room = capacity - start
-    w = np.arange(room + 1)
-    out[start : capacity + 1] = stats.poisson.pmf(w, lam)
-    out[capacity] += stats.poisson.sf(room, lam)
-    return out
+def arrival_table(rate, taus, capacity):
+    """Queue moves under Poisson(rate) arrivals for every sojourn length.
 
-
-def queue_kernel(q, tau, action, rate, capacity):
-    """Next-queue distribution for one action: the head task is consumed by
-    SKIP/NORMAL/HIGH before arrivals are added, and the result is clamped
-    to [0, capacity]."""
-    start = max(q - DECREMENT[action], 0)
-    return queue_arrival_row(start, tau, rate, capacity)
-
-
-class Kernel:
-    """Factored joint kernel P(q', cog', tau | q, cog, a).
-
-    The sojourn law depends on (cog, a), the cognitive move on (a, tau) and
-    the queue move on (q, tau, decrement), so the kernel is stored as those
-    three factors plus the per-(cog, a) sojourn tables.
+    ``table[i, start, q']`` is the probability of going from ``start``
+    pending tasks to ``q'`` after ``taus[i]`` time units; overflow mass is
+    lumped at the capacity. One broadcast pmf/sf evaluation covers the
+    whole (tau, arrival count) grid.
     """
-
-    def __init__(self, model):
-        self._m = model
-        self._q_rows = {}
-
-    def _queue_row(self, q, tau, action):
-        # the row depends on (q, action) only through the post-service
-        # queue length, so repeated expansions share one cached array;
-        # callers treat the rows as read-only
-        start = max(q - DECREMENT[action], 0)
-        key = (start, tau)
-        row = self._q_rows.get(key)
-        if row is None:
-            rate = self._m.params.skip_wait.arrival_rate
-            row = queue_arrival_row(start, tau, rate, self._m.n_q - 1)
-            self._q_rows[key] = row
-        return row
-
-    def entries(self, q, cog_index, action):
-        """Yield (tau, p_tau, cog_dist, q_dist) triples with joint weight
-        p_tau * cog_dist[c'] * q_dist[q']."""
-        m = self._m
-        if action not in admissible(q, cog_index, m.grid):
-            raise ValueError(f"action {action} not admissible in ({q},{cog_index})")
-        pmf = m.sojourn(cog_index, action)
-        for tau, p_tau in zip(pmf.times, pmf.probs):
-            if p_tau == 0.0:
-                continue
-            cog_dist = m.cog_move(action, int(tau), cog_index)
-            q_dist = self._queue_row(q, int(tau), action)
-            yield int(tau), float(p_tau), cog_dist, q_dist
-
-    def mass(self, q, cog_index, action):
-        total = 0.0
-        for _, p_tau, cog_dist, q_dist in self.entries(q, cog_index, action):
-            total += p_tau * cog_dist.sum() * q_dist.sum()
-        return total
+    lam = rate * np.asarray(taus)[:, None]
+    w = np.arange(capacity + 1)
+    pmf = stats.poisson.pmf(w, lam)
+    sf = stats.poisson.sf(w, lam)
+    table = np.zeros((len(lam), capacity + 1, capacity + 1))
+    for start in range(capacity + 1):
+        room = capacity - start
+        table[:, start, start:] = pmf[:, : room + 1]
+        table[:, start, capacity] += sf[:, room]
+    return table
 
 
 class SmdpModel:
@@ -145,10 +93,10 @@ class SmdpModel:
         self.steps = {a: build_step_matrix(self.grid, params.rates, a) for a in ACTIONS}
         self._sojourns = self._build_sojourns()
         self._moments = self._build_moment_tables()
-        self._powers = self._build_powers()
+        self.powers = self._build_powers()
         self.reward_slope, self.reward_intercept = self._build_reward_components()
         self.admissible_mask = self._build_masks()
-        self.kernel = Kernel(self)
+        self._arrivals = self._build_arrivals()
         self.operators = self._build_operators()
 
         self.moment_ordering_violations = self._check_moment_ordering()
@@ -226,29 +174,26 @@ class SmdpModel:
                     masks[a][q, cog] = True
         return masks
 
-    def _queue_bases(self, taus):
-        """start-indexed arrival matrices for every needed sojourn length."""
-        rate = self.params.skip_wait.arrival_rate
-        cap = self.n_q - 1
-        bases = {}
-        for tau in taus:
-            rows = np.empty((self.n_q, self.n_q))
-            for start in range(self.n_q):
-                rows[start] = queue_arrival_row(start, int(tau), rate, cap)
-            bases[int(tau)] = rows
-        return bases
+    def _build_arrivals(self):
+        """tau -> start-indexed arrival matrix, for every sojourn length
+        with positive probability; the rows are shared read-only views."""
+        taus = sorted(
+            {
+                int(t)
+                for pmf in self._sojourns.values()
+                for t, p in zip(pmf.times, pmf.probs)
+                if p > 0
+            }
+        )
+        table = arrival_table(self.params.skip_wait.arrival_rate, taus, self.n_q - 1)
+        table.setflags(write=False)
+        return dict(zip(taus, table))
 
     def _build_operators(self):
         """Dense discounted operators T_a with
         (T_a V)[q,cog] = sum_{tau,c',q'} gamma^tau P(tau|cog,a)
         C_a_tau[cog,c'] B_tau[q,q'] V[q',c']."""
         gamma = self.params.discount
-        all_taus = set()
-        for pmf in self._sojourns.values():
-            all_taus.update(int(t) for t, p in zip(pmf.times, pmf.probs) if p > 0)
-        bases = self._queue_bases(sorted(all_taus))
-        self._queue_base = bases
-
         shift0 = np.arange(self.n_q)
         shift1 = np.maximum(shift0 - 1, 0)
         ops = {}
@@ -265,7 +210,7 @@ class SmdpModel:
                     tau = int(tau)
                     w = (gamma**tau) * p_tau
                     cog_dist = self.cog_move(a, tau, cog)
-                    queue_rows = bases[tau][rows, :]
+                    queue_rows = self._arrivals[tau][rows, :]
                     op[:, cog] += w * queue_rows[:, :, None] * cog_dist[None, None, :]
             ops[a] = op.reshape(self.n_states, self.n_states)
         return ops
@@ -291,7 +236,23 @@ class SmdpModel:
             out = np.zeros(self.n_cog)
             out[self.grid.star_index] = 1.0
             return out
-        return self._powers[action][tau, cog_index].copy()
+        return self.powers[action][tau, cog_index].copy()
+
+    def entries(self, q, cog_index, action):
+        """Factored kernel P(q', cog', tau | q, cog, a) as (tau, p_tau,
+        cog_dist, q_dist) triples with joint weight
+        p_tau * cog_dist[c'] * q_dist[q']. SKIP/NORMAL/HIGH consume the
+        head task before arrivals are added; ``q_dist`` is read-only."""
+        if action not in admissible(q, cog_index, self.grid):
+            raise ValueError(f"action {action} not admissible in ({q},{cog_index})")
+        start = max(q - DECREMENT[action], 0)
+        pmf = self.sojourn(cog_index, action)
+        for tau, p_tau in zip(pmf.times, pmf.probs):
+            if p_tau == 0.0:
+                continue
+            tau = int(tau)
+            cog_dist = self.cog_move(action, tau, cog_index)
+            yield tau, float(p_tau), cog_dist, self._arrivals[tau][start]
 
     def moment(self, name, action):
         return self._moments[name][action]
@@ -328,11 +289,6 @@ class SmdpModel:
             if finite.size:
                 best = max(best, float(finite.max()))
         return best
-
-    def states(self):
-        for q in range(self.n_q):
-            for cog in range(self.n_cog):
-                yield State(q, cog)
 
     # -- validation reports ----------------------------------------------
 

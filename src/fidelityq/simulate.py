@@ -102,16 +102,10 @@ class PolicySampler:
                     pmf.times.astype(np.int64),
                     np.cumsum(pmf.probs),
                 )
-        self._move_cdf = {}
-        for a in (Action.WAIT, Action.NORMAL, Action.HIGH):
-            t_top = max(
-                int(self._sojourn[(cog, a)][0][-1]) for cog in range(model.n_cog)
-            )
-            ladder = np.empty((t_top + 1, model.n_cog, model.n_cog))
-            for tau in range(t_top + 1):
-                for cog in range(model.n_cog):
-                    ladder[tau, cog] = model.cog_move(a, tau, cog)
-            self._move_cdf[a] = np.cumsum(ladder, axis=2)
+        self._move_cdf = {
+            a: np.cumsum(model.powers[a], axis=2)
+            for a in (Action.WAIT, Action.NORMAL, Action.HIGH)
+        }
 
     # -- scalar episode ---------------------------------------------------
 

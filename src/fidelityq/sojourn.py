@@ -71,11 +71,6 @@ class SojournPMF:
         return float(self.probs @ np.power(discount, self.times.astype(np.float64)))
 
 
-def discount_transform(pmf, discount):
-    """Module-level alias for ``SojournPMF.discount_transform``."""
-    return pmf.discount_transform(discount)
-
-
 def _trim_trailing(times, probs):
     """Drop trailing zero-probability support points."""
     nz = np.nonzero(probs)[0]

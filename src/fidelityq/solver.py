@@ -170,7 +170,7 @@ def finite_horizon_value(model, spec, state, _memo=None, _count=None):
         best = -np.inf
         for a in admissible(q, cog, model.grid):
             total = model.immediate_reward(q, cog, a)
-            for tau, p_tau, cog_dist, q_dist in model.kernel.entries(q, cog, a):
+            for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
                 count[0] += 1
                 if count[0] > spec.node_budget:
                     raise BudgetExceededError(

@@ -18,6 +18,9 @@ from .model import admissible
 
 A3_TOL = 1e-12
 DEFAULT_BUFFER_FRACTION = 0.2
+# the structural results assume the queue (almost) never empties: a run
+# counts as busy while at most this fraction of its epochs start empty
+BUSY_EMPTY_FRACTION = 0.01
 
 # actions competing for the queue, ordered by how a threshold policy
 # deploys them as the queue grows
@@ -197,7 +200,7 @@ def check_value_gap_bounds(
     level.
 
     The bounds hold in the busy regime; when ``empty_queue_fraction`` is
-    supplied and exceeds 1%, the report is annotated as
+    supplied and exceeds ``BUSY_EMPTY_FRACTION``, the report is annotated as
     assumption-violated instead of being graded pass/fail. Pairs with
     dq = 0 make both sides zero and are skipped.
     """
@@ -245,7 +248,7 @@ def check_value_gap_bounds(
     )
     if ceiling.note:
         report.notes.append(ceiling.note)
-    if empty_queue_fraction is not None and empty_queue_fraction > 0.01:
+    if empty_queue_fraction is not None and empty_queue_fraction > BUSY_EMPTY_FRACTION:
         report.assumption_violated = True
         report.notes.append(
             f"queue was empty {empty_queue_fraction:.2%} of the time; the "
@@ -443,12 +446,27 @@ class ThresholdReport:
         return all(row.is_threshold for row in self.rows)
 
 
+def threshold_report(model, policy, margins, buffer_fraction=DEFAULT_BUFFER_FRACTION):
+    """Extract thresholds for every cognitive level and record which
+    levels carry a guarantee (nonnegative combined dominance margin);
+    never raises on a violated guarantee."""
+    q_range = checked_queue_range(model.n_q, buffer_fraction)
+    rows = [
+        extract_thresholds(policy[:, cog], cog, model.grid.star_index, q_range)
+        for cog in range(model.n_cog)
+    ]
+    guaranteed = [margins.combined_margin(cog) >= 0.0 for cog in range(model.n_cog)]
+    return ThresholdReport(
+        rows=rows, guaranteed=guaranteed, buffer_fraction=buffer_fraction
+    )
+
+
 def verify_threshold_structure(
     model, policy, margins=None, buffer_fraction=DEFAULT_BUFFER_FRACTION
 ):
-    """Extract thresholds for every cognitive level and enforce the
-    guarantee: any level whose combined dominance margin is nonnegative
-    must be threshold-shaped.
+    """``threshold_report`` plus enforcement of the guarantee: any level
+    whose combined dominance margin is nonnegative must be
+    threshold-shaped.
 
     Raises
     ------
@@ -458,23 +476,15 @@ def verify_threshold_structure(
     """
     if margins is None:
         margins = dominance_margins(model)
-    q_range = checked_queue_range(model.n_q, buffer_fraction)
-    rows = []
-    guaranteed = []
-    for cog in range(model.n_cog):
-        row = extract_thresholds(policy[:, cog], cog, model.grid.star_index, q_range)
-        rows.append(row)
-        has_guarantee = margins.combined_margin(cog) >= 0.0
-        guaranteed.append(has_guarantee)
+    report = threshold_report(model, policy, margins, buffer_fraction)
+    for row, has_guarantee in zip(report.rows, report.guaranteed):
         if has_guarantee and not row.is_threshold:
             raise GuaranteeViolationError(
-                f"policy at cog index {cog} is not threshold-shaped despite a "
-                f"nonnegative switch margin "
-                f"({margins.combined_margin(cog):.6f}): {row.violations}"
+                f"policy at cog index {row.cog_index} is not threshold-shaped "
+                f"despite a nonnegative switch margin "
+                f"({margins.combined_margin(row.cog_index):.6f}): {row.violations}"
             )
-    return ThresholdReport(
-        rows=rows, guaranteed=guaranteed, buffer_fraction=buffer_fraction
-    )
+    return report
 
 
 # -- value shape -----------------------------------------------------------
@@ -508,10 +518,3 @@ def check_value_shape(model, values, buffer_fraction=DEFAULT_BUFFER_FRACTION):
         if not (np.all(rising > 0) and np.all(falling < 0)):
             notes.append(f"value at q={q} is not unimodal across cog")
     return notes
-
-
-# -- busy-regime occupancy -------------------------------------------------
-
-def busy_assumption_ok(empty_queue_fraction, threshold=0.01):
-    """The structural results assume the queue (almost) never empties."""
-    return empty_queue_fraction < threshold

@@ -3,6 +3,7 @@ configuration: files written, formats stable, exit codes correct."""
 
 import json
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -149,6 +150,21 @@ class TestSimulate:
                    "--episodes", "200",
                    "--policy", str(solved / "policy.csv")) == 0
         assert (a / "mc_value.json").read_bytes() == (b / "mc_value.json").read_bytes()
+
+    def test_configured_bias_ratio_lengthens_horizon(self, tmp_path):
+        # simulation.bias_ratio reaches the estimator: a tighter
+        # truncation-bias target needs a longer horizon
+        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
+        tight = tmp_path / "tight.yaml"
+        tight.write_text(tiny.replace("simulation:\n", "simulation:\n  bias_ratio: 1e-4\n"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", "--config", "tiny", "--out", str(a),
+                   "--episodes", "200", "--trajectories", "0") == 0
+        assert run("simulate", "--config", str(tight), "--out", str(b),
+                   "--episodes", "200", "--trajectories", "0") == 0
+        default = json.loads((a / "mc_value.json").read_text())["estimates"][0]
+        tighter = json.loads((b / "mc_value.json").read_text())["estimates"][0]
+        assert tighter["horizon_epochs"] > default["horizon_epochs"]
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -56,6 +56,25 @@ class TestMerge:
         with pytest.raises(ConfigError, match="service.family"):
             from_mapping(doc).model_params()
 
+    @pytest.mark.parametrize(
+        "sim, match",
+        [
+            ({"bias_ratio": 0.0}, "bias_ratio"),
+            ({"bias_ratio": -0.1}, "bias_ratio"),
+            ({"bias_ratio": float("inf")}, "bias_ratio"),
+            ({"bias_ratio": "tiny"}, "must be numbers"),
+            ({"pilot_episodes": 1}, "pilot_episodes"),
+            ({"pilot_episodes": 0}, "pilot_episodes"),
+        ],
+    )
+    def test_simulation_settings_rejected(self, sim, match):
+        with pytest.raises(ConfigError, match=match):
+            from_mapping({"simulation": sim})
+
+    def test_simulation_settings_accepted(self):
+        cfg = from_mapping({"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2}})
+        assert cfg.simulation["pilot_episodes"] == 2
+
 
 class TestDigest:
     def test_digest_is_sha256_hex(self):

@@ -1,25 +1,22 @@
 """Tests for model assembly: admissibility, queue kernel, rewards and the
 discounted transition operators.
 
-The reward oracle sums the realized per-epoch reward over the joint law of
-(sojourn, arrivals) and must reproduce the closed-form immediate reward.
+The arrival table is checked bit for bit against a scalar per-row
+reference. The reward oracle sums the realized per-epoch reward over the
+joint law of (sojourn, arrivals) and must reproduce the closed-form
+immediate reward.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fidelityq.actions import ACTIONS, Action
 from fidelityq.cogchain import ChainRates, CogGrid, evolve
 from fidelityq.errors import InadmissibleRestError
-from fidelityq.model import (
-    ModelParams,
-    State,
-    admissible,
-    build_model,
-    queue_arrival_row,
-    queue_kernel,
-)
+from fidelityq.model import ModelParams, admissible, arrival_table, build_model
 from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
 
 
@@ -79,9 +76,42 @@ class TestAdmissible:
             )
 
 
+def reference_row(start, tau, rate, capacity):
+    """Scalar reference for one arrival-table row: next queue length from
+    ``start`` after ``tau`` time units of Poisson(rate) arrivals, overflow
+    lumped at the capacity."""
+    out = np.zeros(capacity + 1)
+    lam = rate * tau
+    room = capacity - start
+    w = np.arange(room + 1)
+    out[start : capacity + 1] = stats.poisson.pmf(w, lam)
+    out[capacity] += stats.poisson.sf(room, lam)
+    return out
+
+
+def table_row(start, tau, rate, capacity):
+    return arrival_table(rate, [tau], capacity)[0, start]
+
+
+class TestArrivalTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.floats(min_value=1e-3, max_value=5.0),
+        taus=st.lists(st.integers(min_value=1, max_value=4000), min_size=1, max_size=8),
+        capacity=st.integers(min_value=1, max_value=40),
+    )
+    def test_matches_scalar_reference_bitwise(self, rate, taus, capacity):
+        table = arrival_table(rate, taus, capacity)
+        assert table.shape == (len(taus), capacity + 1, capacity + 1)
+        for i, tau in enumerate(taus):
+            for start in range(capacity + 1):
+                expected = reference_row(start, tau, rate, capacity)
+                assert np.array_equal(table[i, start], expected), (tau, start)
+
+
 class TestQueueKernel:
     def test_poisson_row_frozen_values(self):
-        row = queue_arrival_row(start=2, tau=1, rate=1.0, capacity=30)
+        row = table_row(start=2, tau=1, rate=1.0, capacity=30)
         e = np.exp(-1.0)
         assert row[:2].tolist() == [0.0, 0.0]
         assert row[2] == pytest.approx(e, abs=1e-15)
@@ -90,30 +120,38 @@ class TestQueueKernel:
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_overflow_lumped_at_capacity(self):
-        row = queue_arrival_row(start=29, tau=1, rate=1.0, capacity=30)
+        row = table_row(start=29, tau=1, rate=1.0, capacity=30)
         e = np.exp(-1.0)
         assert row[29] == pytest.approx(e, abs=1e-15)
         assert row[30] == pytest.approx(1.0 - e, abs=1e-15)
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_full_queue_keeps_all_mass_at_capacity(self):
-        row = queue_arrival_row(start=6, tau=3, rate=0.7, capacity=6)
+        row = table_row(start=6, tau=3, rate=0.7, capacity=6)
         assert row[6] == pytest.approx(1.0, abs=1e-15)
 
-    def test_head_task_consumed_before_arrivals(self):
-        with_d = queue_kernel(5, 2, Action.NORMAL, rate=0.4, capacity=6)
-        without = queue_arrival_row(4, 2, rate=0.4, capacity=6)
-        assert with_d == pytest.approx(without, abs=0)
+    def test_head_task_consumed_before_arrivals(self, model):
+        rate = model.params.skip_wait.arrival_rate
+        for tau, _, _, q_dist in model.entries(5, 1, Action.NORMAL):
+            assert np.array_equal(q_dist, table_row(4, tau, rate, model.n_q - 1))
 
-    def test_decrement_clamped_at_zero(self):
-        row = queue_kernel(1, 1, Action.SKIP, rate=0.4, capacity=6)
-        # next queue = 0 requires zero arrivals over one step
-        assert row[0] == pytest.approx(np.exp(-0.4), abs=1e-15)
+    def test_decrement_clamped_at_zero(self, model):
+        # skipping takes two steps here; next queue = 0 from q = 1 requires
+        # zero arrivals over them
+        ((tau, _, _, q_dist),) = model.entries(1, 0, Action.SKIP)
+        assert tau == 2
+        assert q_dist[0] == pytest.approx(np.exp(-0.4 * 2), abs=1e-15)
 
-    def test_wait_and_rest_do_not_consume(self):
-        for a in (Action.WAIT, Action.REST):
-            row = queue_kernel(3, 1, a, rate=0.4, capacity=6)
-            assert row[:3].sum() == 0.0
+    def test_wait_and_rest_do_not_consume(self, model):
+        for q, cog, a in [(3, 3, Action.REST), (0, 2, Action.WAIT)]:
+            for tau, _, _, q_dist in model.entries(q, cog, a):
+                assert q_dist[:q].sum() == 0.0
+                assert q_dist[q] == pytest.approx(np.exp(-0.4 * tau), abs=1e-15)
+
+    def test_rows_are_read_only(self, model):
+        _, _, _, q_dist = next(model.entries(2, 1, Action.NORMAL))
+        with pytest.raises(ValueError):
+            q_dist[0] = 1.0
 
 
 class TestKernelMass:
@@ -121,14 +159,17 @@ class TestKernelMass:
         for q in range(model.n_q):
             for cog in range(model.n_cog):
                 for a in admissible(q, cog, model.grid):
-                    mass = model.kernel.mass(q, cog, a)
+                    mass = sum(
+                        p_tau * cog_dist.sum() * q_dist.sum()
+                        for _, p_tau, cog_dist, q_dist in model.entries(q, cog, a)
+                    )
                     assert mass == pytest.approx(1.0, abs=1e-10), (q, cog, a)
 
     def test_inadmissible_action_rejected(self, model):
         with pytest.raises(ValueError):
-            next(model.kernel.entries(0, 2, Action.NORMAL))
+            next(model.entries(0, 2, Action.NORMAL))
         with pytest.raises(ValueError):
-            next(model.kernel.entries(3, 1, Action.REST))
+            next(model.entries(3, 1, Action.REST))
 
 
 def reward_oracle(model, q, cog, action, w_cap=240):
@@ -234,7 +275,7 @@ class TestOperators:
         ]:
             s = q * model.n_cog + cog
             expected = np.zeros(model.n_states)
-            for tau, p_tau, cog_dist, q_dist in model.kernel.entries(q, cog, a):
+            for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
                 expected += (
                     p_tau * gamma**tau * np.outer(q_dist, cog_dist).reshape(-1)
                 )
@@ -265,12 +306,6 @@ class TestDiagnostics:
         params = small_params(skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.6))
         with pytest.warns(UserWarning, match="unstable"):
             build_model(params)
-
-    def test_states_enumeration(self, model):
-        states = list(model.states())
-        assert len(states) == model.n_states
-        assert states[0] == State(0, 0)
-        assert states[-1] == State(model.n_q - 1, model.n_cog - 1)
 
 
 class TestParamsValidation:

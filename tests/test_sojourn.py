@@ -19,7 +19,6 @@ from fidelityq.sojourn import (
     ServiceFamily,
     SkipWaitSpec,
     SojournPMF,
-    discount_transform,
     rest_pmf,
     service_pmf,
     skip_pmf,
@@ -42,7 +41,6 @@ class TestSojournPMF:
         pmf = two_atom()
         # 0.75 * 0.5 + 0.25 * 0.5**3
         assert pmf.discount_transform(0.5) == pytest.approx(0.40625, abs=1e-15)
-        assert discount_transform(pmf, 0.5) == pmf.discount_transform(0.5)
 
     def test_moments_match_python_loop(self):
         pmf = wait_pmf(SkipWaitSpec(skip_time=1, arrival_rate=0.7))

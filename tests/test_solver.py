@@ -66,7 +66,7 @@ def backup_oracle(model, values):
         for cog in range(model.n_cog):
             for a in admissible(q, cog, model.grid):
                 total = model.immediate_reward(q, cog, a)
-                for tau, p_tau, cog_dist, q_dist in model.kernel.entries(q, cog, a):
+                for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
                     cont = q_dist @ values @ cog_dist
                     total += p_tau * gamma**tau * cont
                 best[q, cog] = max(best[q, cog], total)

@@ -29,6 +29,7 @@ from fidelityq.structure import (
     extract_thresholds,
     gamma_mgf_bound,
     slowest_service,
+    threshold_report,
     verify_threshold_structure,
 )
 
@@ -213,10 +214,11 @@ class TestValueGapBounds:
         )
         assert report.assumption_violated
         assert any("empty" in n for n in report.notes)
-        quiet = check_value_gap_bounds(
-            model, values, bound_report.rho, empty_queue_fraction=0.002
-        )
-        assert not quiet.assumption_violated
+        for busy in (0.002, 0.01):
+            quiet = check_value_gap_bounds(
+                model, values, bound_report.rho, empty_queue_fraction=busy
+            )
+            assert not quiet.assumption_violated, busy
 
 
 def margin_oracle(model, rho, cog):
@@ -427,6 +429,14 @@ class TestVerifyThresholdStructure:
             verify_threshold_structure(
                 model, self.make_policy(model, broken_cog=2), margins=margins
             )
+
+    def test_report_never_raises(self, model):
+        # the non-raising form the CLI writes its tables from
+        margins = fake_margins(model, [1.0] * model.n_cog)
+        report = threshold_report(model, self.make_policy(model, broken_cog=2), margins)
+        assert report.guaranteed[2]
+        assert not report.rows[2].is_threshold
+        assert [row.cog_index for row in report.rows] == list(range(model.n_cog))
 
     def test_unguaranteed_break_is_reported_not_raised(self, model):
         combined = [1.0] * model.n_cog
