@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .actions import ACTIONS, Action
-from .config import resolve_config
+from .config import check_episode_count, resolve_config
 from .errors import FidelityQError, GridTooLargeError, GuaranteeViolationError
 from .simulate import PolicySampler
 from .solver import validate_policy, value_iteration
@@ -80,7 +80,10 @@ def _solve(cfg, model):
 
 def _sim_settings(cfg, args):
     sim = cfg.simulation
-    episodes = args.episodes if args.episodes is not None else int(sim["episodes"])
+    if args.episodes is None:
+        episodes = int(sim["episodes"])
+    else:
+        episodes = check_episode_count("--episodes", args.episodes)
     seed = args.seed if args.seed is not None else int(sim["seed"])
     return episodes, seed
 
@@ -200,6 +203,7 @@ def cmd_solve(args):
 
 def cmd_check(args):
     cfg = resolve_config(args.config)
+    episodes, seed = _sim_settings(cfg, args)
     model = cfg.build_model()
     solution = _solve(cfg, model)
     if not solution.converged:
@@ -208,7 +212,6 @@ def cmd_check(args):
         return 3
     out = _outdir(args)
     buffer_fraction = float(cfg.analysis["buffer_fraction"])
-    episodes, seed = _sim_settings(cfg, args)
 
     bound_report = compute_rho(model)
     slow = slowest_service(model)
@@ -298,9 +301,9 @@ def cmd_check(args):
 
 def cmd_simulate(args):
     cfg = resolve_config(args.config)
+    episodes, seed = _sim_settings(cfg, args)
     model = cfg.build_model()
     out = _outdir(args)
-    episodes, seed = _sim_settings(cfg, args)
     if args.policy is not None:
         policy = read_policy_csv(args.policy, model)
     else:
@@ -403,9 +406,12 @@ def cmd_sweep(args):
     rows = []
     any_unconverged = False
     for rate in rates:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             model = cfg.build_model(arrival_rate=rate)
+        for warning in caught:
+            print(f"warning at arrival rate {rate!r}: {warning.message}",
+                  file=sys.stderr)
         solution = _solve(cfg, model)
         if not solution.converged:
             any_unconverged = True

@@ -223,12 +223,21 @@ def config_digest(data):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def check_episode_count(name, episodes):
+    """Reject a Monte-Carlo batch too small for a sample standard
+    deviation, which needs two runs."""
+    if episodes < 2:
+        raise ConfigError(f"{name} must be at least 2, got {episodes}")
+    return episodes
+
+
 def _check_simulation(sim):
     """Reject Monte-Carlo settings the estimator cannot honour: the
-    horizon targets a positive bias ratio, and the pilot batch needs two
-    runs for a sample standard deviation."""
+    horizon targets a positive bias ratio, and both the main and the pilot
+    batch need two runs."""
     try:
         bias_ratio = float(sim["bias_ratio"])
+        episodes = int(sim["episodes"])
         pilot_episodes = int(sim["pilot_episodes"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulation settings must be numbers: {exc}") from exc
@@ -236,10 +245,8 @@ def _check_simulation(sim):
         raise ConfigError(
             f"simulation.bias_ratio must be positive and finite, got {bias_ratio!r}"
         )
-    if pilot_episodes < 2:
-        raise ConfigError(
-            f"simulation.pilot_episodes must be at least 2, got {pilot_episodes}"
-        )
+    check_episode_count("simulation.episodes", episodes)
+    check_episode_count("simulation.pilot_episodes", pilot_episodes)
 
 
 def from_mapping(doc):

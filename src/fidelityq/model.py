@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .actions import ACTIONS, DECREMENT, Action
 from .cogchain import build_step_matrix, step_powers
@@ -65,12 +65,14 @@ def arrival_table(rate, taus, capacity):
     ``table[i, start, q']`` is the probability of going from ``start``
     pending tasks to ``q'`` after ``taus[i]`` time units; overflow mass is
     lumped at the capacity. One broadcast pmf/sf evaluation covers the
-    whole (tau, arrival count) grid.
+    whole (tau, arrival count) grid, with the same ufuncs, dtypes and
+    clipping as ``scipy.stats.poisson``, so the entries match it bit for
+    bit without importing ``scipy.stats``.
     """
     lam = rate * np.asarray(taus)[:, None]
     w = np.arange(capacity + 1)
-    pmf = stats.poisson.pmf(w, lam)
-    sf = stats.poisson.sf(w, lam)
+    pmf = np.clip(np.exp(special.xlogy(w, lam) - special.gammaln(w + 1) - lam), 0, 1)
+    sf = np.clip(special.pdtrc(w, lam), 0, 1)
     table = np.zeros((len(lam), capacity + 1, capacity + 1))
     for start in range(capacity + 1):
         room = capacity - start

@@ -165,10 +165,12 @@ class PolicySampler:
         totals = np.zeros(episodes)
         empty_epochs = 0
 
-        base = {
+        rewards = {
             Action.NORMAL: model.params.reward_normal,
             Action.HIGH: model.params.reward_high,
         }
+        base = np.array([rewards.get(a, 0.0) for a in ACTIONS])
+        decrement = np.array([DECREMENT[a] for a in ACTIONS], dtype=np.int64)
         c = model.params.holding_cost
 
         for _ in range(horizon_epochs):
@@ -190,14 +192,7 @@ class PolicySampler:
                     tau[members[pick]] = times[pos]
             w = rng.poisson(rate * tau.astype(np.float64))
             # rewards use the pre-transition queue
-            reward = np.zeros(episodes)
-            for idx, a in enumerate(ACTIONS):
-                members = codes == idx
-                if not members.any():
-                    continue
-                reward[members] = base.get(a, 0.0) - c * tau[members] * (
-                    q[members] + 0.5 * w[members]
-                )
+            reward = base[codes] - c * tau * (q + 0.5 * w)
             totals += gamma ** zeta.astype(np.float64) * reward
             # cognitive transitions, one action group at a time
             new_cog = cog.copy()
@@ -215,7 +210,6 @@ class PolicySampler:
                 new_cog[members] = np.minimum(
                     (rows <= u[:, None]).sum(axis=1), self.model.n_cog - 1
                 )
-            decrement = np.array([DECREMENT[a] for a in ACTIONS], dtype=np.int64)
             q = np.minimum(np.maximum(q - decrement[codes], 0) + w, cap)
             cog = new_cog
             zeta += tau

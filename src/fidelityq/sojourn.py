@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .actions import Action
 from .cogchain import default_t_cap, fpt_pmf
@@ -128,7 +128,13 @@ def _beta_binomial_pmf(mean, dispersion, support):
     alpha = dispersion * p
     beta = dispersion * (1.0 - p)
     ks = np.arange(support)
-    probs = stats.betabinom.pmf(ks, n, alpha, beta)
+    # scipy.stats.betabinom's log-pmf, term for term and in the same order,
+    # so the probabilities match it bit for bit without scipy.stats
+    k = ks.astype(np.float64)
+    combiln = -np.log(n + 1) - special.betaln(n - k + 1, k + 1)
+    log_pmf = (combiln + special.betaln(k + alpha, n - k + beta)
+               - special.betaln(alpha, beta))
+    probs = np.clip(np.exp(log_pmf), 0, 1)
     probs = probs / probs.sum()
     return SojournPMF(times=ks + 1, probs=probs)
 
@@ -140,6 +146,8 @@ def _neg_binomial_pmf(mean, shape, support):
             f"neg-binomial shape {r} needs a target mean above {r}"
         )
     p = r / mean
+    from scipy import stats  # Boost's nbinom pmf has no bit-exact scipy.special twin
+
     ks = np.arange(r, support + 1)
     probs = stats.nbinom.pmf(ks - r, r, p)
     tail = 1.0 - probs.sum()

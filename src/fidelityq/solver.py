@@ -137,7 +137,8 @@ def policy_evaluation(model, policy):
 @dataclass(frozen=True)
 class HorizonSpec:
     """Finite-horizon problem: ``n_stages`` decision epochs, terminal value
-    -terminal_cost * q, and a cap on exhaustive-expansion work."""
+    -terminal_cost * q, and a cap on the kernel entries the backward
+    induction expands (entries per stage times stages)."""
 
     n_stages: int
     terminal_cost: float
@@ -150,55 +151,50 @@ class HorizonSpec:
             raise ValueError("terminal cost must be nonnegative")
 
 
-def finite_horizon_value(model, spec, state, _memo=None, _count=None):
-    """Exact expectimax value of ``state`` over ``spec.n_stages`` epochs.
-
-    Expands the kernel triples exhaustively with memoization on
-    (state, stages-left); raises BudgetExceededError once the number of
-    expanded kernel entries passes the node budget.
-    """
-    memo = {} if _memo is None else _memo
-    count = [0] if _count is None else _count
+def _horizon_kernel(model, spec):
+    """Rewards and discounted transition rows for every (state, action),
+    summed from the factored triples of ``model.entries`` so the oracle
+    shares no code with the solver's operators. Rewards are -inf where the
+    action is inadmissible. Raises BudgetExceededError as soon as the
+    entries seen so far, expanded once per stage, pass the node budget."""
     gamma = model.params.discount
-
-    def value(q, cog, k):
-        if k == 0:
-            return -spec.terminal_cost * q
-        key = (q, cog, k)
-        if key in memo:
-            return memo[key]
-        best = -np.inf
-        for a in admissible(q, cog, model.grid):
-            total = model.immediate_reward(q, cog, a)
-            for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
-                count[0] += 1
-                if count[0] > spec.node_budget:
-                    raise BudgetExceededError(
-                        f"expectimax expansion passed {spec.node_budget} kernel entries"
-                    )
-                acc = 0.0
-                for c2 in np.nonzero(cog_dist)[0]:
-                    pc = cog_dist[c2]
-                    inner = 0.0
-                    for q2 in np.nonzero(q_dist)[0]:
-                        inner += q_dist[q2] * value(int(q2), int(c2), k - 1)
-                    acc += pc * inner
-                total += p_tau * gamma**tau * acc
-            best = max(best, total)
-        memo[key] = best
-        return best
-
-    return value(state[0], state[1], spec.n_stages)
+    rewards = {a: np.full(model.n_states, -np.inf) for a in ACTIONS}
+    rows = {a: np.zeros((model.n_states, model.n_q, model.n_cog)) for a in ACTIONS}
+    n_entries = 0
+    for q in range(model.n_q):
+        for cog in range(model.n_cog):
+            s = q * model.n_cog + cog
+            for a in admissible(q, cog, model.grid):
+                rewards[a][s] = model.immediate_reward(q, cog, a)
+                for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
+                    n_entries += 1
+                    if n_entries * spec.n_stages > spec.node_budget:
+                        raise BudgetExceededError(
+                            f"{spec.n_stages} stages of backward induction pass "
+                            f"{spec.node_budget} kernel entries"
+                        )
+                    rows[a][s] += p_tau * gamma**tau * np.outer(q_dist, cog_dist)
+    n = model.n_states
+    return rewards, {a: r.reshape(n, n) for a, r in rows.items()}
 
 
 def finite_horizon_table(model, spec):
-    """Expectimax values for every state, sharing one memo table."""
-    memo = {}
-    count = [0]
-    out = np.empty((model.n_q, model.n_cog))
-    for q in range(model.n_q):
-        for cog in range(model.n_cog):
-            out[q, cog] = finite_horizon_value(
-                model, spec, (q, cog), _memo=memo, _count=count
-            )
-    return out
+    """Exact optimal values of every state over ``spec.n_stages`` epochs.
+
+    Stage-wise backward induction from the terminal values: each stage
+    takes, per state, the best admissible reward plus the discounted
+    expectation of the previous stage's values.
+    """
+    terminal = -spec.terminal_cost * np.arange(model.n_q, dtype=np.float64)
+    values = np.repeat(terminal, model.n_cog)
+    if spec.n_stages > 0:
+        rewards, rows = _horizon_kernel(model, spec)
+        for _ in range(spec.n_stages):
+            values = np.max([rewards[a] + rows[a] @ values for a in ACTIONS], axis=0)
+    return values.reshape(model.n_q, model.n_cog)
+
+
+def finite_horizon_value(model, spec, state):
+    """Exact optimal value of ``state`` over ``spec.n_stages`` epochs; see
+    ``finite_horizon_table``."""
+    return float(finite_horizon_table(model, spec)[state[0], state[1]])

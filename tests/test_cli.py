@@ -186,6 +186,14 @@ class TestSweep:
         rates = {line.split(",")[0] for line in lines[2:]}
         assert rates == {"0.3", "0.5"}
 
+    def test_model_warnings_reported_per_rate(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "--config", "tiny", "--out", str(out),
+                   "--grid", "0.3,1.5") == 0
+        err = capsys.readouterr().err
+        assert "warning at arrival rate 1.5: skip_time >= 1/arrival_rate" in err
+        assert "arrival rate 0.3" not in err
+
     def test_empty_grid_is_an_error(self, tmp_path):
         cfg_file = tmp_path / "nosweep.yaml"
         cfg_file.write_text("name: x\n")
@@ -224,6 +232,21 @@ class TestErrors:
         bad.write_text("quue:\n  capacity: 3\n")
         assert run("solve", "--config", str(bad),
                    "--out", str(tmp_path / "out")) == 1
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("episodes", ["1", "0", "-3"])
+    def test_too_few_episodes_rejected(self, tmp_path, capsys, command, episodes):
+        code = run(command, "--config", "tiny", "--out", str(tmp_path / "out"),
+                   f"--episodes={episodes}")
+        assert code == 1
+        assert f"--episodes must be at least 2, got {episodes}" in capsys.readouterr().err
+
+    def test_too_few_configured_episodes_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "one_episode.yaml"
+        cfg_file.write_text("name: x\nsimulation:\n  episodes: 1\n")
+        assert run("simulate", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")) == 1
+        assert "simulation.episodes must be at least 2" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

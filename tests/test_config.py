@@ -65,6 +65,10 @@ class TestMerge:
             ({"bias_ratio": "tiny"}, "must be numbers"),
             ({"pilot_episodes": 1}, "pilot_episodes"),
             ({"pilot_episodes": 0}, "pilot_episodes"),
+            ({"episodes": 1}, "simulation.episodes must be at least 2"),
+            ({"episodes": 0}, "simulation.episodes must be at least 2"),
+            ({"episodes": -3}, "simulation.episodes must be at least 2"),
+            ({"episodes": "many"}, "must be numbers"),
         ],
     )
     def test_simulation_settings_rejected(self, sim, match):
@@ -72,8 +76,11 @@ class TestMerge:
             from_mapping({"simulation": sim})
 
     def test_simulation_settings_accepted(self):
-        cfg = from_mapping({"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2}})
+        cfg = from_mapping(
+            {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2}}
+        )
         assert cfg.simulation["pilot_episodes"] == 2
+        assert cfg.simulation["episodes"] == 2
 
 
 class TestDigest:

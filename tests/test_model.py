@@ -7,12 +7,17 @@ joint law of (sojourn, arrivals) and must reproduce the closed-form
 immediate reward.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import fidelityq
 from fidelityq.actions import ACTIONS, Action
 from fidelityq.cogchain import ChainRates, CogGrid, evolve
 from fidelityq.errors import InadmissibleRestError
@@ -152,6 +157,25 @@ class TestQueueKernel:
         _, _, _, q_dist = next(model.entries(2, 1, Action.NORMAL))
         with pytest.raises(ValueError):
             q_dist[0] = 1.0
+
+
+def test_build_does_not_import_scipy_stats():
+    """Only the neg-binomial service law needs scipy.stats; importing the
+    package and building every other shipped config must not load it."""
+    code = (
+        "import sys, warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "import fidelityq\n"
+        "for name in ('tiny', 'default', 'high_lambda', 'skip_cheap'):\n"
+        "    fidelityq.builtin_config(name).build_model()\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fidelityq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"
 
 
 class TestKernelMass:

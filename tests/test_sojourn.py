@@ -2,7 +2,8 @@
 
 Closed forms used as oracles: geometric first-passage moments for a
 pure-downward rest chain, the negative-binomial generating function for
-the discount transform, and hand-summed two-atom distributions.
+the discount transform, and hand-summed two-atom distributions. The
+beta-binomial law is checked bit for bit against ``scipy.stats.betabinom``.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix, mean_first_passage
@@ -19,6 +21,7 @@ from fidelityq.sojourn import (
     ServiceFamily,
     SkipWaitSpec,
     SojournPMF,
+    _beta_binomial_pmf,
     rest_pmf,
     service_pmf,
     skip_pmf,
@@ -273,6 +276,32 @@ class TestServiceFamily:
             ServiceFamily(**{**good, "family": "zeta"})
         with pytest.raises(ValueError):
             ServiceFamily(**{**good, "family": "neg-binomial", "dispersion": 2.5})
+
+
+def reference_beta_binomial(mean, dispersion, support):
+    """The beta-binomial service law through ``scipy.stats.betabinom``:
+    mean ``mean`` on {1..support}, concentration ``dispersion``."""
+    n = support - 1
+    p = (mean - 1.0) / n
+    ks = np.arange(support)
+    probs = stats.betabinom.pmf(ks, n, dispersion * p, dispersion * (1.0 - p))
+    return ks + 1, probs / probs.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    support=st.integers(min_value=3, max_value=4000),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+    dispersion=st.floats(min_value=1e-3, max_value=1e4),
+)
+def test_beta_binomial_matches_scipy_stats_bitwise(support, fraction, dispersion):
+    mean = 1.0 + fraction * (support - 2)
+    if mean <= 1.0:
+        mean = np.nextafter(1.0, 2.0)
+    times, probs = reference_beta_binomial(mean, dispersion, support)
+    pmf = _beta_binomial_pmf(mean, dispersion, support)
+    assert np.array_equal(pmf.times, times)
+    assert pmf.probs.tobytes() == probs.tobytes()
 
 
 class TestNegBinomialFamily:
