@@ -8,7 +8,6 @@ reflective boundaries, so a step matrix is tridiagonal and row-stochastic.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve
 
 from .actions import Action
 from .errors import InadmissibleRestError, InvalidRatesError, TailMassError
@@ -229,7 +228,7 @@ def mean_first_passage(step, grid, cog_index):
         )
     q_block, _ = _transient_blocks(step, grid)
     k = q_block.shape[0]
-    means = solve(np.eye(k) - q_block, np.ones(k))
+    means = np.linalg.solve(np.eye(k) - q_block, np.ones(k))
     return float(means[cog_index - (grid.star_index + 1)])
 
 

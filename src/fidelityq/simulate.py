@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ACTIONS, DECREMENT, Action
+from .config import check_episode_count
 from .solver import validate_policy
 
 DEFAULT_PILOT_EPISODES = 256
@@ -176,9 +177,11 @@ class PolicySampler:
         for _ in range(horizon_epochs):
             empty_epochs += int(np.count_nonzero(q == 0))
             codes = self._codes[q, cog]
+            groups = [
+                (a, np.nonzero(codes == idx)[0]) for idx, a in enumerate(ACTIONS)
+            ]
             tau = np.zeros(episodes, dtype=np.int64)
-            for idx, a in enumerate(ACTIONS):
-                members = np.nonzero(codes == idx)[0]
+            for a, members in groups:
                 if members.size == 0:
                     continue
                 u = rng.random(members.size)
@@ -196,11 +199,8 @@ class PolicySampler:
             totals += gamma ** zeta.astype(np.float64) * reward
             # cognitive transitions, one action group at a time
             new_cog = cog.copy()
-            for idx, a in enumerate(ACTIONS):
-                members = np.nonzero(codes == idx)[0]
-                if members.size == 0:
-                    continue
-                if a is Action.SKIP:
+            for a, members in groups:
+                if members.size == 0 or a is Action.SKIP:
                     continue
                 if a is Action.REST:
                     new_cog[members] = star
@@ -230,6 +230,8 @@ class PolicySampler:
         bias bound stays below ``bias_ratio`` times the projected standard
         error of the full run.
         """
+        check_episode_count("episodes", episodes)
+        check_episode_count("pilot_episodes", pilot_episodes)
         seed = int(seed)
         pilot_seq, main_seq = np.random.SeedSequence(seed).spawn(2)
         if horizon_epochs is None:
@@ -254,11 +256,7 @@ class PolicySampler:
         rng = np.random.default_rng(main_seq)
         totals, empty_fraction = self.run_batch(start, episodes, horizon_epochs, rng)
         mean = math.fsum(totals) / episodes
-        std_error = (
-            float(np.std(totals, ddof=1)) / math.sqrt(episodes)
-            if episodes > 1
-            else float("inf")
-        )
+        std_error = float(np.std(totals, ddof=1)) / math.sqrt(episodes)
         beta = self.model.max_discount_transform
         bias_bound = reward_ceiling(self.model) / (1.0 - beta) * beta**horizon_epochs
         return MonteCarloEstimate(

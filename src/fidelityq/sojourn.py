@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
+from scipy.special._ufuncs import _nbinom_pmf
 
 from .actions import Action
 from .cogchain import default_t_cap, fpt_pmf
@@ -146,10 +147,10 @@ def _neg_binomial_pmf(mean, shape, support):
             f"neg-binomial shape {r} needs a target mean above {r}"
         )
     p = r / mean
-    from scipy import stats  # Boost's nbinom pmf has no bit-exact scipy.special twin
-
     ks = np.arange(r, support + 1)
-    probs = stats.nbinom.pmf(ks - r, r, p)
+    # the Boost ufunc behind scipy.stats.nbinom.pmf, clipped as rv_discrete
+    # clips it, so the probabilities match it bit for bit without scipy.stats
+    probs = np.clip(_nbinom_pmf(ks - r, r, p), 0, 1)
     tail = 1.0 - probs.sum()
     if tail > TRUNCATION_TOL:
         raise TailMassError(

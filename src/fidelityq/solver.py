@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve
 
 from .actions import ACTIONS, TIE_ORDER, Action, from_symbol
 from .errors import BudgetExceededError, PolicyMismatchError
@@ -124,13 +123,11 @@ def policy_evaluation(model, policy):
     n = model.n_states
     t_pi = np.empty((n, n))
     r_pi = np.empty(n)
-    for q in range(model.n_q):
-        for cog in range(model.n_cog):
-            s = q * model.n_cog + cog
-            a = from_symbol(str(policy[q, cog]))
-            t_pi[s] = model.operators[a][s]
-            r_pi[s] = model.immediate_reward(q, cog, a)
-    values = solve(np.eye(n) - t_pi, r_pi)
+    for a in ACTIONS:
+        rows = (policy == a.value).reshape(-1)
+        t_pi[rows] = model.operators[a][rows]
+        r_pi[rows] = model.reward_table(a).reshape(-1)[rows]
+    values = np.linalg.solve(np.eye(n) - t_pi, r_pi)
     return values.reshape(model.n_q, model.n_cog)
 
 

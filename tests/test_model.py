@@ -160,22 +160,29 @@ class TestQueueKernel:
 
 
 def test_build_does_not_import_scipy_stats():
-    """Only the neg-binomial service law needs scipy.stats; importing the
-    package and building every other shipped config must not load it."""
+    """scipy.special is the only scipy subpackage the package loads:
+    building every shipped config, solving one and evaluating its policy
+    exactly must load neither scipy.stats nor scipy.linalg."""
     code = (
         "import sys, warnings\n"
         "warnings.simplefilter('ignore')\n"
         "import fidelityq\n"
-        "for name in ('tiny', 'default', 'high_lambda', 'skip_cheap'):\n"
-        "    fidelityq.builtin_config(name).build_model()\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "for name in ('default', 'high_lambda', 'skip_cheap', 'large_gap', 'tiny'):\n"
+        "    model = fidelityq.builtin_config(name).build_model()\n"
+        "solution = fidelityq.value_iteration(model)\n"
+        "fidelityq.policy_evaluation(model, solution.policy)\n"
+        "print(' '.join(sorted(\n"
+        "    name for name, module in sys.modules.items()\n"
+        "    if name.count('.') == 1 and name.startswith('scipy.')\n"
+        "    and not name.startswith('scipy._') and hasattr(module, '__path__')\n"
+        ")))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fidelityq.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout.strip() == "False"
+    assert run.stdout.split() == ["scipy.special"]
 
 
 class TestKernelMass:

@@ -11,6 +11,7 @@ from scipy import stats
 
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix
+from fidelityq.errors import ConfigError
 from fidelityq.model import ModelParams, build_model
 from fidelityq.solver import policy_evaluation, value_iteration
 from fidelityq.simulate import (
@@ -196,6 +197,17 @@ class TestEstimates:
     def test_explicit_horizon_respected(self, optimal_sampler):
         est = optimal_sampler.estimate((4, 2), episodes=200, seed=3, horizon_epochs=17)
         assert est.horizon_epochs == 17
+
+    @pytest.mark.parametrize("count", [1, 0, -3])
+    def test_too_few_episodes_rejected(self, model, solution, count):
+        # a sample standard deviation needs two runs, in both batches
+        with pytest.raises(ConfigError, match="^episodes must be at least 2"):
+            monte_carlo_value(model, solution.policy, (1, 1), episodes=count, seed=1)
+        with pytest.raises(ConfigError, match="pilot_episodes must be at least 2"):
+            monte_carlo_value(
+                model, solution.policy, (1, 1), episodes=50, seed=1,
+                pilot_episodes=count,
+            )
 
 
 class TestHorizonPlanning:

@@ -18,10 +18,12 @@ from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix, mean_first_passage
 from fidelityq.errors import SupportTooSmallError, TailMassError
 from fidelityq.sojourn import (
+    TRUNCATION_TOL,
     ServiceFamily,
     SkipWaitSpec,
     SojournPMF,
     _beta_binomial_pmf,
+    _neg_binomial_pmf,
     rest_pmf,
     service_pmf,
     skip_pmf,
@@ -302,6 +304,38 @@ def test_beta_binomial_matches_scipy_stats_bitwise(support, fraction, dispersion
     pmf = _beta_binomial_pmf(mean, dispersion, support)
     assert np.array_equal(pmf.times, times)
     assert pmf.probs.tobytes() == probs.tobytes()
+
+
+def reference_neg_binomial(mean, shape, support):
+    """The neg-binomial service law through ``scipy.stats.nbinom``: shape
+    ``shape``, mean ``mean``, shifted onto {shape..support}; also returns
+    the mass beyond the support."""
+    ks = np.arange(shape, support + 1)
+    probs = stats.nbinom.pmf(ks - shape, shape, shape / mean)
+    return ks, probs / probs.sum(), 1.0 - probs.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.integers(min_value=1, max_value=10),
+    support=st.integers(min_value=12, max_value=4000),
+    fraction=st.floats(min_value=1e-3, max_value=1.0),
+)
+def test_neg_binomial_matches_scipy_stats_bitwise(shape, support, fraction):
+    # log-uniform means between the shape and the support, so both fitting
+    # and overflowing laws are drawn
+    mean = shape * (support / shape) ** fraction
+    times, probs, tail = reference_neg_binomial(mean, shape, support)
+    if tail > TRUNCATION_TOL:
+        with pytest.raises(TailMassError):
+            _neg_binomial_pmf(mean, shape, support)
+        return
+    pmf = _neg_binomial_pmf(mean, shape, support)
+    kept = pmf.times.size
+    assert np.array_equal(pmf.times, times[:kept])
+    assert pmf.probs.tobytes() == probs[:kept].tobytes()
+    assert not probs[kept:].any()
+    assert pmf.truncated_mass == max(tail, 0.0)
 
 
 class TestNegBinomialFamily:
