@@ -2,7 +2,7 @@
 
 The package splits along the pipeline: ``config`` turns a YAML mapping
 into model parameters, ``model`` assembles the decision process,
-``solver`` computes the optimal policy, ``structure`` grades it, and
+``solver`` computes the optimal policy, ``structure.grade`` grades it, and
 ``simulate`` cross-checks values by Monte Carlo. The names re-exported
 here cover the common path; everything else is importable from its
 submodule.
@@ -14,12 +14,7 @@ from .errors import FidelityQError
 from .model import build_model
 from .simulate import monte_carlo_value
 from .solver import policy_evaluation, validate_policy, value_iteration
-from .structure import (
-    check_value_gap_bounds,
-    check_value_shape,
-    dominance_margins,
-    verify_threshold_structure,
-)
+from .structure import dominance_margins, grade, verify_threshold_structure
 
 __all__ = [
     "ACTIONS",
@@ -28,9 +23,8 @@ __all__ = [
     "available_configs",
     "builtin_config",
     "build_model",
-    "check_value_gap_bounds",
-    "check_value_shape",
     "dominance_margins",
+    "grade",
     "load_config",
     "monte_carlo_value",
     "policy_evaluation",

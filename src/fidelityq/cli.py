@@ -18,25 +18,20 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
-from .actions import ACTIONS, Action
 from .config import check_episode_count, resolve_config
-from .errors import FidelityQError, GridTooLargeError, GuaranteeViolationError
+from .errors import (
+    FidelityQError,
+    GridTooLargeError,
+    GuaranteeViolationError,
+    PolicyMismatchError,
+)
 from .simulate import PolicySampler
 from .solver import validate_policy, value_iteration
-from .structure import (
-    BUSY_EMPTY_FRACTION,
-    check_value_gap_bounds,
-    check_value_shape,
-    compute_rho,
-    dominance_margins,
-    gamma_mgf_bound,
-    slowest_service,
-    threshold_report,
-    verify_threshold_structure,
-)
+from .structure import enforce_guarantee, grade, light_tail_laws
 from .svgplot import policy_heatmap, value_heatmap
 
 
@@ -99,9 +94,15 @@ def _estimate(cfg, sampler, start, episodes, seed):
     )
 
 
-def _threshold_cells(report, margins):
-    """Per-level threshold columns shared by thresholds.csv and sweep.csv:
-    q1, q2, q3, is_threshold, guaranteed, switch_margin, violations."""
+# per-level threshold columns shared by thresholds.csv and sweep.csv
+_THRESHOLD_COLUMNS = (
+    "q1", "q2", "q3", "is_threshold", "guaranteed", "switch_margin", "violations"
+)
+
+
+def _threshold_cells(report):
+    """``_THRESHOLD_COLUMNS`` of each level of a ``StructureReport``."""
+    thresholds = report.thresholds
     return [
         (
             float(row.q1),
@@ -109,22 +110,17 @@ def _threshold_cells(report, margins):
             float(row.q3) if row.q3 is not None else None,
             row.is_threshold,
             guaranteed,
-            float(margins.combined_margin(row.cog_index)),
+            float(report.margins.combined_margin(row.cog_index)),
             "; ".join(row.violations),
         )
-        for row, guaranteed in zip(report.rows, report.guaranteed)
+        for row, guaranteed in zip(thresholds.rows, thresholds.guaranteed)
     ]
 
 
-def _default_start(model):
-    return (model.n_q // 2, model.grid.star_index)
-
-
 def _starts(cfg, model):
-    configured = cfg.simulation["starts"]
-    if not configured:
-        return [_default_start(model)]
-    return [(int(q), int(cog)) for q, cog in configured]
+    """Configured start states (checked by the config), else mid-queue at
+    the resting level."""
+    return cfg.simulation["starts"] or [(model.n_q // 2, model.grid.star_index)]
 
 
 def write_policy_csv(path, policy, comments):
@@ -145,7 +141,13 @@ def read_policy_csv(path, model):
             if not line or line.startswith("#") or line.startswith("q,"):
                 continue
             q, cog, action = line.split(",")
-            policy[int(q), int(cog)] = action
+            q, cog = int(q), int(cog)
+            if not (0 <= q < model.n_q and 0 <= cog < model.n_cog):
+                raise PolicyMismatchError(
+                    f"policy row ({q},{cog}) lies outside the "
+                    f"{model.n_q}x{model.n_cog} state space"
+                )
+            policy[q, cog] = action
     return validate_policy(model, policy)
 
 
@@ -211,90 +213,56 @@ def cmd_check(args):
               file=sys.stderr)
         return 3
     out = _outdir(args)
-    buffer_fraction = float(cfg.analysis["buffer_fraction"])
-
-    bound_report = compute_rho(model)
-    slow = slowest_service(model)
-    margins = dominance_margins(model, bound_report)
 
     sampler = PolicySampler(model, solution.policy)
     start = _starts(cfg, model)[0]
     estimate = _estimate(cfg, sampler, start, episodes, seed)
-
-    gap = check_value_gap_bounds(
+    report = grade(
         model,
-        solution.values,
-        bound_report.rho,
-        buffer_fraction=buffer_fraction,
+        solution,
+        float(cfg.analysis["buffer_fraction"]),
         empty_queue_fraction=estimate.empty_queue_fraction,
     )
-    shape_notes = check_value_shape(model, solution.values,
-                                    buffer_fraction=buffer_fraction)
 
-    report = threshold_report(model, solution.policy, margins, buffer_fraction)
     rows = [
         (cog, model.grid.level(cog), *cells)
-        for cog, cells in enumerate(_threshold_cells(report, margins))
+        for cog, cells in enumerate(_threshold_cells(report))
     ]
     comments = [f"config: {cfg.digest}", f"seed: {seed}"]
     _write_csv(
         os.path.join(out, "thresholds.csv"),
         comments,
-        (
-            "cog_index",
-            "cog_level",
-            "q1",
-            "q2",
-            "q3",
-            "is_threshold",
-            "guaranteed",
-            "switch_margin",
-            "violations",
-        ),
+        ("cog_index", "cog_level", *_THRESHOLD_COLUMNS),
         rows,
     )
+    light_tail = report.light_tail
     _write_json(
         os.path.join(out, "structure.json"),
         {
             "config": cfg.digest,
             "seed": seed,
-            "rho": bound_report.rho,
-            "light_tail_ok": bound_report.light_tail_ok,
-            "light_tail_violations": bound_report.violations,
-            "slowest_service": {
-                "value": slow.value,
-                "configured": slow.configured,
-                "true_max": slow.true_max,
-                "substituted": slow.substituted,
-                "note": slow.note,
-            },
-            "switch_margins": margins.per_cog,
-            "all_guaranteed": margins.all_guaranteed,
-            "empty_queue_fraction": estimate.empty_queue_fraction,
-            "busy_assumption_ok": estimate.empty_queue_fraction <= BUSY_EMPTY_FRACTION,
+            "rho": light_tail.rho,
+            "light_tail_ok": light_tail.light_tail_ok,
+            "light_tail_violations": light_tail.violations,
+            "slowest_service": asdict(report.margins.ceiling),
+            "switch_margins": report.margins.per_cog,
+            "all_guaranteed": report.margins.all_guaranteed,
+            "empty_queue_fraction": report.empty_queue_fraction,
+            "busy_assumption_ok": report.busy_assumption_ok,
             "value_gap": {
-                "lower_bound_rate": gap.lower_bound_rate,
-                "upper_bound_rate": gap.upper_bound_rate,
-                "worst_lower_margin": gap.worst_lower_margin,
-                "worst_upper_margin": gap.worst_upper_margin,
-                "n_pairs": gap.n_pairs,
-                "passed": gap.passed(),
-                "assumption_violated": gap.assumption_violated,
-                "notes": gap.notes,
-                "failures": gap.failures,
+                **asdict(report.value_gap),
+                "passed": report.value_gap.passed(),
             },
-            "value_shape_notes": shape_notes,
+            "value_shape_notes": report.value_shape_notes,
         },
     )
     # raises on a violated guarantee -> exit code 2 via main()
-    verify_threshold_structure(
-        model, solution.policy, margins=margins, buffer_fraction=buffer_fraction
-    )
-    n_threshold = sum(1 for row in report.rows if row.is_threshold)
+    enforce_guarantee(report.thresholds, report.margins)
+    n_threshold = sum(1 for row in report.thresholds.rows if row.is_threshold)
     print(
-        f"structure checks written to {out}: rho={bound_report.rho:.6f}, "
+        f"structure checks written to {out}: rho={light_tail.rho:.6f}, "
         f"{n_threshold}/{model.n_cog} threshold rows, "
-        f"light tail {'ok' if bound_report.light_tail_ok else 'violated'}"
+        f"light tail {'ok' if light_tail.light_tail_ok else 'violated'}"
     )
     return 0
 
@@ -415,27 +383,15 @@ def cmd_sweep(args):
         solution = _solve(cfg, model)
         if not solution.converged:
             any_unconverged = True
-        bound_report = compute_rho(model)
-        margins = dominance_margins(model, bound_report)
-        report = threshold_report(model, solution.policy, margins, buffer_fraction)
+        report = grade(model, solution, buffer_fraction)
         rows.extend(
             (float(rate), cog, *cells)
-            for cog, cells in enumerate(_threshold_cells(report, margins))
+            for cog, cells in enumerate(_threshold_cells(report))
         )
     _write_csv(
         os.path.join(out, "sweep.csv"),
         [f"config: {cfg.digest}"],
-        (
-            "arrival_rate",
-            "cog_index",
-            "q1",
-            "q2",
-            "q3",
-            "is_threshold",
-            "guaranteed",
-            "switch_margin",
-            "violations",
-        ),
+        ("arrival_rate", "cog_index", *_THRESHOLD_COLUMNS),
         rows,
     )
     print(f"swept {len(rates)} arrival rates; table in {out}")
@@ -446,28 +402,20 @@ def cmd_export_moments(args):
     cfg = resolve_config(args.config)
     model = cfg.build_model()
     out = _outdir(args)
-    gamma = model.params.discount
-    rows = []
-    for cog in range(model.n_cog):
-        for a in ACTIONS:
-            if a is Action.REST and cog <= model.grid.star_index:
-                continue
-            pmf = model.sojourn(cog, a)
-            bound = gamma_mgf_bound(pmf.mean, pmf.variance, gamma)
-            transform = pmf.discount_transform(gamma)
-            rows.append(
-                (
-                    cog,
-                    model.grid.level(cog),
-                    str(a),
-                    float(pmf.mean),
-                    float(pmf.second_moment),
-                    float(pmf.variance),
-                    float(transform),
-                    float(bound),
-                    transform <= bound + 1e-12,
-                )
-            )
+    rows = [
+        (
+            law["cog_index"],
+            model.grid.level(law["cog_index"]),
+            law["action"],
+            float(law["mean"]),
+            float(pmf.second_moment),
+            float(law["variance"]),
+            float(law["transform"]),
+            float(law["bound"]),
+            law["light_tail_ok"],
+        )
+        for pmf, law in light_tail_laws(model)
+    ]
     _write_csv(
         os.path.join(out, "moments.csv"),
         [f"config: {cfg.digest}"],

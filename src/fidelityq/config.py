@@ -249,10 +249,34 @@ def _check_simulation(sim):
     check_episode_count("simulation.pilot_episodes", pilot_episodes)
 
 
+def _check_starts(data):
+    """Reject simulation start states off the model's grid: each one is an
+    integer pair [q, cog] with 0 <= q <= queue.capacity and
+    0 <= cog <= cognition.intervals."""
+    starts = data["simulation"]["starts"]
+    if not starts:
+        return
+    capacity = int(data["queue"]["capacity"])
+    intervals = int(data["cognition"]["intervals"])
+    for start in starts if isinstance(starts, (list, tuple)) else [starts]:
+        if not (
+            isinstance(start, (list, tuple))
+            and len(start) == 2
+            and all(type(x) is int for x in start)
+            and 0 <= start[0] <= capacity
+            and 0 <= start[1] <= intervals
+        ):
+            raise ConfigError(
+                f"simulation.starts entry {start!r} is not a state [q, cog] "
+                f"with 0 <= q <= {capacity} and 0 <= cog <= {intervals}"
+            )
+
+
 def from_mapping(doc):
     """Merge a parsed document over the defaults and wrap it."""
     merged = _merge(DEFAULTS, doc or {})
     _check_simulation(merged["simulation"])
+    _check_starts(merged)
     name = str(merged["name"])
     return RunConfig(name=name, data=merged, digest=config_digest(merged))
 

@@ -6,10 +6,11 @@ time and w the number of arrivals inside it, so simulated discounted
 returns are unbiased estimates of the policy's value. Discounting acts at
 epoch granularity; there is no intra-epoch discounting.
 
-Two entry points share the sampling tables: ``run_episode`` produces a
-full trajectory for export, ``monte_carlo_value`` runs all episodes in
-lockstep with vectorized inverse-CDF sampling and sizes the horizon so
-the truncation bias stays below a fraction of the standard error.
+Two entry points share the sampling tables: ``PolicySampler.run_episode``
+produces a full trajectory for export, ``monte_carlo_value`` runs all
+episodes in lockstep with vectorized inverse-CDF sampling and sizes the
+horizon so the truncation bias stays below a fraction of the standard
+error.
 """
 
 import math
@@ -271,34 +272,6 @@ class PolicySampler:
         )
 
 
-def run_episode(model, policy, start, horizon_epochs, seed):
-    """Simulate one full episode; see ``PolicySampler.run_episode``."""
-    return PolicySampler(model, policy).run_episode(start, horizon_epochs, seed)
-
-
-def run_episodes(model, policy, start, episodes, horizon_epochs, seed):
-    """Independent trajectories, one spawned RNG stream per episode."""
-    sampler = PolicySampler(model, policy)
-    streams = np.random.SeedSequence(int(seed)).spawn(episodes)
-    return [
-        sampler.run_episode(start, horizon_epochs, stream)
-        for stream in streams
-    ]
-
-
 def monte_carlo_value(model, policy, start, episodes, seed, **kwargs):
     """Value estimate at one start state; see ``PolicySampler.estimate``."""
     return PolicySampler(model, policy).estimate(start, episodes, seed, **kwargs)
-
-
-def empty_queue_fraction(trajectories):
-    """Fraction of epoch starts with nothing in the queue."""
-    empty = 0
-    total = 0
-    for t in trajectories:
-        for rec in t.records:
-            empty += rec.q == 0
-            total += 1
-    if total == 0:
-        raise ValueError("no epochs recorded")
-    return empty / total

@@ -69,8 +69,9 @@ def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEP
     Stops when the sup-norm change drops to ``epsilon``. Non-convergence
     within ``max_sweeps`` is reported through ``converged``, not raised.
     """
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     values = np.zeros((model.n_q, model.n_cog))
-    policy = None
     history = []
     for sweep in range(1, max_sweeps + 1):
         new_values, policy = bellman_backup(model, values)
@@ -90,7 +91,7 @@ def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEP
     return ValuePolicyTable(
         values=values,
         policy=policy,
-        residual=history[-1] if history else np.inf,
+        residual=history[-1],
         sweeps=len(history),
         converged=False,
         epsilon=epsilon,
@@ -189,9 +190,3 @@ def finite_horizon_table(model, spec):
         for _ in range(spec.n_stages):
             values = np.max([rewards[a] + rows[a] @ values for a in ACTIONS], axis=0)
     return values.reshape(model.n_q, model.n_cog)
-
-
-def finite_horizon_value(model, spec, state):
-    """Exact optimal value of ``state`` over ``spec.n_stages`` epochs; see
-    ``finite_horizon_table``."""
-    return float(finite_horizon_table(model, spec)[state[0], state[1]])

@@ -5,6 +5,9 @@ light-tail bound on the sojourn discount transform, the contraction factor
 built from it, a two-sided sandwich on value differences along the queue
 axis, per-level dominance margins for the action switch points, and
 threshold extraction from the optimal policy with reappearance detection.
+
+``grade`` is the one grading pass: it runs each check once over a solved
+model and returns a ``StructureReport`` that callers only read.
 """
 
 import math
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import Action
+from .actions import ACTIONS, Action
 from .errors import ConfigError, GuaranteeViolationError
 from .model import admissible
 
@@ -54,6 +57,8 @@ def checked_queue_range(n_q, buffer_fraction=DEFAULT_BUFFER_FRACTION):
     """Queue lengths the structural checks look at: q = 0 forces waiting
     and the top ``buffer_fraction`` of the range is excluded to keep the
     finite capacity from contaminating boundary states."""
+    if not 0 <= buffer_fraction < 1:
+        raise ValueError(f"buffer fraction must lie in [0, 1), got {buffer_fraction!r}")
     capacity = n_q - 1
     hi = capacity - math.ceil(capacity * buffer_fraction)
     if hi < 1:
@@ -78,6 +83,31 @@ class TransformBoundReport:
         return not self.violations
 
 
+def light_tail_laws(model, actions=ACTIONS):
+    """Yield ``(pmf, entry)`` for every sojourn law, cognitive level first
+    and ``actions`` in the given order. ``entry`` compares the exact
+    discount transform with its Gamma-MGF bound; its ``light_tail_ok``
+    holds while the transform stays within ``A3_TOL`` of the bound. Rest
+    is skipped at and below the resting level, where it is inadmissible."""
+    gamma = model.params.discount
+    for cog in range(model.n_cog):
+        for a in actions:
+            if a is Action.REST and cog <= model.grid.star_index:
+                continue
+            pmf = model.sojourn(cog, a)
+            bound = gamma_mgf_bound(pmf.mean, pmf.variance, gamma)
+            transform = pmf.discount_transform(gamma)
+            yield pmf, {
+                "cog_index": cog,
+                "action": str(a),
+                "mean": pmf.mean,
+                "variance": pmf.variance,
+                "bound": bound,
+                "transform": transform,
+                "light_tail_ok": bool(transform <= bound + A3_TOL),
+            }
+
+
 def compute_rho(model):
     """Tabulate the Gamma-MGF bound against the exact transform for every
     queue action and form the contraction factor rho = max bound.
@@ -86,33 +116,12 @@ def compute_rho(model):
     where the queue never empties. Entries whose exact transform exceeds
     the bound are collected as violations (reported, never raised).
     """
-    gamma = model.params.discount
-    entries = []
-    violations = []
-    rho = 0.0
-    for cog in range(model.n_cog):
-        for a in (Action.SKIP, Action.REST, Action.NORMAL, Action.HIGH):
-            if a is Action.REST and cog <= model.grid.star_index:
-                continue
-            pmf = model.sojourn(cog, a)
-            bound = gamma_mgf_bound(pmf.mean, pmf.variance, gamma)
-            exact = pmf.discount_transform(gamma)
-            ok = exact <= bound + A3_TOL
-            entry = {
-                "cog_index": cog,
-                "action": str(a),
-                "mean": pmf.mean,
-                "variance": pmf.variance,
-                "bound": bound,
-                "transform": exact,
-                "light_tail_ok": bool(ok),
-            }
-            entries.append(entry)
-            if not ok:
-                violations.append(entry)
-            rho = max(rho, bound)
+    queue_actions = (Action.SKIP, Action.REST, Action.NORMAL, Action.HIGH)
+    entries = [entry for _, entry in light_tail_laws(model, queue_actions)]
+    rho = max(entry["bound"] for entry in entries)
     if rho >= 1.0:
         raise ConfigError(f"contraction factor {rho} is not below one")
+    violations = [entry for entry in entries if not entry["light_tail_ok"]]
     return TransformBoundReport(rho=rho, entries=entries, violations=violations)
 
 
@@ -122,25 +131,14 @@ def compute_rho(model):
 @dataclass(frozen=True)
 class SlowestService:
     """The sojourn-time ceiling used by the bounds: the high-fidelity mean
-    at the top cognitive level, replaced by the true maximum (with a note)
-    whenever some other state-action pair is slower."""
+    at the top cognitive level, replaced by the true maximum (explained in
+    ``note``) whenever some other state-action pair is slower."""
 
     value: float
     configured: float
     true_max: float
-    argmax: tuple
     substituted: bool
-
-    @property
-    def note(self):
-        if not self.substituted:
-            return None
-        cog, action = self.argmax
-        return (
-            f"slowest mean sojourn {self.true_max:.4f} occurs at "
-            f"(cog={cog}, {action}) rather than high fidelity at the top "
-            f"level ({self.configured:.4f}); bounds use the true maximum"
-        )
+    note: str | None
 
 
 def slowest_service(model):
@@ -157,12 +155,19 @@ def slowest_service(model):
                 true_max = float(mu1[cog])
                 argmax = (cog, str(a))
     substituted = true_max > configured + 1e-12
+    note = None
+    if substituted:
+        note = (
+            f"slowest mean sojourn {true_max:.4f} occurs at "
+            f"(cog={argmax[0]}, {argmax[1]}) rather than high fidelity at the "
+            f"top level ({configured:.4f}); bounds use the true maximum"
+        )
     return SlowestService(
         value=true_max if substituted else configured,
         configured=configured,
         true_max=true_max,
-        argmax=argmax,
         substituted=substituted,
+        note=note,
     )
 
 
@@ -192,12 +197,13 @@ def check_value_gap_bounds(
     model,
     values,
     rho,
+    ceiling,
     buffer_fraction=DEFAULT_BUFFER_FRACTION,
     empty_queue_fraction=None,
 ):
     """Check c*t_s*dq/(1-g^t_max) <= V(q) - V(q+dq) <= c*t_max*dq/(1-rho)
     for every ordered pair of checked queue lengths at each cognitive
-    level.
+    level, with t_max the ``SlowestService`` ``ceiling``.
 
     The bounds hold in the busy regime; when ``empty_queue_fraction`` is
     supplied and exceeds ``BUSY_EMPTY_FRACTION``, the report is annotated as
@@ -206,7 +212,6 @@ def check_value_gap_bounds(
     """
     params = model.params
     gamma = params.discount
-    ceiling = slowest_service(model)
     t_max = ceiling.value
     lower_rate = params.holding_cost * params.skip_wait.skip_time / (1.0 - gamma**t_max)
     upper_rate = params.holding_cost * t_max / (1.0 - rho)
@@ -461,29 +466,28 @@ def threshold_report(model, policy, margins, buffer_fraction=DEFAULT_BUFFER_FRAC
     )
 
 
-def verify_threshold_structure(
-    model, policy, margins=None, buffer_fraction=DEFAULT_BUFFER_FRACTION
-):
-    """``threshold_report`` plus enforcement of the guarantee: any level
-    whose combined dominance margin is nonnegative must be
-    threshold-shaped.
-
-    Raises
-    ------
-    GuaranteeViolationError
-        If a guaranteed level fails the shape check - the guarantee is
-        proved, so this indicates an implementation bug.
-    """
-    if margins is None:
-        margins = dominance_margins(model)
-    report = threshold_report(model, policy, margins, buffer_fraction)
-    for row, has_guarantee in zip(report.rows, report.guaranteed):
+def enforce_guarantee(thresholds, margins):
+    """Raise GuaranteeViolationError if a level of the ``ThresholdReport``
+    whose combined dominance margin is nonnegative is not threshold-shaped
+    - the guarantee is proved, so this indicates an implementation bug."""
+    for row, has_guarantee in zip(thresholds.rows, thresholds.guaranteed):
         if has_guarantee and not row.is_threshold:
             raise GuaranteeViolationError(
                 f"policy at cog index {row.cog_index} is not threshold-shaped "
                 f"despite a nonnegative switch margin "
                 f"({margins.combined_margin(row.cog_index):.6f}): {row.violations}"
             )
+
+
+def verify_threshold_structure(
+    model, policy, margins=None, buffer_fraction=DEFAULT_BUFFER_FRACTION
+):
+    """``threshold_report`` plus ``enforce_guarantee``: any level whose
+    combined dominance margin is nonnegative must be threshold-shaped."""
+    if margins is None:
+        margins = dominance_margins(model)
+    report = threshold_report(model, policy, margins, buffer_fraction)
+    enforce_guarantee(report, margins)
     return report
 
 
@@ -518,3 +522,57 @@ def check_value_shape(model, values, buffer_fraction=DEFAULT_BUFFER_FRACTION):
         if not (np.all(rising > 0) and np.all(falling < 0)):
             notes.append(f"value at q={q} is not unimodal across cog")
     return notes
+
+
+# -- one grading pass -----------------------------------------------------
+
+
+@dataclass
+class StructureReport:
+    """Every structural result for one solved model, each computed once:
+    the light-tail report, the dominance margins (whose ``ceiling`` also
+    sets the value-gap bounds), the threshold rows, the value-gap sandwich
+    and the value-shape notes."""
+
+    light_tail: TransformBoundReport
+    margins: DominanceReport
+    thresholds: ThresholdReport
+    value_gap: ValueGapReport
+    value_shape_notes: list
+    empty_queue_fraction: float | None = None
+
+    @property
+    def busy_assumption_ok(self):
+        """Whether the queue stayed busy enough for the busy-regime
+        results; None when no empty-queue fraction was supplied."""
+        if self.empty_queue_fraction is None:
+            return None
+        return self.empty_queue_fraction <= BUSY_EMPTY_FRACTION
+
+
+def grade(model, solution, buffer_fraction=DEFAULT_BUFFER_FRACTION,
+          empty_queue_fraction=None):
+    """Grade a solved model (``solution`` carries ``values`` and
+    ``policy``) against its structural results. Never raises on a violated
+    guarantee; ``enforce_guarantee`` on the report's thresholds does.
+
+    ``empty_queue_fraction``, when known from simulation, marks the
+    value-gap bounds as assumption-violated outside the busy regime.
+    """
+    light_tail = compute_rho(model)
+    margins = dominance_margins(model, light_tail)
+    return StructureReport(
+        light_tail=light_tail,
+        margins=margins,
+        thresholds=threshold_report(model, solution.policy, margins, buffer_fraction),
+        value_gap=check_value_gap_bounds(
+            model,
+            solution.values,
+            light_tail.rho,
+            margins.ceiling,
+            buffer_fraction=buffer_fraction,
+            empty_queue_fraction=empty_queue_fraction,
+        ),
+        value_shape_notes=check_value_shape(model, solution.values, buffer_fraction),
+        empty_queue_fraction=empty_queue_fraction,
+    )

@@ -24,15 +24,7 @@ from fidelityq.solver import (
     finite_horizon_table,
     value_iteration,
 )
-from fidelityq.structure import (
-    check_value_gap_bounds,
-    check_value_shape,
-    checked_queue_range,
-    compute_rho,
-    dominance_margins,
-    extract_thresholds,
-    verify_threshold_structure,
-)
+from fidelityq.structure import compute_rho, enforce_guarantee, grade
 
 SHIPPED = ["default", "tiny", "high_lambda", "large_gap", "skip_cheap"]
 
@@ -140,13 +132,9 @@ def test_04_value_gap_sandwich_in_heavy_traffic(high_lambda_solved):
     assert est.empty_queue_fraction <= 0.01, (
         f"queue empty {est.empty_queue_fraction:.2%} of epochs"
     )
-    rho = compute_rho(model).rho
-    gap = check_value_gap_bounds(
-        model,
-        solution.values,
-        rho,
-        empty_queue_fraction=est.empty_queue_fraction,
-    )
+    gap = grade(
+        model, solution, empty_queue_fraction=est.empty_queue_fraction
+    ).value_gap
     assert not gap.assumption_violated
     assert gap.passed(tol=1e-9), (
         f"worst margins {gap.worst_lower_margin:.3e} / "
@@ -181,10 +169,11 @@ def test_06_threshold_guarantee_certified_end_to_end(tmp_path, large_gap_solved)
     cognitive level, the solved policy is threshold-shaped, and the CLI
     check run exits 0 (a violated guarantee would exit 2)."""
     cfg, model, solution = large_gap_solved
-    margins = dominance_margins(model)
+    graded = grade(model, solution)
+    margins = graded.margins
     assert margins.all_guaranteed, "expected every level to carry the guarantee"
-    report = verify_threshold_structure(model, solution.policy, margins=margins)
-    assert report.all_threshold
+    enforce_guarantee(graded.thresholds, margins)
+    assert graded.thresholds.all_threshold
     code = cli.main(
         ["check", "--config", "large_gap", "--out", str(tmp_path / "out"),
          "--episodes", "500"]
@@ -213,14 +202,11 @@ def test_07_skip_reappears_only_outside_the_guarantee():
             model = cfg.build_model(arrival_rate=rate)
         solution = value_iteration(model)
         assert solution.converged
-        margins = dominance_margins(model)
-        q_range = checked_queue_range(model.n_q)
-        for cog in range(model.n_cog):
-            row = extract_thresholds(
-                solution.policy[:, cog], cog, model.grid.star_index, q_range
-            )
+        graded = grade(model, solution)
+        for row in graded.thresholds.rows:
+            cog = row.cog_index
             if not row.is_threshold:
-                margin = margins.combined_margin(cog)
+                margin = graded.margins.combined_margin(cog)
                 assert margin < 0, (
                     f"non-threshold row at rate {rate}, cog {cog} despite "
                     f"margin {margin:+.3f}"
@@ -240,7 +226,7 @@ def test_08_value_surface_shape_in_heavy_traffic(high_lambda_solved):
     queue length and is unimodal over the cognitive axis with its peak at
     the resting level."""
     _, model, solution = high_lambda_solved
-    notes = check_value_shape(model, solution.values)
+    notes = grade(model, solution).value_shape_notes
     assert notes == [], f"shape deviations: {notes}"
     print("PASS value shape: monotone in queue, peaked at the rest level")
 

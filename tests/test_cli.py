@@ -10,7 +10,7 @@ import pytest
 
 from fidelityq import cli
 from fidelityq.config import builtin_config
-from fidelityq.errors import GuaranteeViolationError
+from fidelityq.errors import GuaranteeViolationError, PolicyMismatchError
 from fidelityq.solver import value_iteration
 
 
@@ -114,7 +114,7 @@ class TestCheck:
         def explode(*args, **kwargs):
             raise GuaranteeViolationError("forced for the test")
 
-        monkeypatch.setattr(cli, "verify_threshold_structure", explode)
+        monkeypatch.setattr(cli, "enforce_guarantee", explode)
         out = tmp_path / "out"
         assert run("check", "--config", "tiny", "--out", str(out),
                    "--episodes", "100") == 2
@@ -150,6 +150,17 @@ class TestSimulate:
                    "--episodes", "200",
                    "--policy", str(solved / "policy.csv")) == 0
         assert (a / "mc_value.json").read_bytes() == (b / "mc_value.json").read_bytes()
+
+    def test_policy_rows_outside_the_grid_rejected(self, tmp_path, capsys):
+        solved = tmp_path / "solved"
+        assert run("solve", "--config", "default", "--out", str(solved)) == 0
+        assert run("simulate", "--config", "tiny", "--out", str(tmp_path / "a"),
+                   "--policy", str(solved / "policy.csv")) == 1
+        assert "outside the 4x3 state space" in capsys.readouterr().err
+        negative = tmp_path / "negative.csv"
+        negative.write_text("q,cog_index,action\n-1,0,S\n")
+        with pytest.raises(PolicyMismatchError, match="outside"):
+            cli.read_policy_csv(negative, builtin_config("tiny").build_model())
 
     def test_configured_bias_ratio_lengthens_horizon(self, tmp_path):
         # simulation.bias_ratio reaches the estimator: a tighter

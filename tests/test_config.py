@@ -69,6 +69,13 @@ class TestMerge:
             ({"episodes": 0}, "simulation.episodes must be at least 2"),
             ({"episodes": -3}, "simulation.episodes must be at least 2"),
             ({"episodes": "many"}, "must be numbers"),
+            ({"starts": [[-1, 0]]}, "simulation.starts"),
+            ({"starts": [[99, 0]]}, "simulation.starts"),
+            ({"starts": [[0, 11]]}, "simulation.starts"),
+            ({"starts": [[1.5, 0]]}, "simulation.starts"),
+            ({"starts": [[1, 0, 2]]}, "simulation.starts"),
+            ({"starts": [5, 0]}, "simulation.starts"),
+            ({"starts": "5,0"}, "simulation.starts"),
         ],
     )
     def test_simulation_settings_rejected(self, sim, match):
@@ -77,10 +84,12 @@ class TestMerge:
 
     def test_simulation_settings_accepted(self):
         cfg = from_mapping(
-            {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2}}
+            {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2,
+                            "starts": [[0, 0], [30, 10]]}}
         )
         assert cfg.simulation["pilot_episodes"] == 2
         assert cfg.simulation["episodes"] == 2
+        assert cfg.simulation["starts"] == [[0, 0], [30, 10]]
 
 
 class TestDigest:

@@ -16,12 +16,9 @@ from fidelityq.model import ModelParams, build_model
 from fidelityq.solver import policy_evaluation, value_iteration
 from fidelityq.simulate import (
     PolicySampler,
-    empty_queue_fraction,
     monte_carlo_value,
     plan_horizon,
     reward_ceiling,
-    run_episode,
-    run_episodes,
 )
 from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
 
@@ -112,10 +109,11 @@ class TestTrajectories:
         c = optimal_sampler.run_episode((5, 3), horizon_epochs=100, seed=8)
         assert c.records != a.records
 
-    def test_episode_streams_are_independent(self, model, solution):
-        trajs = run_episodes(
-            model, solution.policy, (5, 3), episodes=4, horizon_epochs=20, seed=1
-        )
+    def test_episode_streams_are_independent(self, optimal_sampler):
+        trajs = [
+            optimal_sampler.run_episode((5, 3), horizon_epochs=20, seed=stream)
+            for stream in np.random.SeedSequence(1).spawn(4)
+        ]
         assert len(trajs) == 4
         returns = {t.discounted_return for t in trajs}
         assert len(returns) > 1
@@ -131,18 +129,6 @@ class TestTrajectories:
         observed = np.mean([r.arrivals for r in skip_epochs])
         se = np.sqrt(mean_arrivals / n)
         assert abs(observed - mean_arrivals) <= 3 * se
-
-    def test_empty_queue_fraction_helper(self, model, drain_sampler):
-        trajs = [
-            drain_sampler.run_episode((2, 2), horizon_epochs=200, seed=s)
-            for s in range(3)
-        ]
-        frac = empty_queue_fraction(trajs)
-        by_hand = np.mean(
-            [rec.q == 0 for t in trajs for rec in t.records]
-        )
-        assert frac == pytest.approx(by_hand, abs=1e-15)
-        assert 0.0 < frac < 1.0
 
 
 class TestEstimates:

@@ -19,7 +19,6 @@ from fidelityq.solver import (
     action_values,
     bellman_backup,
     finite_horizon_table,
-    finite_horizon_value,
     policy_evaluation,
     validate_policy,
     value_iteration,
@@ -140,6 +139,11 @@ class TestValueIteration:
         assert capped.sweeps == 3
         assert capped.residual > capped.epsilon
 
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_sweep_cap_below_one_rejected(self, model, max_sweeps):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            value_iteration(model, max_sweeps=max_sweeps)
+
     def test_contraction_estimate_edge_cases(self):
         t = ValuePolicyTable(
             values=np.zeros(1),
@@ -211,8 +215,9 @@ class TestPolicyEvaluation:
 class TestFiniteHorizon:
     def test_zero_stages_is_terminal_cost(self, model):
         spec = HorizonSpec(n_stages=0, terminal_cost=0.7)
-        assert finite_horizon_value(model, spec, (4, 2)) == pytest.approx(-2.8)
-        assert finite_horizon_value(model, spec, (0, 0)) == 0.0
+        table = finite_horizon_table(model, spec)
+        assert table[4, 2] == pytest.approx(-2.8)
+        assert table[0, 0] == 0.0
 
     def test_stages_match_repeated_backups(self, model):
         spec = HorizonSpec(n_stages=3, terminal_cost=0.7)
@@ -226,13 +231,13 @@ class TestFiniteHorizon:
         spec = HorizonSpec(n_stages=1, terminal_cost=0.0)
         zero = np.zeros((model.n_q, model.n_cog))
         backed, _ = bellman_backup(model, zero)
-        got = finite_horizon_value(model, spec, (3, 3))
+        got = finite_horizon_table(model, spec)[3, 3]
         assert got == pytest.approx(backed[3, 3], abs=1e-12)
 
     def test_node_budget_enforced(self, model):
         spec = HorizonSpec(n_stages=4, terminal_cost=0.7, node_budget=10)
         with pytest.raises(BudgetExceededError):
-            finite_horizon_value(model, spec, (5, 4))
+            finite_horizon_table(model, spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

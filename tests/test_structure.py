@@ -28,6 +28,7 @@ from fidelityq.structure import (
     dominance_margins,
     extract_thresholds,
     gamma_mgf_bound,
+    grade,
     slowest_service,
     threshold_report,
     verify_threshold_structure,
@@ -63,6 +64,11 @@ def model():
 @pytest.fixture(scope="module")
 def bound_report(model):
     return compute_rho(model)
+
+
+@pytest.fixture(scope="module")
+def ceiling(model):
+    return slowest_service(model)
 
 
 class TestGammaMgfBound:
@@ -160,7 +166,7 @@ class TestSlowestService:
         m = build_model(structure_params(grid=CogGrid(n_intervals=4, star_index=3)))
         info = slowest_service(m)
         assert info.substituted
-        assert info.argmax == (0, "H")
+        assert "(cog=0, H)" in info.note
         assert info.value == pytest.approx(m.moment("mu1", Action.HIGH)[0])
         assert info.value > info.configured
         assert "true maximum" in info.note
@@ -172,19 +178,20 @@ class TestCheckedRange:
         assert list(checked_queue_range(9, 0.25)) == list(range(1, 7))
 
     def test_too_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            checked_queue_range(2, 0.9)
+        for n_q, buffer_fraction in [(2, 0.9), (31, -0.5), (31, 1.0)]:
+            with pytest.raises(ValueError):
+                checked_queue_range(n_q, buffer_fraction)
 
 
 class TestValueGapBounds:
-    def test_linear_value_inside_the_sandwich(self, model, bound_report):
+    def test_linear_value_inside_the_sandwich(self, model, bound_report, ceiling):
         rho = bound_report.rho
         probe = check_value_gap_bounds(
-            model, np.zeros((model.n_q, model.n_cog)), rho
+            model, np.zeros((model.n_q, model.n_cog)), rho, ceiling
         )
         k = 0.5 * (probe.lower_bound_rate + probe.upper_bound_rate)
         values = -k * np.arange(model.n_q)[:, None] * np.ones((1, model.n_cog))
-        report = check_value_gap_bounds(model, values, rho)
+        report = check_value_gap_bounds(model, values, rho, ceiling)
         assert report.passed()
         assert not report.failures
         qs = list(checked_queue_range(model.n_q))
@@ -197,26 +204,28 @@ class TestValueGapBounds:
             report.upper_bound_rate - k, abs=1e-12
         )
 
-    def test_too_steep_value_fails_upper_bound(self, model, bound_report):
+    def test_too_steep_value_fails_upper_bound(self, model, bound_report, ceiling):
         rho = bound_report.rho
-        probe = check_value_gap_bounds(model, np.zeros((model.n_q, model.n_cog)), rho)
+        probe = check_value_gap_bounds(
+            model, np.zeros((model.n_q, model.n_cog)), rho, ceiling
+        )
         k = probe.upper_bound_rate * 1.5
         values = -k * np.arange(model.n_q)[:, None] * np.ones((1, model.n_cog))
-        report = check_value_gap_bounds(model, values, rho)
+        report = check_value_gap_bounds(model, values, rho, ceiling)
         assert not report.passed()
         assert report.failures
         assert report.worst_upper_margin < 0
 
-    def test_busy_assumption_gate(self, model, bound_report):
+    def test_busy_assumption_gate(self, model, bound_report, ceiling):
         values = np.zeros((model.n_q, model.n_cog))
         report = check_value_gap_bounds(
-            model, values, bound_report.rho, empty_queue_fraction=0.05
+            model, values, bound_report.rho, ceiling, empty_queue_fraction=0.05
         )
         assert report.assumption_violated
         assert any("empty" in n for n in report.notes)
         for busy in (0.002, 0.01):
             quiet = check_value_gap_bounds(
-                model, values, bound_report.rho, empty_queue_fraction=busy
+                model, values, bound_report.rho, ceiling, empty_queue_fraction=busy
             )
             assert not quiet.assumption_violated, busy
 
@@ -400,7 +409,7 @@ def fake_margins(model, combined):
             }
         )
     ceiling = SlowestService(
-        value=1.0, configured=1.0, true_max=1.0, argmax=(0, "H"), substituted=False
+        value=1.0, configured=1.0, true_max=1.0, substituted=False, note=None
     )
     return DominanceReport(per_cog=rows, rho=0.5, ceiling=ceiling)
 
@@ -481,3 +490,28 @@ class TestValueShape:
         values = -0.7 * q + off[None, :]
         notes = check_value_shape(model, values)
         assert any("peaks at" in n for n in notes)
+
+
+class TestGrade:
+    def test_parts_match_the_separate_checks(self, model, bound_report, ceiling):
+        solution = value_iteration(model)
+        report = grade(model, solution, 0.25, empty_queue_fraction=0.05)
+        assert report.light_tail == bound_report
+        assert report.margins == dominance_margins(model, bound_report)
+        assert report.margins.ceiling == ceiling
+        assert report.thresholds == threshold_report(
+            model, solution.policy, report.margins, 0.25
+        )
+        assert report.value_gap == check_value_gap_bounds(
+            model, solution.values, bound_report.rho, ceiling, 0.25, 0.05
+        )
+        assert report.value_shape_notes == check_value_shape(
+            model, solution.values, 0.25
+        )
+        assert report.busy_assumption_ok is False
+        assert report.value_gap.assumption_violated
+
+    def test_busy_flag_follows_the_empty_fraction(self, model):
+        solution = value_iteration(model)
+        assert grade(model, solution).busy_assumption_ok is None
+        assert grade(model, solution, empty_queue_fraction=0.01).busy_assumption_ok
