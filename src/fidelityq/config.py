@@ -249,6 +249,19 @@ def _check_simulation(sim):
     check_episode_count("simulation.pilot_episodes", pilot_episodes)
 
 
+def _check_analysis(analysis):
+    """Reject a structural-check buffer outside [0, 1): it is the share of
+    the top of the queue range that the checks leave out."""
+    try:
+        buffer_fraction = float(analysis["buffer_fraction"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"analysis.buffer_fraction must be a number: {exc}") from exc
+    if not 0 <= buffer_fraction < 1:
+        raise ConfigError(
+            f"analysis.buffer_fraction must lie in [0, 1), got {buffer_fraction!r}"
+        )
+
+
 def _check_starts(data):
     """Reject simulation start states off the model's grid: each one is an
     integer pair [q, cog] with 0 <= q <= queue.capacity and
@@ -276,6 +289,7 @@ def from_mapping(doc):
     """Merge a parsed document over the defaults and wrap it."""
     merged = _merge(DEFAULTS, doc or {})
     _check_simulation(merged["simulation"])
+    _check_analysis(merged["analysis"])
     _check_starts(merged)
     name = str(merged["name"])
     return RunConfig(name=name, data=merged, digest=config_digest(merged))

@@ -98,7 +98,7 @@ class SmdpModel:
         self.powers = self._build_powers()
         self.reward_slope, self.reward_intercept = self._build_reward_components()
         self.admissible_mask = self._build_masks()
-        self._arrivals = self._build_arrivals()
+        self._taus, self._arrivals = self._build_arrivals()
         self.operators = self._build_operators()
 
         self.moment_ordering_violations = self._check_moment_ordering()
@@ -177,43 +177,59 @@ class SmdpModel:
         return masks
 
     def _build_arrivals(self):
-        """tau -> start-indexed arrival matrix, for every sojourn length
-        with positive probability; the rows are shared read-only views."""
-        taus = sorted(
-            {
-                int(t)
-                for pmf in self._sojourns.values()
-                for t, p in zip(pmf.times, pmf.probs)
-                if p > 0
-            }
+        """Sorted sojourn lengths with positive probability under some law,
+        and the read-only (tau, start, q') arrival table over them."""
+        taus = np.unique(
+            np.concatenate([pmf.times[pmf.probs > 0] for pmf in self._sojourns.values()])
         )
         table = arrival_table(self.params.skip_wait.arrival_rate, taus, self.n_q - 1)
         table.setflags(write=False)
-        return dict(zip(taus, table))
+        return taus, table
 
     def _build_operators(self):
         """Dense discounted operators T_a with
         (T_a V)[q,cog] = sum_{tau,c',q'} gamma^tau P(tau|cog,a)
-        C_a_tau[cog,c'] B_tau[q,q'] V[q',c']."""
+        C_a_tau[cog,c'] B_tau[q,q'] V[q',c'].
+
+        The kernel factors as
+        T_a[(q,c),(q',c')] = sum_tau B_tau[rows_a(q), q'] W_a[tau, c, c'] with
+        W_a[tau, c, :] = gamma^tau P(tau|c,a) C_a_tau[c, :], so each action
+        takes one weight table W_a over the contiguous run of taus its laws
+        use and, per queue row, one matrix product over tau against a view
+        of the arrival table."""
         gamma = self.params.discount
         shift0 = np.arange(self.n_q)
         shift1 = np.maximum(shift0 - 1, 0)
         ops = {}
         for a in ACTIONS:
-            rows = shift1 if DECREMENT[a] else shift0
-            op = np.zeros((self.n_q, self.n_cog, self.n_q, self.n_cog))
+            laws = []
             for cog in range(self.n_cog):
                 pmf = self._sojourns.get((cog, a))
-                if pmf is None:
-                    continue
-                for tau, p_tau in zip(pmf.times, pmf.probs):
-                    if p_tau == 0.0:
-                        continue
-                    tau = int(tau)
-                    w = (gamma**tau) * p_tau
-                    cog_dist = self.cog_move(a, tau, cog)
-                    queue_rows = self._arrivals[tau][rows, :]
-                    op[:, cog] += w * queue_rows[:, :, None] * cog_dist[None, None, :]
+                if pmf is not None:
+                    positive = pmf.probs > 0
+                    times = pmf.times[positive]
+                    w = gamma**times * pmf.probs[positive]
+                    laws.append((cog, times, w, np.searchsorted(self._taus, times)))
+            # every law of a lies in taus[lo:hi], a view of the arrival table
+            lo = min(int(rows[0]) for *_, rows in laws)
+            hi = max(int(rows[-1]) for *_, rows in laws) + 1
+            # W_a over the levels that have a law; the other rows of T_a stay
+            # zero pages that are never written
+            cogs = [cog for cog, *_ in laws]
+            weights = np.zeros((hi - lo, len(cogs), self.n_cog))
+            for i, (cog, times, w, rows) in enumerate(laws):
+                if a is Action.SKIP:
+                    weights[rows - lo, i, cog] = w
+                elif a is Action.REST:
+                    weights[rows - lo, i, self.grid.star_index] = w
+                else:
+                    weights[rows - lo, i, :] = w[:, None] * self.powers[a][times, cog, :]
+            weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
+            arrivals = self._arrivals[lo:hi]
+            op = np.zeros((self.n_q, self.n_cog, self.n_q, self.n_cog))
+            for q, start in enumerate(shift1 if DECREMENT[a] else shift0):
+                block = arrivals[:, start, :].T @ weights
+                op[q, cogs] = block.reshape(self.n_q, len(cogs), self.n_cog).transpose(1, 0, 2)
             ops[a] = op.reshape(self.n_states, self.n_states)
         return ops
 
@@ -249,12 +265,12 @@ class SmdpModel:
             raise ValueError(f"action {action} not admissible in ({q},{cog_index})")
         start = max(q - DECREMENT[action], 0)
         pmf = self.sojourn(cog_index, action)
-        for tau, p_tau in zip(pmf.times, pmf.probs):
-            if p_tau == 0.0:
-                continue
-            tau = int(tau)
+        positive = pmf.probs > 0
+        times, probs = pmf.times[positive], pmf.probs[positive]
+        rows = np.searchsorted(self._taus, times)
+        for tau, p_tau, row in zip(times.tolist(), probs.tolist(), rows.tolist()):
             cog_dist = self.cog_move(action, tau, cog_index)
-            yield tau, float(p_tau), cog_dist, self._arrivals[tau][start]
+            yield tau, p_tau, cog_dist, self._arrivals[row, start]
 
     def moment(self, name, action):
         return self._moments[name][action]

@@ -259,6 +259,22 @@ class TestErrors:
                    "--out", str(tmp_path / "out")) == 1
         assert "simulation.episodes must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "check", "sweep"])
+    def test_bad_buffer_fraction_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        cfg_file = tmp_path / "bad_buffer.yaml"
+        cfg_file.write_text("name: x\nanalysis:\n  buffer_fraction: -0.5\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved a rejected configuration")
+
+        monkeypatch.setattr(cli, "value_iteration", never)
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg_file), "--out", str(out)) == 1
+        assert "analysis.buffer_fraction must lie in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])

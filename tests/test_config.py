@@ -92,6 +92,27 @@ class TestMerge:
         assert cfg.simulation["starts"] == [[0, 0], [30, 10]]
 
 
+    @pytest.mark.parametrize(
+        "fraction, match",
+        [
+            (-0.5, r"must lie in \[0, 1\), got -0.5"),
+            (1.0, r"must lie in \[0, 1\), got 1.0"),
+            (float("nan"), r"must lie in \[0, 1\), got nan"),
+            ("most", "must be a number"),
+            (None, "must be a number"),
+            ([0.2], "must be a number"),
+        ],
+    )
+    def test_buffer_fraction_rejected(self, fraction, match):
+        with pytest.raises(ConfigError, match=f"analysis.buffer_fraction {match}"):
+            from_mapping({"analysis": {"buffer_fraction": fraction}})
+
+    @pytest.mark.parametrize("fraction", [0, 0.0, 0.5, 0.999])
+    def test_buffer_fraction_accepted(self, fraction):
+        cfg = from_mapping({"analysis": {"buffer_fraction": fraction}})
+        assert cfg.analysis["buffer_fraction"] == fraction
+
+
 class TestDigest:
     def test_digest_is_sha256_hex(self):
         cfg = from_mapping({})

@@ -10,6 +10,7 @@ immediate reward.
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from scipy import stats
 import fidelityq
 from fidelityq.actions import ACTIONS, Action
 from fidelityq.cogchain import ChainRates, CogGrid, evolve
+from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
 from fidelityq.model import ModelParams, admissible, arrival_table, build_model
 from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
@@ -282,21 +284,47 @@ class TestCogMove:
             model.sojourn(2, Action.REST)
 
 
+SHIPPED = ["tiny", "default", "high_lambda", "skip_cheap", "large_gap"]
+
+
+@pytest.fixture(scope="module", params=SHIPPED)
+def shipped(request):
+    """(name, model) of one shipped configuration."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return request.param, builtin_config(request.param).build_model()
+
+
+def assert_row_sums_equal_transform(model):
+    """Every operator row sums to E[gamma^tau] of its level's law."""
+    for a in ACTIONS:
+        sums = model.operators[a].sum(axis=1).reshape(model.n_q, model.n_cog)
+        tr = model.moment("transform", a)
+        for cog in range(model.n_cog):
+            if np.isnan(tr[cog]):
+                assert np.all(sums[:, cog] == 0.0)
+            else:
+                assert sums[:, cog] == pytest.approx(np.full(model.n_q, tr[cog]), abs=1e-12)
+
+
+def kernel_row(model, q, cog, a):
+    """Discounted kernel row of (q, cog, a) summed from ``model.entries``,
+    independently of the operator assembly."""
+    gamma = model.params.discount
+    row = np.zeros(model.n_states)
+    for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
+        row += p_tau * gamma**tau * np.outer(q_dist, cog_dist).reshape(-1)
+    return row
+
+
 class TestOperators:
     def test_row_sums_equal_discount_transform(self, model):
-        for a in ACTIONS:
-            sums = model.operators[a].sum(axis=1).reshape(model.n_q, model.n_cog)
-            tr = model.moment("transform", a)
-            for cog in range(model.n_cog):
-                if np.isnan(tr[cog]):
-                    assert np.all(sums[:, cog] == 0.0)
-                else:
-                    assert sums[:, cog] == pytest.approx(
-                        np.full(model.n_q, tr[cog]), abs=1e-12
-                    )
+        assert_row_sums_equal_transform(model)
+
+    def test_shipped_row_sums_equal_discount_transform(self, shipped):
+        assert_row_sums_equal_transform(shipped[1])
 
     def test_row_matches_kernel_entries(self, model):
-        gamma = model.params.discount
         for q, cog, a in [
             (3, 3, Action.REST),
             (2, 1, Action.NORMAL),
@@ -305,12 +333,26 @@ class TestOperators:
             (6, 2, Action.HIGH),
         ]:
             s = q * model.n_cog + cog
-            expected = np.zeros(model.n_states)
-            for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
-                expected += (
-                    p_tau * gamma**tau * np.outer(q_dist, cog_dist).reshape(-1)
-                )
-            assert model.operators[a][s] == pytest.approx(expected, abs=1e-13)
+            assert model.operators[a][s] == pytest.approx(
+                kernel_row(model, q, cog, a), abs=1e-13
+            )
+
+    def test_shipped_rows_match_kernel_entries(self, shipped):
+        """Every admissible row on tiny, the corner states
+        q in {0, 1, capacity} x cog in {0, star, top} on the other configs."""
+        name, model = shipped
+        if name == "tiny":
+            qs, cogs = range(model.n_q), range(model.n_cog)
+        else:
+            qs = (0, 1, model.n_q - 1)
+            cogs = (0, model.grid.star_index, model.n_cog - 1)
+        for q in qs:
+            for cog in cogs:
+                for a in admissible(q, cog, model.grid):
+                    s = q * model.n_cog + cog
+                    assert model.operators[a][s] == pytest.approx(
+                        kernel_row(model, q, cog, a), abs=1e-13
+                    ), (q, cog, a)
 
     def test_contraction_modulus(self, model):
         # every sojourn takes at least one step, so the modulus cannot
