@@ -92,9 +92,8 @@ def compare_json(got, want, where):
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
         for key in want:
-            rel = CONTRACTION_REL if key == "contraction_estimate" else None
-            if rel is not None:
-                assert floats_agree(got[key], want[key], rel), f"{where}.{key}"
+            if key == "contraction_estimate":
+                assert floats_agree(got[key], want[key], CONTRACTION_REL), f"{where}.{key}"
             else:
                 compare_json(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):
