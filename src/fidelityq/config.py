@@ -10,6 +10,7 @@ can be addressed by name.
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -262,27 +263,35 @@ def _check_analysis(analysis):
         )
 
 
+def check_start(start, capacity, intervals, what="start"):
+    """Reject a start state off the model's grid: it must be an integer
+    pair [q, cog] with 0 <= q <= capacity and 0 <= cog <= intervals.
+    Returns the pair as Python ints."""
+    if not (
+        isinstance(start, (list, tuple))
+        and len(start) == 2
+        and all(
+            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in start
+        )
+        and 0 <= start[0] <= capacity
+        and 0 <= start[1] <= intervals
+    ):
+        raise ConfigError(
+            f"{what} {start!r} is not a state [q, cog] "
+            f"with 0 <= q <= {capacity} and 0 <= cog <= {intervals}"
+        )
+    return int(start[0]), int(start[1])
+
+
 def _check_starts(data):
-    """Reject simulation start states off the model's grid: each one is an
-    integer pair [q, cog] with 0 <= q <= queue.capacity and
-    0 <= cog <= cognition.intervals."""
+    """Reject configured simulation start states off the model's grid."""
     starts = data["simulation"]["starts"]
     if not starts:
         return
     capacity = int(data["queue"]["capacity"])
     intervals = int(data["cognition"]["intervals"])
     for start in starts if isinstance(starts, (list, tuple)) else [starts]:
-        if not (
-            isinstance(start, (list, tuple))
-            and len(start) == 2
-            and all(type(x) is int for x in start)
-            and 0 <= start[0] <= capacity
-            and 0 <= start[1] <= intervals
-        ):
-            raise ConfigError(
-                f"simulation.starts entry {start!r} is not a state [q, cog] "
-                f"with 0 <= q <= {capacity} and 0 <= cog <= {intervals}"
-            )
+        check_start(start, capacity, intervals, what="simulation.starts entry")
 
 
 def from_mapping(doc):

@@ -8,6 +8,7 @@ together form the discounted semi-Markov kernel the solver consumes.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -15,6 +16,7 @@ from scipy import special
 from .actions import ACTIONS, DECREMENT, Action
 from .cogchain import build_step_matrix, step_powers
 from .errors import InadmissibleRestError
+from .sampling import EpochLaw, SegmentedCdf
 from .sojourn import rest_pmf, service_pmf, skip_pmf, wait_pmf
 
 
@@ -245,16 +247,49 @@ class SmdpModel:
 
     def cog_move(self, action, tau, cog_index):
         """Distribution of the cognitive level after one epoch of ``action``
-        lasting ``tau`` steps."""
-        if action is Action.SKIP:
-            out = np.zeros(self.n_cog)
-            out[cog_index] = 1.0
-            return out
-        if action is Action.REST:
-            out = np.zeros(self.n_cog)
-            out[self.grid.star_index] = 1.0
+        lasting ``tau`` steps; an array of taus gives one row per tau."""
+        if action is Action.SKIP or action is Action.REST:
+            out = np.zeros(np.shape(tau) + (self.n_cog,))
+            out[..., cog_index if action is Action.SKIP else self.grid.star_index] = 1.0
             return out
         return self.powers[action][tau, cog_index].copy()
+
+    @cached_property
+    def epoch_law(self):
+        """The joint (tau, next level) law of one epoch for every (level,
+        action) with a sojourn law, built on first use and shared by every
+        sampler of this model; see ``sampling.EpochLaw``."""
+        segment = np.full((self.n_cog, len(ACTIONS)), -1, dtype=np.intp)
+        laws = self._sojourns.values()
+        # at most n_cog next levels per positive-probability tau; the
+        # buffers are filled in place, and their unused tails are never
+        # written, so never paged in
+        bound = self.n_cog * sum(int(np.count_nonzero(pmf.probs)) for pmf in laws)
+        cdf = np.empty(bound)
+        taus = np.empty(bound, np.min_scalar_type(max(int(pmf.times[-1]) for pmf in laws)))
+        cogs = np.empty(bound, np.min_scalar_type(self.n_cog - 1))
+        lengths = []
+        n = 0
+        for (cog, a), pmf in self._sojourns.items():
+            positive = pmf.probs > 0
+            times = pmf.times[positive]
+            joint = self.cog_move(a, times, cog)
+            joint *= pmf.probs[positive][:, None]
+            outcome = joint > 0
+            row, nxt = np.nonzero(outcome)
+            k = len(row)
+            np.cumsum(joint[outcome], out=cdf[n : n + k])
+            taus[n : n + k] = times[row]
+            cogs[n : n + k] = nxt
+            segment[cog, ACTIONS.index(a)] = len(lengths)
+            lengths.append(k)
+            n += k
+        return EpochLaw(
+            segment=segment,
+            taus=taus[:n],
+            cogs=cogs[:n],
+            cdf=SegmentedCdf(cdf[:n], lengths),
+        )
 
     def entries(self, q, cog_index, action):
         """Factored kernel P(q', cog', tau | q, cog, a) as (tau, p_tau,

@@ -1,0 +1,97 @@
+"""Exact inverse-CDF draws from many finite discrete laws at once.
+
+The laws sit end to end in one flat table, one segment each. A draw with
+uniform ``u`` from segment ``s`` lands on the flat position
+``start[s] + min(searchsorted(cdf_s, u, side="right"), len(cdf_s) - 1)``,
+bit for bit what a per-segment ``np.searchsorted`` gives, for a whole
+vector of (segment, u) pairs in a few numpy passes.
+
+The search starts from a guide table ("indexed search", Chen & Asau 1974;
+Devroye 1986, section III.2.4). Segment ``s`` has ``m_s`` buckets, a power
+of two no larger than its searchable length, and bucket ``k`` stores the
+answer for ``u = k / m_s``. Since ``m_s`` is a power of two, ``u * m_s``
+and ``k / m_s`` are exact, so a draw never starts past its answer and
+stepping forward ends on it. On average fewer than two steps remain; two
+steps are taken for every draw, and the few draws still short are bisected
+up to the next bucket's start.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+# the largest double below 1: u = 1 (a breakpoint) stays in the last bucket
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+class SegmentedCdf:
+    """Discrete laws stored end to end for vectorised inverse-CDF draws.
+
+    ``table`` holds the laws' cdfs end to end, ``lengths[s]`` entries for
+    law ``s``, each nondecreasing and nonnegative; it is kept, not copied.
+    A law's last entry never decides a draw: every draw beyond the other
+    entries lands on it, so its probability is one minus the entry before.
+    The table stores it as +inf, which keeps every forward step inside its
+    law.
+    """
+
+    def __init__(self, table, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(table):
+            raise ValueError("every law needs at least one outcome in the table")
+        self.start = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        self.end = self.start + lengths - 1
+        table[self.end] = np.inf
+        self.table = table
+
+        # m_s buckets: the largest power of two <= max(searchable entries, 1);
+        # bucket k starts at the law's answer for u = k / m_s, and one more
+        # guide entry per law, its last position, closes the last bucket
+        self.buckets = np.ldexp(1.0, np.frexp(np.maximum(lengths - 1, 1))[1] - 1)
+        counts = self.buckets.astype(np.intp) + 1
+        self.guide_start = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self.guide = np.empty(counts.sum(), dtype=np.int32)
+        for start, end, g, m in zip(self.start, self.end, self.guide_start, counts - 1):
+            keys = np.arange(m) / m
+            self.guide[g : g + m] = start + np.searchsorted(table[start:end], keys, side="right")
+            self.guide[g + m] = end
+
+    def invert(self, segments, u):
+        """Flat positions of the draws ``u`` (each >= 0) from the laws
+        ``segments``; both are 1-D arrays of one length."""
+        bucket = self.guide_start[segments] + (
+            np.minimum(u, _BELOW_ONE) * self.buckets[segments]
+        ).astype(np.intp)
+        pos = self.guide[bucket].astype(np.intp)
+        table = self.table
+        for _ in range(2):
+            pos += table[pos] <= u
+        short = np.flatnonzero(table[pos] <= u)
+        if short.size:
+            # the answer lies before the next bucket's start
+            lo, hi, u = pos[short] + 1, self.guide[bucket[short] + 1], u[short]
+            while np.any(lo < hi):
+                mid = (lo + hi) // 2
+                above = table[mid] > u
+                hi = np.where(above, mid, hi)
+                lo = np.where(above, lo, mid + 1)
+            pos[short] = lo
+        return pos
+
+
+@dataclass(frozen=True)
+class EpochLaw:
+    """Joint law of one decision epoch's sojourn and next level,
+    P(tau | c, a) C_a_tau[c, c'], for every (level, action) with a sojourn
+    law.
+
+    ``segment[c, i]`` is the law of level ``c`` under ``ACTIONS[i]`` in
+    ``cdf`` (-1 where the action has no law). Each law lists its
+    positive-probability outcomes in tau-major order; ``taus[pos]`` and
+    ``cogs[pos]`` are the sojourn and next level at flat position ``pos``.
+    """
+
+    segment: np.ndarray
+    taus: np.ndarray
+    cogs: np.ndarray
+    cdf: SegmentedCdf

@@ -6,21 +6,24 @@ time and w the number of arrivals inside it, so simulated discounted
 returns are unbiased estimates of the policy's value. Discounting acts at
 epoch granularity; there is no intra-epoch discounting.
 
-Two entry points share the sampling tables: ``PolicySampler.run_episode``
-produces a full trajectory for export, ``monte_carlo_value`` runs all
-episodes in lockstep with vectorized inverse-CDF sampling and sizes the
-horizon so the truncation bias stays below a fraction of the standard
-error.
+One epoch takes two draws: one uniform picks the sojourn tau and the next
+cognitive level together from the joint law of the state's (level,
+action) in ``model.epoch_law``, by exact inverse-CDF lookup, and a Poisson
+draw gives the arrivals over tau. ``PolicySampler.run_episode`` keeps a
+full trajectory for export; ``monte_carlo_value`` runs all episodes in
+lockstep, one vectorized lookup per epoch, and sizes the horizon so the
+truncation bias stays below a fraction of the standard error.
 """
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .actions import ACTIONS, DECREMENT, Action
-from .config import check_episode_count
+from .config import check_episode_count, check_start
 from .solver import validate_policy
 
 DEFAULT_PILOT_EPISODES = 256
@@ -58,6 +61,16 @@ class MonteCarloEstimate:
     seed: int
 
 
+def _check_horizon(horizon_epochs):
+    """Reject an epoch count that is not a positive integer."""
+    if isinstance(horizon_epochs, bool) or not (
+        isinstance(horizon_epochs, numbers.Integral) and horizon_epochs >= 1
+    ):
+        raise ValueError(
+            f"horizon_epochs must be a positive integer, got {horizon_epochs!r}"
+        )
+
+
 def reward_ceiling(model):
     """Largest absolute one-epoch expected reward over admissible states."""
     worst = 0.0
@@ -81,73 +94,57 @@ def plan_horizon(model, target_bias):
 
 
 class PolicySampler:
-    """Shared sampling tables for simulating one (model, policy) pair.
+    """Simulates one (model, policy) pair.
 
-    Sojourn draws invert precomputed CDFs; cognitive moves draw from the
-    per-(action, tau) step-power rows; skipping keeps the level and
-    resting jumps to the resting level, both without consuming draws.
+    Each epoch is one draw from the joint (tau, next level) law of the
+    state's (level, action) in ``model.epoch_law``: one uniform, inverted
+    exactly through that law's CDF, gives the sojourn and the next level
+    together (skipping keeps the level and resting lands on the resting
+    level, as outcomes of their laws). The Poisson arrivals over the
+    sojourn are the epoch's second draw.
     """
 
     def __init__(self, model, policy):
         self.model = model
         self.policy = validate_policy(model, policy)
-        self._codes = np.empty((model.n_q, model.n_cog), dtype=np.int64)
+        # per flat state q * n_cog + cog: the action's index and its law
+        self._codes = np.empty(model.n_states, dtype=np.intp)
         for idx, a in enumerate(ACTIONS):
-            self._codes[self.policy == a.value] = idx
-        self._sojourn = {}
-        for cog in range(model.n_cog):
-            for a in ACTIONS:
-                if a is Action.REST and cog <= model.grid.star_index:
-                    continue
-                pmf = model.sojourn(cog, a)
-                self._sojourn[(cog, a)] = (
-                    pmf.times.astype(np.int64),
-                    np.cumsum(pmf.probs),
-                )
-        self._move_cdf = {
-            a: np.cumsum(model.powers[a], axis=2)
-            for a in (Action.WAIT, Action.NORMAL, Action.HIGH)
-        }
+            self._codes[self.policy.ravel() == a.value] = idx
+        levels = np.tile(np.arange(model.n_cog), model.n_q)
+        self._segments = model.epoch_law.segment[levels, self._codes]
 
     # -- scalar episode ---------------------------------------------------
 
     def run_episode(self, start, horizon_epochs, seed):
         """Simulate one episode and keep every epoch record."""
         model = self.model
+        start = check_start(start, model.n_q - 1, model.n_cog - 1)
+        _check_horizon(horizon_epochs)
+        law = model.epoch_law
         rng = np.random.default_rng(seed)
         gamma = model.params.discount
         rate = model.params.skip_wait.arrival_rate
         cap = model.n_q - 1
-        q, cog = int(start[0]), int(start[1])
+        q, cog = start
         zeta = 0
         total = 0.0
         records = []
         for epoch in range(horizon_epochs):
-            a = ACTIONS[self._codes[q, cog]]
-            times, cdf = self._sojourn[(cog, a)]
-            tau = int(times[self._invert(cdf, rng.random())])
+            state = q * model.n_cog + cog
+            a = ACTIONS[self._codes[state]]
+            pos = law.cdf.invert(self._segments[state : state + 1], rng.random(1))[0]
+            tau = int(law.taus[pos])
             w = int(rng.poisson(rate * tau))
             reward = model.epoch_reward(q, w, tau, a)
             total += gamma**zeta * reward
             records.append(
                 EpochRecord(epoch, zeta, q, cog, a.value, tau, w, reward)
             )
-            cog = self._next_cog(a, tau, cog, rng.random())
+            cog = int(law.cogs[pos])
             q = min(max(q - DECREMENT[a], 0) + w, cap)
             zeta += tau
-        return Trajectory(start=(int(start[0]), int(start[1])), records=records,
-                          discounted_return=total)
-
-    def _invert(self, cdf, u):
-        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-
-    def _next_cog(self, action, tau, cog, u):
-        if action is Action.SKIP:
-            return cog
-        if action is Action.REST:
-            return self.model.grid.star_index
-        row = self._move_cdf[action][tau, cog]
-        return min(int(np.searchsorted(row, u, side="right")), len(row) - 1)
+        return Trajectory(start=start, records=records, discounted_return=total)
 
     # -- lockstep batch ---------------------------------------------------
 
@@ -156,14 +153,16 @@ class PolicySampler:
         discounted totals and the fraction of epoch starts with an empty
         queue."""
         model = self.model
+        q0, cog0 = check_start(start, model.n_q - 1, model.n_cog - 1)
+        _check_horizon(horizon_epochs)
+        law = model.epoch_law
         gamma = model.params.discount
         rate = model.params.skip_wait.arrival_rate
         cap = model.n_q - 1
-        star = model.grid.star_index
 
-        q = np.full(episodes, int(start[0]), dtype=np.int64)
-        cog = np.full(episodes, int(start[1]), dtype=np.int64)
-        zeta = np.zeros(episodes, dtype=np.int64)
+        q = np.full(episodes, q0, dtype=np.int64)
+        cog = np.full(episodes, cog0, dtype=np.int64)
+        discount = np.ones(episodes)  # gamma^zeta at each epoch's start
         totals = np.zeros(episodes)
         empty_epochs = 0
 
@@ -171,49 +170,23 @@ class PolicySampler:
             Action.NORMAL: model.params.reward_normal,
             Action.HIGH: model.params.reward_high,
         }
-        base = np.array([rewards.get(a, 0.0) for a in ACTIONS])
-        decrement = np.array([DECREMENT[a] for a in ACTIONS], dtype=np.int64)
+        base = np.array([rewards.get(a, 0.0) for a in ACTIONS])[self._codes]
+        decrement = np.array([DECREMENT[a] for a in ACTIONS], dtype=np.int64)[self._codes]
         c = model.params.holding_cost
+        tau_discount = gamma ** np.arange(int(law.taus.max()) + 1)
 
         for _ in range(horizon_epochs):
             empty_epochs += int(np.count_nonzero(q == 0))
-            codes = self._codes[q, cog]
-            groups = [
-                (a, np.nonzero(codes == idx)[0]) for idx, a in enumerate(ACTIONS)
-            ]
-            tau = np.zeros(episodes, dtype=np.int64)
-            for a, members in groups:
-                if members.size == 0:
-                    continue
-                u = rng.random(members.size)
-                member_cog = cog[members]
-                for cog_value in np.unique(member_cog):
-                    pick = member_cog == cog_value
-                    times, cdf = self._sojourn[(int(cog_value), a)]
-                    pos = np.minimum(
-                        np.searchsorted(cdf, u[pick], side="right"), len(cdf) - 1
-                    )
-                    tau[members[pick]] = times[pos]
-            w = rng.poisson(rate * tau.astype(np.float64))
+            state = q * model.n_cog + cog
+            pos = law.cdf.invert(self._segments[state], rng.random(episodes))
+            tau = law.taus[pos]
+            w = rng.poisson(rate * tau)
             # rewards use the pre-transition queue
-            reward = base[codes] - c * tau * (q + 0.5 * w)
-            totals += gamma ** zeta.astype(np.float64) * reward
-            # cognitive transitions, one action group at a time
-            new_cog = cog.copy()
-            for a, members in groups:
-                if members.size == 0 or a is Action.SKIP:
-                    continue
-                if a is Action.REST:
-                    new_cog[members] = star
-                    continue
-                u = rng.random(members.size)
-                rows = self._move_cdf[a][tau[members], cog[members]]
-                new_cog[members] = np.minimum(
-                    (rows <= u[:, None]).sum(axis=1), self.model.n_cog - 1
-                )
-            q = np.minimum(np.maximum(q - decrement[codes], 0) + w, cap)
-            cog = new_cog
-            zeta += tau
+            reward = base[state] - c * tau * (q + 0.5 * w)
+            totals += discount * reward
+            q = np.minimum(np.maximum(q - decrement[state], 0) + w, cap)
+            cog = law.cogs[pos]
+            discount *= tau_discount[tau]
         return totals, empty_epochs / (episodes * horizon_epochs)
 
     def estimate(

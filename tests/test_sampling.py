@@ -1,0 +1,126 @@
+"""Tests for the segmented inverse-CDF table and the epoch law built on it.
+
+The kernel is checked against a per-law ``np.searchsorted`` bit for bit;
+the model's epoch law is checked against the sojourn laws and cognitive
+moves it is built from.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fidelityq.actions import ACTIONS
+from fidelityq.config import resolve_config
+from fidelityq.sampling import SegmentedCdf
+
+CONFIGS = ["tiny", "default", "high_lambda", "skip_cheap", "large_gap"]
+
+
+def expected_positions(cdfs, segments, u):
+    """Per-law searchsorted, clamped to the law's last outcome."""
+    return np.array(
+        [
+            min(int(np.searchsorted(cdfs[s], x, side="right")), len(cdfs[s]) - 1)
+            for s, x in zip(segments, u)
+        ]
+    )
+
+
+def assert_draws_exact(cdfs, uniforms):
+    table = SegmentedCdf(np.concatenate(cdfs), [len(cdf) for cdf in cdfs])
+    segments = np.repeat(np.arange(len(cdfs)), len(uniforms))
+    u = np.tile(uniforms, len(cdfs))
+    got = table.invert(segments, u) - table.start[segments]
+    np.testing.assert_array_equal(got, expected_positions(cdfs, segments, u))
+
+
+# masses with ties (zeros) and crowds of tiny outcomes next to large ones
+masses = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(1e-300, 1e-9),
+        st.floats(1e-9, 1.0),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@st.composite
+def laws(draw):
+    """One cdf per law: cumulative masses scaled to a total of at most 1,
+    so a law's last entry may lie below 1."""
+    cdfs = []
+    for mass in draw(st.lists(masses, min_size=1, max_size=6)):
+        mass = np.array(mass)
+        total = mass.sum()
+        scale = draw(st.sampled_from([1.0, 0.97, 0.5]))
+        if total > 0:
+            mass = mass * (scale / total)
+        cdfs.append(np.cumsum(mass))
+    return cdfs
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_invert_equals_clamped_searchsorted(cdfs, extra):
+    breakpoints = np.concatenate(cdfs)
+    uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53], breakpoints, extra])
+    assert_draws_exact(cdfs, uniforms)
+
+
+def test_single_outcome_and_crowded_laws():
+    # one law whose outcomes all fall in one guide bucket forces the
+    # bisection path; the single-outcome law always returns 0
+    crowded = np.cumsum(np.concatenate([np.full(500, 1e-6), [0.4], np.full(300, 1e-7)]))
+    cdfs = [crowded, np.array([0.3]), np.array([1.0]), np.array([0.2, 0.2, 0.2])]
+    grid = np.random.default_rng(3).random(2000)
+    assert_draws_exact(cdfs, np.concatenate([[0.0, 1.0 - 2.0**-53], crowded, grid]))
+
+
+@pytest.mark.parametrize("lengths", [[2, 0], [], [1, 2]])
+def test_lengths_must_cover_the_table_with_nonempty_laws(lengths):
+    with pytest.raises(ValueError, match="at least one outcome"):
+        SegmentedCdf(np.array([0.5, 1.0]), lengths)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_epoch_law_matches_sojourn_and_moves(name):
+    """For every (level, action) with a sojourn law, the mass the sampler
+    draws, summed over the next level, is the sojourn pmf, and each tau's
+    row of mass is P(tau) times ``cog_move``; outcomes are exactly the
+    positive ones, in tau-major order. The last outcome takes every draw
+    beyond the others, so its mass is one minus the entry before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = resolve_config(name).build_model()
+    law = model.epoch_law
+    for cog in range(model.n_cog):
+        for i, a in enumerate(ACTIONS):
+            if (cog, a) not in model._sojourns:
+                assert law.segment[cog, i] == -1
+                continue
+            pmf = model.sojourn(cog, a)
+            s = law.segment[cog, i]
+            positions = np.arange(law.cdf.start[s], law.cdf.end[s] + 1)
+            cdf = law.cdf.table[positions]
+            assert cdf[-1] == np.inf
+            cdf[-1] = 1.0
+            mass = np.diff(cdf, prepend=0.0)
+            taus, nxt = law.taus[positions].astype(np.int64), law.cogs[positions]
+            assert np.all(np.diff(taus * model.n_cog + nxt) > 0)
+            rows = np.searchsorted(pmf.times, taus)
+            np.testing.assert_array_equal(pmf.times[rows], taus)
+            table = np.zeros((len(pmf.times), model.n_cog))
+            table[rows, nxt] = mass
+            np.testing.assert_allclose(table.sum(axis=1), pmf.probs, rtol=0, atol=1e-14)
+            expected = np.array(
+                [p * model.cog_move(a, int(t), cog) for t, p in zip(pmf.times, pmf.probs)]
+            )
+            np.testing.assert_allclose(table, expected, rtol=0, atol=1e-14)
+            present = np.zeros(table.shape, dtype=bool)
+            present[rows, nxt] = True
+            np.testing.assert_array_equal(present, expected > 0)

@@ -196,6 +196,36 @@ class TestEstimates:
             )
 
 
+class TestArguments:
+    @pytest.mark.parametrize("horizon", [0, -2, 2.5, True])
+    def test_bad_horizon_rejected(self, optimal_sampler, horizon):
+        match = "horizon_epochs must be a positive integer"
+        with pytest.raises(ValueError, match=match):
+            optimal_sampler.estimate((4, 2), episodes=50, seed=1, horizon_epochs=horizon)
+        with pytest.raises(ValueError, match=match):
+            optimal_sampler.run_batch((4, 2), 50, horizon, np.random.default_rng(1))
+        with pytest.raises(ValueError, match=match):
+            optimal_sampler.run_episode((4, 2), horizon_epochs=horizon, seed=1)
+
+    # the same rule as the config's simulation.starts: an integer pair on
+    # the grid (this model: 0 <= q <= 8, 0 <= cog <= 4)
+    @pytest.mark.parametrize(
+        "start",
+        [(-1, 0), (1.7, 0), (1, -1), (9, 0), (1, 5), (1, 2, 0), 3],
+        ids=["negative-q", "float-q", "negative-cog", "q-above", "cog-above", "triple", "scalar"],
+    )
+    def test_start_off_the_grid_rejected(self, optimal_sampler, start):
+        with pytest.raises(ConfigError, match="is not a state"):
+            optimal_sampler.estimate(start, episodes=50, seed=1)
+        with pytest.raises(ConfigError, match="is not a state"):
+            optimal_sampler.run_episode(start, horizon_epochs=5, seed=1)
+
+    def test_numpy_integer_start_accepted(self, optimal_sampler):
+        start = (np.int64(4), np.int64(2))
+        assert optimal_sampler.estimate(start, episodes=50, seed=1).start == (4, 2)
+        assert optimal_sampler.run_episode(start, horizon_epochs=5, seed=1).start == (4, 2)
+
+
 class TestHorizonPlanning:
     def test_tighter_bias_needs_longer_horizon(self, model):
         loose = plan_horizon(model, 1e-2)
