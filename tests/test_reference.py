@@ -7,6 +7,7 @@ The reference files were written by
     fidelityq check          --config <name> --out tests/reference/<name> --episodes 2000 --seed 1
     fidelityq export-moments --config <name> --out tests/reference/<name>
     fidelityq sweep          --config <name> --out tests/reference/<name> --grid 0.1,0.2
+    fidelityq simulate       --config <name> --out tests/reference/<name> --episodes 2000 --seed 1
 
 (the heatmap SVGs are not kept). Byte identity across code versions is
 not the rule, because a change that reorders floating-point sums moves
@@ -34,6 +35,8 @@ FILES = [
     "structure.json",
     "moments.csv",
     "sweep.csv",
+    "mc_value.json",
+    "trajectories.csv",
 ]
 
 FLOAT_ABS = 1e-12
@@ -47,6 +50,7 @@ FLOAT_COLUMNS = {
     "variance",
     "discount_transform",
     "light_tail_bound",
+    "reward",
 }
 
 
@@ -58,6 +62,9 @@ def regenerate(config, out):
     ) == 0
     assert cli.main(["export-moments", "--config", config, "--out", out]) == 0
     assert cli.main(["sweep", "--config", config, "--out", out, "--grid", "0.1,0.2"]) == 0
+    assert cli.main(
+        ["simulate", "--config", config, "--out", out, "--episodes", "2000", "--seed", "1"]
+    ) == 0
 
 
 def floats_agree(got, want, rel=None):
