@@ -29,7 +29,7 @@ from .errors import (
     GuaranteeViolationError,
     PolicyMismatchError,
 )
-from .simulate import PolicySampler
+from .simulate import EpochRecord, PolicySampler
 from .solver import validate_policy, value_iteration
 from .structure import enforce_guarantee, grade, light_tail_laws
 from .svgplot import policy_heatmap, value_heatmap
@@ -315,34 +315,11 @@ def cmd_simulate(args):
             horizon_epochs=horizon,
             seed=np.random.SeedSequence([seed, episode]),
         )
-        for rec in traj.records:
-            rows.append(
-                (
-                    episode,
-                    rec.epoch,
-                    rec.time,
-                    rec.q,
-                    rec.cog,
-                    rec.action,
-                    rec.tau,
-                    rec.arrivals,
-                    float(rec.reward),
-                )
-            )
+        rows += [(episode, *rec) for rec in traj.records]
     _write_csv(
         os.path.join(out, "trajectories.csv"),
         comments,
-        (
-            "episode",
-            "epoch",
-            "time",
-            "q",
-            "cog",
-            "action",
-            "tau",
-            "arrivals",
-            "reward",
-        ),
+        ("episode", *EpochRecord._fields),
         rows,
     )
     for est in estimates:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -90,6 +91,13 @@ _ACTION_NAMES = {
 }
 
 _FIDELITY_NAMES = {"normal": Action.NORMAL, "high": Action.HIGH}
+
+# keys read as integers; int() would silently truncate 3.7 or accept "3"
+_INTEGER_KEYS = (
+    "queue.capacity", "cognition.intervals", "cognition.star_index", "service.support",
+    "skip.duration", "rest.cap_factor", "solver.max_sweeps", "simulation.episodes",
+    "simulation.pilot_episodes", "simulation.seed", "sweep.max_points",
+)
 
 
 def _merge(defaults, override, path=""):
@@ -232,22 +240,34 @@ def check_episode_count(name, episodes):
     return episodes
 
 
+def _is_integer(x):
+    """An integral value that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_integers(data):
+    """Reject a non-integral value for any key read as an integer."""
+    for key in _INTEGER_KEYS:
+        section, name = key.split(".")
+        value = data[section][name]
+        if not _is_integer(value):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def _check_simulation(sim):
     """Reject Monte-Carlo settings the estimator cannot honour: the
     horizon targets a positive bias ratio, and both the main and the pilot
-    batch need two runs."""
+    batch need two runs. Settings that are not numbers are reported
+    before the integer rule; the batch sizes are checked after it."""
     try:
         bias_ratio = float(sim["bias_ratio"])
-        episodes = int(sim["episodes"])
-        pilot_episodes = int(sim["pilot_episodes"])
+        int(sim["episodes"]), int(sim["pilot_episodes"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulation settings must be numbers: {exc}") from exc
     if not 0 < bias_ratio < math.inf:
         raise ConfigError(
             f"simulation.bias_ratio must be positive and finite, got {bias_ratio!r}"
         )
-    check_episode_count("simulation.episodes", episodes)
-    check_episode_count("simulation.pilot_episodes", pilot_episodes)
 
 
 def _check_analysis(analysis):
@@ -270,9 +290,7 @@ def check_start(start, capacity, intervals, what="start"):
     if not (
         isinstance(start, (list, tuple))
         and len(start) == 2
-        and all(
-            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in start
-        )
+        and all(_is_integer(x) for x in start)
         and 0 <= start[0] <= capacity
         and 0 <= start[1] <= intervals
     ):
@@ -298,6 +316,9 @@ def from_mapping(doc):
     """Merge a parsed document over the defaults and wrap it."""
     merged = _merge(DEFAULTS, doc or {})
     _check_simulation(merged["simulation"])
+    _check_integers(merged)
+    check_episode_count("simulation.episodes", merged["simulation"]["episodes"])
+    check_episode_count("simulation.pilot_episodes", merged["simulation"]["pilot_episodes"])
     _check_analysis(merged["analysis"])
     _check_starts(merged)
     name = str(merged["name"])
@@ -339,12 +360,10 @@ def builtin_config(name):
 
 
 def resolve_config(spec=None):
-    """Interpret a CLI ``--config`` value: a file path if one exists there,
+    """Interpret a CLI ``--config`` value: a file path if a file exists there,
     otherwise a built-in name; ``None`` means the default configuration."""
-    import os
-
     if spec is None:
         return from_mapping({})
-    if os.path.exists(spec):
+    if os.path.isfile(spec):
         return load_config(spec)
     return builtin_config(spec)

@@ -85,7 +85,8 @@ def arrival_table(rate, taus, capacity):
 
 class SmdpModel:
     """Assembled immutable model: distributions, moment tables, rewards,
-    admissibility masks and the dense discounted transition operators."""
+    admissibility masks and the dense discounted transition operators.
+    ``service_reward[a]`` is r(a), an epoch's reward before holding costs."""
 
     def __init__(self, params):
         self.params = params
@@ -98,6 +99,11 @@ class SmdpModel:
         self._sojourns = self._build_sojourns()
         self._moments = self._build_moment_tables()
         self.powers = self._build_powers()
+        self.service_reward = {
+            **dict.fromkeys(ACTIONS, 0.0),
+            Action.NORMAL: params.reward_normal,
+            Action.HIGH: params.reward_high,
+        }
         self.reward_slope, self.reward_intercept = self._build_reward_components()
         self.admissible_mask = self._build_masks()
         self._taus, self._arrivals = self._build_arrivals()
@@ -160,14 +166,10 @@ class SmdpModel:
     def _build_reward_components(self):
         c = self.params.holding_cost
         lam = self.params.skip_wait.arrival_rate
-        base = {
-            Action.NORMAL: self.params.reward_normal,
-            Action.HIGH: self.params.reward_high,
-        }
         slope, intercept = {}, {}
         for a in ACTIONS:
             slope[a] = c * self._moments["mu1"][a]
-            intercept[a] = base.get(a, 0.0) - 0.5 * c * lam * self._moments["mu2"][a]
+            intercept[a] = self.service_reward[a] - 0.5 * c * lam * self._moments["mu2"][a]
         return slope, intercept
 
     def _build_masks(self):
@@ -220,12 +222,7 @@ class SmdpModel:
             cogs = [cog for cog, *_ in laws]
             weights = np.zeros((hi - lo, len(cogs), self.n_cog))
             for i, (cog, times, w, rows) in enumerate(laws):
-                if a is Action.SKIP:
-                    weights[rows - lo, i, cog] = w
-                elif a is Action.REST:
-                    weights[rows - lo, i, self.grid.star_index] = w
-                else:
-                    weights[rows - lo, i, :] = w[:, None] * self.powers[a][times, cog, :]
+                weights[rows - lo, i, :] = w[:, None] * self.cog_move(a, times, cog)
             weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
             arrivals = self._arrivals[lo:hi]
             op = np.zeros((self.n_q, self.n_cog, self.n_q, self.n_cog))
@@ -322,14 +319,6 @@ class SmdpModel:
         action has no sojourn law."""
         q = np.arange(self.n_q)[:, None]
         return self.reward_intercept[action][None, :] - self.reward_slope[action][None, :] * q
-
-    def epoch_reward(self, q, arrivals, tau, action):
-        """Realized (undiscounted) reward of one epoch; its expectation over
-        (tau, arrivals) equals ``immediate_reward`` exactly."""
-        base = {Action.NORMAL: self.params.reward_normal, Action.HIGH: self.params.reward_high}
-        r = base.get(action, 0.0)
-        c = self.params.holding_cost
-        return r - c * tau * (q + 0.5 * arrivals)
 
     @property
     def max_discount_transform(self):

@@ -9,10 +9,12 @@ epoch granularity; there is no intra-epoch discounting.
 One epoch takes two draws: one uniform picks the sojourn tau and the next
 cognitive level together from the joint law of the state's (level,
 action) in ``model.epoch_law``, by exact inverse-CDF lookup, and a Poisson
-draw gives the arrivals over tau. ``PolicySampler.run_episode`` keeps a
-full trajectory for export; ``monte_carlo_value`` runs all episodes in
-lockstep, one vectorized lookup per epoch, and sizes the horizon so the
-truncation bias stays below a fraction of the standard error.
+draw gives the arrivals over tau. One lockstep loop advances any number
+of episodes, one vectorized lookup per epoch: ``monte_carlo_value`` runs
+all its episodes through it and sizes the horizon so the truncation bias
+stays below a fraction of the standard error, and
+``PolicySampler.run_episode`` runs one episode through it and keeps every
+epoch as a record for export.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ACTIONS, DECREMENT, Action
+from .actions import ACTIONS, DECREMENT
 from .config import check_episode_count, check_start
 from .solver import validate_policy
 
@@ -107,85 +109,71 @@ class PolicySampler:
     def __init__(self, model, policy):
         self.model = model
         self.policy = validate_policy(model, policy)
-        # per flat state q * n_cog + cog: the action's index and its law
+        # per flat state q * n_cog + cog: the action's index, its law, its
+        # service reward and its queue decrement
         self._codes = np.empty(model.n_states, dtype=np.intp)
         for idx, a in enumerate(ACTIONS):
             self._codes[self.policy.ravel() == a.value] = idx
         levels = np.tile(np.arange(model.n_cog), model.n_q)
         self._segments = model.epoch_law.segment[levels, self._codes]
+        self._reward = np.array([model.service_reward[a] for a in ACTIONS])[self._codes]
+        self._decrement = np.array([DECREMENT[a] for a in ACTIONS], dtype=np.int64)[self._codes]
 
-    # -- scalar episode ---------------------------------------------------
+    def _epochs(self, start, episodes, horizon_epochs, rng):
+        """Advance ``episodes`` runs from ``start`` in lockstep, one epoch
+        per step: yields the epoch's flat states, sojourns, arrivals and
+        rewards (on the pre-transition queue), then moves every run to its
+        next state."""
+        model = self.model
+        law = model.epoch_law
+        rate = model.params.skip_wait.arrival_rate
+        c = model.params.holding_cost
+        cap = model.n_q - 1
+        q = np.full(episodes, start[0], dtype=np.int64)
+        cog = np.full(episodes, start[1], dtype=np.int64)
+        for _ in range(horizon_epochs):
+            state = q * model.n_cog + cog
+            pos = law.cdf.invert(self._segments[state], rng.random(episodes))
+            tau = law.taus[pos]
+            w = rng.poisson(rate * tau)
+            yield state, tau, w, self._reward[state] - c * tau * (q + 0.5 * w)
+            q = np.minimum(np.maximum(q - self._decrement[state], 0) + w, cap)
+            cog = law.cogs[pos]
 
     def run_episode(self, start, horizon_epochs, seed):
         """Simulate one episode and keep every epoch record."""
         model = self.model
         start = check_start(start, model.n_q - 1, model.n_cog - 1)
         _check_horizon(horizon_epochs)
-        law = model.epoch_law
-        rng = np.random.default_rng(seed)
         gamma = model.params.discount
-        rate = model.params.skip_wait.arrival_rate
-        cap = model.n_q - 1
-        q, cog = start
+        epochs = self._epochs(start, 1, horizon_epochs, np.random.default_rng(seed))
         zeta = 0
         total = 0.0
         records = []
-        for epoch in range(horizon_epochs):
-            state = q * model.n_cog + cog
-            a = ACTIONS[self._codes[state]]
-            pos = law.cdf.invert(self._segments[state : state + 1], rng.random(1))[0]
-            tau = int(law.taus[pos])
-            w = int(rng.poisson(rate * tau))
-            reward = model.epoch_reward(q, w, tau, a)
+        for epoch, draws in enumerate(epochs):
+            state, tau, w, reward = (x.item() for x in draws)
+            q, cog = divmod(state, model.n_cog)
+            action = str(self.policy[q, cog])
+            records.append(EpochRecord(epoch, zeta, q, cog, action, tau, w, reward))
             total += gamma**zeta * reward
-            records.append(
-                EpochRecord(epoch, zeta, q, cog, a.value, tau, w, reward)
-            )
-            cog = int(law.cogs[pos])
-            q = min(max(q - DECREMENT[a], 0) + w, cap)
             zeta += tau
         return Trajectory(start=start, records=records, discounted_return=total)
-
-    # -- lockstep batch ---------------------------------------------------
 
     def run_batch(self, start, episodes, horizon_epochs, rng):
         """All episodes advance one epoch per iteration; returns the
         discounted totals and the fraction of epoch starts with an empty
         queue."""
         model = self.model
-        q0, cog0 = check_start(start, model.n_q - 1, model.n_cog - 1)
+        start = check_start(start, model.n_q - 1, model.n_cog - 1)
         _check_horizon(horizon_epochs)
-        law = model.epoch_law
-        gamma = model.params.discount
-        rate = model.params.skip_wait.arrival_rate
-        cap = model.n_q - 1
-
-        q = np.full(episodes, q0, dtype=np.int64)
-        cog = np.full(episodes, cog0, dtype=np.int64)
+        tau_discount = model.params.discount ** np.arange(int(model.epoch_law.taus.max()) + 1)
         discount = np.ones(episodes)  # gamma^zeta at each epoch's start
         totals = np.zeros(episodes)
         empty_epochs = 0
-
-        rewards = {
-            Action.NORMAL: model.params.reward_normal,
-            Action.HIGH: model.params.reward_high,
-        }
-        base = np.array([rewards.get(a, 0.0) for a in ACTIONS])[self._codes]
-        decrement = np.array([DECREMENT[a] for a in ACTIONS], dtype=np.int64)[self._codes]
-        c = model.params.holding_cost
-        tau_discount = gamma ** np.arange(int(law.taus.max()) + 1)
-
-        for _ in range(horizon_epochs):
-            empty_epochs += int(np.count_nonzero(q == 0))
-            state = q * model.n_cog + cog
-            pos = law.cdf.invert(self._segments[state], rng.random(episodes))
-            tau = law.taus[pos]
-            w = rng.poisson(rate * tau)
-            # rewards use the pre-transition queue
-            reward = base[state] - c * tau * (q + 0.5 * w)
+        for state, tau, _, reward in self._epochs(start, episodes, horizon_epochs, rng):
+            # flat states below n_cog are the empty-queue ones
+            empty_epochs += int(np.count_nonzero(state < model.n_cog))
             totals += discount * reward
-            q = np.minimum(np.maximum(q - decrement[state], 0) + w, cap)
-            cog = law.cogs[pos]
             discount *= tau_discount[tau]
         return totals, empty_epochs / (episodes * horizon_epochs)
 

@@ -1,5 +1,7 @@
 """Configuration loading, merging, and identity hashing."""
 
+import re
+
 import pytest
 
 from fidelityq.actions import Action
@@ -209,3 +211,33 @@ class TestFiles:
         assert resolve_config(str(path)).name == "shadowed"
         assert resolve_config("default").name == "default"
         assert resolve_config(None).digest == from_mapping({}).digest
+
+    def test_directory_with_a_builtin_name_is_not_a_config(self, tmp_path, monkeypatch):
+        # per-config output directories are often named after the config
+        (tmp_path / "tiny").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert resolve_config("tiny").digest == builtin_config("tiny").digest
+
+
+INTEGER_KEYS = [
+    "queue.capacity",
+    "cognition.intervals",
+    "cognition.star_index",
+    "service.support",
+    "skip.duration",
+    "rest.cap_factor",
+    "solver.max_sweeps",
+    "simulation.episodes",
+    "simulation.pilot_episodes",
+    "simulation.seed",
+    "sweep.max_points",
+]
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("value", [3.7, True, "3"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_non_integral_value_rejected(self, key, value):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be an integer"):
+            from_mapping({section: {name: value}})

@@ -205,6 +205,15 @@ class TestKernelMass:
             next(model.entries(3, 1, Action.REST))
 
 
+def epoch_reward(model, q, arrivals, tau, action):
+    """Realized (undiscounted) reward of one epoch, r(a) - c tau (q + w/2),
+    written out here as an independent reference."""
+    base = {Action.NORMAL: model.params.reward_normal, Action.HIGH: model.params.reward_high}
+    r = base.get(action, 0.0)
+    c = model.params.holding_cost
+    return r - c * tau * (q + 0.5 * arrivals)
+
+
 def reward_oracle(model, q, cog, action, w_cap=240):
     """Expectation of the realized epoch reward over (tau, arrivals)."""
     pmf = model.sojourn(cog, action)
@@ -214,7 +223,7 @@ def reward_oracle(model, q, cog, action, w_cap=240):
         ws = np.arange(w_cap + 1)
         pw = stats.poisson.pmf(ws, rate * float(tau))
         vals = np.array(
-            [model.epoch_reward(q, int(w), int(tau), action) for w in ws]
+            [epoch_reward(model, q, int(w), int(tau), action) for w in ws]
         )
         total += float(p_tau) * float(pw @ vals)
     return total

@@ -59,6 +59,15 @@ def optimal_sampler(model, solution):
     return PolicySampler(model, solution.policy)
 
 
+def epoch_reward(model, q, arrivals, tau, action):
+    """Realized (undiscounted) reward of one epoch, r(a) - c tau (q + w/2),
+    written out here as an independent reference."""
+    base = {Action.NORMAL: model.params.reward_normal, Action.HIGH: model.params.reward_high}
+    r = base.get(action, 0.0)
+    c = model.params.holding_cost
+    return r - c * tau * (q + 0.5 * arrivals)
+
+
 def drain_policy(model):
     policy = np.full((model.n_q, model.n_cog), "S", dtype="<U1")
     policy[0, :] = "W"
@@ -85,7 +94,7 @@ class TestTrajectories:
             pmf = model.sojourn(rec.cog, a)
             assert rec.tau in pmf.times[pmf.probs > 0]
             assert rec.reward == pytest.approx(
-                model.epoch_reward(rec.q, rec.arrivals, rec.tau, a), abs=1e-12
+                epoch_reward(model, rec.q, rec.arrivals, rec.tau, a), abs=1e-12
             )
         for first, second in zip(recs, recs[1:]):
             a = Action(first.action)
@@ -275,3 +284,41 @@ class TestChainOccupancy:
         mask = expected > 5
         chi2, pvalue = stats.chisquare(visits[mask], expected[mask] * visits[mask].sum() / expected[mask].sum())
         assert pvalue > 1e-3
+
+
+class RecordingRng:
+    """A numpy Generator that logs the means and counts of its Poisson
+    draws; one run at a time."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.means, self.counts = [], []
+
+    def random(self, n):
+        return self._rng.random(n)
+
+    def poisson(self, lam):
+        w = self._rng.poisson(lam)
+        self.means += lam.tolist()
+        self.counts += w.tolist()
+        return w
+
+
+class TestSharedLoop:
+    """A recorded episode and a one-run batch are the same simulation."""
+
+    @pytest.mark.parametrize("sampler", ["optimal_sampler", "drain_sampler"])
+    @pytest.mark.parametrize(
+        "start, horizon, seed", [((6, 4), 400, 42), ((0, 1), 60, 3), ((8, 0), 1, 9)]
+    )
+    def test_episode_is_a_one_run_batch(self, request, model, sampler, start, horizon, seed):
+        sampler = request.getfixturevalue(sampler)
+        traj = sampler.run_episode(start, horizon, seed=seed)
+        rng = RecordingRng(seed)
+        totals, _ = sampler.run_batch(start, 1, horizon, rng)
+        plain, _ = sampler.run_batch(start, 1, horizon, np.random.default_rng(seed))
+        assert totals[0] == plain[0]
+        assert traj.discounted_return == pytest.approx(totals[0], rel=1e-12)
+        rate = model.params.skip_wait.arrival_rate
+        assert rng.means == [rate * rec.tau for rec in traj.records]
+        assert rng.counts == [rec.arrivals for rec in traj.records]
