@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import check_episode_count, resolve_config
 from .errors import (
+    ConfigError,
     FidelityQError,
     GridTooLargeError,
     GuaranteeViolationError,
@@ -65,21 +66,20 @@ def _outdir(args):
 
 
 def _solve(cfg, model):
-    solution = value_iteration(
-        model,
-        epsilon=float(cfg.solver["epsilon"]),
-        max_sweeps=int(cfg.solver["max_sweeps"]),
+    return value_iteration(
+        model, epsilon=cfg.solver["epsilon"], max_sweeps=cfg.solver["max_sweeps"]
     )
-    return solution
 
 
 def _sim_settings(cfg, args):
     sim = cfg.simulation
     if args.episodes is None:
-        episodes = int(sim["episodes"])
+        episodes = sim["episodes"]
     else:
         episodes = check_episode_count("--episodes", args.episodes)
-    seed = args.seed if args.seed is not None else int(sim["seed"])
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    seed = args.seed if args.seed is not None else sim["seed"]
     return episodes, seed
 
 
@@ -89,8 +89,8 @@ def _estimate(cfg, sampler, start, episodes, seed):
         start,
         episodes=episodes,
         seed=seed,
-        bias_ratio=float(sim["bias_ratio"]),
-        pilot_episodes=int(sim["pilot_episodes"]),
+        bias_ratio=sim["bias_ratio"],
+        pilot_episodes=sim["pilot_episodes"],
     )
 
 
@@ -220,7 +220,7 @@ def cmd_check(args):
     report = grade(
         model,
         solution,
-        float(cfg.analysis["buffer_fraction"]),
+        cfg.analysis["buffer_fraction"],
         empty_queue_fraction=estimate.empty_queue_fraction,
     )
 
@@ -336,18 +336,17 @@ def cmd_sweep(args):
     if args.grid is not None:
         rates = [float(x) for x in args.grid.split(",") if x.strip()]
     else:
-        rates = [float(x) for x in cfg.sweep["arrival_rates"]]
+        rates = cfg.sweep["arrival_rates"]
     if not rates:
         print("no arrival rates to sweep; set sweep.arrival_rates or --grid",
               file=sys.stderr)
         return 1
-    budget = int(cfg.sweep["max_points"])
+    budget = cfg.sweep["max_points"]
     if len(rates) > budget:
         raise GridTooLargeError(
             f"sweep grid has {len(rates)} points, budget is {budget}"
         )
     out = _outdir(args)
-    buffer_fraction = float(cfg.analysis["buffer_fraction"])
     rows = []
     any_unconverged = False
     for rate in rates:
@@ -360,9 +359,9 @@ def cmd_sweep(args):
         solution = _solve(cfg, model)
         if not solution.converged:
             any_unconverged = True
-        report = grade(model, solution, buffer_fraction)
+        report = grade(model, solution, cfg.analysis["buffer_fraction"])
         rows.extend(
-            (float(rate), cog, *cells)
+            (rate, cog, *cells)
             for cog, cells in enumerate(_threshold_cells(report))
         )
     _write_csv(

@@ -125,12 +125,6 @@ class ChainRates:
         }
         return cls(probs=probs)
 
-    def forward(self, action):
-        return self.probs[action][0]
-
-    def backward(self, action):
-        return self.probs[action][1]
-
 
 @dataclass(frozen=True)
 class StepMatrix:
@@ -181,17 +175,6 @@ def build_step_matrix(grid, rates, action):
             m[i, i] = 1.0 - pf - pb
             m[i, i + 1] = pf
     return StepMatrix(action=action, matrix=m)
-
-
-def evolve(step, cog_index, tau):
-    """Distribution of the cognitive state after ``tau`` steps.
-
-    Returns row ``cog_index`` of the ``tau``-th matrix power.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    power = np.linalg.matrix_power(step.matrix, tau)
-    return power[cog_index].copy()
 
 
 def step_powers(step, t_max):

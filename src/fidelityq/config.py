@@ -3,8 +3,10 @@
 A configuration file fills in any subset of the schema below; everything
 else comes from the built-in defaults. Unknown keys are rejected with the
 full dotted path so typos surface immediately instead of silently running
-the default. Several ready-made configurations ship with the package and
-can be addressed by name.
+the default. Each key's default also sets its type rule, applied once as
+the override is merged, so the merged data hold typed values. Several
+ready-made configurations ship with the package and can be addressed by
+name.
 """
 
 import hashlib
@@ -74,14 +76,6 @@ DEFAULTS = {
     },
 }
 
-# sections whose keys are data rather than schema and get validated on
-# their own terms
-_OPEN_SECTIONS = {
-    "cognition.unit_rates",
-    "service.base_mean",
-    "service.curvature",
-}
-
 _ACTION_NAMES = {
     "wait": Action.WAIT,
     "rest": Action.REST,
@@ -92,29 +86,87 @@ _ACTION_NAMES = {
 
 _FIDELITY_NAMES = {"normal": Action.NORMAL, "high": Action.HIGH}
 
-# keys read as integers; int() would silently truncate 3.7 or accept "3"
-_INTEGER_KEYS = (
-    "queue.capacity", "cognition.intervals", "cognition.star_index", "service.support",
-    "skip.duration", "rest.cap_factor", "solver.max_sweeps", "simulation.episodes",
-    "simulation.pilot_episodes", "simulation.seed", "sweep.max_points",
-)
+
+def _is_integer(x):
+    """An integral value that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _number(path, value):
+    """A real number that is not a bool, or a string ``float()`` parses
+    (PyYAML reads ``1e-9`` as a string), as a float."""
+    if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{path} must be a number, got {value!r}")
+
+
+def _pair(path, value):
+    """A ``[forward, backward]`` pair of unit rates, as floats."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path} must be a [forward, backward] pair, got {value!r}")
+    return [_number(f"{path}[{i}]", x) for i, x in enumerate(value)]
+
+
+# sections whose keys are action names rather than schema: the names each
+# admits and the rule for one value
+_OPEN_SECTIONS = {
+    "cognition.unit_rates": (_ACTION_NAMES, _pair),
+    "service.base_mean": (_FIDELITY_NAMES, _number),
+    "service.curvature": (_FIDELITY_NAMES, _number),
+}
+
+
+def _check_mapping(path, value):
+    if not isinstance(value, dict):
+        raise ConfigError(
+            f"expected a mapping at '{path or '<top>'}', got {type(value).__name__}"
+        )
+
+
+def _typed(path, default, value):
+    """``value`` converted by the type rule of its key, which the key's
+    default sets; the range checks come later, in ``_check_ranges``."""
+    if path in _OPEN_SECTIONS:
+        names, rule = _OPEN_SECTIONS[path]
+        _check_mapping(path, value)
+        for key in value:
+            if key not in names:
+                raise ConfigError(
+                    f"unknown key '{path}.{key}'; expected one of "
+                    + ", ".join(sorted(names))
+                )
+        return {key: rule(f"{path}.{key}", item) for key, item in value.items()}
+    if isinstance(default, dict):
+        return _merge(default, value, path)
+    if isinstance(default, int):
+        if not _is_integer(value):
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+        return int(value)
+    if isinstance(default, float):
+        return _number(path, value)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{path} must be a string, got {value!r}")
+        return value
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
+        return [_number(f"{path}[{i}]", x) for i, x in enumerate(value)]
+    return value  # simulation.starts, checked against the grid
 
 
 def _merge(defaults, override, path=""):
-    if not isinstance(override, dict):
-        raise ConfigError(
-            f"expected a mapping at '{path or '<top>'}', "
-            f"got {type(override).__name__}"
-        )
+    _check_mapping(path, override)
     merged = {}
     for key, default_value in defaults.items():
         here = f"{path}.{key}" if path else key
-        if key not in override:
-            merged[key] = default_value
-        elif isinstance(default_value, dict) and here not in _OPEN_SECTIONS:
-            merged[key] = _merge(default_value, override[key], here)
+        if key in override:
+            merged[key] = _typed(here, default_value, override[key])
         else:
-            merged[key] = override[key]
+            merged[key] = default_value
     for key in override:
         if key not in defaults:
             here = f"{path}.{key}" if path else key
@@ -122,18 +174,9 @@ def _merge(defaults, override, path=""):
     return merged
 
 
-def _action_dict(section, names, path):
-    out = {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"expected a mapping at '{path}'")
-    for key, value in section.items():
-        if key not in names:
-            raise ConfigError(
-                f"unknown key '{path}.{key}'; expected one of "
-                + ", ".join(sorted(names))
-            )
-        out[names[key]] = value
-    return out
+def _by_action(section):
+    """A loaded action-name section keyed by ``Action``."""
+    return {_ACTION_NAMES[key]: value for key, value in section.items()}
 
 
 @dataclass(frozen=True)
@@ -164,61 +207,30 @@ class RunConfig:
         """Assemble model parameters; ``arrival_rate`` overrides the
         configured one (used by sweeps)."""
         d = self.data
-        grid = CogGrid(
-            n_intervals=int(d["cognition"]["intervals"]),
-            star_index=int(d["cognition"]["star_index"]),
-        )
-        overrides = {}
-        for action, pair in _action_dict(
-            d["cognition"]["unit_rates"], _ACTION_NAMES, "cognition.unit_rates"
-        ).items():
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(
-                    "cognition.unit_rates entries must be [forward, backward]"
-                )
-            overrides[action] = (float(pair[0]), float(pair[1]))
-        rates = ChainRates.default(
-            step_scale=float(d["cognition"]["step_scale"]),
-            overrides=overrides or None,
-        )
-        family = d["service"]["family"]
-        if family not in SERVICE_FAMILIES:
-            raise ConfigError(
-                f"service.family must be one of {SERVICE_FAMILIES}, got {family!r}"
-            )
-        service = ServiceFamily(
-            base_mean={
-                a: float(v)
-                for a, v in _action_dict(
-                    d["service"]["base_mean"], _FIDELITY_NAMES, "service.base_mean"
-                ).items()
-            },
-            curvature={
-                a: float(v)
-                for a, v in _action_dict(
-                    d["service"]["curvature"], _FIDELITY_NAMES, "service.curvature"
-                ).items()
-            },
-            dispersion=float(d["service"]["dispersion"]),
-            support=int(d["service"]["support"]),
-            family=family,
-        )
+        cognition, service, economics = d["cognition"], d["service"], d["economics"]
         lam = d["queue"]["arrival_rate"] if arrival_rate is None else arrival_rate
-        skip_wait = SkipWaitSpec(
-            skip_time=int(d["skip"]["duration"]),
-            arrival_rate=float(lam),
-        )
         return ModelParams(
-            queue_capacity=int(d["queue"]["capacity"]),
-            grid=grid,
-            rates=rates,
-            service=service,
-            skip_wait=skip_wait,
-            holding_cost=float(d["economics"]["holding_cost"]),
-            reward_normal=float(d["economics"]["reward_normal"]),
-            reward_high=float(d["economics"]["reward_high"]),
-            discount=float(d["economics"]["discount"]),
-            rest_cap_factor=int(d["rest"]["cap_factor"]),
+            queue_capacity=d["queue"]["capacity"],
+            grid=CogGrid(
+                n_intervals=cognition["intervals"], star_index=cognition["star_index"]
+            ),
+            rates=ChainRates.default(
+                step_scale=cognition["step_scale"],
+                overrides=_by_action(cognition["unit_rates"]) or None,
+            ),
+            service=ServiceFamily(
+                base_mean=_by_action(service["base_mean"]),
+                curvature=_by_action(service["curvature"]),
+                dispersion=service["dispersion"],
+                support=service["support"],
+                family=service["family"],
+            ),
+            skip_wait=SkipWaitSpec(skip_time=d["skip"]["duration"], arrival_rate=lam),
+            holding_cost=economics["holding_cost"],
+            reward_normal=economics["reward_normal"],
+            reward_high=economics["reward_high"],
+            discount=economics["discount"],
+            rest_cap_factor=d["rest"]["cap_factor"],
         )
 
     def build_model(self, arrival_rate=None):
@@ -240,49 +252,6 @@ def check_episode_count(name, episodes):
     return episodes
 
 
-def _is_integer(x):
-    """An integral value that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _check_integers(data):
-    """Reject a non-integral value for any key read as an integer."""
-    for key in _INTEGER_KEYS:
-        section, name = key.split(".")
-        value = data[section][name]
-        if not _is_integer(value):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-
-
-def _check_simulation(sim):
-    """Reject Monte-Carlo settings the estimator cannot honour: the
-    horizon targets a positive bias ratio, and both the main and the pilot
-    batch need two runs. Settings that are not numbers are reported
-    before the integer rule; the batch sizes are checked after it."""
-    try:
-        bias_ratio = float(sim["bias_ratio"])
-        int(sim["episodes"]), int(sim["pilot_episodes"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation settings must be numbers: {exc}") from exc
-    if not 0 < bias_ratio < math.inf:
-        raise ConfigError(
-            f"simulation.bias_ratio must be positive and finite, got {bias_ratio!r}"
-        )
-
-
-def _check_analysis(analysis):
-    """Reject a structural-check buffer outside [0, 1): it is the share of
-    the top of the queue range that the checks leave out."""
-    try:
-        buffer_fraction = float(analysis["buffer_fraction"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"analysis.buffer_fraction must be a number: {exc}") from exc
-    if not 0 <= buffer_fraction < 1:
-        raise ConfigError(
-            f"analysis.buffer_fraction must lie in [0, 1), got {buffer_fraction!r}"
-        )
-
-
 def check_start(start, capacity, intervals, what="start"):
     """Reject a start state off the model's grid: it must be an integer
     pair [q, cog] with 0 <= q <= capacity and 0 <= cog <= intervals.
@@ -301,28 +270,46 @@ def check_start(start, capacity, intervals, what="start"):
     return int(start[0]), int(start[1])
 
 
-def _check_starts(data):
-    """Reject configured simulation start states off the model's grid."""
-    starts = data["simulation"]["starts"]
-    if not starts:
-        return
-    capacity = int(data["queue"]["capacity"])
-    intervals = int(data["cognition"]["intervals"])
-    for start in starts if isinstance(starts, (list, tuple)) else [starts]:
-        check_start(start, capacity, intervals, what="simulation.starts entry")
+def _check_ranges(data):
+    """Reject typed values the program cannot honour. Every comparison
+    fails for NaN, so NaN is rejected wherever a range is checked."""
+    family = data["service"]["family"]
+    if family not in SERVICE_FAMILIES:
+        raise ConfigError(
+            f"service.family must be one of {SERVICE_FAMILIES}, got {family!r}"
+        )
+    sim = data["simulation"]
+    # the horizon targets a positive bias ratio, and both the main and the
+    # pilot batch need two runs
+    check_episode_count("simulation.episodes", sim["episodes"])
+    check_episode_count("simulation.pilot_episodes", sim["pilot_episodes"])
+    if sim["seed"] < 0:
+        raise ConfigError(f"simulation.seed must be nonnegative, got {sim['seed']}")
+    bias_ratio = sim["bias_ratio"]
+    if not 0 < bias_ratio < math.inf:
+        raise ConfigError(
+            f"simulation.bias_ratio must be positive and finite, got {bias_ratio!r}"
+        )
+    # the share of the top of the queue range the structural checks leave out
+    buffer_fraction = data["analysis"]["buffer_fraction"]
+    if not 0 <= buffer_fraction < 1:
+        raise ConfigError(
+            f"analysis.buffer_fraction must lie in [0, 1), got {buffer_fraction!r}"
+        )
+    starts = sim["starts"]
+    if starts is not None and not isinstance(starts, (list, tuple)):
+        raise ConfigError(f"simulation.starts must be a list, got {starts!r}")
+    for start in starts or []:
+        check_start(start, data["queue"]["capacity"], data["cognition"]["intervals"],
+                    what="simulation.starts entry")
 
 
 def from_mapping(doc):
-    """Merge a parsed document over the defaults and wrap it."""
+    """Merge a parsed document over the defaults, typed key by key, check
+    the ranges and wrap it."""
     merged = _merge(DEFAULTS, doc or {})
-    _check_simulation(merged["simulation"])
-    _check_integers(merged)
-    check_episode_count("simulation.episodes", merged["simulation"]["episodes"])
-    check_episode_count("simulation.pilot_episodes", merged["simulation"]["pilot_episodes"])
-    _check_analysis(merged["analysis"])
-    _check_starts(merged)
-    name = str(merged["name"])
-    return RunConfig(name=name, data=merged, digest=config_digest(merged))
+    _check_ranges(merged)
+    return RunConfig(name=merged["name"], data=merged, digest=config_digest(merged))
 
 
 def load_config(path):

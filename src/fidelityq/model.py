@@ -6,6 +6,7 @@ cognitive transition over that sojourn and a Poisson queue update, which
 together form the discounted semi-Markov kernel the solver consumes.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,10 +39,10 @@ class ModelParams:
     def __post_init__(self):
         if self.queue_capacity < 1:
             raise ValueError("queue capacity must be at least 1")
-        if self.holding_cost <= 0:
-            raise ValueError("holding cost must be positive")
-        if not self.reward_high > self.reward_normal >= 0:
-            raise ValueError("rewards must satisfy high > normal >= 0")
+        if not 0 < self.holding_cost < math.inf:
+            raise ValueError("holding cost must be positive and finite")
+        if not math.inf > self.reward_high > self.reward_normal >= 0:
+            raise ValueError("rewards must be finite and satisfy high > normal >= 0")
         if not 0 < self.discount < 1:
             raise ValueError("discount factor must lie in (0,1)")
         if self.rest_cap_factor < 1:

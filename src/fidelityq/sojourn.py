@@ -51,10 +51,11 @@ class SojournPMF:
             raise ValueError("sojourn times start at 1")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sojourn times must be strictly increasing")
-        if np.any(probs < 0):
-            raise ValueError("negative sojourn probability")
+        # written so that NaN fails them
+        if not np.all(probs >= 0):
+            raise ValueError("sojourn probabilities must be nonnegative numbers")
         total = probs.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"sojourn probabilities sum to {total!r}, not 1")
         times.setflags(write=False)
         probs.setflags(write=False)
@@ -108,10 +109,10 @@ class ServiceFamily:
             raise ValueError("high fidelity must be slower than normal on average")
         if min(self.base_mean.values()) <= 1.0:
             raise ValueError("base service means must exceed one time step")
-        if any(k < 0 for k in self.curvature.values()):
-            raise ValueError("curvature must be nonnegative")
-        if self.dispersion <= 0:
-            raise ValueError("dispersion must be positive")
+        if not all(0 <= k < math.inf for k in self.curvature.values()):
+            raise ValueError("curvature must be nonnegative and finite")
+        if not 0 < self.dispersion < math.inf:
+            raise ValueError("dispersion must be positive and finite")
         if self.support < 3:
             raise ValueError("service support cap must be at least 3")
         if self.family not in SERVICE_FAMILIES:

@@ -1,5 +1,6 @@
 """Value iteration, policy evaluation and the finite-horizon oracle."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,8 @@ def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEP
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     values = np.zeros((model.n_q, model.n_cog))
     history = []
     for sweep in range(1, max_sweeps + 1):

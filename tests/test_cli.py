@@ -275,6 +275,65 @@ class TestErrors:
         assert "analysis.buffer_fraction must lie in [0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("service: {dispersion: .nan}", "dispersion must be positive and finite"),
+            ("service: {dispersion: .inf}", "dispersion must be positive and finite"),
+            ("service: {curvature: {normal: .nan, high: 80.0}}",
+             "curvature must be nonnegative and finite"),
+            ("economics: {holding_cost: .nan}",
+             "holding cost must be positive and finite"),
+            ("economics: {holding_cost: .inf}",
+             "holding cost must be positive and finite"),
+            ("economics: {reward_high: .inf}", "rewards must be finite"),
+        ],
+    )
+    def test_model_values_not_finite_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch, section, message
+    ):
+        cfg_file = tmp_path / "bad.yaml"
+        cfg_file.write_text(f"name: x\n{section}\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved a rejected configuration")
+
+        monkeypatch.setattr(cli, "value_iteration", never)
+        assert run("solve", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["-1.0", ".nan", ".inf"])
+    def test_epsilon_not_positive_and_finite_exits_1(self, tmp_path, capsys, epsilon):
+        cfg_file = tmp_path / "bad.yaml"
+        cfg_file.write_text(f"name: x\nsolver: {{epsilon: {epsilon}}}\n")
+        assert run("solve", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")) == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize(
+        "config_text, flags, message",
+        [
+            ("simulation: {seed: -1}", [], "simulation.seed must be nonnegative"),
+            ("{}", ["--seed=-1"], "--seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_negative_seed_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, config_text, flags, message
+    ):
+        cfg_file = tmp_path / "seed.yaml"
+        cfg_file.write_text(config_text + "\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved a rejected configuration")
+
+        monkeypatch.setattr(cli, "value_iteration", never)
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg_file), "--out", str(out), *flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])

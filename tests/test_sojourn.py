@@ -66,6 +66,14 @@ class TestSojournPMF:
         with pytest.raises(ValueError):
             SojournPMF(times=np.array([], dtype=int), probs=np.array([]))
 
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, np.nan], [np.nan, 1.0]]
+    )
+    def test_rejects_probabilities_that_are_not_finite(self, probs):
+        # every comparison with NaN is False, so checks must be written to fail
+        with pytest.raises(ValueError):
+            SojournPMF(times=np.array([1, 2]), probs=np.array(probs))
+
     def test_arrays_are_frozen(self):
         pmf = two_atom()
         with pytest.raises(ValueError):
@@ -278,6 +286,27 @@ class TestServiceFamily:
             ServiceFamily(**{**good, "family": "zeta"})
         with pytest.raises(ValueError):
             ServiceFamily(**{**good, "family": "neg-binomial", "dispersion": 2.5})
+
+    @pytest.mark.parametrize("family", ["beta-binomial", "neg-binomial"])
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"dispersion": float("nan")}, "dispersion"),
+            ({"dispersion": float("inf")}, "dispersion"),
+            ({"curvature": {Action.NORMAL: np.nan, Action.HIGH: 3.0}}, "curvature"),
+            ({"curvature": {Action.NORMAL: 2.0, Action.HIGH: np.inf}}, "curvature"),
+        ],
+    )
+    def test_parameters_that_are_not_finite_rejected(self, family, override, match):
+        good = dict(
+            base_mean={Action.NORMAL: 4.0, Action.HIGH: 7.0},
+            curvature={Action.NORMAL: 2.0, Action.HIGH: 3.0},
+            dispersion=5.0,
+            support=30,
+            family=family,
+        )
+        with pytest.raises(ValueError, match=match):
+            ServiceFamily(**{**good, **override})
 
 
 def reference_beta_binomial(mean, dispersion, support):

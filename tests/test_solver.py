@@ -144,6 +144,11 @@ class TestValueIteration:
         with pytest.raises(ValueError, match="max_sweeps"):
             value_iteration(model, max_sweeps=max_sweeps)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_epsilon_not_positive_and_finite_rejected(self, model, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            value_iteration(model, epsilon=epsilon, max_sweeps=3)
+
     def test_contraction_estimate_edge_cases(self):
         t = ValuePolicyTable(
             values=np.zeros(1),
