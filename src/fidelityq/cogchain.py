@@ -180,14 +180,25 @@ def build_step_matrix(grid, rates, action):
 def step_powers(step, t_max):
     """Matrix powers P^0 .. P^t_max stacked as one array.
 
-    Computed by repeated multiplication so the whole ladder is available to
-    kernel assembly and trajectory sampling at once.
+    Computed by repeated multiplication, P^t = P^(t-1) @ P, so the whole
+    ladder is available to kernel assembly and trajectory sampling at once.
+    An ergodic chain's float64 ladder reaches a fixed point: once a product
+    has the same bytes as its input, every later product takes those same
+    input bits and so returns them again. The loop stops there and copies
+    that matrix into the rest of the ladder, which is therefore bit-identical
+    to running every product.
     """
     n = step.n_levels
     out = np.empty((t_max + 1, n, n))
     out[0] = np.eye(n)
+    last = out[0].tobytes()
     for t in range(1, t_max + 1):
         out[t] = out[t - 1] @ step.matrix
+        current = out[t].tobytes()
+        if current == last:
+            out[t + 1 :] = out[t]
+            break
+        last = current
     return out
 
 

@@ -162,6 +162,7 @@ class SmdpModel:
                 if pmf is not None:
                     t_max = max(t_max, int(pmf.times[-1]))
             powers[a] = step_powers(self.steps[a], t_max)
+            powers[a].setflags(write=False)
         return powers
 
     def _build_reward_components(self):

@@ -88,6 +88,22 @@ class TestSolve:
         # outputs still land so the run can be inspected
         assert (out / "value.csv").is_file()
 
+    def test_single_sweep_writes_valid_json(self, tmp_path):
+        # one sweep leaves no contraction estimate; it is written as null,
+        # never as a bare NaN that JSON parsers reject
+        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
+        cfg_file = tmp_path / "coarse.yaml"
+        cfg_file.write_text(tiny.replace("epsilon: 1.0e-10", "epsilon: 100"))
+        out = tmp_path / "out"
+        assert run("solve", "--config", str(cfg_file), "--out", str(out)) == 0
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        payload = json.loads((out / "convergence.json").read_text(), parse_constant=reject)
+        assert payload["sweeps"] == 1
+        assert payload["contraction_estimate"] is None
+
 
 class TestCheck:
     def test_writes_reports(self, tmp_path):

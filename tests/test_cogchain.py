@@ -1,5 +1,7 @@
 """Chain construction, evolution and first-passage oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,14 @@ from fidelityq.actions import Action
 from fidelityq.cogchain import (
     ChainRates,
     CogGrid,
+    StepMatrix,
     build_step_matrix,
     default_t_cap,
     fpt_pmf,
     mean_first_passage,
     step_powers,
 )
+from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError, InvalidRatesError, TailMassError
 
 
@@ -180,6 +184,69 @@ class TestEvolve:
         combined = evolve(step, i, a + b)
         split = evolve(step, i, a) @ np.linalg.matrix_power(step.matrix, b)
         assert np.allclose(combined, split, atol=1e-12)
+
+
+def sequential_powers(step, t_max):
+    """Reference ladder: every one of the t_max products, none skipped."""
+    n = step.n_levels
+    out = np.empty((t_max + 1, n, n))
+    out[0] = np.eye(n)
+    for t in range(1, t_max + 1):
+        out[t] = out[t - 1] @ step.matrix
+    return out
+
+
+def first_fixed_step(ladder):
+    """First t with ladder[t] bitwise equal to ladder[t - 1], or None."""
+    for t in range(1, len(ladder)):
+        if ladder[t].tobytes() == ladder[t - 1].tobytes():
+            return t
+    return None
+
+
+SHIPPED = ["tiny", "default", "high_lambda", "skip_cheap", "large_gap"]
+
+
+@pytest.fixture(scope="module", params=SHIPPED)
+def shipped(request):
+    """Model of one shipped configuration."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return builtin_config(request.param).build_model()
+
+
+LADDER_ACTIONS = (Action.WAIT, Action.NORMAL, Action.HIGH)
+
+
+class TestStepPowersFixedPoint:
+    """``step_powers`` stops at the ladder's bitwise fixed point; the result
+    must equal the full sequential loop bit for bit. large_gap's ladders
+    reach the fixed point; tiny's, and default's NORMAL, never do."""
+
+    @pytest.mark.parametrize("action", LADDER_ACTIONS, ids=lambda a: a.name)
+    def test_shipped_ladders_match_sequential_loop(self, shipped, action):
+        step = shipped.steps[action]
+        t_max = len(shipped.powers[action]) - 1
+        assert np.array_equal(step_powers(step, t_max), sequential_powers(step, t_max))
+
+    def test_large_gap_reaches_fixed_point_before_t_max(self):
+        # so the shipped-ladder cases above exercise the early stop
+        model = builtin_config("large_gap").build_model()
+        for action in LADDER_ACTIONS:
+            t_max = len(model.powers[action]) - 1
+            fixed = first_fixed_step(sequential_powers(model.steps[action], t_max))
+            assert fixed is not None and fixed < t_max, action
+
+    def test_identity_is_fixed_at_first_step(self):
+        step = StepMatrix(action=Action.SKIP, matrix=np.eye(GRID.n_levels))
+        reference = sequential_powers(step, 40)
+        assert first_fixed_step(reference) == 1
+        assert np.array_equal(step_powers(step, 40), reference)
+
+    @pytest.mark.parametrize("t_max", [0, 1])
+    def test_shortest_ladders(self, t_max):
+        step = build_step_matrix(GRID, make_rates(), Action.NORMAL)
+        assert np.array_equal(step_powers(step, t_max), sequential_powers(step, t_max))
 
 
 def simulate_first_passage(matrix, start, star_index, n_runs, seed):

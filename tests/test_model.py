@@ -289,6 +289,10 @@ class TestCogMove:
                 expected = np.linalg.matrix_power(step.matrix, tau)[1]
                 assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_powers_are_read_only(self, model):
+        with pytest.raises(ValueError):
+            model.powers[Action.NORMAL][1, 0, 0] = 0.0
+
     def test_rest_sojourn_missing_below_resting_level(self, model):
         with pytest.raises(InadmissibleRestError):
             model.sojourn(2, Action.REST)
