@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .actions import ACTIONS, DECREMENT, Action
+from .actions import ACTIONS, DECREMENT, TIE_ORDER, Action
 from .cogchain import build_step_matrix, step_powers
 from .errors import InadmissibleRestError
 from .sampling import EpochLaw, SegmentedCdf
@@ -85,9 +85,11 @@ def arrival_table(rate, taus, capacity):
 
 
 class SmdpModel:
-    """Assembled immutable model: distributions, moment tables, rewards,
-    admissibility masks and the dense discounted transition operators.
-    ``service_reward[a]`` is r(a), an epoch's reward before holding costs."""
+    """Assembled immutable model: distributions, moment tables, rewards and
+    the discounted ``kernel``, one row per admissible pair (``pair_state``,
+    ``pair_action``, ``pair_reward``; state s's rows start at
+    ``segment_starts[s]``). ``service_reward[a]`` is r(a), an epoch's reward
+    before holding costs."""
 
     def __init__(self, params):
         self.params = params
@@ -106,9 +108,14 @@ class SmdpModel:
             Action.HIGH: params.reward_high,
         }
         self.reward_slope, self.reward_intercept = self._build_reward_components()
-        self.admissible_mask = self._build_masks()
         self._taus, self._arrivals = self._build_arrivals()
-        self.operators = self._build_operators()
+        self.pair_state, self.pair_action, self.segment_starts = self._build_pairs()
+        rewards = np.stack([self.reward_table(a).reshape(-1) for a in ACTIONS])
+        self.pair_reward = rewards[self.pair_action, self.pair_state]
+        self.kernel = self._build_kernel()
+        for table in (self.pair_state, self.pair_action, self.segment_starts,
+                      self.pair_reward, self.kernel):
+            table.setflags(write=False)
 
         self.moment_ordering_violations = self._check_moment_ordering()
         self.shape_warnings = self._check_variance_shape()
@@ -174,14 +181,6 @@ class SmdpModel:
             intercept[a] = self.service_reward[a] - 0.5 * c * lam * self._moments["mu2"][a]
         return slope, intercept
 
-    def _build_masks(self):
-        masks = {a: np.zeros((self.n_q, self.n_cog), dtype=bool) for a in ACTIONS}
-        for q in range(self.n_q):
-            for cog in range(self.n_cog):
-                for a in admissible(q, cog, self.grid):
-                    masks[a][q, cog] = True
-        return masks
-
     def _build_arrivals(self):
         """Sorted sojourn lengths with positive probability under some law,
         and the read-only (tau, start, q') arrival table over them."""
@@ -192,22 +191,35 @@ class SmdpModel:
         table.setflags(write=False)
         return taus, table
 
-    def _build_operators(self):
-        """Dense discounted operators T_a with
-        (T_a V)[q,cog] = sum_{tau,c',q'} gamma^tau P(tau|cog,a)
+    def _build_pairs(self):
+        """Flat state and ``ACTIONS`` index of every admissible pair,
+        ordered by state and within a state by ``TIE_ORDER``, and each
+        state's first pair."""
+        pairs = [
+            (s, ACTIONS.index(a))
+            for s in range(self.n_states)
+            for a in sorted(admissible(*divmod(s, self.n_cog), self.grid), key=TIE_ORDER.index)
+        ]
+        states, actions = np.array(pairs).T.copy()
+        return states, actions, np.searchsorted(states, np.arange(self.n_states))
+
+    def _build_kernel(self):
+        """Discounted kernel rows of the admissible pairs:
+        (T V)[(q,cog), a] = sum_{tau,c',q'} gamma^tau P(tau|cog,a)
         C_a_tau[cog,c'] B_tau[q,q'] V[q',c'].
 
-        The kernel factors as
-        T_a[(q,c),(q',c')] = sum_tau B_tau[rows_a(q), q'] W_a[tau, c, c'] with
+        A row factors as
+        T[(q,c),a][(q',c')] = sum_tau B_tau[start_a(q), q'] W_a[tau, c, c'] with
         W_a[tau, c, :] = gamma^tau P(tau|c,a) C_a_tau[c, :], so each action
         takes one weight table W_a over the contiguous run of taus its laws
-        use and, per queue row, one matrix product over tau against a view
-        of the arrival table."""
+        use and, per queue row where it is admissible, one matrix product
+        over tau against a view of the arrival table."""
         gamma = self.params.discount
-        shift0 = np.arange(self.n_q)
-        shift1 = np.maximum(shift0 - 1, 0)
-        ops = {}
-        for a in ACTIONS:
+        n_pairs = len(self.pair_state)
+        row_of = np.full((len(ACTIONS), self.n_states), -1)
+        row_of[self.pair_action, self.pair_state] = np.arange(n_pairs)
+        kernel = np.zeros((n_pairs, self.n_q, self.n_cog))
+        for ai, a in enumerate(ACTIONS):
             laws = []
             for cog in range(self.n_cog):
                 pmf = self._sojourns.get((cog, a))
@@ -219,20 +231,26 @@ class SmdpModel:
             # every law of a lies in taus[lo:hi], a view of the arrival table
             lo = min(int(rows[0]) for *_, rows in laws)
             hi = max(int(rows[-1]) for *_, rows in laws) + 1
-            # W_a over the levels that have a law; the other rows of T_a stay
-            # zero pages that are never written
-            cogs = [cog for cog, *_ in laws]
+            cogs = np.array([cog for cog, *_ in laws])
             weights = np.zeros((hi - lo, len(cogs), self.n_cog))
             for i, (cog, times, w, rows) in enumerate(laws):
                 weights[rows - lo, i, :] = w[:, None] * self.cog_move(a, times, cog)
             weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
             arrivals = self._arrivals[lo:hi]
-            op = np.zeros((self.n_q, self.n_cog, self.n_q, self.n_cog))
-            for q, start in enumerate(shift1 if DECREMENT[a] else shift0):
-                block = arrivals[:, start, :].T @ weights
-                op[q, cogs] = block.reshape(self.n_q, len(cogs), self.n_cog).transpose(1, 0, 2)
-            ops[a] = op.reshape(self.n_states, self.n_states)
-        return ops
+            for q in range(self.n_q):
+                pair_rows = row_of[ai, q * self.n_cog + cogs]
+                keep = pair_rows >= 0
+                if keep.any():
+                    block = arrivals[:, max(q - DECREMENT[a], 0), :].T @ weights
+                    block = block.reshape(self.n_q, len(cogs), self.n_cog)
+                    kernel[pair_rows[keep]] = block[:, keep].transpose(1, 0, 2)
+        return kernel.reshape(n_pairs, self.n_states)
+
+    @property
+    def operators(self):
+        """{action: that action's kernel rows}, gathered when read. Only
+        ``bench/counts.py`` reads it, to size the operator bytes."""
+        return {a: self.kernel[self.pair_action == i] for i, a in enumerate(ACTIONS)}
 
     # -- accessors --------------------------------------------------------
 
@@ -311,10 +329,7 @@ class SmdpModel:
 
     def immediate_reward(self, q, cog_index, action):
         """Expected one-epoch reward r(a) - c E[tau] q - (c lambda / 2) E[tau^2]."""
-        return float(
-            self.reward_intercept[action][cog_index]
-            - self.reward_slope[action][cog_index] * q
-        )
+        return float(self.reward_table(action)[q, cog_index])
 
     def reward_table(self, action):
         """(n_q, n_cog) table of immediate expected rewards; NaN where the

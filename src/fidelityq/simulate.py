@@ -74,14 +74,8 @@ def _check_horizon(horizon_epochs):
 
 
 def reward_ceiling(model):
-    """Largest absolute one-epoch expected reward over admissible states."""
-    worst = 0.0
-    for a in ACTIONS:
-        table = model.reward_table(a)
-        masked = table[model.admissible_mask[a]]
-        if masked.size:
-            worst = max(worst, float(np.max(np.abs(masked))))
-    return worst
+    """Largest absolute one-epoch expected reward over admissible pairs."""
+    return float(np.max(np.abs(model.pair_reward)))
 
 
 def plan_horizon(model, target_bias):

@@ -5,12 +5,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import ACTIONS, TIE_ORDER, Action, from_symbol
+from .actions import ACTIONS, from_symbol
 from .errors import BudgetExceededError, PolicyMismatchError
 from .model import admissible
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_SWEEPS = 5000
+
+# one-letter symbol of each action, indexed like ``model.pair_action``
+_SYMBOLS = np.array([a.value for a in ACTIONS])
 
 
 @dataclass
@@ -37,31 +40,18 @@ class ValuePolicyTable:
         return h[-1] / h[-2]
 
 
-def action_values(model, values):
-    """Q(s, a) = R(s, a) + (T_a V)(s) for every action, unmasked."""
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    out = {}
-    for a in ACTIONS:
-        q = model.reward_table(a).reshape(-1) + model.operators[a] @ flat
-        out[a] = q.reshape(model.n_q, model.n_cog)
-    return out
-
-
 def bellman_backup(model, values):
-    """One synchronous optimality backup.
-
-    Returns the backed-up value table and the greedy policy; on exact ties
-    the action earlier in the fixed tie order wins.
-    """
-    av = action_values(model, values)
-    best = np.full((model.n_q, model.n_cog), -np.inf)
-    policy = np.full((model.n_q, model.n_cog), "?", dtype="<U1")
-    for a in TIE_ORDER:
-        qa = np.where(model.admissible_mask[a], av[a], -np.inf)
-        take = qa > best
-        best = np.where(take, qa, best)
-        policy = np.where(take, a.value, policy)
-    return best, policy
+    """One synchronous optimality backup: one product of the pair kernel
+    with the values, then each state's first best pair; pairs run in the
+    fixed tie order, so on exact ties the earlier action wins."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    pair_values = model.pair_reward + model.kernel @ flat
+    best = np.maximum.reduceat(pair_values, model.segment_starts)[model.pair_state]
+    rows = np.arange(len(pair_values))
+    tied = np.where(pair_values == best, rows, len(rows))
+    first = np.minimum.reduceat(tied, model.segment_starts)
+    shape = (model.n_q, model.n_cog)
+    return pair_values[first].reshape(shape), _SYMBOLS[model.pair_action[first]].reshape(shape)
 
 
 def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEPS):
@@ -122,16 +112,11 @@ def validate_policy(model, policy):
 
 def policy_evaluation(model, policy):
     """Exact value of a stationary policy via the linear fixed point
-    (I - T_pi) V = R_pi."""
+    (I - T_pi) V = R_pi over the policy's kernel rows."""
     policy = validate_policy(model, policy)
-    n = model.n_states
-    t_pi = np.empty((n, n))
-    r_pi = np.empty(n)
-    for a in ACTIONS:
-        rows = (policy == a.value).reshape(-1)
-        t_pi[rows] = model.operators[a][rows]
-        r_pi[rows] = model.reward_table(a).reshape(-1)[rows]
-    values = np.linalg.solve(np.eye(n) - t_pi, r_pi)
+    rows = _SYMBOLS[model.pair_action] == policy.reshape(-1)[model.pair_state]
+    t_pi, r_pi = model.kernel[rows], model.pair_reward[rows]
+    values = np.linalg.solve(np.eye(model.n_states) - t_pi, r_pi)
     return values.reshape(model.n_q, model.n_cog)
 
 

@@ -1,5 +1,5 @@
 """Tests for model assembly: admissibility, queue kernel, rewards and the
-discounted transition operators.
+discounted kernel over the admissible (state, action) pairs.
 
 The arrival table is checked bit for bit against a scalar per-row
 reference. The reward oracle sums the realized per-epoch reward over the
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import fidelityq
-from fidelityq.actions import ACTIONS, Action
+from fidelityq.actions import ACTIONS, TIE_ORDER, Action
 from fidelityq.cogchain import ChainRates, CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
@@ -309,21 +309,40 @@ def shipped(request):
         return request.param, builtin_config(request.param).build_model()
 
 
+def pair_row(model, q, cog, a):
+    """The kernel row of the pair (q, cog, a); there must be exactly one."""
+    s = q * model.n_cog + cog
+    (row,) = np.flatnonzero((model.pair_state == s) & (model.pair_action == ACTIONS.index(a)))
+    return row
+
+
 def assert_row_sums_equal_transform(model):
-    """Every operator row sums to E[gamma^tau] of its level's law."""
-    for a in ACTIONS:
-        sums = model.operators[a].sum(axis=1).reshape(model.n_q, model.n_cog)
-        tr = model.moment("transform", a)
+    """Every kernel row sums to E[gamma^tau] of its (level, action) law."""
+    sums = model.kernel.sum(axis=1)
+    for row, (s, i) in enumerate(zip(model.pair_state, model.pair_action)):
+        tr = model.moment("transform", ACTIONS[i])[s % model.n_cog]
+        assert sums[row] == pytest.approx(tr, abs=1e-12), (s, ACTIONS[i])
+
+
+def assert_one_row_per_admissible_pair(model):
+    """Rows are the admissible pairs, state-major and in TIE_ORDER within
+    a state; each state's segment starts at its first row."""
+    pairs, starts = [], []
+    for q in range(model.n_q):
         for cog in range(model.n_cog):
-            if np.isnan(tr[cog]):
-                assert np.all(sums[:, cog] == 0.0)
-            else:
-                assert sums[:, cog] == pytest.approx(np.full(model.n_q, tr[cog]), abs=1e-12)
+            starts.append(len(pairs))
+            allowed = admissible(q, cog, model.grid)
+            s = q * model.n_cog + cog
+            pairs += [(s, ACTIONS.index(a)) for a in TIE_ORDER if a in allowed]
+    assert list(zip(model.pair_state.tolist(), model.pair_action.tolist())) == pairs
+    assert model.segment_starts.tolist() == starts
+    assert model.kernel.shape == (len(pairs), model.n_states)
+    assert model.pair_reward.shape == (len(pairs),)
 
 
 def kernel_row(model, q, cog, a):
     """Discounted kernel row of (q, cog, a) summed from ``model.entries``,
-    independently of the operator assembly."""
+    independently of the kernel assembly."""
     gamma = model.params.discount
     row = np.zeros(model.n_states)
     for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
@@ -338,6 +357,33 @@ class TestOperators:
     def test_shipped_row_sums_equal_discount_transform(self, shipped):
         assert_row_sums_equal_transform(shipped[1])
 
+    def test_one_row_per_admissible_pair(self, model):
+        assert_one_row_per_admissible_pair(model)
+
+    def test_shipped_one_row_per_admissible_pair(self, shipped):
+        assert_one_row_per_admissible_pair(shipped[1])
+
+    def test_pair_rewards_are_the_reward_table(self, shipped):
+        model = shipped[1]
+        tables = {a: model.reward_table(a).reshape(-1) for a in ACTIONS}
+        for row, (s, i) in enumerate(zip(model.pair_state, model.pair_action)):
+            assert model.pair_reward[row] == tables[ACTIONS[i]][s]
+
+    def test_kernel_is_read_only_and_contiguous(self, model):
+        assert model.kernel.flags.c_contiguous
+        for table in (model.kernel, model.pair_reward, model.pair_state,
+                      model.pair_action, model.segment_starts):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_operators_gather_each_actions_rows(self, model):
+        ops = model.operators
+        assert list(ops) == list(ACTIONS)
+        assert sum(op.nbytes for op in ops.values()) == model.kernel.nbytes
+        for i, a in enumerate(ACTIONS):
+            assert np.array_equal(ops[a], model.kernel[model.pair_action == i])
+            assert ops[a].shape[1] == model.n_states
+
     def test_row_matches_kernel_entries(self, model):
         for q, cog, a in [
             (3, 3, Action.REST),
@@ -346,8 +392,7 @@ class TestOperators:
             (5, 0, Action.SKIP),
             (6, 2, Action.HIGH),
         ]:
-            s = q * model.n_cog + cog
-            assert model.operators[a][s] == pytest.approx(
+            assert model.kernel[pair_row(model, q, cog, a)] == pytest.approx(
                 kernel_row(model, q, cog, a), abs=1e-13
             )
 
@@ -363,8 +408,7 @@ class TestOperators:
         for q in qs:
             for cog in cogs:
                 for a in admissible(q, cog, model.grid):
-                    s = q * model.n_cog + cog
-                    assert model.operators[a][s] == pytest.approx(
+                    assert model.kernel[pair_row(model, q, cog, a)] == pytest.approx(
                         kernel_row(model, q, cog, a), abs=1e-13
                     ), (q, cog, a)
 

@@ -2,21 +2,20 @@
 expectimax.
 
 The backup oracle re-derives Q-values by summing the factored kernel
-triples directly, bypassing the dense operators; the finite-horizon runs
+triples directly, bypassing the pair kernel; the finite-horizon runs
 cross the recursive expectimax against repeated operator backups.
 """
 
 import numpy as np
 import pytest
 
-from fidelityq.actions import Action
+from fidelityq.actions import ACTIONS, Action
 from fidelityq.cogchain import ChainRates, CogGrid
 from fidelityq.errors import BudgetExceededError, PolicyMismatchError
 from fidelityq.model import ModelParams, admissible, build_model
 from fidelityq.solver import (
     HorizonSpec,
     ValuePolicyTable,
-    action_values,
     bellman_backup,
     finite_horizon_table,
     policy_evaluation,
@@ -55,6 +54,13 @@ def model():
 @pytest.fixture(scope="module")
 def solution(model):
     return value_iteration(model)
+
+
+def pair_row(model, q, cog, a):
+    """The kernel row of the pair (q, cog, a); there must be exactly one."""
+    s = q * model.n_cog + cog
+    (row,) = np.flatnonzero((model.pair_state == s) & (model.pair_action == ACTIONS.index(a)))
+    return row
 
 
 def backup_oracle(model, values):
@@ -106,19 +112,17 @@ class TestValueIteration:
         assert gap <= 10 * solution.epsilon
 
     def test_greedy_matches_value(self, model, solution):
-        av = action_values(model, solution.values)
+        flat = solution.values.reshape(-1)
         for q in range(model.n_q):
             for cog in range(model.n_cog):
-                a = Action(str(solution.policy[q, cog]))
-                assert av[a][q, cog] == pytest.approx(
+                row = pair_row(model, q, cog, Action(str(solution.policy[q, cog])))
+                q_value = model.pair_reward[row] + model.kernel[row] @ flat
+                assert q_value == pytest.approx(
                     solution.values[q, cog], abs=10 * solution.epsilon
                 )
 
     def test_value_bounded_by_reward_over_contraction(self, model, solution):
-        r_max = 0.0
-        for a, mask in model.admissible_mask.items():
-            table = model.reward_table(a)
-            r_max = max(r_max, np.nanmax(np.abs(table[mask])))
+        r_max = np.max(np.abs(model.pair_reward))
         bound = r_max / (1.0 - model.max_discount_transform)
         assert np.max(np.abs(solution.values)) <= bound
 
@@ -176,7 +180,8 @@ class TestPolicyEvaluation:
             for cog in range(model.n_cog):
                 s = q * model.n_cog + cog
                 a = Action(str(solution.policy[q, cog]))
-                rhs = model.immediate_reward(q, cog, a) + model.operators[a][s] @ flat
+                row = model.kernel[pair_row(model, q, cog, a)]
+                rhs = model.immediate_reward(q, cog, a) + row @ flat
                 assert flat[s] == pytest.approx(rhs, abs=1e-9)
 
     def test_matches_iterative_evaluation(self, model):
@@ -191,7 +196,7 @@ class TestPolicyEvaluation:
                 s = q * model.n_cog + cog
                 a = Action(str(policy[q, cog]))
                 r_pi[s] = model.immediate_reward(q, cog, a)
-                rows[s] = model.operators[a][s]
+                rows[s] = model.kernel[pair_row(model, q, cog, a)]
         v = np.zeros(model.n_states)
         for _ in range(600):
             v = r_pi + rows @ v
