@@ -55,9 +55,11 @@ def _write_csv(path, comments, header, rows):
 
 
 def _write_json(path, payload):
+    # a non-finite float raises ValueError (exit 1) before the file is
+    # opened, instead of writing a bare NaN or Infinity
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _outdir(args):

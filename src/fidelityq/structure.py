@@ -176,19 +176,20 @@ def slowest_service(model):
 
 @dataclass
 class ValueGapReport:
-    """Worst margins of the two-sided bound on V(q) - V(q + dq)."""
+    """Worst margins of the two-sided bound on V(q) - V(q + dq); both are
+    None when no pair was checked."""
 
     lower_bound_rate: float
     upper_bound_rate: float
-    worst_lower_margin: float
-    worst_upper_margin: float
+    worst_lower_margin: float | None
+    worst_upper_margin: float | None
     n_pairs: int
     failures: list = field(default_factory=list)
     assumption_violated: bool = False
     notes: list = field(default_factory=list)
 
     def passed(self, tol=1e-9):
-        return (
+        return self.n_pairs == 0 or (
             self.worst_lower_margin >= -tol and self.worst_upper_margin >= -tol
         )
 
@@ -246,8 +247,8 @@ def check_value_gap_bounds(
     report = ValueGapReport(
         lower_bound_rate=lower_rate,
         upper_bound_rate=upper_rate,
-        worst_lower_margin=float(worst_lower),
-        worst_upper_margin=float(worst_upper),
+        worst_lower_margin=float(worst_lower) if n_pairs else None,
+        worst_upper_margin=float(worst_upper) if n_pairs else None,
         n_pairs=n_pairs,
         failures=failures,
     )

@@ -126,6 +126,32 @@ class TestCheck:
         assert lines[2].startswith("cog_index,")
         assert len(lines) == 3 + 3  # two comments, header, one row per level
 
+    def test_no_value_gap_pairs_writes_null_margins(self, tmp_path):
+        # at capacity 2 the checked queue range is [1], so no value-gap pair
+        # exists; the worst margins are null, never a bare Infinity
+        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
+        cfg_file = tmp_path / "short.yaml"
+        cfg_file.write_text(tiny.replace("capacity: 3", "capacity: 2"))
+        out = tmp_path / "out"
+        assert run("check", "--config", str(cfg_file), "--out", str(out),
+                   "--episodes", "200") == 0
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        payload = json.loads((out / "structure.json").read_text(), parse_constant=reject)
+        gap = payload["value_gap"]
+        assert gap["n_pairs"] == 0
+        assert gap["worst_lower_margin"] is None
+        assert gap["worst_upper_margin"] is None
+        assert gap["passed"] is True
+
+    def test_non_finite_json_value_is_an_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(path, {"margin": float("inf")})
+        assert not path.exists()
+
     def test_violated_guarantee_exits_2(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise GuaranteeViolationError("forced for the test")
