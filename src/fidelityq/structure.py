@@ -257,8 +257,8 @@ def check_value_gap_bounds(
     if empty_queue_fraction is not None and empty_queue_fraction > BUSY_EMPTY_FRACTION:
         report.assumption_violated = True
         report.notes.append(
-            f"queue was empty {empty_queue_fraction:.2%} of the time; the "
-            "busy-regime bounds are not guaranteed here"
+            f"queue was empty in more than {BUSY_EMPTY_FRACTION:.0%} of epoch starts "
+            "(see empty_queue_fraction); the busy-regime bounds are not guaranteed here"
         )
     return report
 

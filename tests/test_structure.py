@@ -229,6 +229,19 @@ class TestValueGapBounds:
             )
             assert not quiet.assumption_violated, busy
 
+    def test_busy_note_names_the_threshold_not_the_fraction(
+        self, model, bound_report, ceiling
+    ):
+        values = np.zeros((model.n_q, model.n_cog))
+        notes = [
+            check_value_gap_bounds(
+                model, values, bound_report.rho, ceiling, empty_queue_fraction=empty
+            ).notes
+            for empty in (0.0449, 0.3)
+        ]
+        assert notes[0] == notes[1]
+        assert any("more than 1%" in n for n in notes[0])
+
 
 def margin_oracle(model, rho, cog):
     """Spreadsheet-style recomputation from the moment tables."""
