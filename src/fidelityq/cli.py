@@ -136,21 +136,33 @@ def write_policy_csv(path, policy, comments):
 
 def read_policy_csv(path, model):
     """Reload a policy table written by ``solve``; validates coverage."""
-    policy = np.full((model.n_q, model.n_cog), "", dtype="<U1")
+    policy = np.full((model.n_q, model.n_cog), None, dtype=object)
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("q,"):
                 continue
-            q, cog, action = line.split(",")
-            q, cog = int(q), int(cog)
+            try:
+                q, cog, action = line.split(",")
+                q, cog = int(q), int(cog)
+            except ValueError:
+                raise PolicyMismatchError(
+                    f"{path}, line {lineno}: expected q,cog,action with integer "
+                    f"q and cog, got {line!r}"
+                ) from None
             if not (0 <= q < model.n_q and 0 <= cog < model.n_cog):
                 raise PolicyMismatchError(
                     f"policy row ({q},{cog}) lies outside the "
                     f"{model.n_q}x{model.n_cog} state space"
                 )
             policy[q, cog] = action
-    return validate_policy(model, policy)
+    missing = np.argwhere(np.equal(policy, None))
+    if missing.size:
+        q, cog = missing[0]
+        raise PolicyMismatchError(f"policy file has no row for state ({q},{cog})")
+    policy = policy.astype(str)
+    validate_policy(model, policy)
+    return policy
 
 
 def cmd_solve(args):

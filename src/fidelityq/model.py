@@ -49,17 +49,22 @@ class ModelParams:
             raise ValueError("rest cap factor must be at least 1")
 
 
-def admissible(q, cog_index, grid):
-    """Admissible actions in state (q, cog).
-
-    An empty queue forces WAIT; otherwise REST joins the queue actions only
-    strictly above the resting level.
-    """
-    if q == 0:
-        return (Action.WAIT,)
+def queue_actions(cog_index, grid):
+    """The one admissibility rule: a nonempty queue at level ``cog_index``
+    may rest only strictly above the resting level. Actions come in
+    ``TIE_ORDER``, the sojourn order skip < rest < normal < high; a
+    threshold policy deploys them in reverse as the queue grows."""
     if cog_index > grid.star_index:
         return (Action.SKIP, Action.REST, Action.NORMAL, Action.HIGH)
     return (Action.SKIP, Action.NORMAL, Action.HIGH)
+
+
+def admissible(q, cog_index, grid):
+    """Admissible actions in state (q, cog), in ``TIE_ORDER``: an empty
+    queue forces WAIT, otherwise the level's ``queue_actions``."""
+    if q == 0:
+        return (Action.WAIT,)
+    return queue_actions(cog_index, grid)
 
 
 def arrival_table(rate, taus, capacity):
@@ -140,14 +145,15 @@ class SmdpModel:
         rest_step = self.steps[Action.REST]
         table = {}
         for cog in range(self.n_cog):
-            table[(cog, Action.SKIP)] = skip_pmf(params.skip_wait)
             table[(cog, Action.WAIT)] = wait_pmf(params.skip_wait)
-            for a in (Action.NORMAL, Action.HIGH):
-                table[(cog, a)] = service_pmf(params.service, grid, cog, a)
-            if cog > grid.star_index:
-                table[(cog, Action.REST)] = rest_pmf(
-                    rest_step, grid, cog, cap_factor=params.rest_cap_factor
-                )
+            for a in queue_actions(cog, grid):
+                if a is Action.SKIP:
+                    pmf = skip_pmf(params.skip_wait)
+                elif a is Action.REST:
+                    pmf = rest_pmf(rest_step, grid, cog, cap_factor=params.rest_cap_factor)
+                else:
+                    pmf = service_pmf(params.service, grid, cog, a)
+                table[(cog, a)] = pmf
         return table
 
     def _build_moment_tables(self):
@@ -163,11 +169,7 @@ class SmdpModel:
     def _build_powers(self):
         powers = {}
         for a in (Action.WAIT, Action.NORMAL, Action.HIGH):
-            t_max = 0
-            for cog in range(self.n_cog):
-                pmf = self._sojourns.get((cog, a))
-                if pmf is not None:
-                    t_max = max(t_max, int(pmf.times[-1]))
+            t_max = max(int(self._sojourns[(cog, a)].times[-1]) for cog in range(self.n_cog))
             powers[a] = step_powers(self.steps[a], t_max)
             powers[a].setflags(write=False)
         return powers
@@ -198,7 +200,7 @@ class SmdpModel:
         pairs = [
             (s, ACTIONS.index(a))
             for s in range(self.n_states)
-            for a in sorted(admissible(*divmod(s, self.n_cog), self.grid), key=TIE_ORDER.index)
+            for a in admissible(*divmod(s, self.n_cog), self.grid)
         ]
         states, actions = np.array(pairs).T.copy()
         return states, actions, np.searchsorted(states, np.arange(self.n_states))
@@ -341,13 +343,7 @@ class SmdpModel:
     def max_discount_transform(self):
         """sup over states and actions of E[gamma^tau]; the solver's
         contraction modulus."""
-        best = 0.0
-        for a in ACTIONS:
-            tr = self._moments["transform"][a]
-            finite = tr[np.isfinite(tr)]
-            if finite.size:
-                best = max(best, float(finite.max()))
-        return best
+        return float(np.nanmax([self._moments["transform"][a] for a in TIE_ORDER]))
 
     # -- validation reports ----------------------------------------------
 
@@ -358,10 +354,7 @@ class SmdpModel:
         for name in ("mu1", "mu2"):
             tab = self._moments[name]
             for cog in range(self.n_cog):
-                chain = [Action.SKIP]
-                if cog > self.grid.star_index:
-                    chain.append(Action.REST)
-                chain += [Action.NORMAL, Action.HIGH]
+                chain = queue_actions(cog, self.grid)
                 for lo, hi in zip(chain, chain[1:]):
                     a, b = tab[lo][cog], tab[hi][cog]
                     if not a < b:

@@ -102,12 +102,10 @@ class PolicySampler:
 
     def __init__(self, model, policy):
         self.model = model
-        self.policy = validate_policy(model, policy)
         # per flat state q * n_cog + cog: the action's index, its law, its
         # service reward and its queue decrement
-        self._codes = np.empty(model.n_states, dtype=np.intp)
-        for idx, a in enumerate(ACTIONS):
-            self._codes[self.policy.ravel() == a.value] = idx
+        self._codes = model.pair_action[validate_policy(model, policy)]
+        self.policy = np.asarray(policy)
         levels = np.tile(np.arange(model.n_cog), model.n_q)
         self._segments = model.epoch_law.segment[levels, self._codes]
         self._reward = np.array([model.service_reward[a] for a in ACTIONS])[self._codes]

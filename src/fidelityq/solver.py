@@ -93,28 +93,29 @@ def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEP
 
 
 def validate_policy(model, policy):
-    """Check a symbol table covers the state space with admissible actions."""
-    policy = np.asarray(policy)
-    if policy.shape != (model.n_q, model.n_cog):
+    """Kernel row of each state's action under a symbol table, in flat
+    state order; the first state (row-major) with no such row raises, on an
+    unknown symbol as ``from_symbol`` does."""
+    symbols = np.asarray(policy).astype(str)
+    if symbols.shape != (model.n_q, model.n_cog):
         raise PolicyMismatchError(
-            f"policy shape {policy.shape} does not match the "
+            f"policy shape {symbols.shape} does not match the "
             f"{model.n_q}x{model.n_cog} state space"
         )
-    for q in range(model.n_q):
-        for cog in range(model.n_cog):
-            a = from_symbol(str(policy[q, cog]))
-            if a not in admissible(q, cog, model.grid):
-                raise PolicyMismatchError(
-                    f"policy action {a} inadmissible in state ({q},{cog})"
-                )
-    return policy
+    match = _SYMBOLS[model.pair_action] == symbols.reshape(-1)[model.pair_state]
+    rows = np.full(model.n_states, -1)
+    rows[model.pair_state[match]] = np.flatnonzero(match)
+    if np.any(rows < 0):
+        q, cog = divmod(int(np.argmax(rows < 0)), model.n_cog)
+        a = from_symbol(str(symbols[q, cog]))
+        raise PolicyMismatchError(f"policy action {a} inadmissible in state ({q},{cog})")
+    return rows
 
 
 def policy_evaluation(model, policy):
     """Exact value of a stationary policy via the linear fixed point
     (I - T_pi) V = R_pi over the policy's kernel rows."""
-    policy = validate_policy(model, policy)
-    rows = _SYMBOLS[model.pair_action] == policy.reshape(-1)[model.pair_state]
+    rows = validate_policy(model, policy)
     t_pi, r_pi = model.kernel[rows], model.pair_reward[rows]
     values = np.linalg.solve(np.eye(model.n_states) - t_pi, r_pi)
     return values.reshape(model.n_q, model.n_cog)

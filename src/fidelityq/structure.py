@@ -15,20 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import ACTIONS, Action
+from .actions import ACTIONS, TIE_ORDER, Action
 from .errors import ConfigError, GuaranteeViolationError
-from .model import admissible
+from .model import queue_actions
 
 A3_TOL = 1e-12
+# a value-gap pair fails when either margin falls below -VALUE_GAP_TOL
+VALUE_GAP_TOL = 1e-9
 DEFAULT_BUFFER_FRACTION = 0.2
 # the structural results assume the queue (almost) never empties: a run
 # counts as busy while at most this fraction of its epochs start empty
 BUSY_EMPTY_FRACTION = 0.01
-
-# actions competing for the queue, ordered by how a threshold policy
-# deploys them as the queue grows
-QUEUE_ORDER_HIGH = (Action.HIGH, Action.NORMAL, Action.REST, Action.SKIP)
-QUEUE_ORDER_LOW = (Action.HIGH, Action.NORMAL, Action.SKIP)
 
 
 def gamma_mgf_bound(mean, variance, discount):
@@ -87,13 +84,12 @@ def light_tail_laws(model, actions=ACTIONS):
     """Yield ``(pmf, entry)`` for every sojourn law, cognitive level first
     and ``actions`` in the given order. ``entry`` compares the exact
     discount transform with its Gamma-MGF bound; its ``light_tail_ok``
-    holds while the transform stays within ``A3_TOL`` of the bound. Rest
-    is skipped at and below the resting level, where it is inadmissible."""
+    holds while the transform stays within ``A3_TOL`` of the bound. A
+    level has laws for WAIT and its ``queue_actions`` only."""
     gamma = model.params.discount
     for cog in range(model.n_cog):
-        for a in actions:
-            if a is Action.REST and cog <= model.grid.star_index:
-                continue
+        has = (Action.WAIT, *queue_actions(cog, model.grid))
+        for a in [a for a in actions if a in has]:
             pmf = model.sojourn(cog, a)
             bound = gamma_mgf_bound(pmf.mean, pmf.variance, gamma)
             transform = pmf.discount_transform(gamma)
@@ -116,8 +112,8 @@ def compute_rho(model):
     where the queue never empties. Entries whose exact transform exceeds
     the bound are collected as violations (reported, never raised).
     """
-    queue_actions = (Action.SKIP, Action.REST, Action.NORMAL, Action.HIGH)
-    entries = [entry for _, entry in light_tail_laws(model, queue_actions)]
+    queue = [a for a in TIE_ORDER if a is not Action.WAIT]
+    entries = [entry for _, entry in light_tail_laws(model, queue)]
     rho = max(entry["bound"] for entry in entries)
     if rho >= 1.0:
         raise ConfigError(f"contraction factor {rho} is not below one")
@@ -142,18 +138,13 @@ class SlowestService:
 
 
 def slowest_service(model):
-    """Locate the largest mean sojourn over all states and actions."""
+    """Locate the largest mean sojourn over all states and actions; on
+    ties the first in ``TIE_ORDER``, then the lowest level, wins."""
     configured = float(model.moment("mu1", Action.HIGH)[model.n_cog - 1])
-    true_max = -np.inf
-    argmax = (model.n_cog - 1, str(Action.HIGH))
-    for a in (Action.SKIP, Action.REST, Action.NORMAL, Action.HIGH, Action.WAIT):
-        mu1 = model.moment("mu1", a)
-        for cog in range(model.n_cog):
-            if np.isnan(mu1[cog]):
-                continue
-            if mu1[cog] > true_max:
-                true_max = float(mu1[cog])
-                argmax = (cog, str(a))
+    mu1 = np.stack([model.moment("mu1", a) for a in TIE_ORDER])
+    a, cog = np.unravel_index(np.nanargmax(mu1), mu1.shape)
+    true_max = float(mu1[a, cog])
+    argmax = (int(cog), str(TIE_ORDER[a]))
     substituted = true_max > configured + 1e-12
     note = None
     if substituted:
@@ -188,9 +179,10 @@ class ValueGapReport:
     assumption_violated: bool = False
     notes: list = field(default_factory=list)
 
-    def passed(self, tol=1e-9):
+    def passed(self):
         return self.n_pairs == 0 or (
-            self.worst_lower_margin >= -tol and self.worst_upper_margin >= -tol
+            self.worst_lower_margin >= -VALUE_GAP_TOL
+            and self.worst_upper_margin >= -VALUE_GAP_TOL
         )
 
 
@@ -233,7 +225,7 @@ def check_value_gap_bounds(
                 worst_lower = min(worst_lower, lower_margin)
                 worst_upper = min(worst_upper, upper_margin)
                 n_pairs += 1
-                if lower_margin < -1e-9 or upper_margin < -1e-9:
+                if lower_margin < -VALUE_GAP_TOL or upper_margin < -VALUE_GAP_TOL:
                     failures.append(
                         {
                             "cog_index": cog,
@@ -316,32 +308,25 @@ def dominance_margins(model, bound_report=None):
 
     rows = []
     for cog in range(model.n_cog):
-        high = cog > model.grid.star_index
-        bonus = t_s * gamma ** mu1[Action.HIGH][cog] / (1.0 - gamma**t_max)
-        gap_hn = mu1[Action.HIGH][cog] - mu1[Action.NORMAL][cog]
-        margin_hn = gap_hn + bonus - pressure * tr[Action.NORMAL][cog]
-        if high:
-            gap_nr = mu1[Action.NORMAL][cog] - mu1[Action.REST][cog]
-            margin_nr = gap_nr + bonus - pressure * tr[Action.REST][cog]
-            gap_skip = mu1[Action.REST][cog] - t_s
-        else:
-            gap_nr = None
-            margin_nr = None
-            gap_skip = mu1[Action.NORMAL][cog] - t_s
-        margin_skip = gap_skip + bonus - gamma**t_s * pressure
-        order = QUEUE_ORDER_HIGH if high else QUEUE_ORDER_LOW
-        gaps = [gap_hn, gap_skip] if not high else [gap_hn, gap_nr, gap_skip]
-        max_transform = max(tr[a][cog] for a in order)
-        combined = min(gaps) + bonus - pressure * max_transform
+        chain = queue_actions(cog, model.grid)
+        # skipping takes exactly t_s; every other action its level's law
+        mean = {**{a: mu1[a][cog] for a in chain}, Action.SKIP: t_s}
+        exact = {**{a: tr[a][cog] for a in chain}, Action.SKIP: gamma**t_s}
+        bonus = t_s * gamma ** mean[Action.HIGH] / (1.0 - gamma**t_max)
+        # one switch per neighbouring pair of the chain, keyed by its faster action
+        gap = {lo: mean[hi] - mean[lo] for lo, hi in zip(chain, chain[1:])}
+        margin = {lo: gap[lo] + bonus - pressure * exact[lo] for lo in gap}
+        combined = min(gap.values()) + bonus - pressure * max(tr[a][cog] for a in chain)
+        rest = Action.REST in chain
         rows.append(
             {
                 "cog_index": cog,
                 "level": model.grid.level(cog),
-                "rest_admissible": high,
+                "rest_admissible": rest,
                 "bonus": float(bonus),
-                "high_to_normal_margin": float(margin_hn),
-                "normal_to_rest_margin": None if margin_nr is None else float(margin_nr),
-                "to_skip_margin": float(margin_skip),
+                "high_to_normal_margin": float(margin[Action.NORMAL]),
+                "normal_to_rest_margin": float(margin[Action.REST]) if rest else None,
+                "to_skip_margin": float(margin[Action.SKIP]),
                 "combined_margin": float(combined),
             }
         )
@@ -371,18 +356,21 @@ class ThresholdRow:
     violations: list = field(default_factory=list)
 
 
-def extract_thresholds(policy_row, cog_index, star_index, q_range):
+def extract_thresholds(policy_row, cog_index, grid, q_range):
     """Scan one policy row along increasing queue length.
 
     Parameters
     ----------
     policy_row : sequence of one-letter action symbols indexed by q
-    cog_index, star_index : int
+    cog_index : int
+    grid : CogGrid
+        The level's ``queue_actions`` on this grid, reversed, are the order
+        a threshold policy deploys them in as the queue grows.
     q_range : iterable of int
         Queue lengths to scan (ascending).
     """
-    high = cog_index > star_index
-    order = QUEUE_ORDER_HIGH if high else QUEUE_ORDER_LOW
+    order = queue_actions(cog_index, grid)[::-1]
+    high = Action.REST in order
     rank = {a.value: i for i, a in enumerate(order)}
 
     qs = list(q_range)
@@ -458,7 +446,7 @@ def threshold_report(model, policy, margins, buffer_fraction=DEFAULT_BUFFER_FRAC
     never raises on a violated guarantee."""
     q_range = checked_queue_range(model.n_q, buffer_fraction)
     rows = [
-        extract_thresholds(policy[:, cog], cog, model.grid.star_index, q_range)
+        extract_thresholds(policy[:, cog], cog, model.grid, q_range)
         for cog in range(model.n_cog)
     ]
     guaranteed = [margins.combined_margin(cog) >= 0.0 for cog in range(model.n_cog)]

@@ -1,0 +1,122 @@
+"""Every layer takes a level's actions, and their order, from the one rule
+in ``model.admissible``: the sojourn laws, the light-tail table, the
+epoch law, the pair kernel, the dominance margins and the threshold rows
+all agree with it on the shipped configurations and on grids whose
+resting level sits just above the bottom and at the top."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from fidelityq.actions import ACTIONS, Action
+from fidelityq.cogchain import ChainRates, CogGrid
+from fidelityq.config import builtin_config
+from fidelityq.errors import InadmissibleRestError
+from fidelityq.model import ModelParams, admissible, build_model
+from fidelityq.solver import validate_policy, value_iteration
+from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
+from fidelityq.structure import (
+    compute_rho,
+    dominance_margins,
+    light_tail_laws,
+    threshold_report,
+)
+
+SHIPPED = ("tiny", "default", "high_lambda", "skip_cheap", "large_gap")
+GRIDS = {
+    "rest-above-level-1": CogGrid(n_intervals=4, star_index=1),
+    "rest-at-top-only": CogGrid(n_intervals=5, star_index=4),
+}
+
+
+def grid_params(grid):
+    return ModelParams(
+        queue_capacity=7,
+        grid=grid,
+        rates=ChainRates.default(step_scale=0.8),
+        service=ServiceFamily(
+            base_mean={Action.NORMAL: 4.2, Action.HIGH: 6.0},
+            curvature={Action.NORMAL: 5.0, Action.HIGH: 7.0},
+            dispersion=12.0,
+            support=30,
+        ),
+        skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.4),
+        holding_cost=0.05,
+        reward_normal=1.0,
+        reward_high=2.0,
+        discount=0.9,
+    )
+
+
+@pytest.fixture(scope="module", params=SHIPPED + tuple(GRIDS))
+def model(request):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if request.param in GRIDS:
+            return build_model(grid_params(GRIDS[request.param]))
+        return builtin_config(request.param).build_model()
+
+
+def rule(model):
+    """(cog, action) for every action some state of the level admits."""
+    return {
+        (cog, a)
+        for q in range(model.n_q)
+        for cog in range(model.n_cog)
+        for a in admissible(q, cog, model.grid)
+    }
+
+
+def test_grids_put_the_resting_level_where_named():
+    assert GRIDS["rest-above-level-1"].star_index == 1
+    top = GRIDS["rest-at-top-only"]
+    assert top.star_index == top.n_intervals - 1
+
+
+def test_sojourn_laws_exist_exactly_off_the_rule(model):
+    allowed = rule(model)
+    for cog in range(model.n_cog):
+        for a in ACTIONS:
+            if (cog, a) in allowed:
+                assert model.sojourn(cog, a).mean > 0
+            else:
+                with pytest.raises(InadmissibleRestError):
+                    model.sojourn(cog, a)
+
+
+def test_light_tail_laws_cover_the_rule(model):
+    pairs = [(e["cog_index"], Action(e["action"])) for _, e in light_tail_laws(model)]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == rule(model)
+    # the contraction table lists each level's queue actions in tie order
+    entries = [(e["cog_index"], e["action"]) for e in compute_rho(model).entries]
+    assert entries == [
+        (cog, str(a)) for cog in range(model.n_cog) for a in admissible(1, cog, model.grid)
+    ]
+
+
+def test_epoch_law_has_a_segment_exactly_off_the_rule(model):
+    cells = np.argwhere(model.epoch_law.segment >= 0)
+    assert {(int(cog), ACTIONS[i]) for cog, i in cells} == rule(model)
+
+
+def test_kernel_pairs_are_each_states_admissible_actions(model):
+    ends = list(model.segment_starts[1:]) + [len(model.pair_state)]
+    for s, (lo, hi) in enumerate(zip(model.segment_starts, ends)):
+        q, cog = divmod(s, model.n_cog)
+        assert list(model.pair_state[lo:hi]) == [s] * (hi - lo)
+        got = tuple(ACTIONS[i] for i in model.pair_action[lo:hi])
+        assert got == admissible(q, cog, model.grid)
+
+
+def test_margins_and_thresholds_see_rest_exactly_off_the_rule(model):
+    margins = dominance_margins(model)
+    solution = value_iteration(model)
+    validate_policy(model, solution.policy)
+    thresholds = threshold_report(model, solution.policy, margins)
+    for cog in range(model.n_cog):
+        rests = Action.REST in admissible(1, cog, model.grid)
+        assert margins.per_cog[cog]["rest_admissible"] is rests
+        assert (margins.per_cog[cog]["normal_to_rest_margin"] is None) is not rests
+        assert (thresholds.rows[cog].q3 is None) is not rests

@@ -4,7 +4,8 @@
 ``bench/gate.py`` and, in a traced run, sizes the model through
 ``bench/counts.py``. Both are imported here unchanged, so renaming or
 deleting a name they read (``model.operators``, ``solver.policy_evaluation``,
-the structure checks) fails this suite, not only a traced benchmark run.
+the structure checks, the Monte-Carlo estimate and its epoch count) fails
+this suite, not only a traced benchmark run.
 """
 
 import os
@@ -18,9 +19,9 @@ sys.path.insert(0, BENCH)
 
 import counts  # noqa: E402
 import gate  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, mc_start  # noqa: E402
 
-from fidelityq import solver  # noqa: E402
+from fidelityq import simulate, solver  # noqa: E402
 from fidelityq.config import resolve_config  # noqa: E402
 
 
@@ -50,3 +51,28 @@ def test_counts_size_the_pair_kernel(solved):
     got = counts.model_counts(model)
     assert got["model.operator_bytes"] == model.kernel.nbytes
     assert got["solver.backup_bytes"] == got["model.operator_bytes"] + 5 * model.n_states * 8
+
+
+def test_monte_carlo_estimate_passes_the_gate(solved, monkeypatch):
+    _, cfg, model, result = solved
+    simulated = []
+    run_batch = simulate.PolicySampler.run_batch
+
+    def counted(self, start, episodes, horizon_epochs, rng):
+        simulated.append(episodes * horizon_epochs)
+        return run_batch(self, start, episodes, horizon_epochs, rng)
+
+    monkeypatch.setattr(simulate.PolicySampler, "run_batch", counted)
+    start = mc_start(cfg, model)
+    estimate = simulate.monte_carlo_value(model, result.policy, start, 200, 1)
+    solve_bound = gate.error_bound(model, result)
+    assert gate.check_estimate(estimate, float(result.values[start]), solve_bound) == []
+    pilot_horizon = simulate.plan_horizon(
+        model, 0.01 * max(simulate.reward_ceiling(model), 1e-12)
+    )
+    steps = counts.epoch_steps(model, estimate)
+    assert steps == (
+        simulate.DEFAULT_PILOT_EPISODES * pilot_horizon + 200 * estimate.horizon_epochs
+    )
+    # the pilot batch and the main batch, as simulated
+    assert steps == sum(simulated)

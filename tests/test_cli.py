@@ -204,6 +204,33 @@ class TestSimulate:
         with pytest.raises(PolicyMismatchError, match="outside"):
             cli.read_policy_csv(negative, builtin_config("tiny").build_model())
 
+    def test_policy_file_missing_a_row_names_the_state(self, solved_dir, tmp_path, capsys):
+        lines = (solved_dir / "policy.csv").read_text().splitlines()
+        holed = tmp_path / "holed.csv"
+        holed.write_text("\n".join(ln for ln in lines if not ln.startswith("3,2,")) + "\n")
+        assert run("simulate", "--config", "tiny", "--out", str(tmp_path / "a"),
+                   "--policy", str(holed)) == 1
+        assert "policy file has no row for state (3,2)" in capsys.readouterr().err
+
+    def test_malformed_policy_line_names_its_line(self, solved_dir, tmp_path, capsys):
+        lines = (solved_dir / "policy.csv").read_text().splitlines()
+        model = builtin_config("tiny").build_model()
+        for bad in ("1,2", "1,x,S", "1,2,S,S"):
+            broken = tmp_path / "broken.csv"
+            broken.write_text("\n".join(lines[:3] + [bad] + lines[3:]) + "\n")
+            assert run("simulate", "--config", "tiny", "--out", str(tmp_path / "a"),
+                       "--policy", str(broken)) == 1
+            err = capsys.readouterr().err
+            assert f"line 4: expected q,cog,action with integer q and cog, got '{bad}'" in err
+            with pytest.raises(PolicyMismatchError, match="line 4"):
+                cli.read_policy_csv(broken, model)
+        # a longer symbol is read whole, not cut to its first letter
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join("3,2,SS" if ln.startswith("3,2,") else ln
+                                     for ln in lines) + "\n")
+        with pytest.raises(ValueError, match="unknown action symbol 'SS'"):
+            cli.read_policy_csv(doubled, model)
+
     def test_configured_bias_ratio_lengthens_horizon(self, tmp_path):
         # simulation.bias_ratio reaches the estimator: a tighter
         # truncation-bias target needs a longer horizon

@@ -210,16 +210,36 @@ class TestPolicyEvaluation:
         assert np.max(solution.values - v_pi) > 1e-3
 
     def test_rejects_bad_policies(self, model):
-        with pytest.raises(PolicyMismatchError):
+        with pytest.raises(PolicyMismatchError, match=r"policy shape \(2, 2\) does not match"):
             validate_policy(model, np.full((2, 2), "S"))
         bad = np.full((model.n_q, model.n_cog), "S", dtype="<U1")
         bad[0] = "W"
         bad[3, 0] = "R"  # rest below the resting level
-        with pytest.raises(PolicyMismatchError):
+        with pytest.raises(
+            PolicyMismatchError, match=r"^policy action R inadmissible in state \(3,0\)$"
+        ):
             validate_policy(model, bad)
         lazy = np.full((model.n_q, model.n_cog), "W", dtype="<U1")
-        with pytest.raises(PolicyMismatchError):
+        with pytest.raises(
+            PolicyMismatchError, match=r"^policy action W inadmissible in state \(1,0\)$"
+        ):
             validate_policy(model, lazy)
+        # the first bad state in row-major order decides the error
+        bad[2, 1] = "X"
+        with pytest.raises(ValueError, match=r"^unknown action symbol 'X'$") as caught:
+            validate_policy(model, bad)
+        assert not isinstance(caught.value, PolicyMismatchError)
+        bad[2, 1] = "S"
+        bad[4, 1] = "X"
+        with pytest.raises(PolicyMismatchError, match=r"state \(3,0\)"):
+            validate_policy(model, bad)
+
+    def test_returns_each_states_kernel_row(self, model, solution):
+        rows = validate_policy(model, solution.policy)
+        assert rows.shape == (model.n_states,)
+        assert np.array_equal(model.pair_state[rows], np.arange(model.n_states))
+        symbols = np.array([a.value for a in ACTIONS])[model.pair_action[rows]]
+        assert np.array_equal(symbols, solution.policy.reshape(-1))
 
 
 class TestFiniteHorizon:

@@ -335,7 +335,8 @@ class TestDominanceMargins:
             assert row["combined_margin"] <= min(pairwise) + 1e-12
 
 
-HIGH = 4  # cog index above the resting level in the 5-level test grid
+GRID = CogGrid(n_intervals=4, star_index=2)  # 5 levels, resting at 2
+HIGH = 4  # cog index above the resting level
 LOW = 1
 
 
@@ -347,32 +348,32 @@ def row_from(symbols):
 class TestExtractThresholds:
     def test_canonical_high_level_row(self):
         row = row_from("HHNNRSS")
-        out = extract_thresholds(row, HIGH, star_index=2, q_range=range(1, 8))
+        out = extract_thresholds(row, HIGH, GRID, q_range=range(1, 8))
         assert (out.q1, out.q2, out.q3) == (2, 4, 5)
         assert out.is_threshold
         assert out.violations == []
 
     def test_skip_reappearance_flagged(self):
         row = row_from("HSNNS")
-        out = extract_thresholds(row, HIGH, star_index=2, q_range=range(1, 6))
+        out = extract_thresholds(row, HIGH, GRID, q_range=range(1, 6))
         assert not out.is_threshold
         assert any("S reappears" in v for v in out.violations)
 
     def test_order_break_without_reappearance(self):
         row = row_from("NHS")
-        out = extract_thresholds(row, HIGH, star_index=2, q_range=range(1, 4))
+        out = extract_thresholds(row, HIGH, GRID, q_range=range(1, 4))
         assert not out.is_threshold
         assert any("H shows up after N" in v for v in out.violations)
 
     def test_all_skip_row_has_zero_thresholds(self):
         row = row_from("SSSSS")
-        out = extract_thresholds(row, HIGH, star_index=2, q_range=range(1, 6))
+        out = extract_thresholds(row, HIGH, GRID, q_range=range(1, 6))
         assert (out.q1, out.q2, out.q3) == (0, 0, 0)
         assert out.is_threshold
 
     def test_unbroken_prefix_censors_later_switches(self):
         row = row_from("HHHHH")
-        out = extract_thresholds(row, HIGH, star_index=2, q_range=range(1, 6))
+        out = extract_thresholds(row, HIGH, GRID, q_range=range(1, 6))
         assert out.is_threshold
         assert out.q1 == math.inf
         assert out.q2 == math.inf
@@ -380,7 +381,7 @@ class TestExtractThresholds:
 
     def test_missing_tail_censors_only_the_unseen(self):
         row = row_from("HHNN")
-        out = extract_thresholds(row, HIGH, star_index=2, q_range=range(1, 5))
+        out = extract_thresholds(row, HIGH, GRID, q_range=range(1, 5))
         assert out.is_threshold
         assert out.q1 == 2
         assert out.q2 == math.inf
@@ -388,20 +389,20 @@ class TestExtractThresholds:
 
     def test_low_level_row_has_no_rest_threshold(self):
         row = row_from("HNNS")
-        out = extract_thresholds(row, LOW, star_index=2, q_range=range(1, 5))
+        out = extract_thresholds(row, LOW, GRID, q_range=range(1, 5))
         assert out.is_threshold
         assert (out.q1, out.q2) == (1, 3)
         assert out.q3 is None
 
     def test_rest_on_low_level_is_a_violation(self):
         row = row_from("HNRS")
-        out = extract_thresholds(row, LOW, star_index=2, q_range=range(1, 5))
+        out = extract_thresholds(row, LOW, GRID, q_range=range(1, 5))
         assert not out.is_threshold
         assert any("R" in v for v in out.violations)
 
     def test_empty_middle_block(self):
         row = row_from("HHRS")
-        out = extract_thresholds(row, HIGH, star_index=2, q_range=range(1, 5))
+        out = extract_thresholds(row, HIGH, GRID, q_range=range(1, 5))
         assert out.is_threshold
         assert (out.q1, out.q2, out.q3) == (2, 2, 3)
 
