@@ -115,7 +115,7 @@ def _threshold_cells(report):
             float(report.margins.combined_margin(row.cog_index)),
             "; ".join(row.violations),
         )
-        for row, guaranteed in zip(thresholds.rows, thresholds.guaranteed)
+        for row, guaranteed in zip(thresholds.rows, report.margins.guaranteed)
     ]
 
 
@@ -154,6 +154,10 @@ def read_policy_csv(path, model):
                 raise PolicyMismatchError(
                     f"policy row ({q},{cog}) lies outside the "
                     f"{model.n_q}x{model.n_cog} state space"
+                )
+            if policy[q, cog] is not None:
+                raise PolicyMismatchError(
+                    f"{path}, line {lineno}: second row for state ({q},{cog})"
                 )
             policy[q, cog] = action
     missing = np.argwhere(np.equal(policy, None))

@@ -66,27 +66,18 @@ def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEP
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     values = np.zeros((model.n_q, model.n_cog))
     history = []
-    for sweep in range(1, max_sweeps + 1):
+    for _ in range(max_sweeps):
         new_values, policy = bellman_backup(model, values)
-        residual = float(np.max(np.abs(new_values - values)))
-        history.append(residual)
+        history.append(float(np.max(np.abs(new_values - values))))
         values = new_values
-        if residual <= epsilon:
-            return ValuePolicyTable(
-                values=values,
-                policy=policy,
-                residual=residual,
-                sweeps=sweep,
-                converged=True,
-                epsilon=epsilon,
-                residual_history=history,
-            )
+        if history[-1] <= epsilon:
+            break
     return ValuePolicyTable(
         values=values,
         policy=policy,
         residual=history[-1],
         sweeps=len(history),
-        converged=False,
+        converged=bool(history[-1] <= epsilon),
         epsilon=epsilon,
         residual_history=history,
     )

@@ -10,6 +10,7 @@ threshold extraction from the optimal policy with reappearance detection.
 model and returns a ``StructureReport`` that callers only read.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -92,7 +93,7 @@ def light_tail_laws(model, actions=ACTIONS):
         for a in [a for a in actions if a in has]:
             pmf = model.sojourn(cog, a)
             bound = gamma_mgf_bound(pmf.mean, pmf.variance, gamma)
-            transform = pmf.discount_transform(gamma)
+            transform = float(model.moment("transform", a)[cog])
             yield pmf, {
                 "cog_index": cog,
                 "action": str(a),
@@ -180,10 +181,7 @@ class ValueGapReport:
     notes: list = field(default_factory=list)
 
     def passed(self):
-        return self.n_pairs == 0 or (
-            self.worst_lower_margin >= -VALUE_GAP_TOL
-            and self.worst_upper_margin >= -VALUE_GAP_TOL
-        )
+        return not self.failures
 
 
 def check_value_gap_bounds(
@@ -209,45 +207,40 @@ def check_value_gap_bounds(
     lower_rate = params.holding_cost * params.skip_wait.skip_time / (1.0 - gamma**t_max)
     upper_rate = params.holding_cost * t_max / (1.0 - rho)
 
-    qs = list(checked_queue_range(model.n_q, buffer_fraction))
-    worst_lower = np.inf
-    worst_upper = np.inf
-    failures = []
-    n_pairs = 0
-    for cog in range(model.n_cog):
-        col = values[:, cog]
-        for i, q0 in enumerate(qs):
-            for q1 in qs[i + 1 :]:
-                dq = q1 - q0
-                gap = col[q0] - col[q1]
-                lower_margin = gap - lower_rate * dq
-                upper_margin = upper_rate * dq - gap
-                worst_lower = min(worst_lower, lower_margin)
-                worst_upper = min(worst_upper, upper_margin)
-                n_pairs += 1
-                if lower_margin < -VALUE_GAP_TOL or upper_margin < -VALUE_GAP_TOL:
-                    failures.append(
-                        {
-                            "cog_index": cog,
-                            "q_low": q0,
-                            "q_high": q1,
-                            "gap": float(gap),
-                            "lower_margin": float(lower_margin),
-                            "upper_margin": float(upper_margin),
-                        }
-                    )
+    qs = np.array(checked_queue_range(model.n_q, buffer_fraction))
+    low, high = np.triu_indices(len(qs), k=1)
+    q_low, q_high = qs[low], qs[high]
+    dq = q_high - q_low
+    # one row per level, its pairs ordered by q_low, then q_high
+    gap = (values[q_low] - values[q_high]).T
+    lower = gap - lower_rate * dq
+    upper = upper_rate * dq - gap
+    n_pairs = gap.size
+    cogs, pairs = np.nonzero(np.minimum(lower, upper) < -VALUE_GAP_TOL)
     report = ValueGapReport(
         lower_bound_rate=lower_rate,
         upper_bound_rate=upper_rate,
-        worst_lower_margin=float(worst_lower) if n_pairs else None,
-        worst_upper_margin=float(worst_upper) if n_pairs else None,
+        worst_lower_margin=float(lower.min()) if n_pairs else None,
+        worst_upper_margin=float(upper.min()) if n_pairs else None,
         n_pairs=n_pairs,
-        failures=failures,
+        failures=[
+            {
+                "cog_index": int(cog),
+                "q_low": int(q_low[p]),
+                "q_high": int(q_high[p]),
+                "gap": float(gap[cog, p]),
+                "lower_margin": float(lower[cog, p]),
+                "upper_margin": float(upper[cog, p]),
+            }
+            for cog, p in zip(cogs, pairs)
+        ],
+        assumption_violated=(
+            empty_queue_fraction is not None and empty_queue_fraction > BUSY_EMPTY_FRACTION
+        ),
     )
     if ceiling.note:
         report.notes.append(ceiling.note)
-    if empty_queue_fraction is not None and empty_queue_fraction > BUSY_EMPTY_FRACTION:
-        report.assumption_violated = True
+    if report.assumption_violated:
         report.notes.append(
             f"queue was empty in more than {BUSY_EMPTY_FRACTION:.0%} of epoch starts "
             "(see empty_queue_fraction); the busy-regime bounds are not guaranteed here"
@@ -264,7 +257,8 @@ class DominanceReport:
 
     ``per_cog[cog]`` carries the pairwise margins (slow-to-normal,
     normal-to-rest, to-skip) and the combined margin whose nonnegativity
-    guarantees a threshold policy at that level.
+    guarantees a threshold policy at that level; ``guaranteed`` is that
+    verdict per level.
     """
 
     per_cog: list
@@ -275,8 +269,12 @@ class DominanceReport:
         return self.per_cog[cog]["combined_margin"]
 
     @property
+    def guaranteed(self):
+        return [row["combined_margin"] >= 0.0 for row in self.per_cog]
+
+    @property
     def all_guaranteed(self):
-        return all(row["combined_margin"] >= 0.0 for row in self.per_cog)
+        return all(self.guaranteed)
 
 
 def dominance_margins(model, bound_report=None):
@@ -393,29 +391,15 @@ def extract_thresholds(policy_row, cog_index, grid, q_range):
         seen.add(sym)
         last_rank = max(last_rank, rank[sym])
 
-    def block_end(max_rank):
-        """Last scanned q whose action ranks at or below ``max_rank``;
-        censored to +inf when no later action ever takes over, 0 when the
-        row starts beyond the block."""
-        end = 0
-        tail_beyond = False
-        for q, sym in zip(qs, symbols):
-            r = rank.get(sym)
-            if r is None:
-                continue
-            if r <= max_rank:
-                end = q
-            elif q > end:
-                tail_beyond = True
-        if not tail_beyond and end == qs[-1]:
-            return math.inf
-        return end
-
     is_threshold = not violations
     if is_threshold:
-        q1 = block_end(0)
-        q2 = block_end(1)
-        q3 = block_end(2) if high else None
+        # ranks never fall along a threshold row: q_k is the last q before
+        # the first action ranked k or later, 0 when the row starts there
+        # and +inf when no such action appears
+        ranks = [rank[sym] for sym in symbols]
+        firsts = [bisect.bisect_left(ranks, k) for k in (1, 2, 3)]
+        q1, q2, q3 = (math.inf if i == len(qs) else qs[i - 1] if i else 0 for i in firsts)
+        q3 = q3 if high else None
     else:
         q1 = q2 = math.nan
         q3 = math.nan if high else None
@@ -432,7 +416,6 @@ def extract_thresholds(policy_row, cog_index, grid, q_range):
 @dataclass
 class ThresholdReport:
     rows: list
-    guaranteed: list
     buffer_fraction: float
 
     @property
@@ -440,26 +423,22 @@ class ThresholdReport:
         return all(row.is_threshold for row in self.rows)
 
 
-def threshold_report(model, policy, margins, buffer_fraction=DEFAULT_BUFFER_FRACTION):
-    """Extract thresholds for every cognitive level and record which
-    levels carry a guarantee (nonnegative combined dominance margin);
-    never raises on a violated guarantee."""
+def threshold_report(model, policy, buffer_fraction=DEFAULT_BUFFER_FRACTION):
+    """Extract thresholds for every cognitive level; which levels carry a
+    guarantee is ``DominanceReport.guaranteed``. Never raises."""
     q_range = checked_queue_range(model.n_q, buffer_fraction)
     rows = [
         extract_thresholds(policy[:, cog], cog, model.grid, q_range)
         for cog in range(model.n_cog)
     ]
-    guaranteed = [margins.combined_margin(cog) >= 0.0 for cog in range(model.n_cog)]
-    return ThresholdReport(
-        rows=rows, guaranteed=guaranteed, buffer_fraction=buffer_fraction
-    )
+    return ThresholdReport(rows=rows, buffer_fraction=buffer_fraction)
 
 
 def enforce_guarantee(thresholds, margins):
     """Raise GuaranteeViolationError if a level of the ``ThresholdReport``
-    whose combined dominance margin is nonnegative is not threshold-shaped
-    - the guarantee is proved, so this indicates an implementation bug."""
-    for row, has_guarantee in zip(thresholds.rows, thresholds.guaranteed):
+    that ``margins.guaranteed`` certifies is not threshold-shaped - the
+    guarantee is proved, so this indicates an implementation bug."""
+    for row, has_guarantee in zip(thresholds.rows, margins.guaranteed):
         if has_guarantee and not row.is_threshold:
             raise GuaranteeViolationError(
                 f"policy at cog index {row.cog_index} is not threshold-shaped "
@@ -475,7 +454,7 @@ def verify_threshold_structure(
     combined dominance margin is nonnegative must be threshold-shaped."""
     if margins is None:
         margins = dominance_margins(model)
-    report = threshold_report(model, policy, margins, buffer_fraction)
+    report = threshold_report(model, policy, buffer_fraction)
     enforce_guarantee(report, margins)
     return report
 
@@ -536,7 +515,7 @@ class StructureReport:
         results; None when no empty-queue fraction was supplied."""
         if self.empty_queue_fraction is None:
             return None
-        return self.empty_queue_fraction <= BUSY_EMPTY_FRACTION
+        return not self.value_gap.assumption_violated
 
 
 def grade(model, solution, buffer_fraction=DEFAULT_BUFFER_FRACTION,
@@ -553,7 +532,7 @@ def grade(model, solution, buffer_fraction=DEFAULT_BUFFER_FRACTION,
     return StructureReport(
         light_tail=light_tail,
         margins=margins,
-        thresholds=threshold_report(model, solution.policy, margins, buffer_fraction),
+        thresholds=threshold_report(model, solution.policy, buffer_fraction),
         value_gap=check_value_gap_bounds(
             model,
             solution.values,

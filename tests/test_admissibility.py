@@ -114,7 +114,7 @@ def test_margins_and_thresholds_see_rest_exactly_off_the_rule(model):
     margins = dominance_margins(model)
     solution = value_iteration(model)
     validate_policy(model, solution.policy)
-    thresholds = threshold_report(model, solution.policy, margins)
+    thresholds = threshold_report(model, solution.policy)
     for cog in range(model.n_cog):
         rests = Action.REST in admissible(1, cog, model.grid)
         assert margins.per_cog[cog]["rest_admissible"] is rests

@@ -212,6 +212,15 @@ class TestSimulate:
                    "--policy", str(holed)) == 1
         assert "policy file has no row for state (3,2)" in capsys.readouterr().err
 
+    def test_second_row_for_a_state_names_state_and_line(self, solved_dir, tmp_path, capsys):
+        lines = (solved_dir / "policy.csv").read_text().splitlines()
+        assert "3,2,H" in lines
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join(lines + ["3,2,S"]) + "\n")
+        assert run("simulate", "--config", "tiny", "--out", str(tmp_path / "a"),
+                   "--policy", str(doubled)) == 1
+        assert f"line {len(lines) + 1}: second row for state (3,2)" in capsys.readouterr().err
+
     def test_malformed_policy_line_names_its_line(self, solved_dir, tmp_path, capsys):
         lines = (solved_dir / "policy.csv").read_text().splitlines()
         model = builtin_config("tiny").build_model()

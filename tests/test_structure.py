@@ -15,12 +15,16 @@ from hypothesis import strategies as st
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid
 from fidelityq.errors import GuaranteeViolationError
-from fidelityq.model import ModelParams, build_model
+from fidelityq.model import ModelParams, build_model, queue_actions
 from fidelityq.solver import value_iteration
 from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
 from fidelityq.structure import (
+    BUSY_EMPTY_FRACTION,
+    VALUE_GAP_TOL,
     DominanceReport,
     SlowestService,
+    StructureReport,
+    ThresholdRow,
     check_value_gap_bounds,
     check_value_shape,
     checked_queue_range,
@@ -444,7 +448,7 @@ class TestVerifyThresholdStructure:
             model, self.make_policy(model), margins=margins
         )
         assert report.all_threshold
-        assert all(report.guaranteed)
+        assert all(margins.guaranteed)
 
     def test_guaranteed_break_raises(self, model):
         margins = fake_margins(model, [1.0] * model.n_cog)
@@ -456,8 +460,8 @@ class TestVerifyThresholdStructure:
     def test_report_never_raises(self, model):
         # the non-raising form the CLI writes its tables from
         margins = fake_margins(model, [1.0] * model.n_cog)
-        report = threshold_report(model, self.make_policy(model, broken_cog=2), margins)
-        assert report.guaranteed[2]
+        report = threshold_report(model, self.make_policy(model, broken_cog=2))
+        assert margins.guaranteed[2]
         assert not report.rows[2].is_threshold
         assert [row.cog_index for row in report.rows] == list(range(model.n_cog))
 
@@ -469,7 +473,7 @@ class TestVerifyThresholdStructure:
             model, self.make_policy(model, broken_cog=2), margins=margins
         )
         assert not report.all_threshold
-        assert not report.guaranteed[2]
+        assert not margins.guaranteed[2]
         assert not report.rows[2].is_threshold
 
     def test_solved_small_model_is_sound(self, model):
@@ -513,9 +517,7 @@ class TestGrade:
         assert report.light_tail == bound_report
         assert report.margins == dominance_margins(model, bound_report)
         assert report.margins.ceiling == ceiling
-        assert report.thresholds == threshold_report(
-            model, solution.policy, report.margins, 0.25
-        )
+        assert report.thresholds == threshold_report(model, solution.policy, 0.25)
         assert report.value_gap == check_value_gap_bounds(
             model, solution.values, bound_report.rho, ceiling, 0.25, 0.05
         )
@@ -529,3 +531,234 @@ class TestGrade:
         solution = value_iteration(model)
         assert grade(model, solution).busy_assumption_ok is None
         assert grade(model, solution, empty_queue_fraction=0.01).busy_assumption_ok
+
+
+# -- the earlier row scans, kept as references for the array passes --------
+
+
+def reference_extract_thresholds(policy_row, cog_index, grid, q_range):
+    """The per-block rescan ``extract_thresholds`` used before its one
+    switch-point rule: ``block_end`` rescans the row once per switch."""
+    order = queue_actions(cog_index, grid)[::-1]
+    high = Action.REST in order
+    rank = {a.value: i for i, a in enumerate(order)}
+
+    qs = list(q_range)
+    symbols = [str(policy_row[q]) for q in qs]
+    violations = []
+    runs = []
+    for q, sym in zip(qs, symbols):
+        if sym not in rank:
+            violations.append(f"{sym} is not a queue action at this level")
+            continue
+        if not runs or runs[-1][0] != sym:
+            runs.append((sym, q))
+    seen = set()
+    last_rank = -1
+    for sym, q_start in runs:
+        if sym in seen:
+            violations.append(f"{sym} reappears at q={q_start}")
+        elif rank[sym] < last_rank:
+            violations.append(f"{sym} shows up after {order[last_rank].value} at q={q_start}")
+        seen.add(sym)
+        last_rank = max(last_rank, rank[sym])
+
+    def block_end(max_rank):
+        end = 0
+        tail_beyond = False
+        for q, sym in zip(qs, symbols):
+            r = rank.get(sym)
+            if r is None:
+                continue
+            if r <= max_rank:
+                end = q
+            elif q > end:
+                tail_beyond = True
+        if not tail_beyond and end == qs[-1]:
+            return math.inf
+        return end
+
+    is_threshold = not violations
+    if is_threshold:
+        q1 = block_end(0)
+        q2 = block_end(1)
+        q3 = block_end(2) if high else None
+    else:
+        q1 = q2 = math.nan
+        q3 = math.nan if high else None
+    return ThresholdRow(
+        cog_index=cog_index,
+        q1=q1,
+        q2=q2,
+        q3=q3,
+        is_threshold=is_threshold,
+        violations=violations,
+    )
+
+
+def reference_value_gap(model, values, rho, ceiling, buffer_fraction):
+    """The level x q0 x q1 loop ``check_value_gap_bounds`` used before its
+    array pass, with its own pass rule on the worst margins."""
+    params = model.params
+    gamma = params.discount
+    t_max = ceiling.value
+    lower_rate = params.holding_cost * params.skip_wait.skip_time / (1.0 - gamma**t_max)
+    upper_rate = params.holding_cost * t_max / (1.0 - rho)
+    qs = list(checked_queue_range(model.n_q, buffer_fraction))
+    worst_lower = np.inf
+    worst_upper = np.inf
+    failures = []
+    n_pairs = 0
+    for cog in range(model.n_cog):
+        col = values[:, cog]
+        for i, q0 in enumerate(qs):
+            for q1 in qs[i + 1 :]:
+                dq = q1 - q0
+                gap = col[q0] - col[q1]
+                lower_margin = gap - lower_rate * dq
+                upper_margin = upper_rate * dq - gap
+                worst_lower = min(worst_lower, lower_margin)
+                worst_upper = min(worst_upper, upper_margin)
+                n_pairs += 1
+                if lower_margin < -VALUE_GAP_TOL or upper_margin < -VALUE_GAP_TOL:
+                    failures.append(
+                        {
+                            "cog_index": cog,
+                            "q_low": q0,
+                            "q_high": q1,
+                            "gap": float(gap),
+                            "lower_margin": float(lower_margin),
+                            "upper_margin": float(upper_margin),
+                        }
+                    )
+    worst = (
+        (float(worst_lower), float(worst_upper)) if n_pairs else (None, None)
+    )
+    passed = n_pairs == 0 or min(worst) >= -VALUE_GAP_TOL
+    return worst, n_pairs, failures, passed
+
+
+@st.composite
+def policy_rows(draw):
+    """A grid resting at index 1 or at ``n_intervals - 1``, a level on it,
+    and a row over a q range that need not start at 1: either any mix of
+    the level's queue actions and an inadmissible symbol, or the level's
+    queue actions in threshold order with some of them left out."""
+    n_intervals = draw(st.integers(2, 5))
+    grid = CogGrid(n_intervals, star_index=draw(st.sampled_from([1, n_intervals - 1])))
+    cog = draw(st.integers(0, grid.n_levels - 1))
+    order = [a.value for a in queue_actions(cog, grid)[::-1]]
+    if draw(st.booleans()):
+        symbols = draw(st.lists(st.sampled_from([*order, "W"]), min_size=1, max_size=12))
+    else:
+        symbols = sorted(
+            draw(st.lists(st.sampled_from(order), min_size=1, max_size=12)), key=order.index
+        )
+    start = draw(st.integers(1, 4))
+    step = draw(st.integers(1, 2))
+    q_range = range(start, start + step * len(symbols), step)
+    row = np.full(q_range.stop, "X", dtype="<U1")
+    row[list(q_range)] = symbols
+    return row, cog, grid, q_range
+
+
+# queue-axis decrements of a value table: one slope, jittered per cell, so
+# some tables sit inside the sandwich and some leave it
+gap_steps = st.builds(
+    lambda slope, jitter: slope + np.array(jitter),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(-0.03, 0.03), min_size=45, max_size=45),
+)
+
+
+def drawn(strategy, n=200):
+    """``n`` examples of ``strategy``, to check what it reaches."""
+    examples = []
+
+    @settings(max_examples=n, deadline=None, database=None)
+    @given(strategy)
+    def collect(example):
+        examples.append(example)
+
+    collect()
+    return examples
+
+
+@pytest.fixture(scope="module")
+def no_pair_model():
+    return build_model(structure_params(queue_capacity=2))
+
+
+class TestScansMatchTheirReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(case=policy_rows())
+    def test_extract_thresholds(self, case):
+        row, cog, grid, q_range = case
+        got = extract_thresholds(row, cog, grid, q_range)
+        want = reference_extract_thresholds(row, cog, grid, q_range)
+        assert repr(got) == repr(want)
+
+    def test_threshold_rows_are_drawn(self):
+        # the strategy reaches threshold rows, censored switches and rows
+        # that start beyond a block, not only violations
+        rows = [extract_thresholds(*case) for case in drawn(policy_rows())]
+        kept = [r for r in rows if r.is_threshold]
+        assert kept and len(kept) < len(rows)
+        assert any(r.q1 == 0 for r in kept)
+        assert any(r.q2 == math.inf for r in kept)
+        assert any(0 < r.q1 < math.inf for r in kept)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.sampled_from(["model", "no_pair_model"]),
+        buffer_fraction=st.sampled_from([0.0, 0.1, 0.2, 0.45]),
+        rho=st.floats(0.05, 0.95),
+        steps=gap_steps,
+        empty=st.one_of(st.none(), st.sampled_from([0.0, 0.01, 0.0100001]), st.floats(0, 0.05)),
+    )
+    def test_value_gap_bounds(
+        self, model, no_pair_model, which, buffer_fraction, rho, steps, empty
+    ):
+        case = model if which == "model" else no_pair_model
+        if case is no_pair_model:
+            # capacity 2 checks q = 1 alone for any positive buffer
+            buffer_fraction = max(buffer_fraction, 0.1)
+        ceiling = slowest_service(case)
+        shape = (case.n_q, case.n_cog)
+        values = -np.cumsum(np.resize(steps, shape), axis=0)
+        report = check_value_gap_bounds(
+            case, values, rho, ceiling, buffer_fraction, empty_queue_fraction=empty
+        )
+        worst, n_pairs, failures, passed = reference_value_gap(
+            case, values, rho, ceiling, buffer_fraction
+        )
+        assert (report.worst_lower_margin, report.worst_upper_margin) == worst
+        assert report.n_pairs == n_pairs
+        assert report.failures == failures
+        assert report.passed() == (not report.failures) == passed
+        if case is no_pair_model:
+            assert n_pairs == 0 and report.passed()
+        graded = StructureReport(
+            light_tail=None,
+            margins=None,
+            thresholds=None,
+            value_gap=report,
+            value_shape_notes=[],
+            empty_queue_fraction=empty,
+        )
+        if empty is None:
+            assert graded.busy_assumption_ok is None
+        else:
+            assert graded.busy_assumption_ok is (not report.assumption_violated)
+            assert graded.busy_assumption_ok is (empty <= BUSY_EMPTY_FRACTION)
+
+    def test_value_tables_are_drawn(self, model, ceiling):
+        # the value tables reach both verdicts
+        verdicts = {
+            check_value_gap_bounds(
+                model, -np.cumsum(np.resize(steps, (model.n_q, model.n_cog)), axis=0),
+                0.5, ceiling,
+            ).passed()
+            for steps in drawn(gap_steps, 100)
+        }
+        assert verdicts == {True, False}
