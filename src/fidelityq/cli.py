@@ -288,6 +288,8 @@ def cmd_check(args):
 
 
 def cmd_simulate(args):
+    if args.trajectories < 0:
+        raise ConfigError(f"--trajectories must be nonnegative, got {args.trajectories}")
     cfg = resolve_config(args.config)
     episodes, seed = _sim_settings(cfg, args)
     model = cfg.build_model()

@@ -1,8 +1,10 @@
 """Discrete-time birth-death chain for the operator's cognitive state.
 
-The cognitive state lives on the uniform grid {0, 1/N, ..., 1}. Each action
-drives the state with its own forward/backward per-step probabilities and
-reflective boundaries, so a step matrix is tridiagonal and row-stochastic.
+The cognitive state lives on the uniform grid {0, 1/N, ..., 1}. Waiting,
+resting and the two service fidelities drive the state with their own
+forward/backward per-step probabilities and reflective boundaries, so a
+step matrix is tridiagonal and row-stochastic. Skipping a task leaves the
+state where it is, so it has no rates and no step matrix.
 """
 
 from dataclasses import dataclass, field
@@ -14,14 +16,13 @@ from .errors import InadmissibleRestError, InvalidRatesError, TailMassError
 
 # Per-unit-time drift rates; multiplied by the step scale to obtain per-step
 # probabilities. Waiting and resting relax the state downward, servicing
-# pushes it upward, high fidelity harder than normal; skipping leaves it
-# untouched.
+# pushes it upward, high fidelity harder than normal. Its keys are the
+# actions that move the chain.
 UNIT_RATES = {
     Action.WAIT: (0.02, 0.5),
     Action.REST: (0.02, 0.5),
     Action.NORMAL: (0.6, 0.02),
     Action.HIGH: (1.1, 0.02),
-    Action.SKIP: (0.0, 0.0),
 }
 
 FPT_TAIL_TOL = 1e-6
@@ -68,19 +69,23 @@ class CogGrid:
 class ChainRates:
     """Per-action forward/backward per-step transition probabilities.
 
-    ``probs[action] = (p_forward, p_backward)``. Rows must stay stochastic
-    (p_f + p_b <= 1) and respect the drift directions: relaxation dominates
-    for WAIT and REST, excitation dominates for NORMAL and HIGH with the
-    high-fidelity push strictly stronger, and SKIP is frozen.
+    ``probs[action] = (p_forward, p_backward)`` for exactly the actions of
+    ``UNIT_RATES``. Rows must stay stochastic (p_f + p_b <= 1) and respect
+    the drift directions: relaxation dominates for WAIT and REST, excitation
+    dominates for NORMAL and HIGH with the high-fidelity push strictly
+    stronger.
     """
 
     probs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if set(self.probs) != set(UNIT_RATES):
+            raise InvalidRatesError(
+                "chain rates must cover exactly the actions "
+                f"{''.join(map(str, UNIT_RATES))}, got {''.join(map(str, self.probs))}"
+            )
         clean = {}
-        for action in Action:
-            if action not in self.probs:
-                raise InvalidRatesError(f"missing rates for action {action}")
+        for action in UNIT_RATES:
             pf, pb = (float(x) for x in self.probs[action])
             if pf < 0 or pb < 0:
                 raise InvalidRatesError(f"negative rate for action {action}")
@@ -92,8 +97,6 @@ class ChainRates:
                 )
             clean[action] = (pf, pb)
         object.__setattr__(self, "probs", clean)
-        if self.probs[Action.SKIP] != (0.0, 0.0):
-            raise InvalidRatesError("SKIP must not move the cognitive state")
         for action in (Action.WAIT, Action.REST):
             pf, pb = self.probs[action]
             if not pb > pf:
@@ -109,12 +112,12 @@ class ChainRates:
             )
 
     @classmethod
-    def default(cls, step_scale=0.8, overrides=None):
+    def default(cls, step_scale, overrides=None):
         """Built-in drift rates scaled to per-step probabilities.
 
         ``step_scale`` converts the per-unit-time rates to probabilities for
-        one discrete step; the default keeps every row stochastic including
-        the strong high-fidelity push. ``overrides`` maps an action to a
+        one discrete step; 0.8 keeps every row stochastic including the
+        strong high-fidelity push. ``overrides`` maps an action to a
         (forward, backward) pair of unit rates replacing the built-in one.
         """
         rates = dict(UNIT_RATES)
@@ -124,21 +127,6 @@ class ChainRates:
             a: (pf * step_scale, pb * step_scale) for a, (pf, pb) in rates.items()
         }
         return cls(probs=probs)
-
-
-@dataclass(frozen=True)
-class StepMatrix:
-    """One-step transition matrix of the cognitive chain under one action."""
-
-    action: Action
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def n_levels(self):
-        return self.matrix.shape[0]
 
 
 def build_step_matrix(grid, rates, action):
@@ -156,11 +144,10 @@ def build_step_matrix(grid, rates, action):
 
     Returns
     -------
-    StepMatrix
+    ndarray, shape (n_levels, n_levels)
+        Read-only.
     """
     pf, pb = rates.probs[action]
-    if pf + pb > 1.0:
-        raise InvalidRatesError(f"rates for {action} exceed a stochastic row")
     n = grid.n_levels
     m = np.zeros((n, n))
     for i in range(n):
@@ -174,7 +161,8 @@ def build_step_matrix(grid, rates, action):
             m[i, i - 1] = pb
             m[i, i] = 1.0 - pf - pb
             m[i, i + 1] = pf
-    return StepMatrix(action=action, matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 def step_powers(step, t_max):
@@ -188,12 +176,12 @@ def step_powers(step, t_max):
     that matrix into the rest of the ladder, which is therefore bit-identical
     to running every product.
     """
-    n = step.n_levels
+    n = len(step)
     out = np.empty((t_max + 1, n, n))
     out[0] = np.eye(n)
     last = out[0].tobytes()
     for t in range(1, t_max + 1):
-        out[t] = out[t - 1] @ step.matrix
+        out[t] = out[t - 1] @ step
         current = out[t].tobytes()
         if current == last:
             out[t + 1 :] = out[t]
@@ -206,9 +194,8 @@ def _transient_blocks(step, grid):
     """Sub-matrix over levels above the resting level and the one-step
     absorption column into the resting level and below."""
     start = grid.star_index + 1
-    m = step.matrix
-    q_block = m[start:, start:]
-    absorb = m[start:, : start].sum(axis=1)
+    q_block = step[start:, start:]
+    absorb = step[start:, : start].sum(axis=1)
     return q_block, absorb
 
 
@@ -235,7 +222,7 @@ def fpt_pmf(step, grid, cog_index, t_cap):
 
     Parameters
     ----------
-    step : StepMatrix
+    step : ndarray
         Step matrix of the resting action.
     grid : CogGrid
     cog_index : int
@@ -273,16 +260,11 @@ def fpt_pmf(step, grid, cog_index, t_cap):
     if tail > FPT_TAIL_TOL:
         raise TailMassError(
             f"first-passage tail mass {tail:.3e} beyond t_cap={t_cap} "
-            f"exceeds {FPT_TAIL_TOL:.0e}; raise t_cap or speed up the "
-            "resting drift"
+            f"exceeds {FPT_TAIL_TOL:.0e}; raise the rest cap factor or speed "
+            "up the resting drift"
         )
     total = probs.sum()
     if total <= 0:
         raise TailMassError("first-passage mass vanished inside the cap")
     return probs / total, tail
 
-
-def default_t_cap(step, grid, cog_index, factor=50):
-    """Default truncation point: ``factor`` times the untruncated mean."""
-    mean = mean_first_passage(step, grid, cog_index)
-    return max(1, int(np.ceil(factor * mean)))

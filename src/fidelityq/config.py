@@ -20,7 +20,7 @@ from importlib import resources
 import yaml
 
 from .actions import Action
-from .cogchain import ChainRates, CogGrid
+from .cogchain import UNIT_RATES, ChainRates, CogGrid
 from .errors import ConfigError
 from .model import ModelParams, build_model
 from .sojourn import SERVICE_FAMILIES, ServiceFamily, SkipWaitSpec
@@ -76,13 +76,8 @@ DEFAULTS = {
     },
 }
 
-_ACTION_NAMES = {
-    "wait": Action.WAIT,
-    "rest": Action.REST,
-    "skip": Action.SKIP,
-    "normal": Action.NORMAL,
-    "high": Action.HIGH,
-}
+# the actions that move the cognitive chain; skipping leaves it in place
+_CHAIN_NAMES = {a.name.lower(): a for a in UNIT_RATES}
 
 _FIDELITY_NAMES = {"normal": Action.NORMAL, "high": Action.HIGH}
 
@@ -113,7 +108,7 @@ def _pair(path, value):
 # sections whose keys are action names rather than schema: the names each
 # admits and the rule for one value
 _OPEN_SECTIONS = {
-    "cognition.unit_rates": (_ACTION_NAMES, _pair),
+    "cognition.unit_rates": (_CHAIN_NAMES, _pair),
     "service.base_mean": (_FIDELITY_NAMES, _number),
     "service.curvature": (_FIDELITY_NAMES, _number),
 }
@@ -176,7 +171,7 @@ def _merge(defaults, override, path=""):
 
 def _by_action(section):
     """A loaded action-name section keyed by ``Action``."""
-    return {_ACTION_NAMES[key]: value for key, value in section.items()}
+    return {Action[key.upper()]: value for key, value in section.items()}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from .actions import ACTIONS, DECREMENT, TIE_ORDER, Action
-from .cogchain import build_step_matrix, step_powers
+from .cogchain import UNIT_RATES, build_step_matrix, step_powers
 from .errors import InadmissibleRestError
 from .sampling import EpochLaw, SegmentedCdf
 from .sojourn import rest_pmf, service_pmf, skip_pmf, wait_pmf
@@ -103,7 +103,7 @@ class SmdpModel:
         self.n_cog = self.grid.n_levels
         self.n_states = self.n_q * self.n_cog
 
-        self.steps = {a: build_step_matrix(self.grid, params.rates, a) for a in ACTIONS}
+        self.steps = {a: build_step_matrix(self.grid, params.rates, a) for a in UNIT_RATES}
         self._sojourns = self._build_sojourns()
         self._moments = self._build_moment_tables()
         self.powers = self._build_powers()
@@ -187,7 +187,7 @@ class SmdpModel:
         """Sorted sojourn lengths with positive probability under some law,
         and the read-only (tau, start, q') arrival table over them."""
         taus = np.unique(
-            np.concatenate([pmf.times[pmf.probs > 0] for pmf in self._sojourns.values()])
+            np.concatenate([pmf.support[0] for pmf in self._sojourns.values()])
         )
         table = arrival_table(self.params.skip_wait.arrival_rate, taus, self.n_q - 1)
         table.setflags(write=False)
@@ -226,9 +226,8 @@ class SmdpModel:
             for cog in range(self.n_cog):
                 pmf = self._sojourns.get((cog, a))
                 if pmf is not None:
-                    positive = pmf.probs > 0
-                    times = pmf.times[positive]
-                    w = gamma**times * pmf.probs[positive]
+                    times, probs = pmf.support
+                    w = gamma**times * probs
                     laws.append((cog, times, w, np.searchsorted(self._taus, times)))
             # every law of a lies in taus[lo:hi], a view of the arrival table
             lo = min(int(rows[0]) for *_, rows in laws)
@@ -283,17 +282,16 @@ class SmdpModel:
         # at most n_cog next levels per positive-probability tau; the
         # buffers are filled in place, and their unused tails are never
         # written, so never paged in
-        bound = self.n_cog * sum(int(np.count_nonzero(pmf.probs)) for pmf in laws)
+        bound = self.n_cog * sum(len(pmf.support[0]) for pmf in laws)
         cdf = np.empty(bound)
         taus = np.empty(bound, np.min_scalar_type(max(int(pmf.times[-1]) for pmf in laws)))
         cogs = np.empty(bound, np.min_scalar_type(self.n_cog - 1))
         lengths = []
         n = 0
         for (cog, a), pmf in self._sojourns.items():
-            positive = pmf.probs > 0
-            times = pmf.times[positive]
+            times, probs = pmf.support
             joint = self.cog_move(a, times, cog)
-            joint *= pmf.probs[positive][:, None]
+            joint *= probs[:, None]
             outcome = joint > 0
             row, nxt = np.nonzero(outcome)
             k = len(row)
@@ -318,9 +316,7 @@ class SmdpModel:
         if action not in admissible(q, cog_index, self.grid):
             raise ValueError(f"action {action} not admissible in ({q},{cog_index})")
         start = max(q - DECREMENT[action], 0)
-        pmf = self.sojourn(cog_index, action)
-        positive = pmf.probs > 0
-        times, probs = pmf.times[positive], pmf.probs[positive]
+        times, probs = self.sojourn(cog_index, action).support
         rows = np.searchsorted(self._taus, times)
         for tau, p_tau, row in zip(times.tolist(), probs.tolist(), rows.tolist()):
             cog_dist = self.cog_move(action, tau, cog_index)

@@ -14,7 +14,7 @@ from scipy import special
 from scipy.special._ufuncs import _nbinom_pmf
 
 from .actions import Action
-from .cogchain import default_t_cap, fpt_pmf
+from .cogchain import fpt_pmf, mean_first_passage
 from .errors import SupportTooSmallError, TailMassError
 
 TRUNCATION_TOL = 1e-6
@@ -28,7 +28,9 @@ class SojournPMF:
     """Finite sojourn-time distribution with cached moments.
 
     ``times`` holds strictly increasing integer support points (all >= 1)
-    and ``probs`` their probabilities, summing to one. ``truncated_mass``
+    and ``probs`` their probabilities, summing to one; both may include
+    zero-probability points. ``support`` is the read-only ``(times,
+    probs)`` pair of the positive-probability points alone. ``truncated_mass``
     records how much probability was cut off before renormalization when
     the distribution was capped.
     """
@@ -39,6 +41,7 @@ class SojournPMF:
     mean: float = field(init=False)
     second_moment: float = field(init=False)
     variance: float = field(init=False)
+    support: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.int64)
@@ -61,6 +64,11 @@ class SojournPMF:
         probs.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "probs", probs)
+        positive = probs > 0
+        support = (times[positive], probs[positive])
+        for array in support:
+            array.setflags(write=False)
+        object.__setattr__(self, "support", support)
         t = times.astype(np.float64)
         object.__setattr__(self, "mean", float(probs @ t))
         object.__setattr__(self, "second_moment", float(probs @ (t * t)))
@@ -239,16 +247,14 @@ def skip_pmf(spec):
     return SojournPMF(times=np.array([spec.skip_time]), probs=np.array([1.0]))
 
 
-def wait_pmf(spec, support=None):
+def wait_pmf(spec):
     """Geometric waiting time, truncated and renormalized.
 
-    f(k) = (1-p)^(k-1) p with p the per-step arrival probability. When
-    ``support`` is omitted it is sized so the truncated tail is below the
-    truncation tolerance.
+    f(k) = (1-p)^(k-1) p with p the per-step arrival probability, on a
+    support sized so the truncated tail is below the truncation tolerance.
     """
     p = spec.arrival_step_prob
-    if support is None:
-        support = max(1, int(math.ceil(math.log(TRUNCATION_TOL) / math.log1p(-p))))
+    support = max(1, int(math.ceil(math.log(TRUNCATION_TOL) / math.log1p(-p))))
     ks = np.arange(1, support + 1)
     probs = p * (1.0 - p) ** (ks - 1)
     tail = (1.0 - p) ** support
@@ -256,12 +262,11 @@ def wait_pmf(spec, support=None):
     return SojournPMF(times=ks, probs=probs, truncated_mass=tail)
 
 
-def rest_pmf(step, grid, cog_index, t_cap=None, cap_factor=50):
+def rest_pmf(step, grid, cog_index, cap_factor):
     """Rest sojourn: first-passage time of the resting chain down to the
-    resting level, truncated at ``t_cap`` (default ``cap_factor`` times the
-    exact mean)."""
-    if t_cap is None:
-        t_cap = default_t_cap(step, grid, cog_index, cap_factor)
+    resting level, truncated at ``cap_factor`` times its exact mean."""
+    mean = mean_first_passage(step, grid, cog_index)
+    t_cap = max(1, int(np.ceil(cap_factor * mean)))
     probs, tail = fpt_pmf(step, grid, cog_index, t_cap)
     times = np.arange(1, t_cap + 1)
     times, probs = _trim_trailing(times, probs)

@@ -182,6 +182,13 @@ class TestSimulate:
         episodes = {line.split(",")[0] for line in lines[3:]}
         assert episodes == {"0", "1"}
 
+    def test_negative_trajectory_count_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", "tiny", "--out", str(out),
+                   "--episodes", "50", "--trajectories", "-2") == 1
+        assert "--trajectories" in capsys.readouterr().err
+        assert not (out / "trajectories.csv").exists()
+
     def test_policy_file_reuse_matches_resolve(self, tmp_path):
         solved = tmp_path / "solved"
         assert run("solve", "--config", "tiny", "--out", str(solved)) == 0

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from fidelityq.actions import Action
 from fidelityq.cogchain import (
+    UNIT_RATES,
     ChainRates,
     CogGrid,
-    StepMatrix,
     build_step_matrix,
-    default_t_cap,
     fpt_pmf,
     mean_first_passage,
     step_powers,
@@ -29,7 +28,6 @@ def make_rates(**overrides):
         Action.REST: (0.02, 0.5),
         Action.NORMAL: (0.6, 0.02),
         Action.HIGH: (0.7, 0.02),
-        Action.SKIP: (0.0, 0.0),
     }
     probs.update(overrides)
     return ChainRates(probs=probs)
@@ -38,14 +36,15 @@ def make_rates(**overrides):
 GRID = CogGrid(n_intervals=10, star_index=6)
 
 
-class TestStepMatrix:
-    def test_skip_is_identity(self):
-        step = build_step_matrix(GRID, make_rates(), Action.SKIP)
-        assert np.array_equal(step.matrix, np.eye(GRID.n_levels))
+def default_cap(step, start, factor=50):
+    """``rest_pmf``'s truncation point: ``factor`` times the exact mean."""
+    return max(1, int(np.ceil(factor * mean_first_passage(step, GRID, start))))
 
+
+class TestStepMatrix:
     def test_normal_interior_row(self):
         step = build_step_matrix(GRID, make_rates(), Action.NORMAL)
-        row = step.matrix[4]
+        row = step[4]
         expected = np.zeros(GRID.n_levels)
         expected[3] = 0.02
         expected[4] = 1.0 - 0.6 - 0.02
@@ -55,15 +54,15 @@ class TestStepMatrix:
     def test_reflective_boundaries(self):
         step = build_step_matrix(GRID, make_rates(), Action.REST)
         n = GRID.n_levels
-        assert step.matrix[0, 0] == pytest.approx(1.0 - 0.02)
-        assert step.matrix[0, 1] == pytest.approx(0.02)
-        assert step.matrix[n - 1, n - 2] == pytest.approx(0.5)
-        assert step.matrix[n - 1, n - 1] == pytest.approx(0.5)
+        assert step[0, 0] == pytest.approx(1.0 - 0.02)
+        assert step[0, 1] == pytest.approx(0.02)
+        assert step[n - 1, n - 2] == pytest.approx(0.5)
+        assert step[n - 1, n - 1] == pytest.approx(0.5)
 
     def test_rows_sum_to_one(self):
-        for action in Action:
+        for action in UNIT_RATES:
             step = build_step_matrix(GRID, make_rates(), action)
-            assert np.allclose(step.matrix.sum(axis=1), 1.0, atol=1e-12)
+            assert np.allclose(step.sum(axis=1), 1.0, atol=1e-12)
 
     def test_tridiagonal(self):
         step = build_step_matrix(GRID, make_rates(), Action.HIGH)
@@ -71,14 +70,14 @@ class TestStepMatrix:
         for i in range(n):
             for j in range(n):
                 if abs(i - j) > 1:
-                    assert step.matrix[i, j] == 0.0
+                    assert step[i, j] == 0.0
 
     def test_upward_drift_for_service(self):
         rates = make_rates()
         for action in (Action.NORMAL, Action.HIGH):
             step = build_step_matrix(GRID, rates, action)
             for i in range(1, GRID.n_levels - 1):
-                assert step.matrix[i, i + 1] > step.matrix[i, i - 1]
+                assert step[i, i + 1] > step[i, i - 1]
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(InvalidRatesError):
@@ -95,8 +94,17 @@ class TestStepMatrix:
             make_rates(**{Action.HIGH: (0.5, 0.02)})
 
     def test_skip_must_be_frozen(self):
-        with pytest.raises(InvalidRatesError):
-            make_rates(**{Action.SKIP: (0.1, 0.1)})
+        # skipping does not move the chain, so it takes no rates at all
+        for skip in ((0.0, 0.0), (0.1, 0.1)):
+            with pytest.raises(InvalidRatesError):
+                make_rates(**{Action.SKIP: skip})
+
+    @pytest.mark.parametrize("action", list(UNIT_RATES), ids=str)
+    def test_missing_action_rejected(self, action):
+        probs = dict(make_rates().probs)
+        del probs[action]
+        with pytest.raises(InvalidRatesError, match="exactly"):
+            ChainRates(probs=probs)
 
     def test_default_scaling_keeps_rows_stochastic(self):
         rates = ChainRates.default(step_scale=0.8)
@@ -117,8 +125,8 @@ class TestStepMatrix:
         rates = make_rates(**{Action.NORMAL: (pf, pb)})
         grid = CogGrid(n_intervals=n, star_index=1)
         step = build_step_matrix(grid, rates, Action.NORMAL)
-        assert np.allclose(step.matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert (step.matrix >= 0).all()
+        assert np.allclose(step.sum(axis=1), 1.0, atol=1e-12)
+        assert (step >= 0).all()
 
 
 def paths_probability(matrix, start, end, n_steps):
@@ -142,7 +150,7 @@ def paths_probability(matrix, start, end, n_steps):
 def evolve(step, cog_index, tau):
     """Reference distribution after ``tau`` steps: row ``cog_index`` of the
     ``tau``-th matrix power."""
-    return np.linalg.matrix_power(step.matrix, tau)[cog_index]
+    return np.linalg.matrix_power(step, tau)[cog_index]
 
 
 class TestEvolve:
@@ -167,7 +175,7 @@ class TestEvolve:
         step = build_step_matrix(grid, make_rates(), Action.HIGH)
         dist = evolve(step, 1, 3)
         for target in range(grid.n_levels):
-            expected = paths_probability(step.matrix, 1, target, 3)
+            expected = paths_probability(step, 1, target, 3)
             assert dist[target] == pytest.approx(expected, abs=1e-14)
 
     def test_powers_match_evolve(self):
@@ -182,17 +190,17 @@ class TestEvolve:
     def test_chapman_kolmogorov(self, a, b, i):
         step = build_step_matrix(GRID, make_rates(), Action.NORMAL)
         combined = evolve(step, i, a + b)
-        split = evolve(step, i, a) @ np.linalg.matrix_power(step.matrix, b)
+        split = evolve(step, i, a) @ np.linalg.matrix_power(step, b)
         assert np.allclose(combined, split, atol=1e-12)
 
 
 def sequential_powers(step, t_max):
     """Reference ladder: every one of the t_max products, none skipped."""
-    n = step.n_levels
+    n = len(step)
     out = np.empty((t_max + 1, n, n))
     out[0] = np.eye(n)
     for t in range(1, t_max + 1):
-        out[t] = out[t - 1] @ step.matrix
+        out[t] = out[t - 1] @ step
     return out
 
 
@@ -238,7 +246,7 @@ class TestStepPowersFixedPoint:
             assert fixed is not None and fixed < t_max, action
 
     def test_identity_is_fixed_at_first_step(self):
-        step = StepMatrix(action=Action.SKIP, matrix=np.eye(GRID.n_levels))
+        step = np.eye(GRID.n_levels)
         reference = sequential_powers(step, 40)
         assert first_fixed_step(reference) == 1
         assert np.array_equal(step_powers(step, 40), reference)
@@ -287,7 +295,7 @@ class TestFirstPassage:
     def test_mean_matches_linear_solve(self):
         step = build_step_matrix(GRID, make_rates(), Action.REST)
         for start in range(GRID.star_index + 1, GRID.n_levels):
-            cap = default_t_cap(step, GRID, start)
+            cap = default_cap(step, start)
             probs, _ = fpt_pmf(step, GRID, start, cap)
             pmf_mean = float(np.arange(1, cap + 1) @ probs)
             exact = mean_first_passage(step, GRID, start)
@@ -297,7 +305,7 @@ class TestFirstPassage:
         step = build_step_matrix(GRID, make_rates(), Action.REST)
         start = GRID.n_levels - 1
         n_runs = 100_000
-        times = simulate_first_passage(step.matrix, start, GRID.star_index, n_runs, seed=7)
+        times = simulate_first_passage(step, start, GRID.star_index, n_runs, seed=7)
         exact = mean_first_passage(step, GRID, start)
         se = times.std(ddof=1) / np.sqrt(n_runs)
         assert abs(times.mean() - exact) < 3 * se
@@ -307,9 +315,9 @@ class TestFirstPassage:
         rates = make_rates(**{Action.REST: (0.05, p)})
         step = build_step_matrix(GRID, rates, Action.REST)
         start = GRID.star_index + 2
-        cap = default_t_cap(step, GRID, start)
+        cap = default_cap(step, start)
         probs, _ = fpt_pmf(step, GRID, start, cap)
-        times = simulate_first_passage(step.matrix, start, GRID.star_index, 50_000, seed=11)
+        times = simulate_first_passage(step, start, GRID.star_index, 50_000, seed=11)
         for k in (2, 3, 4, 6, 9):
             emp = float((times == k).mean())
             se = np.sqrt(probs[k - 1] * (1 - probs[k - 1]) / 50_000)

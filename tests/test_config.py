@@ -43,9 +43,16 @@ class TestMerge:
             from_mapping({"queue": 5})
 
     def test_fidelity_sections_reject_unknown_action(self):
-        doc = {"service": {"base_mean": {"normal": 3.0, "turbo": 9.0}}}
-        with pytest.raises(ConfigError, match="service.base_mean.turbo"):
-            from_mapping(doc)
+        cases = [
+            ({"service": {"base_mean": {"normal": 3.0, "turbo": 9.0}}},
+             "service.base_mean.turbo"),
+            # skipping does not move the chain, so it has no rates
+            ({"cognition": {"unit_rates": {"skip": [0.0, 0.0]}}},
+             "cognition.unit_rates.skip"),
+        ]
+        for doc, match in cases:
+            with pytest.raises(ConfigError, match=match):
+                from_mapping(doc)
 
     def test_unit_rates_reject_bad_pair(self):
         doc = {"cognition": {"unit_rates": {"rest": [0.1]}}}

@@ -286,7 +286,7 @@ class TestCogMove:
             step = model.steps[a]
             for tau in (1, 3, 5):
                 got = model.cog_move(a, tau, 1)
-                expected = np.linalg.matrix_power(step.matrix, tau)[1]
+                expected = np.linalg.matrix_power(step, tau)[1]
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_powers_are_read_only(self, model):
@@ -307,6 +307,25 @@ def shipped(request):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return request.param, builtin_config(request.param).build_model()
+
+
+class TestSupport:
+    """``SojournPMF.support`` is the one positive-probability view that the
+    arrival table, the kernel, the epoch law and ``entries`` read."""
+
+    def test_support_is_the_positive_points(self, shipped):
+        for pmf in shipped[1]._sojourns.values():
+            times, probs = pmf.support
+            positive = pmf.probs > 0
+            assert np.array_equal(times, pmf.times[positive])
+            assert np.array_equal(probs, pmf.probs[positive])
+            assert not times.flags.writeable
+            assert not probs.flags.writeable
+
+    def test_taus_are_the_union_of_support_times(self, shipped):
+        laws = shipped[1]._sojourns.values()
+        union = set().union(*(pmf.support[0].tolist() for pmf in laws))
+        assert shipped[1]._taus.tolist() == sorted(union)
 
 
 def pair_row(model, q, cog, a):

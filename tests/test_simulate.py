@@ -263,7 +263,7 @@ class TestChainOccupancy:
         # serial correlation before the chi-square comparison
         grid = CogGrid(n_intervals=4, star_index=2)
         rates = ChainRates.default(step_scale=0.8)
-        step = build_step_matrix(grid, rates, Action.WAIT).matrix
+        step = build_step_matrix(grid, rates, Action.WAIT)
         n = grid.n_levels
         a = np.vstack([step.T - np.eye(n), np.ones(n)])
         b = np.concatenate([np.zeros(n), [1.0]])

@@ -126,8 +126,9 @@ class TestWait:
         assert pmf.mean == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), abs=1e-4)
 
     def test_explicit_support(self):
-        spec = SkipWaitSpec(skip_time=1, arrival_rate=0.45)
-        pmf = wait_pmf(spec, support=5)
+        # the tolerance sizes the support: (1-p)^4 > 1e-6 >= (1-p)^5
+        spec = SkipWaitSpec(skip_time=1, arrival_rate=3.0)
+        pmf = wait_pmf(spec)
         assert pmf.times.tolist() == [1, 2, 3, 4, 5]
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
         p = spec.arrival_step_prob
@@ -147,7 +148,6 @@ def pure_down_rest_rates(p_down):
             Action.REST: (0.0, p_down),
             Action.NORMAL: (0.48, 0.016),
             Action.HIGH: (0.56, 0.016),
-            Action.SKIP: (0.0, 0.0),
         }
     )
 
@@ -159,7 +159,7 @@ class TestRest:
         # From one level above the resting level a pure-down chain hits it
         # on a geometric(1/2) time: mean 2, second moment (2-p)/p^2 = 6.
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
-        pmf = rest_pmf(step, self.GRID, cog_index=3)
+        pmf = rest_pmf(step, self.GRID, cog_index=3, cap_factor=50)
         assert pmf.probs[0] == pytest.approx(0.5, abs=1e-12)
         assert pmf.probs[3] == pytest.approx(0.5**4, abs=1e-12)
         assert pmf.mean == pytest.approx(2.0, abs=1e-9)
@@ -167,31 +167,40 @@ class TestRest:
 
     def test_two_levels_is_sum_of_geometrics(self):
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
-        pmf = rest_pmf(step, self.GRID, cog_index=4)
+        pmf = rest_pmf(step, self.GRID, cog_index=4, cap_factor=50)
         assert pmf.probs[0] == 0.0  # two steps down take at least two ticks
         assert pmf.probs[1] == pytest.approx(0.25, abs=1e-12)
         assert pmf.mean == pytest.approx(4.0, abs=1e-9)
         # sum of two independent geometric(1/2): variance 2 + 2
         assert pmf.variance == pytest.approx(4.0, abs=1e-8)
 
+    def test_support_skips_the_leading_zero(self):
+        step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
+        pmf = rest_pmf(step, self.GRID, cog_index=4, cap_factor=50)
+        times, probs = pmf.support
+        assert pmf.times[0] == 1 and pmf.probs[0] == 0.0
+        assert times[0] == 2
+        assert (probs > 0).all()
+
     def test_mean_matches_linear_solve(self):
         grid = CogGrid(n_intervals=6, star_index=3)
         rates = ChainRates.default(step_scale=0.8)
         step = build_step_matrix(grid, rates, Action.REST)
         for cog in range(grid.star_index + 1, grid.n_levels):
-            pmf = rest_pmf(step, grid, cog)
+            pmf = rest_pmf(step, grid, cog, cap_factor=50)
             exact = mean_first_passage(step, grid, cog)
             assert pmf.mean == pytest.approx(exact, rel=1e-6)
 
     def test_tight_cap_raises(self):
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
         with pytest.raises(TailMassError):
-            rest_pmf(step, self.GRID, cog_index=3, t_cap=3)
+            # the mean is 2, so the cap is 3 steps
+            rest_pmf(step, self.GRID, cog_index=3, cap_factor=1.5)
 
     def test_transform_matches_geometric_generating_function(self):
         # E[gamma^T] for geometric(p) is p*gamma / (1 - (1-p)*gamma)
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
-        pmf = rest_pmf(step, self.GRID, cog_index=3)
+        pmf = rest_pmf(step, self.GRID, cog_index=3, cap_factor=50)
         gamma = 0.9
         expected = 0.5 * gamma / (1.0 - 0.5 * gamma)
         assert pmf.discount_transform(gamma) == pytest.approx(expected, abs=1e-9)
