@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import check_episode_count, resolve_config
+from .config import check_arrival_rates, check_episode_count, resolve_config
 from .errors import (
     ConfigError,
     FidelityQError,
@@ -356,7 +356,9 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     cfg = resolve_config(args.config)
     if args.grid is not None:
-        rates = [float(x) for x in args.grid.split(",") if x.strip()]
+        rates = check_arrival_rates(
+            "--grid", [float(x) for x in args.grid.split(",") if x.strip()]
+        )
     else:
         rates = cfg.sweep["arrival_rates"]
     if not rates:

@@ -247,6 +247,15 @@ def check_episode_count(name, episodes):
     return episodes
 
 
+def check_arrival_rates(name, rates):
+    """Reject a sweep rate that is not positive and finite, naming it as
+    ``name[i]``. Returns the rates."""
+    for i, rate in enumerate(rates):
+        if not 0 < rate < math.inf:
+            raise ConfigError(f"{name}[{i}] must be positive and finite, got {rate!r}")
+    return rates
+
+
 def check_start(start, capacity, intervals, what="start"):
     """Reject a start state off the model's grid: it must be an integer
     pair [q, cog] with 0 <= q <= capacity and 0 <= cog <= intervals.
@@ -291,6 +300,10 @@ def _check_ranges(data):
         raise ConfigError(
             f"analysis.buffer_fraction must lie in [0, 1), got {buffer_fraction!r}"
         )
+    sweep = data["sweep"]
+    if sweep["max_points"] < 1:
+        raise ConfigError(f"sweep.max_points must be at least 1, got {sweep['max_points']}")
+    check_arrival_rates("sweep.arrival_rates", sweep["arrival_rates"])
     starts = sim["starts"]
     if starts is not None and not isinstance(starts, (list, tuple)):
         raise ConfigError(f"simulation.starts must be a list, got {starts!r}")

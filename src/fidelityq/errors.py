@@ -25,10 +25,6 @@ class InadmissibleRestError(FidelityQError, ValueError):
     """Rest requested from a state at or below the resting target level."""
 
 
-class BudgetExceededError(FidelityQError, RuntimeError):
-    """Exhaustive expansion exceeded the configured node budget."""
-
-
 class GridTooLargeError(FidelityQError, ValueError):
     """Sweep grid has more points than the configured budget."""
 

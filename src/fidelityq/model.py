@@ -123,7 +123,6 @@ class SmdpModel:
             table.setflags(write=False)
 
         self.moment_ordering_violations = self._check_moment_ordering()
-        self.shape_warnings = self._check_variance_shape()
         if self.moment_ordering_violations:
             warnings.warn(
                 f"{len(self.moment_ordering_violations)} sojourn moment-ordering "
@@ -308,26 +307,8 @@ class SmdpModel:
             cdf=SegmentedCdf(cdf[:n], lengths),
         )
 
-    def entries(self, q, cog_index, action):
-        """Factored kernel P(q', cog', tau | q, cog, a) as (tau, p_tau,
-        cog_dist, q_dist) triples with joint weight
-        p_tau * cog_dist[c'] * q_dist[q']. SKIP/NORMAL/HIGH consume the
-        head task before arrivals are added; ``q_dist`` is read-only."""
-        if action not in admissible(q, cog_index, self.grid):
-            raise ValueError(f"action {action} not admissible in ({q},{cog_index})")
-        start = max(q - DECREMENT[action], 0)
-        times, probs = self.sojourn(cog_index, action).support
-        rows = np.searchsorted(self._taus, times)
-        for tau, p_tau, row in zip(times.tolist(), probs.tolist(), rows.tolist()):
-            cog_dist = self.cog_move(action, tau, cog_index)
-            yield tau, p_tau, cog_dist, self._arrivals[row, start]
-
     def moment(self, name, action):
         return self._moments[name][action]
-
-    def immediate_reward(self, q, cog_index, action):
-        """Expected one-epoch reward r(a) - c E[tau] q - (c lambda / 2) E[tau^2]."""
-        return float(self.reward_table(action)[q, cog_index])
 
     def reward_table(self, action):
         """(n_q, n_cog) table of immediate expected rewards; NaN where the
@@ -363,22 +344,6 @@ class SmdpModel:
                             }
                         )
         return violations
-
-    def _check_variance_shape(self):
-        """Service variance should dip at the resting level."""
-        notes = []
-        star = self.grid.star_index
-        for a in (Action.NORMAL, Action.HIGH):
-            var = self._moments["mu2"][a] - self._moments["mu1"][a] ** 2
-            if int(np.argmin(var)) != star:
-                notes.append(
-                    f"service variance for {a} attains its minimum at level "
-                    f"{int(np.argmin(var))} instead of the resting level {star}"
-                )
-            diffs = np.diff(var)
-            if not (np.all(diffs[:star] <= 1e-12) and np.all(diffs[star:] >= -1e-12)):
-                notes.append(f"service variance for {a} is not unimodal in cog")
-        return notes
 
 
 def build_model(params):

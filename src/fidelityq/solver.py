@@ -1,4 +1,4 @@
-"""Value iteration, policy evaluation and the finite-horizon oracle."""
+"""Value iteration and policy evaluation over the model's pair kernel."""
 
 import math
 from dataclasses import dataclass, field
@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ACTIONS, from_symbol
-from .errors import BudgetExceededError, PolicyMismatchError
-from .model import admissible
+from .errors import PolicyMismatchError
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_SWEEPS = 5000
@@ -111,62 +110,3 @@ def policy_evaluation(model, policy):
     values = np.linalg.solve(np.eye(model.n_states) - t_pi, r_pi)
     return values.reshape(model.n_q, model.n_cog)
 
-
-@dataclass(frozen=True)
-class HorizonSpec:
-    """Finite-horizon problem: ``n_stages`` decision epochs, terminal value
-    -terminal_cost * q, and a cap on the kernel entries the backward
-    induction expands (entries per stage times stages)."""
-
-    n_stages: int
-    terminal_cost: float
-    node_budget: int = 2_000_000
-
-    def __post_init__(self):
-        if self.n_stages < 0:
-            raise ValueError("number of stages must be nonnegative")
-        if self.terminal_cost < 0:
-            raise ValueError("terminal cost must be nonnegative")
-
-
-def _horizon_kernel(model, spec):
-    """Rewards and discounted transition rows for every (state, action),
-    summed from the factored triples of ``model.entries`` so the oracle
-    shares no code with the solver's operators. Rewards are -inf where the
-    action is inadmissible. Raises BudgetExceededError as soon as the
-    entries seen so far, expanded once per stage, pass the node budget."""
-    gamma = model.params.discount
-    rewards = {a: np.full(model.n_states, -np.inf) for a in ACTIONS}
-    rows = {a: np.zeros((model.n_states, model.n_q, model.n_cog)) for a in ACTIONS}
-    n_entries = 0
-    for q in range(model.n_q):
-        for cog in range(model.n_cog):
-            s = q * model.n_cog + cog
-            for a in admissible(q, cog, model.grid):
-                rewards[a][s] = model.immediate_reward(q, cog, a)
-                for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
-                    n_entries += 1
-                    if n_entries * spec.n_stages > spec.node_budget:
-                        raise BudgetExceededError(
-                            f"{spec.n_stages} stages of backward induction pass "
-                            f"{spec.node_budget} kernel entries"
-                        )
-                    rows[a][s] += p_tau * gamma**tau * np.outer(q_dist, cog_dist)
-    n = model.n_states
-    return rewards, {a: r.reshape(n, n) for a, r in rows.items()}
-
-
-def finite_horizon_table(model, spec):
-    """Exact optimal values of every state over ``spec.n_stages`` epochs.
-
-    Stage-wise backward induction from the terminal values: each stage
-    takes, per state, the best admissible reward plus the discounted
-    expectation of the previous stage's values.
-    """
-    terminal = -spec.terminal_cost * np.arange(model.n_q, dtype=np.float64)
-    values = np.repeat(terminal, model.n_cog)
-    if spec.n_stages > 0:
-        rewards, rows = _horizon_kernel(model, spec)
-        for _ in range(spec.n_stages):
-            values = np.max([rewards[a] + rows[a] @ values for a in ACTIONS], axis=0)
-    return values.reshape(model.n_q, model.n_cog)

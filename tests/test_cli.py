@@ -304,6 +304,13 @@ class TestSweep:
                    "--grid", "0.1,0.2,0.3")
         assert code == 1
 
+    def test_bad_grid_rate_rejected_before_solving(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "--config", "tiny", "--out", str(out),
+                   "--grid", "0.3,-1") == 1
+        assert "--grid[1] must be positive and finite, got -1.0" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestExportMoments:
     def test_moment_table_rows(self, tmp_path):

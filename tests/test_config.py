@@ -92,6 +92,25 @@ class TestMerge:
         with pytest.raises(ConfigError, match=match):
             from_mapping({"simulation": sim})
 
+    @pytest.mark.parametrize(
+        "sweep, match",
+        [
+            ({"max_points": 0}, "sweep.max_points must be at least 1, got 0"),
+            ({"max_points": -3}, "sweep.max_points must be at least 1, got -3"),
+            ({"arrival_rates": [0.3, float("nan")]},
+             r"sweep.arrival_rates\[1\] must be positive and finite, got nan"),
+            ({"arrival_rates": [float("inf")]},
+             r"sweep.arrival_rates\[0\] must be positive and finite, got inf"),
+            ({"arrival_rates": [0]},
+             r"sweep.arrival_rates\[0\] must be positive and finite, got 0.0"),
+            ({"arrival_rates": [0.3, -1]},
+             r"sweep.arrival_rates\[1\] must be positive and finite, got -1.0"),
+        ],
+    )
+    def test_sweep_settings_rejected(self, sweep, match):
+        with pytest.raises(ConfigError, match=f"^{match}$"):
+            from_mapping({"sweep": sweep})
+
     def test_simulation_settings_accepted(self):
         cfg = from_mapping(
             {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2,

@@ -1,10 +1,10 @@
 """Tests for model assembly: admissibility, queue kernel, rewards and the
 discounted kernel over the admissible (state, action) pairs.
 
-The arrival table is checked bit for bit against a scalar per-row
-reference. The reward oracle sums the realized per-epoch reward over the
-joint law of (sojourn, arrivals) and must reproduce the closed-form
-immediate reward.
+The arrival table is checked bit for bit against the ``scipy.stats.poisson``
+rows of ``tests/oracle.py``, and the kernel against the oracle's pair rows.
+The reward oracle sums the realized per-epoch reward over the joint law of
+(sojourn, arrivals) and must reproduce the closed-form immediate reward.
 """
 
 import os
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import fidelityq
+import oracle
 from fidelityq.actions import ACTIONS, TIE_ORDER, Action
 from fidelityq.cogchain import ChainRates, CogGrid
 from fidelityq.config import builtin_config
@@ -83,21 +84,21 @@ class TestAdmissible:
             )
 
 
-def reference_row(start, tau, rate, capacity):
-    """Scalar reference for one arrival-table row: next queue length from
-    ``start`` after ``tau`` time units of Poisson(rate) arrivals, overflow
-    lumped at the capacity."""
-    out = np.zeros(capacity + 1)
-    lam = rate * tau
-    room = capacity - start
-    w = np.arange(room + 1)
-    out[start : capacity + 1] = stats.poisson.pmf(w, lam)
-    out[capacity] += stats.poisson.sf(room, lam)
-    return out
-
-
 def table_row(start, tau, rate, capacity):
     return arrival_table(rate, [tau], capacity)[0, start]
+
+
+def row_index(model, q, cog, a):
+    """The kernel row of the pair (q, cog, a); there must be exactly one."""
+    s = q * model.n_cog + cog
+    (row,) = np.flatnonzero((model.pair_state == s) & (model.pair_action == ACTIONS.index(a)))
+    return row
+
+
+def queue_marginal(model, q, cog, a):
+    """The kernel row of (q, cog, a) summed over the next level: the
+    discounted law of the next queue length."""
+    return model.kernel[row_index(model, q, cog, a)].reshape(model.n_q, model.n_cog).sum(axis=1)
 
 
 class TestArrivalTable:
@@ -110,10 +111,9 @@ class TestArrivalTable:
     def test_matches_scalar_reference_bitwise(self, rate, taus, capacity):
         table = arrival_table(rate, taus, capacity)
         assert table.shape == (len(taus), capacity + 1, capacity + 1)
-        for i, tau in enumerate(taus):
-            for start in range(capacity + 1):
-                expected = reference_row(start, tau, rate, capacity)
-                assert np.array_equal(table[i, start], expected), (tau, start)
+        for start in range(capacity + 1):
+            expected = oracle.arrival_rows(rate, taus, start, capacity)
+            assert np.array_equal(table[:, start], expected), start
 
 
 class TestQueueKernel:
@@ -138,27 +138,33 @@ class TestQueueKernel:
         assert row[6] == pytest.approx(1.0, abs=1e-15)
 
     def test_head_task_consumed_before_arrivals(self, model):
+        # servicing from q = 5 starts the arrivals from 4
         rate = model.params.skip_wait.arrival_rate
-        for tau, _, _, q_dist in model.entries(5, 1, Action.NORMAL):
-            assert np.array_equal(q_dist, table_row(4, tau, rate, model.n_q - 1))
+        times, probs = model.sojourn(1, Action.NORMAL).support
+        expected = sum(
+            0.9**tau * p * table_row(4, tau, rate, model.n_q - 1)
+            for tau, p in zip(times.tolist(), probs.tolist())
+        )
+        got = queue_marginal(model, 5, 1, Action.NORMAL)
+        assert got[:4].sum() == 0.0
+        assert got == pytest.approx(expected, abs=1e-15)
 
     def test_decrement_clamped_at_zero(self, model):
         # skipping takes two steps here; next queue = 0 from q = 1 requires
         # zero arrivals over them
-        ((tau, _, _, q_dist),) = model.entries(1, 0, Action.SKIP)
-        assert tau == 2
-        assert q_dist[0] == pytest.approx(np.exp(-0.4 * 2), abs=1e-15)
+        assert model.sojourn(0, Action.SKIP).support[0].tolist() == [2]
+        got = queue_marginal(model, 1, 0, Action.SKIP)
+        assert got[0] == pytest.approx(0.9**2 * np.exp(-0.4 * 2), abs=1e-15)
 
     def test_wait_and_rest_do_not_consume(self, model):
+        # the queue stays at 3 resting and at 0 waiting only without arrivals
         for q, cog, a in [(3, 3, Action.REST), (0, 2, Action.WAIT)]:
-            for tau, _, _, q_dist in model.entries(q, cog, a):
-                assert q_dist[:q].sum() == 0.0
-                assert q_dist[q] == pytest.approx(np.exp(-0.4 * tau), abs=1e-15)
-
-    def test_rows_are_read_only(self, model):
-        _, _, _, q_dist = next(model.entries(2, 1, Action.NORMAL))
-        with pytest.raises(ValueError):
-            q_dist[0] = 1.0
+            times, probs = model.sojourn(cog, a).support
+            got = queue_marginal(model, q, cog, a)
+            assert got[:q].sum() == 0.0
+            assert got[q] == pytest.approx(
+                float(np.sum(0.9**times * probs * np.exp(-0.4 * times))), abs=1e-15
+            )
 
 
 def test_build_does_not_import_scipy_stats():
@@ -185,24 +191,6 @@ def test_build_does_not_import_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.split() == ["scipy.special"]
-
-
-class TestKernelMass:
-    def test_joint_mass_is_one_everywhere(self, model):
-        for q in range(model.n_q):
-            for cog in range(model.n_cog):
-                for a in admissible(q, cog, model.grid):
-                    mass = sum(
-                        p_tau * cog_dist.sum() * q_dist.sum()
-                        for _, p_tau, cog_dist, q_dist in model.entries(q, cog, a)
-                    )
-                    assert mass == pytest.approx(1.0, abs=1e-10), (q, cog, a)
-
-    def test_inadmissible_action_rejected(self, model):
-        with pytest.raises(ValueError):
-            next(model.entries(0, 2, Action.NORMAL))
-        with pytest.raises(ValueError):
-            next(model.entries(3, 1, Action.REST))
 
 
 def epoch_reward(model, q, arrivals, tau, action):
@@ -235,7 +223,7 @@ class TestRewards:
             for cog in (0, 2, 4):
                 for a in admissible(q, cog, model.grid):
                     expected = reward_oracle(model, q, cog, a)
-                    got = model.immediate_reward(q, cog, a)
+                    got = model.reward_table(a)[q, cog]
                     assert got == pytest.approx(expected, abs=1e-10), (q, cog, a)
 
     def test_affine_in_queue_length(self, model):
@@ -311,7 +299,7 @@ def shipped(request):
 
 class TestSupport:
     """``SojournPMF.support`` is the one positive-probability view that the
-    arrival table, the kernel, the epoch law and ``entries`` read."""
+    arrival table, the kernel and the epoch law read."""
 
     def test_support_is_the_positive_points(self, shipped):
         for pmf in shipped[1]._sojourns.values():
@@ -326,13 +314,6 @@ class TestSupport:
         laws = shipped[1]._sojourns.values()
         union = set().union(*(pmf.support[0].tolist() for pmf in laws))
         assert shipped[1]._taus.tolist() == sorted(union)
-
-
-def pair_row(model, q, cog, a):
-    """The kernel row of the pair (q, cog, a); there must be exactly one."""
-    s = q * model.n_cog + cog
-    (row,) = np.flatnonzero((model.pair_state == s) & (model.pair_action == ACTIONS.index(a)))
-    return row
 
 
 def assert_row_sums_equal_transform(model):
@@ -357,16 +338,6 @@ def assert_one_row_per_admissible_pair(model):
     assert model.segment_starts.tolist() == starts
     assert model.kernel.shape == (len(pairs), model.n_states)
     assert model.pair_reward.shape == (len(pairs),)
-
-
-def kernel_row(model, q, cog, a):
-    """Discounted kernel row of (q, cog, a) summed from ``model.entries``,
-    independently of the kernel assembly."""
-    gamma = model.params.discount
-    row = np.zeros(model.n_states)
-    for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
-        row += p_tau * gamma**tau * np.outer(q_dist, cog_dist).reshape(-1)
-    return row
 
 
 class TestOperators:
@@ -411,8 +382,8 @@ class TestOperators:
             (5, 0, Action.SKIP),
             (6, 2, Action.HIGH),
         ]:
-            assert model.kernel[pair_row(model, q, cog, a)] == pytest.approx(
-                kernel_row(model, q, cog, a), abs=1e-13
+            assert model.kernel[row_index(model, q, cog, a)] == pytest.approx(
+                oracle.pair_row(model, q, cog, a), abs=1e-13
             )
 
     def test_shipped_rows_match_kernel_entries(self, shipped):
@@ -427,8 +398,8 @@ class TestOperators:
         for q in qs:
             for cog in cogs:
                 for a in admissible(q, cog, model.grid):
-                    assert model.kernel[pair_row(model, q, cog, a)] == pytest.approx(
-                        kernel_row(model, q, cog, a), abs=1e-13
+                    assert model.kernel[row_index(model, q, cog, a)] == pytest.approx(
+                        oracle.pair_row(model, q, cog, a), abs=1e-13
                     ), (q, cog, a)
 
     def test_contraction_modulus(self, model):
@@ -442,7 +413,6 @@ class TestOperators:
 class TestDiagnostics:
     def test_default_assembly_is_clean(self, model):
         assert model.moment_ordering_violations == []
-        assert model.shape_warnings == []
 
     def test_slow_skip_breaks_moment_ordering(self):
         params = small_params(skip_wait=SkipWaitSpec(skip_time=6, arrival_rate=0.15))

@@ -12,7 +12,7 @@ from scipy import stats
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix
 from fidelityq.errors import ConfigError
-from fidelityq.model import ModelParams, build_model
+from fidelityq.model import ModelParams, admissible, build_model
 from fidelityq.solver import policy_evaluation, value_iteration
 from fidelityq.simulate import (
     PolicySampler,
@@ -144,7 +144,7 @@ class TestEstimates:
     def test_single_epoch_is_unbiased(self, model, drain_sampler):
         start = (3, 2)
         est = drain_sampler.estimate(start, episodes=20000, seed=9, horizon_epochs=1)
-        expected = model.immediate_reward(3, 2, Action.SKIP)
+        expected = model.reward_table(Action.SKIP)[3, 2]
         assert est.horizon_epochs == 1
         assert abs(est.mean - expected) <= 3 * est.std_error
 
@@ -251,10 +251,8 @@ class TestHorizonPlanning:
         worst = reward_ceiling(model)
         for q in range(model.n_q):
             for cog in range(model.n_cog):
-                from fidelityq.model import admissible
-
                 for a in admissible(q, cog, model.grid):
-                    assert abs(model.immediate_reward(q, cog, a)) <= worst + 1e-12
+                    assert abs(model.reward_table(a)[q, cog]) <= worst + 1e-12
 
 
 class TestChainOccupancy:

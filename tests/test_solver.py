@@ -1,23 +1,21 @@
-"""Tests for value iteration, policy evaluation and the finite-horizon
-expectimax.
+"""Tests for value iteration and policy evaluation.
 
-The backup oracle re-derives Q-values by summing the factored kernel
-triples directly, bypassing the pair kernel; the finite-horizon runs
-cross the recursive expectimax against repeated operator backups.
+The backup oracle re-derives Q-values from the pair rows of
+``tests/oracle.py``, bypassing the model's kernel; the oracle's stage-wise
+backward induction is crossed against repeated solver backups.
 """
 
 import numpy as np
 import pytest
 
+import oracle
 from fidelityq.actions import ACTIONS, Action
 from fidelityq.cogchain import ChainRates, CogGrid
-from fidelityq.errors import BudgetExceededError, PolicyMismatchError
+from fidelityq.errors import PolicyMismatchError
 from fidelityq.model import ModelParams, admissible, build_model
 from fidelityq.solver import (
-    HorizonSpec,
     ValuePolicyTable,
     bellman_backup,
-    finite_horizon_table,
     policy_evaluation,
     validate_policy,
     value_iteration,
@@ -56,7 +54,7 @@ def solution(model):
     return value_iteration(model)
 
 
-def pair_row(model, q, cog, a):
+def row_index(model, q, cog, a):
     """The kernel row of the pair (q, cog, a); there must be exactly one."""
     s = q * model.n_cog + cog
     (row,) = np.flatnonzero((model.pair_state == s) & (model.pair_action == ACTIONS.index(a)))
@@ -64,16 +62,13 @@ def pair_row(model, q, cog, a):
 
 
 def backup_oracle(model, values):
-    """Q-values by direct summation over the factored kernel."""
-    gamma = model.params.discount
+    """Optimal backup of ``values`` over the oracle's pair rows."""
+    flat = values.reshape(-1)
     best = np.full((model.n_q, model.n_cog), -np.inf)
     for q in range(model.n_q):
         for cog in range(model.n_cog):
             for a in admissible(q, cog, model.grid):
-                total = model.immediate_reward(q, cog, a)
-                for tau, p_tau, cog_dist, q_dist in model.entries(q, cog, a):
-                    cont = q_dist @ values @ cog_dist
-                    total += p_tau * gamma**tau * cont
+                total = model.reward_table(a)[q, cog] + oracle.pair_row(model, q, cog, a) @ flat
                 best[q, cog] = max(best[q, cog], total)
     return best
 
@@ -115,7 +110,7 @@ class TestValueIteration:
         flat = solution.values.reshape(-1)
         for q in range(model.n_q):
             for cog in range(model.n_cog):
-                row = pair_row(model, q, cog, Action(str(solution.policy[q, cog])))
+                row = row_index(model, q, cog, Action(str(solution.policy[q, cog])))
                 q_value = model.pair_reward[row] + model.kernel[row] @ flat
                 assert q_value == pytest.approx(
                     solution.values[q, cog], abs=10 * solution.epsilon
@@ -180,8 +175,8 @@ class TestPolicyEvaluation:
             for cog in range(model.n_cog):
                 s = q * model.n_cog + cog
                 a = Action(str(solution.policy[q, cog]))
-                row = model.kernel[pair_row(model, q, cog, a)]
-                rhs = model.immediate_reward(q, cog, a) + row @ flat
+                row = model.kernel[row_index(model, q, cog, a)]
+                rhs = model.reward_table(a)[q, cog] + row @ flat
                 assert flat[s] == pytest.approx(rhs, abs=1e-9)
 
     def test_matches_iterative_evaluation(self, model):
@@ -195,8 +190,8 @@ class TestPolicyEvaluation:
             for cog in range(model.n_cog):
                 s = q * model.n_cog + cog
                 a = Action(str(policy[q, cog]))
-                r_pi[s] = model.immediate_reward(q, cog, a)
-                rows[s] = model.kernel[pair_row(model, q, cog, a)]
+                r_pi[s] = model.reward_table(a)[q, cog]
+                rows[s] = model.kernel[row_index(model, q, cog, a)]
         v = np.zeros(model.n_states)
         for _ in range(600):
             v = r_pi + rows @ v
@@ -244,33 +239,19 @@ class TestPolicyEvaluation:
 
 class TestFiniteHorizon:
     def test_zero_stages_is_terminal_cost(self, model):
-        spec = HorizonSpec(n_stages=0, terminal_cost=0.7)
-        table = finite_horizon_table(model, spec)
+        table = oracle.finite_horizon_table(model, 0, 0.7)
         assert table[4, 2] == pytest.approx(-2.8)
         assert table[0, 0] == 0.0
 
     def test_stages_match_repeated_backups(self, model):
-        spec = HorizonSpec(n_stages=3, terminal_cost=0.7)
         values = -0.7 * np.arange(model.n_q)[:, None] * np.ones((1, model.n_cog))
         for _ in range(3):
             values, _ = bellman_backup(model, values)
-        table = finite_horizon_table(model, spec)
+        table = oracle.finite_horizon_table(model, 3, 0.7)
         assert table == pytest.approx(values, abs=1e-10)
 
     def test_single_stage_matches_backup(self, model):
-        spec = HorizonSpec(n_stages=1, terminal_cost=0.0)
         zero = np.zeros((model.n_q, model.n_cog))
         backed, _ = bellman_backup(model, zero)
-        got = finite_horizon_table(model, spec)[3, 3]
+        got = oracle.finite_horizon_table(model, 1, 0.0)[3, 3]
         assert got == pytest.approx(backed[3, 3], abs=1e-12)
-
-    def test_node_budget_enforced(self, model):
-        spec = HorizonSpec(n_stages=4, terminal_cost=0.7, node_budget=10)
-        with pytest.raises(BudgetExceededError):
-            finite_horizon_table(model, spec)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            HorizonSpec(n_stages=-1, terminal_cost=0.0)
-        with pytest.raises(ValueError):
-            HorizonSpec(n_stages=2, terminal_cost=-0.5)
