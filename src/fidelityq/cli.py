@@ -357,7 +357,7 @@ def cmd_sweep(args):
     cfg = resolve_config(args.config)
     if args.grid is not None:
         rates = check_arrival_rates(
-            "--grid", [float(x) for x in args.grid.split(",") if x.strip()]
+            "--grid", [x for x in args.grid.split(",") if x.strip()]
         )
     else:
         rates = cfg.sweep["arrival_rates"]

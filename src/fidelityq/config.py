@@ -248,12 +248,15 @@ def check_episode_count(name, episodes):
 
 
 def check_arrival_rates(name, rates):
-    """Reject a sweep rate that is not positive and finite, naming it as
-    ``name[i]``. Returns the rates."""
+    """Reject a sweep rate that is not a number, or not positive and
+    finite, naming it as ``name[i]``. Returns the rates as floats."""
+    checked = []
     for i, rate in enumerate(rates):
+        rate = _number(f"{name}[{i}]", rate)
         if not 0 < rate < math.inf:
             raise ConfigError(f"{name}[{i}] must be positive and finite, got {rate!r}")
-    return rates
+        checked.append(rate)
+    return checked
 
 
 def check_start(start, capacity, intervals, what="start"):
@@ -281,6 +284,11 @@ def _check_ranges(data):
     if family not in SERVICE_FAMILIES:
         raise ConfigError(
             f"service.family must be one of {SERVICE_FAMILIES}, got {family!r}"
+        )
+    arrival_rate = data["queue"]["arrival_rate"]
+    if not 0 < arrival_rate < math.inf:
+        raise ConfigError(
+            f"queue.arrival_rate must be positive and finite, got {arrival_rate!r}"
         )
     sim = data["simulation"]
     # the horizon targets a positive bias ratio, and both the main and the

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .actions import ACTIONS, DECREMENT, TIE_ORDER, Action
 from .cogchain import UNIT_RATES, build_step_matrix, step_powers
@@ -72,15 +71,15 @@ def arrival_table(rate, taus, capacity):
 
     ``table[i, start, q']`` is the probability of going from ``start``
     pending tasks to ``q'`` after ``taus[i]`` time units; overflow mass is
-    lumped at the capacity. One broadcast pmf/sf evaluation covers the
-    whole (tau, arrival count) grid, with the same ufuncs, dtypes and
-    clipping as ``scipy.stats.poisson``, so the entries match it bit for
-    bit without importing ``scipy.stats``.
+    lumped at the capacity. One broadcast evaluation covers the whole (tau,
+    arrival count) grid: the pmf is exp(w log(lam) - log(w!) - lam), and the
+    survival function is one minus its running sum, so each row sums to one.
     """
     lam = rate * np.asarray(taus)[:, None]
     w = np.arange(capacity + 1)
-    pmf = np.clip(np.exp(special.xlogy(w, lam) - special.gammaln(w + 1) - lam), 0, 1)
-    sf = np.clip(special.pdtrc(w, lam), 0, 1)
+    log_factorial = np.array([math.lgamma(x + 1.0) for x in range(capacity + 1)])
+    pmf = np.exp(w * np.log(lam) - log_factorial - lam)
+    sf = np.clip(1.0 - np.cumsum(pmf, axis=1), 0, 1)
     table = np.zeros((len(lam), capacity + 1, capacity + 1))
     for start in range(capacity + 1):
         room = capacity - start

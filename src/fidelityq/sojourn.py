@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.special._ufuncs import _nbinom_pmf
 
 from .actions import Action
 from .cogchain import fpt_pmf, mean_first_passage
@@ -137,16 +135,17 @@ def _beta_binomial_pmf(mean, dispersion, support):
     p = (mean - 1.0) / n
     alpha = dispersion * p
     beta = dispersion * (1.0 - p)
-    ks = np.arange(support)
-    # scipy.stats.betabinom's log-pmf, term for term and in the same order,
-    # so the probabilities match it bit for bit without scipy.stats
-    k = ks.astype(np.float64)
-    combiln = -np.log(n + 1) - special.betaln(n - k + 1, k + 1)
-    log_pmf = (combiln + special.betaln(k + alpha, n - k + beta)
-               - special.betaln(alpha, beta))
-    probs = np.clip(np.exp(log_pmf), 0, 1)
+    # f(k+1)/f(k) = (n-k)(k+alpha) / ((k+1)(n-k-1+beta)); no beta function
+    # is evaluated, so high dispersions lose no digits to cancellation. The
+    # running sums of the log ratios start at the mode, so the largest
+    # probabilities carry the fewest rounding steps
+    k = np.arange(n, dtype=np.float64)
+    log_ratio = np.log((n - k) * (k + alpha) / ((k + 1.0) * (n - k - 1.0 + beta)))
+    mode = int(np.argmax(np.concatenate(([0.0], np.cumsum(log_ratio)))))
+    below = -np.cumsum(log_ratio[:mode][::-1])[::-1]
+    probs = np.exp(np.concatenate((below, [0.0], np.cumsum(log_ratio[mode:]))))
     probs = probs / probs.sum()
-    return SojournPMF(times=ks + 1, probs=probs)
+    return SojournPMF(times=np.arange(1, support + 1), probs=probs)
 
 
 def _neg_binomial_pmf(mean, shape, support):
@@ -157,9 +156,15 @@ def _neg_binomial_pmf(mean, shape, support):
         )
     p = r / mean
     ks = np.arange(r, support + 1)
-    # the Boost ufunc behind scipy.stats.nbinom.pmf, clipped as rv_discrete
-    # clips it, so the probabilities match it bit for bit without scipy.stats
-    probs = np.clip(_nbinom_pmf(ks - r, r, p), 0, 1)
+    # f(j) = C(j+r-1, r-1) p^r (1-p)^j over j = k - r failures, in logs; the
+    # binomial coefficient is the sum of log(1 + j/i) over 0 < i < r. Each
+    # point is evaluated on its own from the absolute log f(0) = r log p, so
+    # 1 - probs.sum() is the mass beyond the support
+    j = (ks - r).astype(np.float64)
+    log_pmf = r * math.log(p) + j * math.log1p(-p)
+    for i in range(1, r):
+        log_pmf += np.log1p(j / i)
+    probs = np.exp(log_pmf)
     tail = 1.0 - probs.sum()
     if tail > TRUNCATION_TOL:
         raise TailMassError(

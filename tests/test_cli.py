@@ -311,6 +311,13 @@ class TestSweep:
         assert "--grid[1] must be positive and finite, got -1.0" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_grid_entry_that_is_not_a_number_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "--config", "tiny", "--out", str(out),
+                   "--grid", "0.3,abc") == 1
+        assert "--grid[1] must be a number, got 'abc'" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestExportMoments:
     def test_moment_table_rows(self, tmp_path):
@@ -335,6 +342,13 @@ class TestErrors:
         bad.write_text("quue:\n  capacity: 3\n")
         assert run("solve", "--config", str(bad),
                    "--out", str(tmp_path / "out")) == 1
+
+    @pytest.mark.parametrize("rate", [".nan", ".inf", "0", "-0.3"])
+    def test_bad_arrival_rate_names_the_key(self, tmp_path, capsys, rate):
+        bad = tmp_path / "bad_rate.yaml"
+        bad.write_text(f"queue: {{arrival_rate: {rate}}}\n")
+        assert run("solve", "--config", str(bad), "--out", str(tmp_path / "out")) == 1
+        assert "queue.arrival_rate must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "simulate"])
     @pytest.mark.parametrize("episodes", ["1", "0", "-3"])

@@ -111,6 +111,15 @@ class TestMerge:
         with pytest.raises(ConfigError, match=f"^{match}$"):
             from_mapping({"sweep": sweep})
 
+    @pytest.mark.parametrize(
+        "rate, shown", [(float("nan"), "nan"), (float("inf"), "inf"), (0, "0.0"), (-0.3, "-0.3")]
+    )
+    def test_arrival_rate_must_be_positive_and_finite(self, rate, shown):
+        with pytest.raises(
+            ConfigError, match=f"^queue.arrival_rate must be positive and finite, got {shown}$"
+        ):
+            from_mapping({"queue": {"arrival_rate": rate}})
+
     def test_simulation_settings_accepted(self):
         cfg = from_mapping(
             {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2,

@@ -1,8 +1,9 @@
 """Tests for model assembly: admissibility, queue kernel, rewards and the
 discounted kernel over the admissible (state, action) pairs.
 
-The arrival table is checked bit for bit against the ``scipy.stats.poisson``
-rows of ``tests/oracle.py``, and the kernel against the oracle's pair rows.
+The arrival table is checked against the ``scipy.stats.poisson`` rows of
+``tests/oracle.py`` within 1e-14 absolute, and the kernel against the
+oracle's pair rows.
 The reward oracle sums the realized per-epoch reward over the joint law of
 (sojourn, arrivals) and must reproduce the closed-form immediate reward.
 """
@@ -108,12 +109,13 @@ class TestArrivalTable:
         taus=st.lists(st.integers(min_value=1, max_value=4000), min_size=1, max_size=8),
         capacity=st.integers(min_value=1, max_value=40),
     )
-    def test_matches_scalar_reference_bitwise(self, rate, taus, capacity):
+    def test_matches_scalar_reference(self, rate, taus, capacity):
+        # the worst gap seen over 400 draws of these ranges was 3.3e-15
         table = arrival_table(rate, taus, capacity)
         assert table.shape == (len(taus), capacity + 1, capacity + 1)
         for start in range(capacity + 1):
             expected = oracle.arrival_rows(rate, taus, start, capacity)
-            assert np.array_equal(table[:, start], expected), start
+            assert np.abs(table[:, start] - expected).max() <= 1e-14, start
 
 
 class TestQueueKernel:
@@ -167,30 +169,34 @@ class TestQueueKernel:
             )
 
 
-def test_build_does_not_import_scipy_stats():
-    """scipy.special is the only scipy subpackage the package loads:
-    building every shipped config, solving one and evaluating its policy
-    exactly must load neither scipy.stats nor scipy.linalg."""
+def test_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: with it blocked before the package
+    loads, building every shipped config loads no scipy module, and every
+    subcommand runs end to end on tiny."""
     code = (
         "import sys, warnings\n"
+        "sys.modules['scipy'] = None\n"
         "warnings.simplefilter('ignore')\n"
         "import fidelityq\n"
+        "from fidelityq import cli\n"
         "for name in ('default', 'high_lambda', 'skip_cheap', 'large_gap', 'tiny'):\n"
-        "    model = fidelityq.builtin_config(name).build_model()\n"
-        "solution = fidelityq.value_iteration(model)\n"
-        "fidelityq.policy_evaluation(model, solution.policy)\n"
-        "print(' '.join(sorted(\n"
-        "    name for name, module in sys.modules.items()\n"
-        "    if name.count('.') == 1 and name.startswith('scipy.')\n"
-        "    and not name.startswith('scipy._') and hasattr(module, '__path__')\n"
-        ")))\n"
+        "    fidelityq.builtin_config(name).build_model()\n"
+        "loaded = {n: m for n, m in sys.modules.items() if n.startswith('scipy')}\n"
+        "assert loaded == {'scipy': None}, sorted(loaded)\n"
+        "out = sys.argv[1]\n"
+        "for args in (['solve'], ['check', '--episodes', '200'], ['export-moments'],\n"
+        "             ['sweep', '--grid', '0.3,0.5'], ['simulate', '--episodes', '200']):\n"
+        "    status = cli.main([*args, '--config', 'tiny', '--out', out])\n"
+        "    assert status == 0, (args, status)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fidelityq.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
     )
-    assert run.stdout.split() == ["scipy.special"]
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "structure.json").exists()
+    assert (tmp_path / "trajectories.csv").exists()
 
 
 def epoch_reward(model, q, arrivals, tau, action):

@@ -3,11 +3,14 @@
 Closed forms used as oracles: geometric first-passage moments for a
 pure-downward rest chain, the negative-binomial generating function for
 the discount transform, and hand-summed two-atom distributions. The
-beta-binomial law is checked bit for bit against ``scipy.stats.betabinom``.
+service laws are checked against ``scipy.stats`` within stated absolute
+tolerances, and the beta-binomial law against a 40-digit ``mpmath``
+evaluation.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,14 +337,44 @@ def reference_beta_binomial(mean, dispersion, support):
     fraction=st.floats(min_value=0.0, max_value=1.0),
     dispersion=st.floats(min_value=1e-3, max_value=1e4),
 )
-def test_beta_binomial_matches_scipy_stats_bitwise(support, fraction, dispersion):
+def test_beta_binomial_matches_scipy_stats(support, fraction, dispersion):
+    # scipy's beta-function form loses up to ~2.5e-12 at high dispersion
+    # (see the mpmath test below); the tolerance is scipy's error, not ours
     mean = 1.0 + fraction * (support - 2)
     if mean <= 1.0:
         mean = np.nextafter(1.0, 2.0)
     times, probs = reference_beta_binomial(mean, dispersion, support)
     pmf = _beta_binomial_pmf(mean, dispersion, support)
     assert np.array_equal(pmf.times, times)
-    assert pmf.probs.tobytes() == probs.tobytes()
+    assert np.abs(pmf.probs - probs).max() <= 1e-11
+
+
+def mpmath_beta_binomial(mean, dispersion, support):
+    """The beta-binomial service law from its definition,
+    C(n, k) B(k + alpha, n - k + beta) / B(alpha, beta), in 40 digits."""
+    n = support - 1
+    p = (mean - 1.0) / n
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(dispersion * p)
+        beta = mpmath.mpf(dispersion * (1.0 - p))
+        terms = [
+            mpmath.binomial(n, k) * mpmath.beta(k + alpha, n - k + beta)
+            for k in range(support)
+        ]
+        total = mpmath.fsum(terms)
+        return np.array([float(t / total) for t in terms])
+
+
+@pytest.mark.parametrize(
+    "support, fraction, dispersion",
+    [(126, 0.103, 9437.0), (400, 0.37, 1e4), (3000, 0.6, 8000.0)],
+)
+def test_beta_binomial_matches_mpmath(support, fraction, dispersion):
+    """High dispersion is where a beta-function evaluation cancels most."""
+    mean = 1.0 + fraction * (support - 2)
+    pmf = _beta_binomial_pmf(mean, dispersion, support)
+    expected = mpmath_beta_binomial(mean, dispersion, support)
+    assert np.abs(pmf.probs - expected).max() <= 1e-15
 
 
 def reference_neg_binomial(mean, shape, support):
@@ -359,7 +392,7 @@ def reference_neg_binomial(mean, shape, support):
     support=st.integers(min_value=12, max_value=4000),
     fraction=st.floats(min_value=1e-3, max_value=1.0),
 )
-def test_neg_binomial_matches_scipy_stats_bitwise(shape, support, fraction):
+def test_neg_binomial_matches_scipy_stats(shape, support, fraction):
     # log-uniform means between the shape and the support, so both fitting
     # and overflowing laws are drawn
     mean = shape * (support / shape) ** fraction
@@ -371,9 +404,11 @@ def test_neg_binomial_matches_scipy_stats_bitwise(shape, support, fraction):
     pmf = _neg_binomial_pmf(mean, shape, support)
     kept = pmf.times.size
     assert np.array_equal(pmf.times, times[:kept])
-    assert pmf.probs.tobytes() == probs[:kept].tobytes()
-    assert not probs[kept:].any()
-    assert pmf.truncated_mass == max(tail, 0.0)
+    # only trailing zeros are trimmed, so the dropped points are ~0 in scipy
+    got = np.zeros_like(probs)
+    got[:kept] = pmf.probs
+    assert np.abs(got - probs).max() <= 1e-14
+    assert abs(pmf.truncated_mass - max(tail, 0.0)) <= 1e-13
 
 
 class TestNegBinomialFamily:
