@@ -284,6 +284,7 @@ class SmdpModel:
         cdf = np.empty(bound)
         taus = np.empty(bound, np.min_scalar_type(max(int(pmf.times[-1]) for pmf in laws)))
         cogs = np.empty(bound, np.min_scalar_type(self.n_cog - 1))
+        arrival_row = np.empty(bound, np.min_scalar_type(len(self._taus) - 1))
         lengths = []
         n = 0
         for (cog, a), pmf in self._sojourns.items():
@@ -296,6 +297,7 @@ class SmdpModel:
             np.cumsum(joint[outcome], out=cdf[n : n + k])
             taus[n : n + k] = times[row]
             cogs[n : n + k] = nxt
+            arrival_row[n : n + k] = np.searchsorted(self._taus, times)[row]
             segment[cog, ACTIONS.index(a)] = len(lengths)
             lengths.append(k)
             n += k
@@ -303,8 +305,20 @@ class SmdpModel:
             segment=segment,
             taus=taus[:n],
             cogs=cogs[:n],
+            arrival_row=arrival_row[:n],
             cdf=SegmentedCdf(cdf[:n], lengths),
         )
+
+    @cached_property
+    def arrival_law(self):
+        """Capped arrivals over every sojourn length, built on first use and
+        shared by every sampler of this model: law ``i`` is the start-0 row
+        of the arrival table, the law of k = min(W, L) with
+        W ~ Poisson(rate * taus[i]) and L the capacity, and outcome k sits at
+        its flat position ``start[i] + k``. From s tasks left after service,
+        the next queue min(s + k, L) has the law of the table's row s."""
+        table = np.cumsum(self._arrivals[:, 0, :], axis=1)
+        return SegmentedCdf(table.reshape(-1), np.full(len(self._taus), self.n_q))
 
     def moment(self, name, action):
         return self._moments[name][action]

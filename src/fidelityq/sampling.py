@@ -47,14 +47,24 @@ class SegmentedCdf:
         # m_s buckets: the largest power of two <= max(searchable entries, 1);
         # bucket k starts at the law's answer for u = k / m_s, and one more
         # guide entry per law, its last position, closes the last bucket
-        self.buckets = np.ldexp(1.0, np.frexp(np.maximum(lengths - 1, 1))[1] - 1)
+        exponent = np.frexp(np.maximum(lengths - 1, 1))[1] - 1
+        self.buckets = np.ldexp(1.0, exponent)
         counts = self.buckets.astype(np.intp) + 1
         self.guide_start = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        self.guide = np.empty(counts.sum(), dtype=np.int32)
-        for start, end, g, m in zip(self.start, self.end, self.guide_start, counts - 1):
-            keys = np.arange(m) / m
-            self.guide[g : g + m] = start + np.searchsorted(table[start:end], keys, side="right")
-            self.guide[g + m] = end
+        # guide entry k < m_s of law s is start_s plus the number of the
+        # law's entries v <= k / m_s, that is with ceil(v * m_s) <= k (exact,
+        # as m_s is a power of two). So each entry is counted at its law's
+        # slot ceil(min(v, 1) * m_s), the +inf last one at the closing slot
+        # m_s, and a running count over all slots is the guide; at a closing
+        # slot it reads end_s + 1. The slots are filled in place, so the
+        # constructor holds two table-sized temporaries at most
+        slot = np.minimum(table, 1.0)
+        np.ldexp(slot, np.repeat(exponent, lengths), out=slot)
+        np.ceil(slot, out=slot)
+        slot += np.repeat(self.guide_start, lengths)
+        counted = np.bincount(slot.astype(np.intp), minlength=counts.sum())
+        self.guide = np.cumsum(counted, dtype=np.int32)
+        self.guide[self.guide_start + counts - 1] = self.end
 
     def invert(self, segments, u):
         """Flat positions of the draws ``u`` (each >= 0) from the laws
@@ -88,10 +98,13 @@ class EpochLaw:
     ``segment[c, i]`` is the law of level ``c`` under ``ACTIONS[i]`` in
     ``cdf`` (-1 where the action has no law). Each law lists its
     positive-probability outcomes in tau-major order; ``taus[pos]`` and
-    ``cogs[pos]`` are the sojourn and next level at flat position ``pos``.
+    ``cogs[pos]`` are the sojourn and next level at flat position ``pos``,
+    and ``arrival_row[pos]`` is that sojourn's row in the model's arrival
+    table, which is also its law in ``model.arrival_law``.
     """
 
     segment: np.ndarray
     taus: np.ndarray
     cogs: np.ndarray
+    arrival_row: np.ndarray
     cdf: SegmentedCdf

@@ -1,20 +1,25 @@
 """Monte-Carlo simulation of the queue under a fixed policy.
 
-Reward accounting mirrors the model exactly: one epoch accrues
-gamma^zeta * (r(a) - c*tau*(q + w/2)) where zeta is the epoch's start
-time and w the number of arrivals inside it, so simulated discounted
-returns are unbiased estimates of the policy's value. Discounting acts at
-epoch granularity; there is no intra-epoch discounting.
+An epoch of action a from queue q lasting tau accrues
+gamma^zeta * (r(a) - c*tau*(q + lambda*tau/2)), where zeta is its start
+time: the realised reward r(a) - c*tau*(q + w/2) with the w arrivals inside
+the epoch replaced by their mean lambda*tau given the sojourn. The discount
+gamma^zeta depends only on earlier sojourns, and w is independent of the
+past given tau, so simulated discounted returns stay unbiased estimates of
+the policy's value (conditional Monte Carlo). Discounting acts at epoch
+granularity; there is no intra-epoch discounting.
 
-One epoch takes two draws: one uniform picks the sojourn tau and the next
-cognitive level together from the joint law of the state's (level,
-action) in ``model.epoch_law``, by exact inverse-CDF lookup, and a Poisson
-draw gives the arrivals over tau. One lockstep loop advances any number
-of episodes, one vectorized lookup per epoch: ``monte_carlo_value`` runs
-all its episodes through it and sizes the horizon so the truncation bias
-stays below a fraction of the standard error, and
-``PolicySampler.run_episode`` runs one episode through it and keeps every
-epoch as a record for export.
+One epoch takes two uniforms, drawn together. The first picks the sojourn
+tau and the next cognitive level together from the joint law of the
+state's (level, action) in ``model.epoch_law``. The second picks the capped
+arrivals k = min(w, L) over tau from ``model.arrival_law``, and the next
+queue is min(max(q - d, 0) + k, L) for the action's decrement d and the
+capacity L. Both are exact inverse-CDF lookups. One lockstep loop advances
+any number of episodes, one vectorized lookup per law and epoch:
+``monte_carlo_value`` runs all its episodes through it and sizes the
+horizon so the truncation bias stays below a fraction of the standard
+error, and ``PolicySampler.run_episode`` runs one episode through it and
+keeps every epoch as a record for export.
 """
 
 import math
@@ -92,44 +97,53 @@ def plan_horizon(model, target_bias):
 class PolicySampler:
     """Simulates one (model, policy) pair.
 
-    Each epoch is one draw from the joint (tau, next level) law of the
-    state's (level, action) in ``model.epoch_law``: one uniform, inverted
-    exactly through that law's CDF, gives the sojourn and the next level
+    Each epoch draws two uniforms. The first is inverted exactly through
+    the CDF of the joint (tau, next level) law of the state's (level,
+    action) in ``model.epoch_law`` and gives the sojourn and the next level
     together (skipping keeps the level and resting lands on the resting
-    level, as outcomes of their laws). The Poisson arrivals over the
-    sojourn are the epoch's second draw.
+    level, as outcomes of their laws). The second is inverted through the
+    sojourn's law in ``model.arrival_law`` and gives the capped arrivals,
+    hence the next queue. An epoch's reward is its mean given the sojourn,
+    r(a) - c*tau*(q + lambda*tau/2), and its ``arrivals`` are the admitted
+    ones, q' - max(q - d, 0).
     """
 
     def __init__(self, model, policy):
         self.model = model
         # per flat state q * n_cog + cog: the action's index, its law, its
-        # service reward and its queue decrement
+        # service reward and the queue it leaves before arrivals, max(q - d, 0)
         self._codes = model.pair_action[validate_policy(model, policy)]
         self.policy = np.asarray(policy)
         levels = np.tile(np.arange(model.n_cog), model.n_q)
         self._segments = model.epoch_law.segment[levels, self._codes]
         self._reward = np.array([model.service_reward[a] for a in ACTIONS])[self._codes]
-        self._decrement = np.array([DECREMENT[a] for a in ACTIONS], dtype=np.int64)[self._codes]
+        decrement = np.array([DECREMENT[a] for a in ACTIONS])[self._codes]
+        self._served = np.maximum(np.repeat(np.arange(model.n_q), model.n_cog) - decrement, 0)
 
     def _epochs(self, start, episodes, horizon_epochs, rng):
         """Advance ``episodes`` runs from ``start`` in lockstep, one epoch
-        per step: yields the epoch's flat states, sojourns, arrivals and
-        rewards (on the pre-transition queue), then moves every run to its
-        next state."""
+        per step: yields the epoch's flat states, sojourns, admitted
+        arrivals and rewards (on the pre-transition queue), then moves every
+        run to its next state."""
         model = self.model
         law = model.epoch_law
-        rate = model.params.skip_wait.arrival_rate
+        arrival_law = model.arrival_law
+        half_rate = 0.5 * model.params.skip_wait.arrival_rate
         c = model.params.holding_cost
         cap = model.n_q - 1
         q = np.full(episodes, start[0], dtype=np.int64)
         cog = np.full(episodes, start[1], dtype=np.int64)
         for _ in range(horizon_epochs):
             state = q * model.n_cog + cog
-            pos = law.cdf.invert(self._segments[state], rng.random(episodes))
+            u = rng.random((2, episodes))
+            pos = law.cdf.invert(self._segments[state], u[0])
             tau = law.taus[pos]
-            w = rng.poisson(rate * tau)
-            yield state, tau, w, self._reward[state] - c * tau * (q + 0.5 * w)
-            q = np.minimum(np.maximum(q - self._decrement[state], 0) + w, cap)
+            row = law.arrival_row[pos]
+            capped = arrival_law.invert(row, u[1]) - arrival_law.start[row]
+            served = self._served[state]
+            nxt = np.minimum(served + capped, cap)
+            yield state, tau, nxt - served, self._reward[state] - c * tau * (q + half_rate * tau)
+            q = nxt
             cog = law.cogs[pos]
 
     def run_episode(self, start, horizon_epochs, seed):

@@ -1,8 +1,9 @@
-"""Tests for the segmented inverse-CDF table and the epoch law built on it.
+"""Tests for the segmented inverse-CDF table and the laws built on it.
 
-The kernel is checked against a per-law ``np.searchsorted`` bit for bit;
-the model's epoch law is checked against the sojourn laws and cognitive
-moves it is built from.
+The guide and the draws are checked against a per-law ``np.searchsorted``
+bit for bit; the model's epoch law is checked against the sojourn laws and
+cognitive moves it is built from, and its arrival law against the arrival
+table.
 """
 
 import warnings
@@ -27,6 +28,24 @@ def expected_positions(cdfs, segments, u):
             for s, x in zip(segments, u)
         ]
     )
+
+
+def reference_guide(cdfs):
+    """Each law's guide built on its own: for m, the largest power of two
+    no larger than max(searchable entries, 1), the positions a per-law
+    searchsorted gives for u = k / m, k < m, then the law's last position."""
+    guide, start = [], 0
+    for cdf in cdfs:
+        m = 1 << (max(len(cdf) - 1, 1).bit_length() - 1)
+        keys = np.arange(m) / m
+        guide += [start + np.searchsorted(cdf[:-1], keys, side="right"), [start + len(cdf) - 1]]
+        start += len(cdf)
+    return np.concatenate(guide)
+
+
+def assert_guide_exact(cdfs):
+    table = SegmentedCdf(np.concatenate(cdfs), [len(cdf) for cdf in cdfs])
+    np.testing.assert_array_equal(table.guide, reference_guide(cdfs))
 
 
 def assert_draws_exact(cdfs, uniforms):
@@ -72,13 +91,34 @@ def test_invert_equals_clamped_searchsorted(cdfs, extra):
     assert_draws_exact(cdfs, uniforms)
 
 
+@settings(max_examples=200, deadline=None)
+@given(laws())
+def test_guide_equals_per_law_searchsorted(cdfs):
+    # with one-outcome laws and a law of zero-mass ties
+    assert_guide_exact(cdfs + [np.array([0.0]), np.array([1.0]), np.zeros(3)])
+
+
 def test_single_outcome_and_crowded_laws():
     # one law whose outcomes all fall in one guide bucket forces the
     # bisection path; the single-outcome law always returns 0
     crowded = np.cumsum(np.concatenate([np.full(500, 1e-6), [0.4], np.full(300, 1e-7)]))
     cdfs = [crowded, np.array([0.3]), np.array([1.0]), np.array([0.2, 0.2, 0.2])]
     grid = np.random.default_rng(3).random(2000)
+    assert_guide_exact(cdfs)
     assert_draws_exact(cdfs, np.concatenate([[0.0, 1.0 - 2.0**-53], crowded, grid]))
+
+
+def test_many_short_laws_as_in_large_gap():
+    # large_gap's arrival law: 3,200 laws of 13 outcomes, with crowded
+    # tails, zero-mass ties and laws that reach 1 before their last entry
+    rng = np.random.default_rng(11)
+    mass = rng.random((3200, 13)) ** 8
+    mass[rng.random(mass.shape) < 0.2] = 0.0
+    mass[::7, 6:] = 0.0
+    mass[:, 0] += 1e-300
+    cdfs = list(np.cumsum(mass / mass.sum(axis=1, keepdims=True), axis=1))
+    assert_guide_exact(cdfs)
+    assert_draws_exact(cdfs[::53], np.concatenate([[0.0, 1.0 - 2.0**-53], rng.random(40)]))
 
 
 @pytest.mark.parametrize("lengths", [[2, 0], [], [1, 2]])
@@ -124,3 +164,19 @@ def test_epoch_law_matches_sojourn_and_moves(name):
             present = np.zeros(table.shape, dtype=bool)
             present[rows, nxt] = True
             np.testing.assert_array_equal(present, expected > 0)
+            np.testing.assert_array_equal(model._taus[law.arrival_row[positions]], taus)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_arrival_law_is_the_start_0_rows(name):
+    """Law i of ``arrival_law`` is row i of the arrival table from an empty
+    queue, cumulated: the law of the capped arrivals over ``taus[i]``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = resolve_config(name).build_model()
+    law = model.arrival_law
+    np.testing.assert_array_equal(law.end - law.start, np.full(len(model._taus), model.n_q - 1))
+    for i, row in enumerate(model._arrivals[:, 0, :]):
+        cdf = law.table[law.start[i] : law.end[i] + 1]
+        np.testing.assert_array_equal(cdf[:-1], np.cumsum(row)[:-1])
+        assert cdf[-1] == np.inf

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fidelityq.actions import Action
+from fidelityq.actions import DECREMENT, Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix
 from fidelityq.errors import ConfigError
 from fidelityq.model import ModelParams, admissible, build_model
@@ -59,13 +59,15 @@ def optimal_sampler(model, solution):
     return PolicySampler(model, solution.policy)
 
 
-def epoch_reward(model, q, arrivals, tau, action):
-    """Realized (undiscounted) reward of one epoch, r(a) - c tau (q + w/2),
-    written out here as an independent reference."""
+def epoch_reward(model, q, tau, action):
+    """Undiscounted reward of one epoch given its sojourn,
+    r(a) - c tau (q + lambda tau / 2), written out here as an independent
+    reference."""
     base = {Action.NORMAL: model.params.reward_normal, Action.HIGH: model.params.reward_high}
     r = base.get(action, 0.0)
     c = model.params.holding_cost
-    return r - c * tau * (q + 0.5 * arrivals)
+    lam = model.params.skip_wait.arrival_rate
+    return r - c * tau * (q + lam * tau / 2)
 
 
 def drain_policy(model):
@@ -81,8 +83,6 @@ def drain_sampler(model):
 
 class TestTrajectories:
     def test_records_obey_the_model(self, model, optimal_sampler):
-        from fidelityq.actions import DECREMENT
-
         traj = optimal_sampler.run_episode((6, 4), horizon_epochs=400, seed=42)
         assert len(traj) == 400
         recs = traj.records
@@ -94,12 +94,13 @@ class TestTrajectories:
             pmf = model.sojourn(rec.cog, a)
             assert rec.tau in pmf.times[pmf.probs > 0]
             assert rec.reward == pytest.approx(
-                epoch_reward(model, rec.q, rec.arrivals, rec.tau, a), abs=1e-12
+                epoch_reward(model, rec.q, rec.tau, a), abs=1e-12
             )
         for first, second in zip(recs, recs[1:]):
             a = Action(first.action)
-            expect_q = min(max(first.q - DECREMENT[a], 0) + first.arrivals, cap)
-            assert second.q == expect_q
+            served = max(first.q - DECREMENT[a], 0)
+            assert 0 <= first.arrivals <= cap - served
+            assert second.q == served + first.arrivals
             assert second.time == first.time + first.tau
             if a is Action.SKIP:
                 assert second.cog == first.cog
@@ -127,26 +128,49 @@ class TestTrajectories:
         returns = {t.discounted_return for t in trajs}
         assert len(returns) > 1
 
-    def test_arrivals_match_poisson_rate(self, model, drain_sampler):
-        traj = drain_sampler.run_episode((8, 2), horizon_epochs=3000, seed=5)
-        skip_epochs = [r for r in traj.records if r.action == "S"]
-        lam = model.params.skip_wait.arrival_rate
+    def test_arrivals_match_poisson_rate(self, model):
+        """One epoch from each start in many runs: the admitted arrivals
+        follow Poisson(lambda tau) capped at the room left after service.
+        A start at capacity under rest leaves no room, so no arrival is
+        admitted; a skip serves one task first."""
+        policy = drain_policy(model)
+        policy[8, 4] = "R"
+        sampler = PolicySampler(model, policy)
         t_s = model.params.skip_wait.skip_time
-        mean_arrivals = lam * t_s
-        n = len(skip_epochs)
-        assert n > 1000
-        observed = np.mean([r.arrivals for r in skip_epochs])
-        se = np.sqrt(mean_arrivals / n)
-        assert abs(observed - mean_arrivals) <= 3 * se
+        law = stats.poisson(model.params.skip_wait.arrival_rate * t_s)
+        for start, room in [((8, 4), 0), ((8, 2), 1), ((7, 2), 2), ((3, 2), 6), ((1, 2), 8)]:
+            epochs = sampler._epochs(start, 20_000, 1, np.random.default_rng([5, room]))
+            _, tau, admitted, _ = next(epochs)
+            observed = np.bincount(admitted, minlength=room + 1)
+            assert len(observed) == room + 1, start
+            if room == 0:
+                continue
+            assert np.all(tau == t_s)
+            expected = law.pmf(np.arange(room + 1)) * len(admitted)
+            expected[room] = law.sf(room - 1) * len(admitted)
+            # pool the last cell expected to hold 5 draws or more with every
+            # cell after it
+            small = np.flatnonzero(expected < 5)
+            cut = max(int(small[0]) if small.size else room + 1, 2) - 1
+            observed = np.append(observed[:cut], observed[cut:].sum())
+            expected = np.append(expected[:cut], expected[cut:].sum())
+            assert stats.chisquare(observed, expected).pvalue > 1e-3, start
 
 
 class TestEstimates:
-    def test_single_epoch_is_unbiased(self, model, drain_sampler):
-        start = (3, 2)
-        est = drain_sampler.estimate(start, episodes=20000, seed=9, horizon_epochs=1)
-        expected = model.reward_table(Action.SKIP)[3, 2]
+    def test_single_epoch_is_unbiased(self, model, drain_sampler, optimal_sampler):
+        # a skip lasts a fixed time, so its reward given the sojourn is the
+        # expected reward itself, to rounding and without spread
+        est = drain_sampler.estimate((3, 2), episodes=20000, seed=9, horizon_epochs=1)
         assert est.horizon_epochs == 1
-        assert abs(est.mean - expected) <= 3 * est.std_error
+        assert est.mean == pytest.approx(model.reward_table(Action.SKIP)[3, 2], abs=1e-12)
+        assert est.std_error <= 1e-12
+        # a service lasts a random time
+        action = Action(optimal_sampler.policy[3, 2])
+        assert action in (Action.NORMAL, Action.HIGH)
+        est = optimal_sampler.estimate((3, 2), episodes=20000, seed=9, horizon_epochs=1)
+        assert est.std_error > 0
+        assert abs(est.mean - model.reward_table(action)[3, 2]) <= 3 * est.std_error
 
     def test_matches_optimal_value(self, model, solution, optimal_sampler):
         for start in [(1, 2), (4, 4), (8, 0), (3, 3), (6, 1)]:
@@ -285,21 +309,17 @@ class TestChainOccupancy:
 
 
 class RecordingRng:
-    """A numpy Generator that logs the means and counts of its Poisson
-    draws; one run at a time."""
+    """A numpy Generator that logs the uniforms it draws; one run at a
+    time."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.means, self.counts = [], []
+        self.uniforms = []
 
-    def random(self, n):
-        return self._rng.random(n)
-
-    def poisson(self, lam):
-        w = self._rng.poisson(lam)
-        self.means += lam.tolist()
-        self.counts += w.tolist()
-        return w
+    def random(self, shape):
+        u = self._rng.random(shape)
+        self.uniforms.append(u.copy())
+        return u
 
 
 class TestSharedLoop:
@@ -317,6 +337,13 @@ class TestSharedLoop:
         plain, _ = sampler.run_batch(start, 1, horizon, np.random.default_rng(seed))
         assert totals[0] == plain[0]
         assert traj.discounted_return == pytest.approx(totals[0], rel=1e-12)
+        # one (2, runs) draw per epoch; the second row picks the arrivals by
+        # inverting Poisson(lambda tau) capped at the capacity
+        assert [u.shape for u in rng.uniforms] == [(2, 1)] * horizon
         rate = model.params.skip_wait.arrival_rate
-        assert rng.means == [rate * rec.tau for rec in traj.records]
-        assert rng.counts == [rec.arrivals for rec in traj.records]
+        cap = model.n_q - 1
+        for rec, u in zip(traj.records, rng.uniforms):
+            capped_cdf = stats.poisson.cdf(np.arange(cap), rate * rec.tau)
+            w = int(np.searchsorted(capped_cdf, u[1, 0], side="right"))
+            served = max(rec.q - DECREMENT[Action(rec.action)], 0)
+            assert rec.arrivals == min(served + w, cap) - served
