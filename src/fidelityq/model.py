@@ -67,25 +67,19 @@ def admissible(q, cog_index, grid):
 
 
 def arrival_table(rate, taus, capacity):
-    """Queue moves under Poisson(rate) arrivals for every sojourn length.
-
-    ``table[i, start, q']`` is the probability of going from ``start``
-    pending tasks to ``q'`` after ``taus[i]`` time units; overflow mass is
-    lumped at the capacity. One broadcast evaluation covers the whole (tau,
-    arrival count) grid: the pmf is exp(w log(lam) - log(w!) - lam), and the
-    survival function is one minus its running sum, so each row sums to one.
-    """
+    """Poisson(rate) arrivals W over ``taus[i]`` time units, up to the
+    capacity: ``pmf[i, w]`` is P(W = w) and ``tail[i, r]`` is P(W >= r).
+    From ``start`` tasks the queue moves to ``start + w`` with ``pmf[i, w]``
+    below the capacity and to the capacity with ``tail[i, capacity - start]``.
+    One broadcast covers the (tau, count) grid: the pmf is
+    exp(w log(lam) - log(w!) - lam), and the tail adds one minus its running
+    sum, so every start's row sums to one."""
     lam = rate * np.asarray(taus)[:, None]
     w = np.arange(capacity + 1)
     log_factorial = np.array([math.lgamma(x + 1.0) for x in range(capacity + 1)])
     pmf = np.exp(w * np.log(lam) - log_factorial - lam)
-    sf = np.clip(1.0 - np.cumsum(pmf, axis=1), 0, 1)
-    table = np.zeros((len(lam), capacity + 1, capacity + 1))
-    for start in range(capacity + 1):
-        room = capacity - start
-        table[:, start, start:] = pmf[:, : room + 1]
-        table[:, start, capacity] += sf[:, room]
-    return table
+    tail = pmf + np.clip(1.0 - np.cumsum(pmf, axis=1), 0, 1)
+    return pmf, tail
 
 
 class SmdpModel:
@@ -112,7 +106,7 @@ class SmdpModel:
             Action.HIGH: params.reward_high,
         }
         self.reward_slope, self.reward_intercept = self._build_reward_components()
-        self._taus, self._arrivals = self._build_arrivals()
+        self._taus, self._arrival_pmf, self._arrival_tail = self._build_arrivals()
         self.pair_state, self.pair_action, self.segment_starts = self._build_pairs()
         rewards = np.stack([self.reward_table(a).reshape(-1) for a in ACTIONS])
         self.pair_reward = rewards[self.pair_action, self.pair_state]
@@ -183,13 +177,14 @@ class SmdpModel:
 
     def _build_arrivals(self):
         """Sorted sojourn lengths with positive probability under some law,
-        and the read-only (tau, start, q') arrival table over them."""
+        and the read-only ``arrival_table`` pmf and tail over them."""
         taus = np.unique(
             np.concatenate([pmf.support[0] for pmf in self._sojourns.values()])
         )
-        table = arrival_table(self.params.skip_wait.arrival_rate, taus, self.n_q - 1)
-        table.setflags(write=False)
-        return taus, table
+        pmf, tail = arrival_table(self.params.skip_wait.arrival_rate, taus, self.n_q - 1)
+        pmf.setflags(write=False)
+        tail.setflags(write=False)
+        return taus, pmf, tail
 
     def _build_pairs(self):
         """Flat state and ``ACTIONS`` index of every admissible pair,
@@ -212,9 +207,11 @@ class SmdpModel:
         T[(q,c),a][(q',c')] = sum_tau B_tau[start_a(q), q'] W_a[tau, c, c'] with
         W_a[tau, c, :] = gamma^tau P(tau|c,a) C_a_tau[c, :], so each action
         takes one weight table W_a over the contiguous run of taus its laws
-        use and, per queue row where it is admissible, one matrix product
-        over tau against a view of the arrival table."""
+        use. From start s, B_tau is the arrival pmf shifted by s and the tail
+        P(W >= L - s) at the capacity L, so one product over tau of W_a with
+        the pmf and one with the tail give the block of every start."""
         gamma = self.params.discount
+        cap = self.n_q - 1
         n_pairs = len(self.pair_state)
         row_of = np.full((len(ACTIONS), self.n_states), -1)
         row_of[self.pair_action, self.pair_state] = np.arange(n_pairs)
@@ -227,7 +224,7 @@ class SmdpModel:
                     times, probs = pmf.support
                     w = gamma**times * probs
                     laws.append((cog, times, w, np.searchsorted(self._taus, times)))
-            # every law of a lies in taus[lo:hi], a view of the arrival table
+            # every law of a lies in taus[lo:hi], a view of the arrival rows
             lo = min(int(rows[0]) for *_, rows in laws)
             hi = max(int(rows[-1]) for *_, rows in laws) + 1
             cogs = np.array([cog for cog, *_ in laws])
@@ -235,14 +232,15 @@ class SmdpModel:
             for i, (cog, times, w, rows) in enumerate(laws):
                 weights[rows - lo, i, :] = w[:, None] * self.cog_move(a, times, cog)
             weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
-            arrivals = self._arrivals[lo:hi]
+            shape = (self.n_q, len(cogs), self.n_cog)
+            moved = (self._arrival_pmf[lo:hi].T @ weights).reshape(shape)
+            full = (self._arrival_tail[lo:hi].T @ weights).reshape(shape)
             for q in range(self.n_q):
                 pair_rows = row_of[ai, q * self.n_cog + cogs]
                 keep = pair_rows >= 0
-                if keep.any():
-                    block = arrivals[:, max(q - DECREMENT[a], 0), :].T @ weights
-                    block = block.reshape(self.n_q, len(cogs), self.n_cog)
-                    kernel[pair_rows[keep]] = block[:, keep].transpose(1, 0, 2)
+                rows, room = pair_rows[keep], cap - max(q - DECREMENT[a], 0)
+                kernel[rows, cap - room : cap] = moved[:room, keep].transpose(1, 0, 2)
+                kernel[rows, cap] = full[room, keep]
         return kernel.reshape(n_pairs, self.n_states)
 
     @property
@@ -312,12 +310,12 @@ class SmdpModel:
     @cached_property
     def arrival_law(self):
         """Capped arrivals over every sojourn length, built on first use and
-        shared by every sampler of this model: law ``i`` is the start-0 row
-        of the arrival table, the law of k = min(W, L) with
-        W ~ Poisson(rate * taus[i]) and L the capacity, and outcome k sits at
-        its flat position ``start[i] + k``. From s tasks left after service,
-        the next queue min(s + k, L) has the law of the table's row s."""
-        table = np.cumsum(self._arrivals[:, 0, :], axis=1)
+        shared by every sampler of this model: law ``i`` is that of
+        k = min(W, L), W ~ Poisson(rate * taus[i]) and L the capacity (the
+        arrival pmf below L, its tail at L). Outcome k sits at flat position
+        ``start[i] + k``; s tasks left after service become min(s + k, L)."""
+        capped = [self._arrival_pmf[:, :-1], self._arrival_tail[:, -1:]]
+        table = np.cumsum(np.concatenate(capped, axis=1), axis=1)
         return SegmentedCdf(table.reshape(-1), np.full(len(self._taus), self.n_q))
 
     def moment(self, name, action):

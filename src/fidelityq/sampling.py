@@ -99,8 +99,9 @@ class EpochLaw:
     ``cdf`` (-1 where the action has no law). Each law lists its
     positive-probability outcomes in tau-major order; ``taus[pos]`` and
     ``cogs[pos]`` are the sojourn and next level at flat position ``pos``,
-    and ``arrival_row[pos]`` is that sojourn's row in the model's arrival
-    table, which is also its law in ``model.arrival_law``.
+    and ``arrival_row[pos]`` is that sojourn's index in the model's sorted
+    taus, its row of arrival pmf and tail, and its law in
+    ``model.arrival_law``.
     """
 
     segment: np.ndarray

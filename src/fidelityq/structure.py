@@ -416,7 +416,6 @@ def extract_thresholds(policy_row, cog_index, grid, q_range):
 @dataclass
 class ThresholdReport:
     rows: list
-    buffer_fraction: float
 
     @property
     def all_threshold(self):
@@ -431,7 +430,7 @@ def threshold_report(model, policy, buffer_fraction=DEFAULT_BUFFER_FRACTION):
         extract_thresholds(policy[:, cog], cog, model.grid, q_range)
         for cog in range(model.n_cog)
     ]
-    return ThresholdReport(rows=rows, buffer_fraction=buffer_fraction)
+    return ThresholdReport(rows=rows)
 
 
 def enforce_guarantee(thresholds, margins):

@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 
 from fidelityq.actions import ACTIONS, Action
-from fidelityq.cogchain import ChainRates, CogGrid
+from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
-from fidelityq.model import ModelParams, admissible, build_model
+from fidelityq.model import admissible, build_model
 from fidelityq.solver import validate_policy, value_iteration
-from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
 from fidelityq.structure import (
     compute_rho,
     dominance_margins,
     light_tail_laws,
     threshold_report,
 )
+from small_model import small_params
 
 SHIPPED = ("tiny", "default", "high_lambda", "skip_cheap", "large_gap")
 GRIDS = {
@@ -30,31 +30,12 @@ GRIDS = {
 }
 
 
-def grid_params(grid):
-    return ModelParams(
-        queue_capacity=7,
-        grid=grid,
-        rates=ChainRates.default(step_scale=0.8),
-        service=ServiceFamily(
-            base_mean={Action.NORMAL: 4.2, Action.HIGH: 6.0},
-            curvature={Action.NORMAL: 5.0, Action.HIGH: 7.0},
-            dispersion=12.0,
-            support=30,
-        ),
-        skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.4),
-        holding_cost=0.05,
-        reward_normal=1.0,
-        reward_high=2.0,
-        discount=0.9,
-    )
-
-
 @pytest.fixture(scope="module", params=SHIPPED + tuple(GRIDS))
 def model(request):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if request.param in GRIDS:
-            return build_model(grid_params(GRIDS[request.param]))
+            return build_model(small_params(queue_capacity=7, grid=GRIDS[request.param]))
         return builtin_config(request.param).build_model()
 
 

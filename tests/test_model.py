@@ -1,9 +1,9 @@
 """Tests for model assembly: admissibility, queue kernel, rewards and the
 discounted kernel over the admissible (state, action) pairs.
 
-The arrival table is checked against the ``scipy.stats.poisson`` rows of
-``tests/oracle.py`` within 1e-14 absolute, and the kernel against the
-oracle's pair rows.
+The arrival law, shifted to each start by the rule written out below, is
+checked against the ``scipy.stats.poisson`` rows of ``tests/oracle.py``
+within 1e-14 absolute, and the kernel against the oracle's pair rows.
 The reward oracle sums the realized per-epoch reward over the joint law of
 (sojourn, arrivals) and must reproduce the closed-form immediate reward.
 """
@@ -22,37 +22,26 @@ from scipy import stats
 import fidelityq
 import oracle
 from fidelityq.actions import ACTIONS, TIE_ORDER, Action
-from fidelityq.cogchain import ChainRates, CogGrid
+from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
-from fidelityq.model import ModelParams, admissible, arrival_table, build_model
+from fidelityq.model import admissible, arrival_table, build_model
 from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
+from small_model import small_params
 
-
-def small_params(**overrides):
-    base = dict(
-        queue_capacity=6,
-        grid=CogGrid(n_intervals=4, star_index=2),
-        rates=ChainRates.default(step_scale=0.8),
-        service=ServiceFamily(
-            base_mean={Action.NORMAL: 4.0, Action.HIGH: 7.0},
-            curvature={Action.NORMAL: 6.0, Action.HIGH: 8.0},
-            dispersion=10.0,
-            support=40,
-        ),
-        skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.4),
-        holding_cost=0.05,
-        reward_normal=1.0,
-        reward_high=2.0,
-        discount=0.9,
-    )
-    base.update(overrides)
-    return ModelParams(**base)
+# this module's small model: capacity 6, and its own service family
+SERVICE = ServiceFamily(
+    base_mean={Action.NORMAL: 4.0, Action.HIGH: 7.0},
+    curvature={Action.NORMAL: 6.0, Action.HIGH: 8.0},
+    dispersion=10.0,
+    support=40,
+)
+OWN = dict(queue_capacity=6, service=SERVICE)
 
 
 @pytest.fixture(scope="module")
 def model():
-    return build_model(small_params())
+    return build_model(small_params(**OWN))
 
 
 class TestAdmissible:
@@ -85,8 +74,20 @@ class TestAdmissible:
             )
 
 
+def start_rows(pmf, tail, start):
+    """Next-queue law from ``start`` pending tasks, one row per tau, by the
+    shift rule: ``start + w`` with ``pmf[:, w]`` below the capacity, and the
+    capacity with ``tail[:, capacity - start]``."""
+    capacity = pmf.shape[1] - 1
+    room = capacity - start
+    rows = np.zeros_like(pmf)
+    rows[:, start:capacity] = pmf[:, :room]
+    rows[:, capacity] = tail[:, room]
+    return rows
+
+
 def table_row(start, tau, rate, capacity):
-    return arrival_table(rate, [tau], capacity)[0, start]
+    return start_rows(*arrival_table(rate, [tau], capacity), start)[0]
 
 
 def row_index(model, q, cog, a):
@@ -111,11 +112,12 @@ class TestArrivalTable:
     )
     def test_matches_scalar_reference(self, rate, taus, capacity):
         # the worst gap seen over 400 draws of these ranges was 3.3e-15
-        table = arrival_table(rate, taus, capacity)
-        assert table.shape == (len(taus), capacity + 1, capacity + 1)
+        pmf, tail = arrival_table(rate, taus, capacity)
+        assert pmf.shape == tail.shape == (len(taus), capacity + 1)
         for start in range(capacity + 1):
             expected = oracle.arrival_rows(rate, taus, start, capacity)
-            assert np.abs(table[:, start] - expected).max() <= 1e-14, start
+            got = start_rows(pmf, tail, start)
+            assert np.abs(got - expected).max() <= 1e-14, start
 
 
 class TestQueueKernel:
@@ -305,7 +307,7 @@ def shipped(request):
 
 class TestSupport:
     """``SojournPMF.support`` is the one positive-probability view that the
-    arrival table, the kernel and the epoch law read."""
+    arrival law, the kernel and the epoch law read."""
 
     def test_support_is_the_positive_points(self, shipped):
         for pmf in shipped[1]._sojourns.values():
@@ -320,6 +322,14 @@ class TestSupport:
         laws = shipped[1]._sojourns.values()
         union = set().union(*(pmf.support[0].tolist() for pmf in laws))
         assert shipped[1]._taus.tolist() == sorted(union)
+
+    def test_arrival_law_is_stored_once(self, shipped):
+        """One read-only pmf row and one tail row per sojourn length, no
+        copy per start length."""
+        model = shipped[1]
+        for table in (model._arrival_pmf, model._arrival_tail):
+            assert table.shape == (len(model._taus), model.n_q)
+            assert not table.flags.writeable
 
 
 def assert_row_sums_equal_transform(model):
@@ -393,13 +403,16 @@ class TestOperators:
             )
 
     def test_shipped_rows_match_kernel_entries(self, shipped):
-        """Every admissible row on tiny, the corner states
-        q in {0, 1, capacity} x cog in {0, star, top} on the other configs."""
+        """Every admissible row on tiny; on the other configs the states
+        q in {0, 1, capacity // 2, capacity - 1, capacity} x cog in
+        {0, star, top}, so every kind of arrival start: empty, middle, one
+        below the capacity and full."""
         name, model = shipped
         if name == "tiny":
             qs, cogs = range(model.n_q), range(model.n_cog)
         else:
-            qs = (0, 1, model.n_q - 1)
+            capacity = model.n_q - 1
+            qs = sorted({0, 1, capacity // 2, capacity - 1, capacity})
             cogs = (0, model.grid.star_index, model.n_cog - 1)
         for q in qs:
             for cog in cogs:
@@ -421,7 +434,7 @@ class TestDiagnostics:
         assert model.moment_ordering_violations == []
 
     def test_slow_skip_breaks_moment_ordering(self):
-        params = small_params(skip_wait=SkipWaitSpec(skip_time=6, arrival_rate=0.15))
+        params = small_params(**OWN, skip_wait=SkipWaitSpec(skip_time=6, arrival_rate=0.15))
         with pytest.warns(UserWarning, match="moment-ordering"):
             m = build_model(params)
         assert m.moment_ordering_violations
@@ -429,7 +442,7 @@ class TestDiagnostics:
         assert bad["pair"][0] == "S"
 
     def test_saturating_arrivals_warn(self):
-        params = small_params(skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.6))
+        params = small_params(**OWN, skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.6))
         with pytest.warns(UserWarning, match="unstable"):
             build_model(params)
 
@@ -437,17 +450,17 @@ class TestDiagnostics:
 class TestParamsValidation:
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
-            small_params(queue_capacity=0)
+            small_params(queue_capacity=0, service=SERVICE)
         with pytest.raises(ValueError):
-            small_params(holding_cost=0.0)
+            small_params(**OWN, holding_cost=0.0)
         with pytest.raises(ValueError):
-            small_params(reward_normal=3.0, reward_high=2.0)
+            small_params(**OWN, reward_normal=3.0, reward_high=2.0)
         with pytest.raises(ValueError):
-            small_params(reward_normal=-1.0)
+            small_params(**OWN, reward_normal=-1.0)
         with pytest.raises(ValueError):
-            small_params(discount=1.0)
+            small_params(**OWN, discount=1.0)
         with pytest.raises(ValueError):
-            small_params(rest_cap_factor=0)
+            small_params(**OWN, rest_cap_factor=0)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -460,4 +473,4 @@ class TestParamsValidation:
     )
     def test_rejects_costs_and_rewards_that_are_not_finite(self, overrides):
         with pytest.raises(ValueError, match="finite"):
-            small_params(**overrides)
+            small_params(**OWN, **overrides)

@@ -2,8 +2,8 @@
 
 The guide and the draws are checked against a per-law ``np.searchsorted``
 bit for bit; the model's epoch law is checked against the sojourn laws and
-cognitive moves it is built from, and its arrival law against the arrival
-table.
+cognitive moves it is built from, and its arrival law against the model's
+arrival pmf and tail.
 """
 
 import warnings
@@ -169,14 +169,16 @@ def test_epoch_law_matches_sojourn_and_moves(name):
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_arrival_law_is_the_start_0_rows(name):
-    """Law i of ``arrival_law`` is row i of the arrival table from an empty
-    queue, cumulated: the law of the capped arrivals over ``taus[i]``."""
+    """Law i of ``arrival_law`` is the next-queue row from an empty queue
+    over ``taus[i]``, cumulated: the arrival pmf below the capacity and its
+    tail at the capacity, the law of the capped arrivals."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = resolve_config(name).build_model()
     law = model.arrival_law
     np.testing.assert_array_equal(law.end - law.start, np.full(len(model._taus), model.n_q - 1))
-    for i, row in enumerate(model._arrivals[:, 0, :]):
+    for i, (pmf, tail) in enumerate(zip(model._arrival_pmf, model._arrival_tail)):
+        row = np.append(pmf[:-1], tail[-1])
         cdf = law.table[law.start[i] : law.end[i] + 1]
         np.testing.assert_array_equal(cdf[:-1], np.cumsum(row)[:-1])
         assert cdf[-1] == np.inf

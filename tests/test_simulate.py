@@ -12,7 +12,7 @@ from scipy import stats
 from fidelityq.actions import DECREMENT, Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix
 from fidelityq.errors import ConfigError
-from fidelityq.model import ModelParams, admissible, build_model
+from fidelityq.model import admissible, build_model
 from fidelityq.solver import policy_evaluation, value_iteration
 from fidelityq.simulate import (
     PolicySampler,
@@ -20,33 +20,12 @@ from fidelityq.simulate import (
     plan_horizon,
     reward_ceiling,
 )
-from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
-
-
-def sim_params(**overrides):
-    base = dict(
-        queue_capacity=8,
-        grid=CogGrid(n_intervals=4, star_index=2),
-        rates=ChainRates.default(step_scale=0.8),
-        service=ServiceFamily(
-            base_mean={Action.NORMAL: 4.2, Action.HIGH: 6.0},
-            curvature={Action.NORMAL: 5.0, Action.HIGH: 7.0},
-            dispersion=12.0,
-            support=30,
-        ),
-        skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.4),
-        holding_cost=0.05,
-        reward_normal=1.0,
-        reward_high=2.0,
-        discount=0.9,
-    )
-    base.update(overrides)
-    return ModelParams(**base)
+from small_model import small_params
 
 
 @pytest.fixture(scope="module")
 def model():
-    return build_model(sim_params())
+    return build_model(small_params())
 
 
 @pytest.fixture(scope="module")

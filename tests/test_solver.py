@@ -10,9 +10,8 @@ import pytest
 
 import oracle
 from fidelityq.actions import ACTIONS, Action
-from fidelityq.cogchain import ChainRates, CogGrid
 from fidelityq.errors import PolicyMismatchError
-from fidelityq.model import ModelParams, admissible, build_model
+from fidelityq.model import admissible, build_model
 from fidelityq.solver import (
     ValuePolicyTable,
     bellman_backup,
@@ -20,33 +19,12 @@ from fidelityq.solver import (
     validate_policy,
     value_iteration,
 )
-from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
-
-
-def solver_params(**overrides):
-    base = dict(
-        queue_capacity=5,
-        grid=CogGrid(n_intervals=4, star_index=2),
-        rates=ChainRates.default(step_scale=0.8),
-        service=ServiceFamily(
-            base_mean={Action.NORMAL: 4.2, Action.HIGH: 6.0},
-            curvature={Action.NORMAL: 5.0, Action.HIGH: 7.0},
-            dispersion=12.0,
-            support=30,
-        ),
-        skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.4),
-        holding_cost=0.05,
-        reward_normal=1.0,
-        reward_high=2.0,
-        discount=0.9,
-    )
-    base.update(overrides)
-    return ModelParams(**base)
+from small_model import small_params
 
 
 @pytest.fixture(scope="module")
 def model():
-    return build_model(solver_params())
+    return build_model(small_params(queue_capacity=5))
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +106,7 @@ class TestValueIteration:
         assert solution.contraction_estimate <= beta + 1e-6
 
     def test_deterministic_across_rebuilds(self, solution):
-        again = value_iteration(build_model(solver_params()))
+        again = value_iteration(build_model(small_params(queue_capacity=5)))
         assert np.array_equal(again.values, solution.values)
         assert np.array_equal(again.policy, solution.policy)
 

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidelityq.actions import Action
-from fidelityq.cogchain import ChainRates, CogGrid
+from fidelityq.cogchain import CogGrid
 from fidelityq.errors import GuaranteeViolationError
-from fidelityq.model import ModelParams, build_model, queue_actions
+from fidelityq.model import build_model, queue_actions
 from fidelityq.solver import value_iteration
-from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
+from fidelityq.sojourn import ServiceFamily
 from fidelityq.structure import (
     BUSY_EMPTY_FRACTION,
     VALUE_GAP_TOL,
@@ -37,32 +37,12 @@ from fidelityq.structure import (
     threshold_report,
     verify_threshold_structure,
 )
-
-
-def structure_params(**overrides):
-    base = dict(
-        queue_capacity=8,
-        grid=CogGrid(n_intervals=4, star_index=2),
-        rates=ChainRates.default(step_scale=0.8),
-        service=ServiceFamily(
-            base_mean={Action.NORMAL: 4.2, Action.HIGH: 6.0},
-            curvature={Action.NORMAL: 5.0, Action.HIGH: 7.0},
-            dispersion=12.0,
-            support=30,
-        ),
-        skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.4),
-        holding_cost=0.05,
-        reward_normal=1.0,
-        reward_high=2.0,
-        discount=0.9,
-    )
-    base.update(overrides)
-    return ModelParams(**base)
+from small_model import small_params
 
 
 @pytest.fixture(scope="module")
 def model():
-    return build_model(structure_params())
+    return build_model(small_params())
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +147,7 @@ class TestSlowestService:
         assert info.note is None
 
     def test_skewed_grid_substitutes_true_maximum(self):
-        m = build_model(structure_params(grid=CogGrid(n_intervals=4, star_index=3)))
+        m = build_model(small_params(grid=CogGrid(n_intervals=4, star_index=3)))
         info = slowest_service(m)
         assert info.substituted
         assert "(cog=0, H)" in info.note
@@ -306,7 +286,7 @@ class TestDominanceMargins:
 
     def test_vanishing_fidelity_gap_leaves_bonus_term(self):
         m = build_model(
-            structure_params(
+            small_params(
                 service=ServiceFamily(
                     base_mean={Action.NORMAL: 6.0, Action.HIGH: 6.0 + 1e-9},
                     curvature={Action.NORMAL: 5.0, Action.HIGH: 5.0},
@@ -686,7 +666,7 @@ def drawn(strategy, n=200):
 
 @pytest.fixture(scope="module")
 def no_pair_model():
-    return build_model(structure_params(queue_capacity=2))
+    return build_model(small_params(queue_capacity=2))
 
 
 class TestScansMatchTheirReferences:
