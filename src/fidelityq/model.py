@@ -178,9 +178,9 @@ class SmdpModel:
     def _build_arrivals(self):
         """Sorted sojourn lengths with positive probability under some law,
         and the read-only ``arrival_table`` pmf and tail over them."""
-        taus = np.unique(
-            np.concatenate([pmf.support[0] for pmf in self._sojourns.values()])
-        )
+        # sort and drop repeats: np.unique would import numpy.ma (numpy 2.4)
+        taus = np.sort(np.concatenate([pmf.support[0] for pmf in self._sojourns.values()]))
+        taus = taus[np.append(True, taus[1:] != taus[:-1])]
         pmf, tail = arrival_table(self.params.skip_wait.arrival_rate, taus, self.n_q - 1)
         pmf.setflags(write=False)
         tail.setflags(write=False)

@@ -12,8 +12,8 @@ of two no larger than its searchable length, and bucket ``k`` stores the
 answer for ``u = k / m_s``. Since ``m_s`` is a power of two, ``u * m_s``
 and ``k / m_s`` are exact, so a draw never starts past its answer and
 stepping forward ends on it. On average fewer than two steps remain; two
-steps are taken for every draw, and the few draws still short are bisected
-up to the next bucket's start.
+steps are taken for every draw, and the few draws still short share one
+fixed-length halving search up to the next bucket's start.
 """
 
 from dataclasses import dataclass
@@ -78,14 +78,14 @@ class SegmentedCdf:
             pos += table[pos] <= u
         short = np.flatnonzero(table[pos] <= u)
         if short.size:
-            # the answer lies before the next bucket's start
-            lo, hi, u = pos[short] + 1, self.guide[bucket[short] + 1], u[short]
-            while np.any(lo < hi):
-                mid = (lo + hi) // 2
-                above = table[mid] > u
-                hi = np.where(above, mid, hi)
-                lo = np.where(above, lo, mid + 1)
-            pos[short] = lo
+            # the answer is in (last, hi] and table[hi] > u: halve steps, clamped at hi
+            last, hi, u = pos[short], self.guide[bucket[short] + 1], u[short]
+            step = 1 << int((hi - last).max() - 1).bit_length()
+            while step > 1:
+                step //= 2
+                ahead = np.minimum(last + step, hi)
+                last = np.where(table[ahead] <= u, ahead, last)
+            pos[short] = last + 1
         return pos
 
 

@@ -137,8 +137,8 @@ class PolicySampler:
             state = q * model.n_cog + cog
             u = rng.random((2, episodes))
             pos = law.cdf.invert(self._segments[state], u[0])
-            tau = law.taus[pos]
-            row = law.arrival_row[pos]
+            tau = law.taus[pos].astype(np.intp)  # native indices gather faster
+            row = law.arrival_row[pos].astype(np.intp)
             capped = arrival_law.invert(row, u[1]) - arrival_law.start[row]
             served = self._served[state]
             nxt = np.minimum(served + capped, cap)

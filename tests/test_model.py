@@ -174,7 +174,8 @@ class TestQueueKernel:
 def test_runs_without_scipy(tmp_path):
     """scipy is a test-only dependency: with it blocked before the package
     loads, building every shipped config loads no scipy module, and every
-    subcommand runs end to end on tiny."""
+    subcommand runs end to end on tiny. No path imports ``numpy.ma``
+    either (``np.unique`` does, on numpy 2.4)."""
     code = (
         "import sys, warnings\n"
         "sys.modules['scipy'] = None\n"
@@ -190,6 +191,7 @@ def test_runs_without_scipy(tmp_path):
         "             ['sweep', '--grid', '0.3,0.5'], ['simulate', '--episodes', '200']):\n"
         "    status = cli.main([*args, '--config', 'tiny', '--out', out])\n"
         "    assert status == 0, (args, status)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fidelityq.__file__)))
     env = {**os.environ, "PYTHONPATH": src}

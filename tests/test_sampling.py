@@ -100,12 +100,18 @@ def test_guide_equals_per_law_searchsorted(cdfs):
 
 def test_single_outcome_and_crowded_laws():
     # one law whose outcomes all fall in one guide bucket forces the
-    # bisection path; the single-outcome law always returns 0
+    # fixed-length halving search; the single-outcome law always returns 0.
+    # crowded_end puts 300 outcomes in its last bucket, [255/256, 1), so a
+    # draw near its end takes steps that pass its +inf last entry; unless
+    # clamped there, they land in the next law, whose cdf starts at 0
     crowded = np.cumsum(np.concatenate([np.full(500, 1e-6), [0.4], np.full(300, 1e-7)]))
-    cdfs = [crowded, np.array([0.3]), np.array([1.0]), np.array([0.2, 0.2, 0.2])]
+    crowded_end = np.concatenate([[0.5], 0.999 + 1e-6 * np.arange(1, 301), [1.0]])
+    cdfs = [crowded, np.array([0.3]), np.array([1.0]), np.array([0.2, 0.2, 0.2]),
+            crowded_end, np.concatenate([np.zeros(400), [1.0]])]
+    near_end = 0.999 + 1e-6 * np.array([0.5, 150.5, 298.5, 299.5, 300.5])
     grid = np.random.default_rng(3).random(2000)
     assert_guide_exact(cdfs)
-    assert_draws_exact(cdfs, np.concatenate([[0.0, 1.0 - 2.0**-53], crowded, grid]))
+    assert_draws_exact(cdfs, np.concatenate([[0.0, 1.0 - 2.0**-53], crowded, near_end, grid]))
 
 
 def test_many_short_laws_as_in_large_gap():
@@ -165,6 +171,30 @@ def test_epoch_law_matches_sojourn_and_moves(name):
             present[rows, nxt] = True
             np.testing.assert_array_equal(present, expected > 0)
             np.testing.assert_array_equal(model._taus[law.arrival_row[positions]], taus)
+
+
+@pytest.mark.parametrize("name", ["high_lambda", "large_gap"])
+def test_model_laws_invert_exactly_at_every_breakpoint(name):
+    """Each law of the model's epoch and arrival laws takes, in one call,
+    every finite entry of its cdf, the double below each, and every bucket
+    boundary k / m_s, k <= m_s, and lands where a per-law searchsorted
+    does. The crowded buckets (the widest holds 487 entries in
+    high_lambda's epoch law and 6,192 in large_gap's) run the halving
+    search, next to narrow ranges that end at a law's last entry."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = resolve_config(name).build_model()
+    for cdf in (model.epoch_law.cdf, model.arrival_law):
+        segments, uniforms, expected = [], [], []
+        for s, (lo, hi) in enumerate(zip(cdf.start, cdf.end)):
+            law, m = cdf.table[lo : hi + 1], int(cdf.buckets[s])
+            u = np.concatenate([law[:-1], np.nextafter(law[:-1], 0.0), np.arange(m + 1) / m])
+            segments.append(np.full(len(u), s))
+            uniforms.append(u)
+            # the last entry is +inf, so no finite draw passes it
+            expected.append(lo + np.searchsorted(law, u, side="right"))
+        got = cdf.invert(np.concatenate(segments), np.concatenate(uniforms))
+        np.testing.assert_array_equal(got, np.concatenate(expected))
 
 
 @pytest.mark.parametrize("name", CONFIGS)
