@@ -23,7 +23,7 @@ from .actions import Action
 from .cogchain import UNIT_RATES, ChainRates, CogGrid
 from .errors import ConfigError
 from .model import ModelParams, build_model
-from .sojourn import SERVICE_FAMILIES, ServiceFamily, SkipWaitSpec
+from .sojourn import MAX_SUPPORT, SERVICE_FAMILIES, ServiceFamily
 
 DEFAULTS = {
     "name": "default",
@@ -220,7 +220,8 @@ class RunConfig:
                 support=service["support"],
                 family=service["family"],
             ),
-            skip_wait=SkipWaitSpec(skip_time=d["skip"]["duration"], arrival_rate=lam),
+            skip_time=d["skip"]["duration"],
+            arrival_rate=lam,
             holding_cost=economics["holding_cost"],
             reward_normal=economics["reward_normal"],
             reward_high=economics["reward_high"],
@@ -308,6 +309,14 @@ def _check_ranges(data):
         raise ConfigError(
             f"analysis.buffer_fraction must lie in [0, 1), got {buffer_fraction!r}"
         )
+    support = data["service"]["support"]
+    if support > MAX_SUPPORT:
+        raise ConfigError(f"service.support must be at most {MAX_SUPPORT}, got {support}")
+    epsilon, max_sweeps = data["solver"]["epsilon"], data["solver"]["max_sweeps"]
+    if not 0 < epsilon < math.inf:
+        raise ConfigError(f"solver.epsilon must be positive and finite, got {epsilon!r}")
+    if max_sweeps < 1:
+        raise ConfigError(f"solver.max_sweeps must be at least 1, got {max_sweeps}")
     sweep = data["sweep"]
     if sweep["max_points"] < 1:
         raise ConfigError(f"sweep.max_points must be at least 1, got {sweep['max_points']}")

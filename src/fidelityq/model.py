@@ -28,16 +28,23 @@ class ModelParams:
     grid: object
     rates: object
     service: object
-    skip_wait: object
+    skip_time: int
+    arrival_rate: float
     holding_cost: float
     reward_normal: float
     reward_high: float
     discount: float
-    rest_cap_factor: int = 50
+    rest_cap_factor: int
 
     def __post_init__(self):
         if self.queue_capacity < 1:
             raise ValueError("queue capacity must be at least 1")
+        if self.skip_time < 1 or int(self.skip_time) != self.skip_time:
+            raise ValueError("skip_time must be a positive integer")
+        if not 0 < self.arrival_rate:
+            raise ValueError("arrival rate must be positive")
+        if not 0 < 1.0 - math.exp(-self.arrival_rate) < 1:
+            raise ValueError("arrival probability per step must be in (0,1)")
         if not 0 < self.holding_cost < math.inf:
             raise ValueError("holding cost must be positive and finite")
         if not math.inf > self.reward_high > self.reward_normal >= 0:
@@ -105,7 +112,6 @@ class SmdpModel:
             Action.NORMAL: params.reward_normal,
             Action.HIGH: params.reward_high,
         }
-        self.reward_slope, self.reward_intercept = self._build_reward_components()
         self._taus, self._arrival_pmf, self._arrival_tail = self._build_arrivals()
         self.pair_state, self.pair_action, self.segment_starts = self._build_pairs()
         rewards = np.stack([self.reward_table(a).reshape(-1) for a in ACTIONS])
@@ -123,7 +129,7 @@ class SmdpModel:
                 "guarantees relying on the ordering may not apply",
                 stacklevel=2,
             )
-        if not params.skip_wait.stable:
+        if not params.skip_time < 1.0 / params.arrival_rate:
             warnings.warn(
                 "skip_time >= 1/arrival_rate: the queue is unstable even "
                 "under constant skipping",
@@ -137,10 +143,10 @@ class SmdpModel:
         rest_step = self.steps[Action.REST]
         table = {}
         for cog in range(self.n_cog):
-            table[(cog, Action.WAIT)] = wait_pmf(params.skip_wait)
+            table[(cog, Action.WAIT)] = wait_pmf(params.arrival_rate)
             for a in queue_actions(cog, grid):
                 if a is Action.SKIP:
-                    pmf = skip_pmf(params.skip_wait)
+                    pmf = skip_pmf(params.skip_time)
                 elif a is Action.REST:
                     pmf = rest_pmf(rest_step, grid, cog, cap_factor=params.rest_cap_factor)
                 else:
@@ -166,22 +172,13 @@ class SmdpModel:
             powers[a].setflags(write=False)
         return powers
 
-    def _build_reward_components(self):
-        c = self.params.holding_cost
-        lam = self.params.skip_wait.arrival_rate
-        slope, intercept = {}, {}
-        for a in ACTIONS:
-            slope[a] = c * self._moments["mu1"][a]
-            intercept[a] = self.service_reward[a] - 0.5 * c * lam * self._moments["mu2"][a]
-        return slope, intercept
-
     def _build_arrivals(self):
         """Sorted sojourn lengths with positive probability under some law,
         and the read-only ``arrival_table`` pmf and tail over them."""
         # sort and drop repeats: np.unique would import numpy.ma (numpy 2.4)
         taus = np.sort(np.concatenate([pmf.support[0] for pmf in self._sojourns.values()]))
         taus = taus[np.append(True, taus[1:] != taus[:-1])]
-        pmf, tail = arrival_table(self.params.skip_wait.arrival_rate, taus, self.n_q - 1)
+        pmf, tail = arrival_table(self.params.arrival_rate, taus, self.n_q - 1)
         pmf.setflags(write=False)
         tail.setflags(write=False)
         return taus, pmf, tail
@@ -322,10 +319,13 @@ class SmdpModel:
         return self._moments[name][action]
 
     def reward_table(self, action):
-        """(n_q, n_cog) table of immediate expected rewards; NaN where the
-        action has no sojourn law."""
-        q = np.arange(self.n_q)[:, None]
-        return self.reward_intercept[action][None, :] - self.reward_slope[action][None, :] * q
+        """(n_q, n_cog) table of immediate expected rewards,
+        r(a) - c (q mu1 + lam mu2 / 2); NaN where the action has no sojourn
+        law."""
+        c, lam = self.params.holding_cost, self.params.arrival_rate
+        intercept = self.service_reward[action] - 0.5 * c * lam * self._moments["mu2"][action]
+        slope = c * self._moments["mu1"][action]
+        return intercept[None, :] - slope[None, :] * np.arange(self.n_q)[:, None]
 
     @property
     def max_discount_transform(self):

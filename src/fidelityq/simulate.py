@@ -128,7 +128,7 @@ class PolicySampler:
         model = self.model
         law = model.epoch_law
         arrival_law = model.arrival_law
-        half_rate = 0.5 * model.params.skip_wait.arrival_rate
+        half_rate = 0.5 * model.params.arrival_rate
         c = model.params.holding_cost
         cap = model.n_q - 1
         q = np.full(episodes, start[0], dtype=np.int64)

@@ -17,6 +17,8 @@ from .errors import SupportTooSmallError, TailMassError
 
 TRUNCATION_TOL = 1e-6
 MEAN_REL_TOL = 5e-3
+# the most points a sojourn law may have (the shipped configs reach 3,200)
+MAX_SUPPORT = 10_000
 
 SERVICE_FAMILIES = ("beta-binomial", "neg-binomial")
 
@@ -216,50 +218,32 @@ def service_pmf(family, grid, cog_index, action):
     return pmf
 
 
-@dataclass(frozen=True)
-class SkipWaitSpec:
-    """Fixed skip duration and the arrival process driving waits.
-
-    ``arrival_step_prob`` is the chance of at least one arrival inside one
-    discrete step, 1 - exp(-arrival_rate). Queue stability under constant
-    skipping needs skip_time < 1/arrival_rate; configurations violating it
-    are allowed (saturated-queue studies use them) and carry stable=False.
-    """
-
-    skip_time: int
-    arrival_rate: float
-
-    def __post_init__(self):
-        if self.skip_time < 1 or int(self.skip_time) != self.skip_time:
-            raise ValueError("skip_time must be a positive integer")
-        if not 0 < self.arrival_rate:
-            raise ValueError("arrival rate must be positive")
-        p = self.arrival_step_prob
-        if not 0 < p < 1:
-            raise ValueError("arrival probability per step must be in (0,1)")
-
-    @property
-    def arrival_step_prob(self):
-        return 1.0 - math.exp(-self.arrival_rate)
-
-    @property
-    def stable(self):
-        return self.skip_time < 1.0 / self.arrival_rate
-
-
-def skip_pmf(spec):
+def skip_pmf(skip_time):
     """Point mass at the fixed skip duration."""
-    return SojournPMF(times=np.array([spec.skip_time]), probs=np.array([1.0]))
+    return SojournPMF(times=np.array([skip_time]), probs=np.array([1.0]))
 
 
-def wait_pmf(spec):
+def _check_support(what, support):
+    """Refuse a law of over ``MAX_SUPPORT`` points before allocating it."""
+    if support > MAX_SUPPORT:
+        raise ValueError(f"{what} needs {support} support points, over {MAX_SUPPORT}")
+
+
+def wait_pmf(arrival_rate):
     """Geometric waiting time, truncated and renormalized.
 
-    f(k) = (1-p)^(k-1) p with p the per-step arrival probability, on a
-    support sized so the truncated tail is below the truncation tolerance.
+    f(k) = (1-p)^(k-1) p with p = 1 - exp(-arrival_rate) the chance of an
+    arrival inside one step, on a support sized so the truncated tail is
+    below the truncation tolerance.
+
+    The epoch's arrivals are then Poisson(arrival_rate * tau) from zero, not
+    conditioned on the one that ended the wait, so the queue stays empty
+    with probability 1/(1 + exp(arrival_rate)) (0.389 at 0.45); an open
+    modelling question.
     """
-    p = spec.arrival_step_prob
+    p = 1.0 - math.exp(-arrival_rate)
     support = max(1, int(math.ceil(math.log(TRUNCATION_TOL) / math.log1p(-p))))
+    _check_support(f"the wait law at arrival rate {arrival_rate!r}", support)
     ks = np.arange(1, support + 1)
     probs = p * (1.0 - p) ** (ks - 1)
     tail = (1.0 - p) ** support
@@ -272,6 +256,7 @@ def rest_pmf(step, grid, cog_index, cap_factor):
     resting level, truncated at ``cap_factor`` times its exact mean."""
     mean = mean_first_passage(step, grid, cog_index)
     t_cap = max(1, int(np.ceil(cap_factor * mean)))
+    _check_support(f"the rest law from level {cog_index}", t_cap)
     probs, tail = fpt_pmf(step, grid, cog_index, t_cap)
     times = np.arange(1, t_cap + 1)
     times, probs = _trim_trailing(times, probs)

@@ -204,7 +204,7 @@ def check_value_gap_bounds(
     params = model.params
     gamma = params.discount
     t_max = ceiling.value
-    lower_rate = params.holding_cost * params.skip_wait.skip_time / (1.0 - gamma**t_max)
+    lower_rate = params.holding_cost * params.skip_time / (1.0 - gamma**t_max)
     upper_rate = params.holding_cost * t_max / (1.0 - rho)
 
     qs = np.array(checked_queue_range(model.n_q, buffer_fraction))
@@ -296,7 +296,7 @@ def dominance_margins(model, bound_report=None):
         bound_report = compute_rho(model)
     rho = bound_report.rho
     gamma = model.params.discount
-    t_s = model.params.skip_wait.skip_time
+    t_s = model.params.skip_time
     ceiling = slowest_service(model)
     t_max = ceiling.value
     pressure = t_max / (1.0 - rho)

@@ -35,7 +35,7 @@ def pair_row(model, q, cog, a):
     # wait and rest keep the queue; skip and service take the head task
     # before the epoch's arrivals join
     start = q if a in (Action.WAIT, Action.REST) else max(q - 1, 0)
-    queue = arrival_rows(model.params.skip_wait.arrival_rate, times, start, model.n_q - 1)
+    queue = arrival_rows(model.params.arrival_rate, times, start, model.n_q - 1)
     weights = model.params.discount**times * probs
     row = np.einsum("t,tq,tc->qc", weights, queue, model.cog_move(a, times, cog))
     return row.reshape(-1)

@@ -5,7 +5,7 @@ module passes what it changes as keyword overrides of ``ModelParams``."""
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid
 from fidelityq.model import ModelParams
-from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
+from fidelityq.sojourn import ServiceFamily
 
 
 def small_params(**overrides):
@@ -19,11 +19,13 @@ def small_params(**overrides):
             dispersion=12.0,
             support=30,
         ),
-        skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.4),
+        skip_time=2,
+        arrival_rate=0.4,
         holding_cost=0.05,
         reward_normal=1.0,
         reward_high=2.0,
         discount=0.9,
+        rest_cap_factor=50,
     )
     base.update(overrides)
     return ModelParams(**base)

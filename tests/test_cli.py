@@ -415,7 +415,37 @@ class TestErrors:
         cfg_file.write_text(f"name: x\nsolver: {{epsilon: {epsilon}}}\n")
         assert run("solve", "--config", str(cfg_file),
                    "--out", str(tmp_path / "out")) == 1
-        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert "solver.epsilon must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            ("{epsilon: -1.0, max_sweeps: 0}", "solver.epsilon must be positive and finite"),
+            ("{max_sweeps: 0}", "solver.max_sweeps must be at least 1, got 0"),
+        ],
+    )
+    def test_solver_settings_rejected_without_solving(self, tmp_path, capsys, solver, message):
+        # export-moments never runs the solver, so the config load must catch them
+        cfg_file = tmp_path / "bad.yaml"
+        cfg_file.write_text(f"name: x\nsolver: {solver}\n")
+        out = tmp_path / "out"
+        assert run("export-moments", "--config", str(cfg_file), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_wait_law_rejected_before_building(self, tmp_path, capsys, monkeypatch):
+        # 1e-6 arrivals per step would size the wait law at 13.8M points
+        cfg_file = tmp_path / "slow.yaml"
+        cfg_file.write_text("name: x\nqueue: {arrival_rate: 1.0e-6}\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("built chain powers for an oversized law")
+
+        monkeypatch.setattr("fidelityq.model.step_powers", never)
+        assert run("solve", "--config", str(cfg_file), "--out", str(tmp_path / "out")) == 1
+        assert "the wait law at arrival rate 1e-06 needs 13815511 support points" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("command", ["check", "simulate"])
     @pytest.mark.parametrize(

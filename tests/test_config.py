@@ -15,6 +15,7 @@ from fidelityq.config import (
     resolve_config,
 )
 from fidelityq.errors import ConfigError
+from fidelityq.sojourn import MAX_SUPPORT
 
 
 class TestMerge:
@@ -120,6 +121,27 @@ class TestMerge:
         ):
             from_mapping({"queue": {"arrival_rate": rate}})
 
+    @pytest.mark.parametrize(
+        "solver, match",
+        [
+            ({"epsilon": float("nan")}, "solver.epsilon must be positive and finite, got nan"),
+            ({"epsilon": float("inf")}, "solver.epsilon must be positive and finite, got inf"),
+            ({"epsilon": 0}, "solver.epsilon must be positive and finite, got 0.0"),
+            ({"epsilon": -1.0}, "solver.epsilon must be positive and finite, got -1.0"),
+            ({"max_sweeps": 0}, "solver.max_sweeps must be at least 1, got 0"),
+        ],
+    )
+    def test_solver_settings_rejected(self, solver, match):
+        with pytest.raises(ConfigError, match=f"^{match}$"):
+            from_mapping({"solver": solver})
+
+    def test_service_support_is_bounded(self):
+        assert from_mapping({"service": {"support": MAX_SUPPORT}})
+        with pytest.raises(
+            ConfigError, match=f"^service.support must be at most {MAX_SUPPORT}, got 10001$"
+        ):
+            from_mapping({"service": {"support": MAX_SUPPORT + 1}})
+
     def test_simulation_settings_accepted(self):
         cfg = from_mapping(
             {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2,
@@ -199,8 +221,8 @@ class TestModelParams:
         cfg = from_mapping({})
         base = cfg.model_params()
         swept = cfg.model_params(arrival_rate=1.5)
-        assert base.skip_wait.arrival_rate == 0.45
-        assert swept.skip_wait.arrival_rate == 1.5
+        assert base.arrival_rate == 0.45
+        assert swept.arrival_rate == 1.5
         assert swept.queue_capacity == base.queue_capacity
 
     def test_unit_rate_override_reaches_chain(self):
@@ -213,7 +235,7 @@ class TestModelParams:
     def test_large_gap_uses_heavy_service_family(self):
         params = builtin_config("large_gap").model_params()
         assert params.service.family == "neg-binomial"
-        assert params.skip_wait.skip_time == 60
+        assert params.skip_time == 60
 
 
 class TestFiles:

@@ -26,7 +26,7 @@ from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
 from fidelityq.model import admissible, arrival_table, build_model
-from fidelityq.sojourn import ServiceFamily, SkipWaitSpec
+from fidelityq.sojourn import ServiceFamily
 from small_model import small_params
 
 # this module's small model: capacity 6, and its own service family
@@ -143,7 +143,7 @@ class TestQueueKernel:
 
     def test_head_task_consumed_before_arrivals(self, model):
         # servicing from q = 5 starts the arrivals from 4
-        rate = model.params.skip_wait.arrival_rate
+        rate = model.params.arrival_rate
         times, probs = model.sojourn(1, Action.NORMAL).support
         expected = sum(
             0.9**tau * p * table_row(4, tau, rate, model.n_q - 1)
@@ -215,7 +215,7 @@ def epoch_reward(model, q, arrivals, tau, action):
 def reward_oracle(model, q, cog, action, w_cap=240):
     """Expectation of the realized epoch reward over (tau, arrivals)."""
     pmf = model.sojourn(cog, action)
-    rate = model.params.skip_wait.arrival_rate
+    rate = model.params.arrival_rate
     total = 0.0
     for tau, p_tau in zip(pmf.times, pmf.probs):
         ws = np.arange(w_cap + 1)
@@ -436,7 +436,7 @@ class TestDiagnostics:
         assert model.moment_ordering_violations == []
 
     def test_slow_skip_breaks_moment_ordering(self):
-        params = small_params(**OWN, skip_wait=SkipWaitSpec(skip_time=6, arrival_rate=0.15))
+        params = small_params(**OWN, skip_time=6, arrival_rate=0.15)
         with pytest.warns(UserWarning, match="moment-ordering"):
             m = build_model(params)
         assert m.moment_ordering_violations
@@ -444,9 +444,19 @@ class TestDiagnostics:
         assert bad["pair"][0] == "S"
 
     def test_saturating_arrivals_warn(self):
-        params = small_params(**OWN, skip_wait=SkipWaitSpec(skip_time=2, arrival_rate=0.6))
+        params = small_params(**OWN, skip_time=2, arrival_rate=0.6)
         with pytest.warns(UserWarning, match="unstable"):
             build_model(params)
+
+    @pytest.mark.parametrize(
+        "skip_time, rate, unstable", [(2, 0.45, False), (2, 0.5, True), (3, 0.5, True)]
+    )
+    def test_stability_boundary(self, skip_time, rate, unstable):
+        # constant skipping keeps the queue stable only if skip_time < 1/rate
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_model(small_params(**OWN, skip_time=skip_time, arrival_rate=rate))
+        assert any("unstable" in str(w.message) for w in caught) == unstable
 
 
 class TestParamsValidation:
@@ -463,6 +473,25 @@ class TestParamsValidation:
             small_params(**OWN, discount=1.0)
         with pytest.raises(ValueError):
             small_params(**OWN, rest_cap_factor=0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"skip_time": 0}, "skip_time must be a positive integer"),
+            ({"skip_time": 1.5}, "skip_time must be a positive integer"),
+            ({"arrival_rate": 0.0}, "arrival rate must be positive"),
+            ({"arrival_rate": -0.3}, "arrival rate must be positive"),
+            ({"arrival_rate": float("nan")}, "arrival rate must be positive"),
+            # exp(-rate) rounds to 0, so a step always holds an arrival
+            ({"arrival_rate": float("inf")}, r"per step must be in \(0,1\)"),
+            ({"arrival_rate": 800.0}, r"per step must be in \(0,1\)"),
+            # exp(-rate) rounds to 1, so no step ever holds one
+            ({"arrival_rate": 1e-20}, r"per step must be in \(0,1\)"),
+        ],
+    )
+    def test_rejects_bad_skip_and_arrivals(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_params(**OWN, **overrides)
 
     @pytest.mark.parametrize(
         "overrides",

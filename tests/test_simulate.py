@@ -45,7 +45,7 @@ def epoch_reward(model, q, tau, action):
     base = {Action.NORMAL: model.params.reward_normal, Action.HIGH: model.params.reward_high}
     r = base.get(action, 0.0)
     c = model.params.holding_cost
-    lam = model.params.skip_wait.arrival_rate
+    lam = model.params.arrival_rate
     return r - c * tau * (q + lam * tau / 2)
 
 
@@ -115,8 +115,8 @@ class TestTrajectories:
         policy = drain_policy(model)
         policy[8, 4] = "R"
         sampler = PolicySampler(model, policy)
-        t_s = model.params.skip_wait.skip_time
-        law = stats.poisson(model.params.skip_wait.arrival_rate * t_s)
+        t_s = model.params.skip_time
+        law = stats.poisson(model.params.arrival_rate * t_s)
         for start, room in [((8, 4), 0), ((8, 2), 1), ((7, 2), 2), ((3, 2), 6), ((1, 2), 8)]:
             epochs = sampler._epochs(start, 20_000, 1, np.random.default_rng([5, room]))
             _, tau, admitted, _ = next(epochs)
@@ -319,7 +319,7 @@ class TestSharedLoop:
         # one (2, runs) draw per epoch; the second row picks the arrivals by
         # inverting Poisson(lambda tau) capped at the capacity
         assert [u.shape for u in rng.uniforms] == [(2, 1)] * horizon
-        rate = model.params.skip_wait.arrival_rate
+        rate = model.params.arrival_rate
         cap = model.n_q - 1
         for rec, u in zip(traj.records, rng.uniforms):
             capped_cdf = stats.poisson.cdf(np.arange(cap), rate * rec.tau)

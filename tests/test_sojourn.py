@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fidelityq import sojourn
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix, mean_first_passage
 from fidelityq.errors import SupportTooSmallError, TailMassError
 from fidelityq.sojourn import (
+    MAX_SUPPORT,
     TRUNCATION_TOL,
     ServiceFamily,
-    SkipWaitSpec,
     SojournPMF,
     _beta_binomial_pmf,
     _neg_binomial_pmf,
@@ -32,6 +33,10 @@ from fidelityq.sojourn import (
     skip_pmf,
     wait_pmf,
 )
+
+
+def no_allocation(*args, **kwargs):
+    raise AssertionError("a sojourn law was allocated past the support bound")
 
 
 def two_atom():
@@ -51,7 +56,7 @@ class TestSojournPMF:
         assert pmf.discount_transform(0.5) == pytest.approx(0.40625, abs=1e-15)
 
     def test_moments_match_python_loop(self):
-        pmf = wait_pmf(SkipWaitSpec(skip_time=1, arrival_rate=0.7))
+        pmf = wait_pmf(0.7)
         mean = sum(float(p) * float(t) for t, p in zip(pmf.times, pmf.probs))
         second = sum(float(p) * float(t) ** 2 for t, p in zip(pmf.times, pmf.probs))
         assert pmf.mean == pytest.approx(mean, abs=1e-12)
@@ -85,37 +90,17 @@ class TestSojournPMF:
 
 class TestSkipWait:
     def test_skip_is_point_mass(self):
-        pmf = skip_pmf(SkipWaitSpec(skip_time=2, arrival_rate=0.45))
+        pmf = skip_pmf(2)
         assert pmf.times.tolist() == [2]
         assert pmf.probs.tolist() == [1.0]
         assert pmf.mean == 2.0
         assert pmf.second_moment == 4.0
         assert pmf.discount_transform(0.96) == pytest.approx(0.9216, abs=1e-15)
 
-    def test_arrival_step_prob(self):
-        spec = SkipWaitSpec(skip_time=2, arrival_rate=1.0)
-        assert spec.arrival_step_prob == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
-
-    def test_stability_flag(self):
-        assert SkipWaitSpec(skip_time=2, arrival_rate=0.45).stable
-        assert not SkipWaitSpec(skip_time=2, arrival_rate=0.5).stable
-        assert not SkipWaitSpec(skip_time=3, arrival_rate=0.5).stable
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SkipWaitSpec(skip_time=0, arrival_rate=0.5)
-        with pytest.raises(ValueError):
-            SkipWaitSpec(skip_time=1.5, arrival_rate=0.5)
-        with pytest.raises(ValueError):
-            SkipWaitSpec(skip_time=1, arrival_rate=0.0)
-        with pytest.raises(ValueError):
-            SkipWaitSpec(skip_time=1, arrival_rate=-0.3)
-
 
 class TestWait:
     def test_geometric_shape_and_tail(self):
-        spec = SkipWaitSpec(skip_time=1, arrival_rate=1.0)
-        pmf = wait_pmf(spec)
+        pmf = wait_pmf(1.0)
         # support sized so the untruncated tail exp(-support) dips below 1e-6
         assert pmf.times[-1] == 14
         assert pmf.truncated_mass == pytest.approx(math.exp(-14.0), rel=1e-12)
@@ -124,23 +109,29 @@ class TestWait:
         assert ratios == pytest.approx(np.full(13, math.exp(-1.0)), abs=1e-15)
 
     def test_mean_close_to_untruncated_geometric(self):
-        spec = SkipWaitSpec(skip_time=1, arrival_rate=1.0)
-        pmf = wait_pmf(spec)
+        pmf = wait_pmf(1.0)
         assert pmf.mean == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), abs=1e-4)
 
     def test_explicit_support(self):
         # the tolerance sizes the support: (1-p)^4 > 1e-6 >= (1-p)^5
-        spec = SkipWaitSpec(skip_time=1, arrival_rate=3.0)
-        pmf = wait_pmf(spec)
+        pmf = wait_pmf(3.0)
         assert pmf.times.tolist() == [1, 2, 3, 4, 5]
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        p = spec.arrival_step_prob
+        # the chance of an arrival inside one step
+        p = 1.0 - math.exp(-3.0)
+        assert pmf.probs[0] == pytest.approx(p / (1 - (1 - p) ** 5), abs=1e-15)
         assert pmf.truncated_mass == pytest.approx((1 - p) ** 5, rel=1e-12)
 
     def test_auto_support_meets_tolerance(self):
         for rate in (0.1, 0.45, 2.0):
-            pmf = wait_pmf(SkipWaitSpec(skip_time=1, arrival_rate=rate))
+            pmf = wait_pmf(rate)
             assert pmf.truncated_mass < 1e-6
+
+    def test_support_bound_is_checked_before_allocating(self, monkeypatch):
+        # 1e-6 arrivals per step would need 13.8M points
+        monkeypatch.setattr(sojourn.np, "arange", no_allocation)
+        with pytest.raises(ValueError, match=f"needs 13815511 support points, over {MAX_SUPPORT}"):
+            wait_pmf(1e-6)
 
 
 def pure_down_rest_rates(p_down):
@@ -199,6 +190,13 @@ class TestRest:
         with pytest.raises(TailMassError):
             # the mean is 2, so the cap is 3 steps
             rest_pmf(step, self.GRID, cog_index=3, cap_factor=1.5)
+
+    def test_support_bound_is_checked_before_walking_the_chain(self, monkeypatch):
+        # a mean first passage of 1e4 steps would cap the law at 5e5 steps
+        step = build_step_matrix(self.GRID, pure_down_rest_rates(1e-4), Action.REST)
+        monkeypatch.setattr(sojourn, "fpt_pmf", no_allocation)
+        with pytest.raises(ValueError, match=f"support points, over {MAX_SUPPORT}$"):
+            rest_pmf(step, self.GRID, cog_index=3, cap_factor=50)
 
     def test_transform_matches_geometric_generating_function(self):
         # E[gamma^T] for geometric(p) is p*gamma / (1 - (1-p)*gamma)

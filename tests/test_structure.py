@@ -99,7 +99,7 @@ class TestGammaMgfBound:
 class TestComputeRho:
     def test_skip_entries_are_tight(self, model, bound_report):
         gamma = model.params.discount
-        t_s = model.params.skip_wait.skip_time
+        t_s = model.params.skip_time
         skip_rows = [e for e in bound_report.entries if e["action"] == "S"]
         assert len(skip_rows) == model.n_cog
         for row in skip_rows:
@@ -109,7 +109,7 @@ class TestComputeRho:
 
     def test_rho_dominates_skip_and_stays_contractive(self, model, bound_report):
         gamma = model.params.discount
-        assert bound_report.rho >= gamma**model.params.skip_wait.skip_time
+        assert bound_report.rho >= gamma**model.params.skip_time
         assert bound_report.rho < 1.0
 
     def test_waiting_is_excluded(self, bound_report):
@@ -230,7 +230,7 @@ class TestValueGapBounds:
 def margin_oracle(model, rho, cog):
     """Spreadsheet-style recomputation from the moment tables."""
     gamma = model.params.discount
-    t_s = model.params.skip_wait.skip_time
+    t_s = model.params.skip_time
     t_max = slowest_service(model).value
     mu_h = model.moment("mu1", Action.HIGH)[cog]
     mu_n = model.moment("mu1", Action.NORMAL)[cog]
@@ -582,7 +582,7 @@ def reference_value_gap(model, values, rho, ceiling, buffer_fraction):
     params = model.params
     gamma = params.discount
     t_max = ceiling.value
-    lower_rate = params.holding_cost * params.skip_wait.skip_time / (1.0 - gamma**t_max)
+    lower_rate = params.holding_cost * params.skip_time / (1.0 - gamma**t_max)
     upper_rate = params.holding_cost * t_max / (1.0 - rho)
     qs = list(checked_queue_range(model.n_q, buffer_fraction))
     worst_lower = np.inf
