@@ -23,7 +23,7 @@ from .actions import Action
 from .cogchain import UNIT_RATES, ChainRates, CogGrid
 from .errors import ConfigError
 from .model import ModelParams, build_model
-from .sojourn import MAX_SUPPORT, SERVICE_FAMILIES, ServiceFamily
+from .sojourn import MAX_SUPPORT, SERVICE_FAMILIES, ServiceFamily, wait_support
 
 DEFAULTS = {
     "name": "default",
@@ -249,13 +249,19 @@ def check_episode_count(name, episodes):
 
 
 def check_arrival_rates(name, rates):
-    """Reject a sweep rate that is not a number, or not positive and
-    finite, naming it as ``name[i]``. Returns the rates as floats."""
+    """Reject a sweep rate that is not a number, not positive and finite,
+    or so slow that its wait law would pass ``MAX_SUPPORT`` points, naming
+    it as ``name[i]``; every rate is checked before any is solved. Returns
+    the rates as floats."""
     checked = []
     for i, rate in enumerate(rates):
         rate = _number(f"{name}[{i}]", rate)
         if not 0 < rate < math.inf:
             raise ConfigError(f"{name}[{i}] must be positive and finite, got {rate!r}")
+        try:
+            wait_support(rate)
+        except ValueError as exc:
+            raise ConfigError(f"{name}[{i}]: {exc}") from None
         checked.append(rate)
     return checked
 

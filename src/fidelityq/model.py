@@ -3,7 +3,8 @@
 A state is (q, cog): queue length 0..L and cognitive level index on the
 grid. Every admissible action induces a sojourn-time distribution, a
 cognitive transition over that sojourn and a Poisson queue update, which
-together form the discounted semi-Markov kernel the solver consumes.
+together form the discounted semi-Markov kernel the solver consumes, in
+the factored form its backup reads.
 """
 
 import math
@@ -91,10 +92,14 @@ def arrival_table(rate, taus, capacity):
 
 class SmdpModel:
     """Assembled immutable model: distributions, moment tables, rewards and
-    the discounted ``kernel``, one row per admissible pair (``pair_state``,
-    ``pair_action``, ``pair_reward``; state s's rows start at
-    ``segment_starts[s]``). ``service_reward[a]`` is r(a), an epoch's reward
-    before holding costs."""
+    the discounted kernel over the admissible pairs (``pair_state``,
+    ``pair_action``, ``pair_reward``; state s's pairs start at
+    ``segment_starts[s]``). The kernel is kept factored
+    (``hankel_weights`` read through ``hankel_index`` at each pair's
+    ``pair_start`` and ``pair_column``; see ``_build_kernel``), with each
+    state's pairs also laid out as padded ``slot_*`` rows for the backup;
+    the dense ``kernel`` is built only when read. ``service_reward[a]`` is
+    r(a), an epoch's reward before holding costs."""
 
     def __init__(self, params):
         self.params = params
@@ -116,9 +121,13 @@ class SmdpModel:
         self.pair_state, self.pair_action, self.segment_starts = self._build_pairs()
         rewards = np.stack([self.reward_table(a).reshape(-1) for a in ACTIONS])
         self.pair_reward = rewards[self.pair_action, self.pair_state]
-        self.kernel = self._build_kernel()
+        (self.pair_start, self.pair_column, self.hankel_index, self.hankel_weights,
+         self._tail_weights) = self._build_kernel()
+        self.slot_cell, self.slot_reward, self.slot_action = self._build_slots()
         for table in (self.pair_state, self.pair_action, self.segment_starts,
-                      self.pair_reward, self.kernel):
+                      self.pair_reward, self.pair_start, self.pair_column,
+                      self.hankel_index, self.hankel_weights, self._tail_weights,
+                      self.slot_cell, self.slot_reward, self.slot_action):
             table.setflags(write=False)
 
         self.moment_ordering_violations = self._check_moment_ordering()
@@ -196,23 +205,33 @@ class SmdpModel:
         return states, actions, np.searchsorted(states, np.arange(self.n_states))
 
     def _build_kernel(self):
-        """Discounted kernel rows of the admissible pairs:
+        """The discounted pair kernel in factored form:
         (T V)[(q,cog), a] = sum_{tau,c',q'} gamma^tau P(tau|cog,a)
         C_a_tau[cog,c'] B_tau[q,q'] V[q',c'].
 
         A row factors as
-        T[(q,c),a][(q',c')] = sum_tau B_tau[start_a(q), q'] W_a[tau, c, c'] with
+        T[(q,c),a][(q',c')] = sum_tau B_tau[s, q'] W_a[tau, c, c'] with
+        s = start_a(q) the tasks left after the epoch's service and
         W_a[tau, c, :] = gamma^tau P(tau|c,a) C_a_tau[c, :], so each action
         takes one weight table W_a over the contiguous run of taus its laws
         use. From start s, B_tau is the arrival pmf shifted by s and the tail
         P(W >= L - s) at the capacity L, so one product over tau of W_a with
-        the pmf and one with the tail give the block of every start."""
+        the pmf and one with the tail give the block of every start: below
+        the capacity the kernel is block-Toeplitz in the queue.
+
+        The products of every action are stacked, one column per (action,
+        level) law; a pair reads column ``pair_column`` from start
+        ``pair_start``. ``hankel_weights[(k, c'), col]`` is the pmf product
+        for k < L arrivals and the tail product P(W >= L) at k = L;
+        ``_tail_weights[s, col, c']`` is the tail product P(W >= L - s) from
+        start s. Since P(W >= L - s) = P(L - s <= W < L) + P(W >= L), the
+        row of start s against V is ``hankel_weights`` against the Hankel
+        gather V[min(s + k, L), c'] (``hankel_index``). The dense ``kernel``
+        is scattered from the same tables when it is read."""
         gamma = self.params.discount
         cap = self.n_q - 1
-        n_pairs = len(self.pair_state)
-        row_of = np.full((len(ACTIONS), self.n_states), -1)
-        row_of[self.pair_action, self.pair_state] = np.arange(n_pairs)
-        kernel = np.zeros((n_pairs, self.n_q, self.n_cog))
+        column = np.full((len(ACTIONS), self.n_cog), -1)
+        moved, full = [], []
         for ai, a in enumerate(ACTIONS):
             laws = []
             for cog in range(self.n_cog):
@@ -230,20 +249,63 @@ class SmdpModel:
                 weights[rows - lo, i, :] = w[:, None] * self.cog_move(a, times, cog)
             weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
             shape = (self.n_q, len(cogs), self.n_cog)
-            moved = (self._arrival_pmf[lo:hi].T @ weights).reshape(shape)
-            full = (self._arrival_tail[lo:hi].T @ weights).reshape(shape)
-            for q in range(self.n_q):
-                pair_rows = row_of[ai, q * self.n_cog + cogs]
-                keep = pair_rows >= 0
-                rows, room = pair_rows[keep], cap - max(q - DECREMENT[a], 0)
-                kernel[rows, cap - room : cap] = moved[:room, keep].transpose(1, 0, 2)
-                kernel[rows, cap] = full[room, keep]
-        return kernel.reshape(n_pairs, self.n_states)
+            column[ai, cogs] = sum(m.shape[1] for m in moved) + np.arange(len(cogs))
+            moved.append((self._arrival_pmf[lo:hi].T @ weights).reshape(shape))
+            full.append((self._arrival_tail[lo:hi].T @ weights).reshape(shape))
+        moved, full = np.concatenate(moved, axis=1), np.concatenate(full, axis=1)
+        hankel = np.concatenate([moved[:cap], full[cap:]]).transpose(0, 2, 1)
+        decrement = np.array([DECREMENT[a] for a in ACTIONS])
+        q, cog = divmod(self.pair_state, self.n_cog)
+        start = np.minimum(np.arange(self.n_q)[:, None] + np.arange(self.n_q), cap)
+        return (
+            np.maximum(q - decrement[self.pair_action], 0),
+            column[self.pair_action, cog],
+            (start[:, :, None] * self.n_cog + np.arange(self.n_cog)).reshape(self.n_q, -1),
+            hankel.reshape(self.n_states, -1),
+            full[::-1].copy(),
+        )
+
+    def _build_slots(self):
+        """Each state's pairs in one row, as wide as the most actions a state
+        has, in ``TIE_ORDER``: a pair's flat (start, column) cell of
+        ``hankel_index`` @ ``hankel_weights``, its reward and its ``ACTIONS``
+        index. A state with fewer actions repeats its first pair in the empty
+        slots at reward -inf, so an argmax over a row picks the state's first
+        best action."""
+        width = np.diff(np.append(self.segment_starts, len(self.pair_state)))
+        slot = np.arange(width.max())
+        used = slot < width[:, None]
+        pair = self.segment_starts[:, None] + np.where(used, slot, 0)
+        cell = self.pair_start * self.hankel_weights.shape[1] + self.pair_column
+        return (
+            cell[pair],
+            np.where(used, self.pair_reward[pair], -np.inf),
+            self.pair_action[pair],
+        )
+
+    @cached_property
+    def kernel(self):
+        """The dense ``(n_pairs, n_states)`` kernel, one row per admissible
+        pair, scattered from the factored tables on first read; read-only.
+        Only exact policy evaluation and ``operators`` read it, so solving,
+        grading and simulating never allocate it."""
+        cap = self.n_q - 1
+        moved = self.hankel_weights.reshape(self.n_q, self.n_cog, -1)
+        kernel = np.zeros((len(self.pair_state), self.n_q, self.n_cog))
+        for s in range(self.n_q):
+            rows = np.flatnonzero(self.pair_start == s)
+            cols = self.pair_column[rows]
+            kernel[rows, s:cap] = moved[: cap - s, :, cols].transpose(2, 0, 1)
+            kernel[rows, cap] = self._tail_weights[s, cols]
+        kernel = kernel.reshape(len(self.pair_state), self.n_states)
+        kernel.setflags(write=False)
+        return kernel
 
     @property
     def operators(self):
-        """{action: that action's kernel rows}, gathered when read. Only
-        ``bench/counts.py`` reads it, to size the operator bytes."""
+        """{action: that action's rows of the dense ``kernel``}, gathered
+        when read (which builds the kernel). Only ``bench/counts.py`` reads
+        it, to size the operator bytes."""
         return {a: self.kernel[self.pair_action == i] for i, a in enumerate(ACTIONS)}
 
     # -- accessors --------------------------------------------------------

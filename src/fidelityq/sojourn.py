@@ -229,6 +229,21 @@ def _check_support(what, support):
         raise ValueError(f"{what} needs {support} support points, over {MAX_SUPPORT}")
 
 
+def wait_support(arrival_rate):
+    """Points of the wait law at ``arrival_rate``: the support whose
+    truncated geometric tail falls below the truncation tolerance. Raises
+    ``ValueError`` over ``MAX_SUPPORT`` points, or when the chance of an
+    arrival per step rounds to 0 or 1, so a rate can be refused before any
+    law is built."""
+    p = 1.0 - math.exp(-arrival_rate)
+    # p rounds to 0 below ~1e-16 arrivals per step and to 1 above ~37
+    if not 0 < p < 1:
+        raise ValueError("arrival probability per step must be in (0,1)")
+    support = max(1, math.ceil(math.log(TRUNCATION_TOL) / math.log1p(-p)))
+    _check_support(f"the wait law at arrival rate {arrival_rate!r}", support)
+    return support
+
+
 def wait_pmf(arrival_rate):
     """Geometric waiting time, truncated and renormalized.
 
@@ -241,9 +256,8 @@ def wait_pmf(arrival_rate):
     with probability 1/(1 + exp(arrival_rate)) (0.389 at 0.45); an open
     modelling question.
     """
+    support = wait_support(arrival_rate)
     p = 1.0 - math.exp(-arrival_rate)
-    support = max(1, int(math.ceil(math.log(TRUNCATION_TOL) / math.log1p(-p))))
-    _check_support(f"the wait law at arrival rate {arrival_rate!r}", support)
     ks = np.arange(1, support + 1)
     probs = p * (1.0 - p) ** (ks - 1)
     tail = (1.0 - p) ** support

@@ -1,4 +1,5 @@
-"""Value iteration and policy evaluation over the model's pair kernel."""
+"""Value iteration over the model's factored pair kernel and exact policy
+evaluation over its dense rows."""
 
 import math
 from dataclasses import dataclass, field
@@ -40,17 +41,20 @@ class ValuePolicyTable:
 
 
 def bellman_backup(model, values):
-    """One synchronous optimality backup: one product of the pair kernel
-    with the values, then each state's first best pair; pairs run in the
-    fixed tie order, so on exact ties the earlier action wins."""
+    """One synchronous optimality backup over the model's factored kernel:
+    one product of the Hankel gather of the values with the stacked arrival
+    weights gives every (start, law) expectation, one gather lays them out
+    as each state's action slots, and each state takes its first best slot;
+    slots run in the fixed tie order, so on exact ties the earlier action
+    wins."""
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    pair_values = model.pair_reward + model.kernel @ flat
-    best = np.maximum.reduceat(pair_values, model.segment_starts)[model.pair_state]
-    rows = np.arange(len(pair_values))
-    tied = np.where(pair_values == best, rows, len(rows))
-    first = np.minimum.reduceat(tied, model.segment_starts)
+    after = flat[model.hankel_index] @ model.hankel_weights
+    slot_values = model.slot_reward + after.take(model.slot_cell)
+    best = slot_values.argmax(axis=1)
+    states = np.arange(model.n_states)
     shape = (model.n_q, model.n_cog)
-    return pair_values[first].reshape(shape), _SYMBOLS[model.pair_action[first]].reshape(shape)
+    return (slot_values[states, best].reshape(shape),
+            _SYMBOLS[model.slot_action[states, best]].reshape(shape))
 
 
 def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEPS):

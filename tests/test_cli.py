@@ -11,11 +11,32 @@ import pytest
 from fidelityq import cli
 from fidelityq.config import builtin_config
 from fidelityq.errors import GuaranteeViolationError, PolicyMismatchError
+from fidelityq.model import SmdpModel
 from fidelityq.solver import value_iteration
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve",),
+        ("check", "--episodes", "200"),
+        ("sweep", "--grid", "0.3,0.5"),
+        ("simulate", "--episodes", "200", "--trajectories", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_never_build_the_dense_kernel(tmp_path, monkeypatch, argv):
+    """Solving, grading and simulating read the factored kernel only."""
+
+    def never(model):
+        raise AssertionError("built the dense pair kernel")
+
+    monkeypatch.setattr(SmdpModel, "kernel", property(never))
+    assert run(*argv, "--config", "tiny", "--out", str(tmp_path / "out")) == 0
 
 
 @pytest.fixture()
@@ -316,6 +337,35 @@ class TestSweep:
         assert run("sweep", "--config", "tiny", "--out", str(out),
                    "--grid", "0.3,abc") == 1
         assert "--grid[1] must be a number, got 'abc'" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_oversized_wait_law_rejected_before_the_first_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1e-6 arrivals per step would size the wait law at 13.8M points;
+        # the rate before it must not be solved either
+        out = tmp_path / "out"
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved a rate before refusing the grid")
+
+        monkeypatch.setattr("fidelityq.cli.value_iteration", never)
+        assert run("sweep", "--config", "tiny", "--out", str(out),
+                   "--grid", "0.3,1e-6") == 1
+        captured = capsys.readouterr()
+        assert ("--grid[1]: the wait law at arrival rate 1e-06 needs 13815511 "
+                "support points") in captured.err
+        assert "swept" not in captured.out
+        assert not (out / "sweep.csv").exists()
+
+    def test_oversized_configured_rate_rejected_at_load(self, tmp_path, capsys):
+        cfg_file = tmp_path / "slow_sweep.yaml"
+        cfg_file.write_text("name: x\nsweep: {arrival_rates: [0.3, 1.0e-6]}\n")
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg_file), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "sweep.arrival_rates[1]: the wait law at arrival rate 1e-06" in captured.err
+        assert "swept" not in captured.out
         assert not (out / "sweep.csv").exists()
 
 

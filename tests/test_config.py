@@ -106,6 +106,17 @@ class TestMerge:
              r"sweep.arrival_rates\[0\] must be positive and finite, got 0.0"),
             ({"arrival_rates": [0.3, -1]},
              r"sweep.arrival_rates\[1\] must be positive and finite, got -1.0"),
+            # the wait law's support rule, applied when the config loads
+            ({"arrival_rates": [0.3, 1e-6]},
+             r"sweep.arrival_rates\[1\]: the wait law at arrival rate 1e-06 needs "
+             rf"13815511 support points, over {MAX_SUPPORT}"),
+            ({"arrival_rates": [1e-3]},
+             r"sweep.arrival_rates\[0\]: the wait law at arrival rate 0.001 needs "
+             rf"13816 support points, over {MAX_SUPPORT}"),
+            ({"arrival_rates": [1e-300]},
+             r"sweep.arrival_rates\[0\]: arrival probability per step must be in \(0,1\)"),
+            ({"arrival_rates": [50.0]},
+             r"sweep.arrival_rates\[0\]: arrival probability per step must be in \(0,1\)"),
         ],
     )
     def test_sweep_settings_rejected(self, sweep, match):
@@ -354,8 +365,10 @@ class TestFloatKeys:
 
     @pytest.mark.parametrize("slot", NUMBER_SLOTS)
     def test_numeric_string_loads_as_float(self, slot):
-        loaded = read(from_mapping(NUMBER_SLOTS[slot]("1e-4")).data, slot)
-        assert type(loaded) is float and loaded == 1e-4
+        # a sweep rate of 1e-4 would need a 138,156-point wait law
+        text = "1e-1" if slot == "sweep.arrival_rates[0]" else "1e-4"
+        loaded = read(from_mapping(NUMBER_SLOTS[slot](text)).data, slot)
+        assert type(loaded) is float and loaded == float(text)
 
     def test_yaml_exponent_without_a_dot_loads_as_float(self, tmp_path):
         # YAML 1.1, which PyYAML follows, reads 1e-9 as a string

@@ -21,7 +21,7 @@ from scipy import stats
 
 import fidelityq
 import oracle
-from fidelityq.actions import ACTIONS, TIE_ORDER, Action
+from fidelityq.actions import ACTIONS, DECREMENT, TIE_ORDER, Action
 from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
@@ -380,9 +380,16 @@ class TestOperators:
     def test_kernel_is_read_only_and_contiguous(self, model):
         assert model.kernel.flags.c_contiguous
         for table in (model.kernel, model.pair_reward, model.pair_state,
-                      model.pair_action, model.segment_starts):
+                      model.pair_action, model.segment_starts, model.pair_start,
+                      model.pair_column, model.hankel_index, model.hankel_weights,
+                      model.slot_cell, model.slot_reward, model.slot_action):
             with pytest.raises(ValueError):
                 table[0] = 0
+
+    def test_kernel_is_built_once_on_first_read(self):
+        fresh = build_model(small_params(**OWN))
+        assert "kernel" not in fresh.__dict__
+        assert fresh.kernel is fresh.kernel
 
     def test_operators_gather_each_actions_rows(self, model):
         ops = model.operators
@@ -429,6 +436,87 @@ class TestOperators:
         tr = model.max_discount_transform
         assert tr <= model.params.discount
         assert tr == pytest.approx(0.9**2, abs=1e-12)
+
+
+WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_state.yaml")
+
+
+def factored_product(model, values):
+    """Each pair's kernel row against flat ``values`` through the factored
+    tables: the Hankel gather of the values against the stacked arrival
+    weights, read at the pair's (start, column) cell."""
+    after = values[model.hankel_index] @ model.hankel_weights
+    return after[model.pair_start, model.pair_column]
+
+
+def assert_factored_product_is_the_kernel(model, seed, draws=3):
+    """The factored product equals the dense kernel's within 1e-14 of the
+    values' scale (a reordered sum; at most 8.4e-16 seen with unit normals)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        values = rng.normal(size=model.n_states)
+        gap = np.max(np.abs(factored_product(model, values) - model.kernel @ values))
+        assert gap <= 1e-14 * np.max(np.abs(values))
+
+
+class TestFactoredKernel:
+    """Solving reads the kernel in factored form; the dense rows are
+    scattered from the same tables only when read."""
+
+    def test_shipped_factored_product_is_the_kernel(self, shipped):
+        assert_factored_product_is_the_kernel(shipped[1], seed=5)
+
+    def test_wide_state_factored_product_is_the_kernel(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fidelityq.resolve_config(WIDE_STATE).build_model()
+        assert model.n_states == 976
+        assert_factored_product_is_the_kernel(model, seed=6, draws=2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        capacity=st.integers(min_value=2, max_value=6),
+        intervals=st.integers(min_value=2, max_value=5),
+        star=st.integers(min_value=1, max_value=4),
+        family=st.sampled_from(["beta-binomial", "neg-binomial"]),
+        rate=st.floats(min_value=0.05, max_value=1.5),
+        discount=st.floats(min_value=0.5, max_value=0.97),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_small_configs_factored_product_is_the_kernel(
+        self, capacity, intervals, star, family, rate, discount, seed
+    ):
+        service = ServiceFamily(
+            base_mean={Action.NORMAL: 3.5, Action.HIGH: 6.0},
+            curvature={Action.NORMAL: 4.0, Action.HIGH: 6.0},
+            dispersion=3 if family == "neg-binomial" else 10.0,
+            support=150,
+            family=family,
+        )
+        params = small_params(
+            queue_capacity=capacity,
+            grid=CogGrid(n_intervals=intervals, star_index=min(star, intervals - 1)),
+            service=service,
+            arrival_rate=rate,
+            discount=discount,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = build_model(params)
+        assert_factored_product_is_the_kernel(model, seed)
+
+    def test_pairs_read_their_start_and_law(self, shipped):
+        """A pair's start is its queue less the action's decrement, at
+        least 0; its column holds its own (action, level) law, so pairs of
+        one action and level share a column and no two laws do."""
+        model = shipped[1]
+        q, cog = np.divmod(model.pair_state, model.n_cog)
+        decrement = np.array([DECREMENT[a] for a in ACTIONS])[model.pair_action]
+        assert np.array_equal(model.pair_start, np.maximum(q - decrement, 0))
+        law = model.pair_action * model.n_cog + cog
+        for column in np.unique(model.pair_column):
+            assert len(set(law[model.pair_column == column])) == 1
+        assert len(np.unique(model.pair_column)) == len(model._sojourns)
 
 
 class TestDiagnostics:

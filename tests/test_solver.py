@@ -5,6 +5,8 @@ The backup oracle re-derives Q-values from the pair rows of
 backward induction is crossed against repeated solver backups.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ import oracle
 from fidelityq.actions import ACTIONS, Action
 from fidelityq.errors import PolicyMismatchError
 from fidelityq.model import admissible, build_model
+from fidelityq.simulate import monte_carlo_value
 from fidelityq.solver import (
     ValuePolicyTable,
     bellman_backup,
@@ -19,6 +22,7 @@ from fidelityq.solver import (
     validate_policy,
     value_iteration,
 )
+from fidelityq.structure import grade
 from small_model import small_params
 
 
@@ -71,6 +75,50 @@ class TestBackup:
         values = np.zeros((model.n_q, model.n_cog))
         backed, _ = bellman_backup(model, values)
         assert np.all(np.isfinite(backed))
+
+    def test_matches_the_dense_kernel_backup(self, model):
+        """The factored backup against one product of the dense kernel and
+        each state's first best row, the rule it replaces."""
+        rng = np.random.default_rng(17)
+        values = rng.normal(size=(model.n_q, model.n_cog))
+        pair_values = model.pair_reward + model.kernel @ values.reshape(-1)
+        ends = np.append(model.segment_starts[1:], len(pair_values))
+        first = [lo + int(np.argmax(pair_values[lo:hi]))
+                 for lo, hi in zip(model.segment_starts, ends)]
+        backed, policy = bellman_backup(model, values)
+        assert np.max(np.abs(backed.reshape(-1) - pair_values[first])) <= 1e-14 * np.max(
+            np.abs(values)
+        )
+        symbols = [ACTIONS[i].value for i in model.pair_action[first]]
+        assert policy.reshape(-1).tolist() == symbols
+
+    def test_exact_ties_go_to_the_earlier_action(self, model):
+        """Give every action of a state the row and reward of its last
+        action (high service, or wait on an empty queue): each state then
+        ties exactly, and takes its first action in TIE_ORDER."""
+        used = model.slot_reward > -np.inf
+        last = (np.arange(model.n_states), used.sum(axis=1) - 1)
+        tied = SimpleNamespace(**vars(model))
+        tied.slot_cell = np.where(used, model.slot_cell[last][:, None], 0)
+        tied.slot_reward = np.where(used, model.slot_reward[last][:, None], -np.inf)
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(model.n_q, model.n_cog))
+        backed, policy = bellman_backup(tied, values)
+        assert np.all(policy[0] == Action.WAIT.value)
+        assert np.all(policy[1:] == Action.SKIP.value)
+        _, own = bellman_backup(model, values)
+        assert not np.all(own[1:] == Action.SKIP.value)
+        # the tied value is the last action's
+        after = values.reshape(-1)[model.hankel_index] @ model.hankel_weights
+        expected = model.slot_reward[last] + after.take(model.slot_cell[last])
+        assert np.array_equal(backed.reshape(-1), expected)
+
+    def test_solving_and_simulating_never_build_the_dense_kernel(self):
+        fresh = build_model(small_params(queue_capacity=5))
+        solved = value_iteration(fresh)
+        grade(fresh, solved)
+        monte_carlo_value(fresh, solved.policy, (2, 1), episodes=20, seed=1)
+        assert "kernel" not in fresh.__dict__
 
 
 class TestValueIteration:
