@@ -339,7 +339,6 @@ class SmdpModel:
         # written, so never paged in
         bound = self.n_cog * sum(len(pmf.support[0]) for pmf in laws)
         cdf = np.empty(bound)
-        taus = np.empty(bound, np.min_scalar_type(max(int(pmf.times[-1]) for pmf in laws)))
         cogs = np.empty(bound, np.min_scalar_type(self.n_cog - 1))
         arrival_row = np.empty(bound, np.min_scalar_type(len(self._taus) - 1))
         lengths = []
@@ -352,7 +351,6 @@ class SmdpModel:
             row, nxt = np.nonzero(outcome)
             k = len(row)
             np.cumsum(joint[outcome], out=cdf[n : n + k])
-            taus[n : n + k] = times[row]
             cogs[n : n + k] = nxt
             arrival_row[n : n + k] = np.searchsorted(self._taus, times)[row]
             segment[cog, ACTIONS.index(a)] = len(lengths)
@@ -360,7 +358,6 @@ class SmdpModel:
             n += k
         return EpochLaw(
             segment=segment,
-            taus=taus[:n],
             cogs=cogs[:n],
             arrival_row=arrival_row[:n],
             cdf=SegmentedCdf(cdf[:n], lengths),
@@ -372,10 +369,12 @@ class SmdpModel:
         shared by every sampler of this model: law ``i`` is that of
         k = min(W, L), W ~ Poisson(rate * taus[i]) and L the capacity (the
         arrival pmf below L, its tail at L). Outcome k sits at flat position
-        ``start[i] + k``; s tasks left after service become min(s + k, L)."""
+        ``start[i] + k``; s tasks left after service become min(s + k, L).
+        The laws are short, so their guides are kept four times finer:
+        Poisson laws of large mean crowd their first bucket."""
         capped = [self._arrival_pmf[:, :-1], self._arrival_tail[:, -1:]]
         table = np.cumsum(np.concatenate(capped, axis=1), axis=1)
-        return SegmentedCdf(table.reshape(-1), np.full(len(self._taus), self.n_q))
+        return SegmentedCdf(table.reshape(-1), np.full(len(self._taus), self.n_q), refine=2)
 
     def moment(self, name, action):
         return self._moments[name][action]

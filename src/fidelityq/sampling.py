@@ -8,12 +8,12 @@ vector of (segment, u) pairs in a few numpy passes.
 
 The search starts from a guide table ("indexed search", Chen & Asau 1974;
 Devroye 1986, section III.2.4). Segment ``s`` has ``m_s`` buckets, a power
-of two no larger than its searchable length, and bucket ``k`` stores the
-answer for ``u = k / m_s``. Since ``m_s`` is a power of two, ``u * m_s``
-and ``k / m_s`` are exact, so a draw never starts past its answer and
-stepping forward ends on it. On average fewer than two steps remain; two
-steps are taken for every draw, and the few draws still short share one
-fixed-length halving search up to the next bucket's start.
+of two (by default no larger than its searchable length), and bucket ``k``
+stores the answer for ``u = k / m_s``. Since ``m_s`` is a power of two,
+``u * m_s`` and ``k / m_s`` are exact, so a draw never starts past its
+answer and stepping forward ends on it. On average fewer than two steps
+remain; one step is taken for every draw, and the draws still short share
+one fixed-length halving search up to the next bucket's start.
 """
 
 from dataclasses import dataclass
@@ -32,10 +32,10 @@ class SegmentedCdf:
     A law's last entry never decides a draw: every draw beyond the other
     entries lands on it, so its probability is one minus the entry before.
     The table stores it as +inf, which keeps every forward step inside its
-    law.
+    law. ``refine`` makes every guide 2**refine times finer.
     """
 
-    def __init__(self, table, lengths):
+    def __init__(self, table, lengths, refine=0):
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(table):
             raise ValueError("every law needs at least one outcome in the table")
@@ -44,10 +44,11 @@ class SegmentedCdf:
         table[self.end] = np.inf
         self.table = table
 
-        # m_s buckets: the largest power of two <= max(searchable entries, 1);
-        # bucket k starts at the law's answer for u = k / m_s, and one more
-        # guide entry per law, its last position, closes the last bucket
-        exponent = np.frexp(np.maximum(lengths - 1, 1))[1] - 1
+        # m_s buckets: 2**refine times the largest power of two <=
+        # max(searchable entries, 1); bucket k starts at the law's answer for
+        # u = k / m_s, and one more guide entry per law, its last position,
+        # closes the last bucket
+        exponent = np.frexp(np.maximum(lengths - 1, 1))[1] - 1 + refine
         self.buckets = np.ldexp(1.0, exponent)
         counts = self.buckets.astype(np.intp) + 1
         self.guide_start = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -69,22 +70,25 @@ class SegmentedCdf:
     def invert(self, segments, u):
         """Flat positions of the draws ``u`` (each >= 0) from the laws
         ``segments``; both are 1-D arrays of one length."""
-        bucket = self.guide_start[segments] + (
-            np.minimum(u, _BELOW_ONE) * self.buckets[segments]
-        ).astype(np.intp)
-        pos = self.guide[bucket].astype(np.intp)
+        return self.draw(self.guide_start[segments], self.buckets[segments], u)
+
+    def draw(self, guide_start, buckets, u):
+        """Flat positions of the draws ``u`` (each >= 0) from the laws whose
+        guides start at ``guide_start`` with ``buckets`` buckets (arrays of
+        ``u``'s length, or scalars shared by every draw)."""
+        bucket = guide_start + (np.minimum(u, _BELOW_ONE) * buckets).astype(np.intp)
+        pos = self.guide.take(bucket).astype(np.intp)
         table = self.table
-        for _ in range(2):
-            pos += table[pos] <= u
-        short = np.flatnonzero(table[pos] <= u)
+        pos += table.take(pos) <= u
+        short = (table.take(pos) <= u).nonzero()[0]
         if short.size:
             # the answer is in (last, hi] and table[hi] > u: halve steps, clamped at hi
-            last, hi, u = pos[short], self.guide[bucket[short] + 1], u[short]
+            last, hi, u = pos[short], self.guide.take(bucket[short] + 1), u[short]
             step = 1 << int((hi - last).max() - 1).bit_length()
             while step > 1:
                 step //= 2
                 ahead = np.minimum(last + step, hi)
-                last = np.where(table[ahead] <= u, ahead, last)
+                last = np.where(table.take(ahead) <= u, ahead, last)
             pos[short] = last + 1
         return pos
 
@@ -97,15 +101,14 @@ class EpochLaw:
 
     ``segment[c, i]`` is the law of level ``c`` under ``ACTIONS[i]`` in
     ``cdf`` (-1 where the action has no law). Each law lists its
-    positive-probability outcomes in tau-major order; ``taus[pos]`` and
-    ``cogs[pos]`` are the sojourn and next level at flat position ``pos``,
-    and ``arrival_row[pos]`` is that sojourn's index in the model's sorted
-    taus, its row of arrival pmf and tail, and its law in
-    ``model.arrival_law``.
+    positive-probability outcomes in tau-major order; ``cogs[pos]`` is the
+    next level at flat position ``pos``, and ``arrival_row[pos]`` is the
+    sojourn's index in the model's sorted taus (the sojourn is
+    ``model._taus[arrival_row[pos]]``), its row of arrival pmf and tail, and
+    its law in ``model.arrival_law``.
     """
 
     segment: np.ndarray
-    taus: np.ndarray
     cogs: np.ndarray
     arrival_row: np.ndarray
     cdf: SegmentedCdf

@@ -14,8 +14,11 @@ tau and the next cognitive level together from the joint law of the
 state's (level, action) in ``model.epoch_law``. The second picks the capped
 arrivals k = min(w, L) over tau from ``model.arrival_law``, and the next
 queue is min(max(q - d, 0) + k, L) for the action's decrement d and the
-capacity L. Both are exact inverse-CDF lookups. One lockstep loop advances
-any number of episodes, one vectorized lookup per law and epoch:
+capacity L. Both are exact inverse-CDF lookups, from guide rows kept per
+state (epoch law) or at one stride (the arrival laws, all of L + 1
+outcomes). A sojourn is carried as its row of the model's sorted taus.
+One lockstep loop advances any number of episodes, one vectorized lookup
+per law and epoch:
 ``monte_carlo_value`` runs all its episodes through it and sizes the
 horizon so the truncation bias stays below a fraction of the standard
 error, and ``PolicySampler.run_episode`` runs one episode through it and
@@ -110,41 +113,55 @@ class PolicySampler:
 
     def __init__(self, model, policy):
         self.model = model
-        # per flat state q * n_cog + cog: the action's index, its law, its
-        # service reward and the queue it leaves before arrivals, max(q - d, 0)
+        # per flat state q * n_cog + cog: the action's index, its epoch law's guide
+        # start and bucket count, its reward r(a) and the queue max(q - d, 0) it leaves
         self._codes = model.pair_action[validate_policy(model, policy)]
         self.policy = np.asarray(policy)
         levels = np.tile(np.arange(model.n_cog), model.n_q)
-        self._segments = model.epoch_law.segment[levels, self._codes]
+        segments = model.epoch_law.segment[levels, self._codes]
+        self._guide_start = model.epoch_law.cdf.guide_start[segments]
+        self._buckets = model.epoch_law.cdf.buckets[segments]
         self._reward = np.array([model.service_reward[a] for a in ACTIONS])[self._codes]
         decrement = np.array([DECREMENT[a] for a in ACTIONS])[self._codes]
         self._served = np.maximum(np.repeat(np.arange(model.n_q), model.n_cog) - decrement, 0)
+        # every arrival law has n_q outcomes, so all share one bucket count
+        # and one guide stride: law i's guide starts at i * stride
+        arrivals = model.arrival_law
+        self._arrival_buckets = arrivals.buckets[0]
+        self._arrival_stride = len(arrivals.guide) // len(arrivals.start)
+        # per sojourn, indexed like model._taus: gamma^tau, c*tau and
+        # (lambda/2)*tau, the factors of the epoch's discount and reward
+        taus = model._taus
+        self._tau_discount = model.params.discount ** taus
+        self._tau_cost = model.params.holding_cost * taus
+        self._half_arrivals = 0.5 * model.params.arrival_rate * taus
 
     def _epochs(self, start, episodes, horizon_epochs, rng):
         """Advance ``episodes`` runs from ``start`` in lockstep, one epoch
-        per step: yields the epoch's flat states, sojourns, admitted
-        arrivals and rewards (on the pre-transition queue), then moves every
-        run to its next state."""
+        per step: yields the epoch's flat states, the rows of their sojourns
+        in ``model._taus``, admitted arrivals and rewards (on the
+        pre-transition queue), then moves every run to its next state."""
         model = self.model
         law = model.epoch_law
         arrival_law = model.arrival_law
-        half_rate = 0.5 * model.params.arrival_rate
-        c = model.params.holding_cost
         cap = model.n_q - 1
         q = np.full(episodes, start[0], dtype=np.int64)
         cog = np.full(episodes, start[1], dtype=np.int64)
         for _ in range(horizon_epochs):
             state = q * model.n_cog + cog
             u = rng.random((2, episodes))
-            pos = law.cdf.invert(self._segments[state], u[0])
-            tau = law.taus[pos].astype(np.intp)  # native indices gather faster
-            row = law.arrival_row[pos].astype(np.intp)
-            capped = arrival_law.invert(row, u[1]) - arrival_law.start[row]
-            served = self._served[state]
+            pos = law.cdf.draw(self._guide_start.take(state), self._buckets.take(state), u[0])
+            # in intp, so row * stride cannot wrap (and native indices gather faster)
+            row = law.arrival_row.take(pos).astype(np.intp)
+            guide_start = row * self._arrival_stride
+            capped = arrival_law.draw(guide_start, self._arrival_buckets, u[1]) - row * model.n_q
+            served = self._served.take(state)
             nxt = np.minimum(served + capped, cap)
-            yield state, tau, nxt - served, self._reward[state] - c * tau * (q + half_rate * tau)
+            # the reward r(a) - c*tau*(q + lambda*tau/2)
+            cost = self._tau_cost.take(row) * (q + self._half_arrivals.take(row))
+            yield state, row, nxt - served, self._reward.take(state) - cost
             q = nxt
-            cog = law.cogs[pos]
+            cog = law.cogs.take(pos)
 
     def run_episode(self, start, horizon_epochs, seed):
         """Simulate one episode and keep every epoch record."""
@@ -157,7 +174,8 @@ class PolicySampler:
         total = 0.0
         records = []
         for epoch, draws in enumerate(epochs):
-            state, tau, w, reward = (x.item() for x in draws)
+            state, row, w, reward = (x.item() for x in draws)
+            tau = int(model._taus[row])
             q, cog = divmod(state, model.n_cog)
             action = str(self.policy[q, cog])
             records.append(EpochRecord(epoch, zeta, q, cog, action, tau, w, reward))
@@ -172,15 +190,14 @@ class PolicySampler:
         model = self.model
         start = check_start(start, model.n_q - 1, model.n_cog - 1)
         _check_horizon(horizon_epochs)
-        tau_discount = model.params.discount ** np.arange(int(model.epoch_law.taus.max()) + 1)
         discount = np.ones(episodes)  # gamma^zeta at each epoch's start
         totals = np.zeros(episodes)
         empty_epochs = 0
-        for state, tau, _, reward in self._epochs(start, episodes, horizon_epochs, rng):
+        for state, row, _, reward in self._epochs(start, episodes, horizon_epochs, rng):
             # flat states below n_cog are the empty-queue ones
             empty_epochs += int(np.count_nonzero(state < model.n_cog))
             totals += discount * reward
-            discount *= tau_discount[tau]
+            discount *= self._tau_discount.take(row)
         return totals, empty_epochs / (episodes * horizon_epochs)
 
     def estimate(

@@ -6,6 +6,7 @@ cognitive moves it is built from, and its arrival law against the model's
 arrival pmf and tail.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -18,6 +19,9 @@ from fidelityq.config import resolve_config
 from fidelityq.sampling import SegmentedCdf
 
 CONFIGS = ["tiny", "default", "high_lambda", "skip_cheap", "large_gap"]
+# the benchmark's 976-state config: the widest epoch law, 58,508 positions
+# over 70 laws
+WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_state.yaml")
 
 
 def expected_positions(cdfs, segments, u):
@@ -30,26 +34,27 @@ def expected_positions(cdfs, segments, u):
     )
 
 
-def reference_guide(cdfs):
-    """Each law's guide built on its own: for m, the largest power of two
-    no larger than max(searchable entries, 1), the positions a per-law
-    searchsorted gives for u = k / m, k < m, then the law's last position."""
+def reference_guide(cdfs, refine=0):
+    """Each law's guide built on its own: for m, 2**refine times the largest
+    power of two no larger than max(searchable entries, 1), the positions a
+    per-law searchsorted gives for u = k / m, k < m, then the law's last
+    position."""
     guide, start = [], 0
     for cdf in cdfs:
-        m = 1 << (max(len(cdf) - 1, 1).bit_length() - 1)
+        m = 1 << (max(len(cdf) - 1, 1).bit_length() - 1 + refine)
         keys = np.arange(m) / m
         guide += [start + np.searchsorted(cdf[:-1], keys, side="right"), [start + len(cdf) - 1]]
         start += len(cdf)
     return np.concatenate(guide)
 
 
-def assert_guide_exact(cdfs):
-    table = SegmentedCdf(np.concatenate(cdfs), [len(cdf) for cdf in cdfs])
-    np.testing.assert_array_equal(table.guide, reference_guide(cdfs))
+def assert_guide_exact(cdfs, refine=0):
+    table = SegmentedCdf(np.concatenate(cdfs), [len(cdf) for cdf in cdfs], refine)
+    np.testing.assert_array_equal(table.guide, reference_guide(cdfs, refine))
 
 
-def assert_draws_exact(cdfs, uniforms):
-    table = SegmentedCdf(np.concatenate(cdfs), [len(cdf) for cdf in cdfs])
+def assert_draws_exact(cdfs, uniforms, refine=0):
+    table = SegmentedCdf(np.concatenate(cdfs), [len(cdf) for cdf in cdfs], refine)
     segments = np.repeat(np.arange(len(cdfs)), len(uniforms))
     u = np.tile(uniforms, len(cdfs))
     got = table.invert(segments, u) - table.start[segments]
@@ -84,18 +89,18 @@ def laws(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(laws(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
-def test_invert_equals_clamped_searchsorted(cdfs, extra):
+@given(laws(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20), st.integers(0, 3))
+def test_invert_equals_clamped_searchsorted(cdfs, extra, refine):
     breakpoints = np.concatenate(cdfs)
     uniforms = np.concatenate([[0.0, 1.0 - 2.0**-53], breakpoints, extra])
-    assert_draws_exact(cdfs, uniforms)
+    assert_draws_exact(cdfs, uniforms, refine)
 
 
 @settings(max_examples=200, deadline=None)
-@given(laws())
-def test_guide_equals_per_law_searchsorted(cdfs):
+@given(laws(), st.integers(0, 3))
+def test_guide_equals_per_law_searchsorted(cdfs, refine):
     # with one-outcome laws and a law of zero-mass ties
-    assert_guide_exact(cdfs + [np.array([0.0]), np.array([1.0]), np.zeros(3)])
+    assert_guide_exact(cdfs + [np.array([0.0]), np.array([1.0]), np.zeros(3)], refine)
 
 
 def test_single_outcome_and_crowded_laws():
@@ -156,7 +161,7 @@ def test_epoch_law_matches_sojourn_and_moves(name):
             assert cdf[-1] == np.inf
             cdf[-1] = 1.0
             mass = np.diff(cdf, prepend=0.0)
-            taus, nxt = law.taus[positions].astype(np.int64), law.cogs[positions]
+            taus, nxt = model._taus[law.arrival_row[positions]], law.cogs[positions]
             assert np.all(np.diff(taus * model.n_cog + nxt) > 0)
             rows = np.searchsorted(pmf.times, taus)
             np.testing.assert_array_equal(pmf.times[rows], taus)
@@ -170,10 +175,9 @@ def test_epoch_law_matches_sojourn_and_moves(name):
             present = np.zeros(table.shape, dtype=bool)
             present[rows, nxt] = True
             np.testing.assert_array_equal(present, expected > 0)
-            np.testing.assert_array_equal(model._taus[law.arrival_row[positions]], taus)
 
 
-@pytest.mark.parametrize("name", ["high_lambda", "large_gap"])
+@pytest.mark.parametrize("name", CONFIGS + ["wide_state"])
 def test_model_laws_invert_exactly_at_every_breakpoint(name):
     """Each law of the model's epoch and arrival laws takes, in one call,
     every finite entry of its cdf, the double below each, and every bucket
@@ -183,7 +187,7 @@ def test_model_laws_invert_exactly_at_every_breakpoint(name):
     search, next to narrow ranges that end at a law's last entry."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = resolve_config(name).build_model()
+        model = resolve_config(WIDE_STATE if name == "wide_state" else name).build_model()
     for cdf in (model.epoch_law.cdf, model.arrival_law):
         segments, uniforms, expected = [], [], []
         for s, (lo, hi) in enumerate(zip(cdf.start, cdf.end)):

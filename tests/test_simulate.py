@@ -5,12 +5,15 @@ the estimates; trajectory records are re-validated step by step against
 the model's transition and reward rules.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from fidelityq.actions import DECREMENT, Action
+from fidelityq.actions import ACTIONS, DECREMENT, Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix
+from fidelityq.config import resolve_config
 from fidelityq.errors import ConfigError
 from fidelityq.model import admissible, build_model
 from fidelityq.solver import policy_evaluation, value_iteration
@@ -119,12 +122,12 @@ class TestTrajectories:
         law = stats.poisson(model.params.arrival_rate * t_s)
         for start, room in [((8, 4), 0), ((8, 2), 1), ((7, 2), 2), ((3, 2), 6), ((1, 2), 8)]:
             epochs = sampler._epochs(start, 20_000, 1, np.random.default_rng([5, room]))
-            _, tau, admitted, _ = next(epochs)
+            _, row, admitted, _ = next(epochs)
             observed = np.bincount(admitted, minlength=room + 1)
             assert len(observed) == room + 1, start
             if room == 0:
                 continue
-            assert np.all(tau == t_s)
+            assert np.all(model._taus[row] == t_s)
             expected = law.pmf(np.arange(room + 1)) * len(admitted)
             expected[room] = law.sf(room - 1) * len(admitted)
             # pool the last cell expected to hold 5 draws or more with every
@@ -326,3 +329,61 @@ class TestSharedLoop:
             w = int(np.searchsorted(capped_cdf, u[1, 0], side="right"))
             served = max(rec.q - DECREMENT[Action(rec.action)], 0)
             assert rec.arrivals == min(served + w, cap) - served
+
+
+def replay_epochs(model, policy, start, uniforms):
+    """The epoch loop written out one run and one epoch at a time: each
+    recorded (2, runs) draw is inverted by a per-law searchsorted on the
+    law's segment of ``epoch_law.cdf.table`` and of ``arrival_law.table``,
+    and the reward is the scalar r(a) - c tau (q + lambda tau / 2). Returns
+    per epoch the flat states, sojourns, admitted arrivals and rewards."""
+    law, arrivals = model.epoch_law, model.arrival_law
+    cap = model.n_q - 1
+    runs = uniforms[0].shape[1]
+    q, cog = [start[0]] * runs, [start[1]] * runs
+    epochs = []
+    for u in uniforms:
+        states, taus, admitted, rewards = [], [], [], []
+        for i in range(runs):
+            action = Action(policy[q[i], cog[i]])
+            s = law.segment[cog[i], ACTIONS.index(action)]
+            lo, hi = law.cdf.start[s], law.cdf.end[s]
+            pos = lo + np.searchsorted(law.cdf.table[lo : hi + 1], u[0, i], side="right")
+            row = law.arrival_row[pos]
+            tau = int(model._taus[row])
+            lo, hi = arrivals.start[row], arrivals.end[row]
+            k = int(np.searchsorted(arrivals.table[lo : hi + 1], u[1, i], side="right"))
+            served = max(q[i] - DECREMENT[action], 0)
+            nxt = min(served + k, cap)
+            states.append(q[i] * model.n_cog + cog[i])
+            taus.append(tau)
+            admitted.append(nxt - served)
+            rewards.append(epoch_reward(model, q[i], tau, action))
+            q[i], cog[i] = nxt, int(law.cogs[pos])
+        epochs.append((states, taus, admitted, rewards))
+    return epochs
+
+
+class TestEpochLoopReplay:
+    """Many runs of the vectorised epoch loop against a plain replay of the
+    same uniforms, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, start", [("tiny", (3, 1)), ("high_lambda", (20, 6)), ("large_gap", (5, 2))]
+    )
+    def test_multi_episode_loop_equals_replay(self, name, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = resolve_config(name).build_model()
+        policy = value_iteration(model).policy
+        sampler = PolicySampler(model, policy)
+        rng = RecordingRng(2)
+        got = list(sampler._epochs(start, 24, 60, rng))
+        assert [u.shape for u in rng.uniforms] == [(2, 24)] * 60
+        for (state, row, admitted, reward), expected in zip(
+            got, replay_epochs(model, policy, start, rng.uniforms)
+        ):
+            assert state.tolist() == expected[0]
+            assert model._taus[row].tolist() == expected[1]
+            assert admitted.tolist() == expected[2]
+            assert reward.tolist() == expected[3]
