@@ -150,12 +150,15 @@ class SmdpModel:
     def _build_sojourns(self):
         grid, params = self.grid, self.params
         rest_step = self.steps[Action.REST]
+        # the wait and skip laws do not depend on the level: every level
+        # shares one (read-only) law of each
+        wait, skip = wait_pmf(params.arrival_rate), skip_pmf(params.skip_time)
         table = {}
         for cog in range(self.n_cog):
-            table[(cog, Action.WAIT)] = wait_pmf(params.arrival_rate)
+            table[(cog, Action.WAIT)] = wait
             for a in queue_actions(cog, grid):
                 if a is Action.SKIP:
-                    pmf = skip_pmf(params.skip_time)
+                    pmf = skip
                 elif a is Action.REST:
                     pmf = rest_pmf(rest_step, grid, cog, cap_factor=params.rest_cap_factor)
                 else:

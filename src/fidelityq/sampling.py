@@ -67,11 +67,6 @@ class SegmentedCdf:
         self.guide = np.cumsum(counted, dtype=np.int32)
         self.guide[self.guide_start + counts - 1] = self.end
 
-    def invert(self, segments, u):
-        """Flat positions of the draws ``u`` (each >= 0) from the laws
-        ``segments``; both are 1-D arrays of one length."""
-        return self.draw(self.guide_start[segments], self.buckets[segments], u)
-
     def draw(self, guide_start, buckets, u):
         """Flat positions of the draws ``u`` (each >= 0) from the laws whose
         guides start at ``guide_start`` with ``buckets`` buckets (arrays of

@@ -1,5 +1,6 @@
 """Chain construction, evolution and first-passage oracles."""
 
+import os
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fidelityq import cogchain
 from fidelityq.actions import Action
 from fidelityq.cogchain import (
     UNIT_RATES,
@@ -17,7 +19,7 @@ from fidelityq.cogchain import (
     mean_first_passage,
     step_powers,
 )
-from fidelityq.config import builtin_config
+from fidelityq.config import builtin_config, resolve_config
 from fidelityq.errors import InadmissibleRestError, InvalidRatesError, TailMassError
 
 
@@ -349,6 +351,68 @@ class TestFirstPassage:
             fpt_pmf(step, GRID, GRID.star_index, t_cap=50)
         with pytest.raises(InadmissibleRestError):
             mean_first_passage(step, GRID, 2)
+
+
+def sequential_fpt(step, grid, cog_index, t_cap):
+    """Reference first-passage law: one ``alpha @ Q`` product per step, the
+    loop ``fpt_pmf`` ran before its ladder, renormalized as it does."""
+    start = grid.star_index + 1
+    q_block, absorb = step[start:, start:], step[start:, :start].sum(axis=1)
+    alpha = np.zeros(len(q_block))
+    alpha[cog_index - start] = 1.0
+    probs = np.empty(t_cap)
+    for t in range(t_cap):
+        probs[t] = alpha @ absorb
+        alpha = alpha @ q_block
+    return probs / probs.sum(), float(alpha.sum())
+
+
+WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_state.yaml")
+
+
+class TestFirstPassageLadder:
+    """``fpt_pmf``'s ladder equals the per-step loop bit for bit. large_gap
+    and tiny rest one level above the resting level (the running-product
+    path), the other configs four to six levels above it."""
+
+    @pytest.mark.parametrize("name", SHIPPED + ["wide_state"])
+    def test_shipped_rest_laws_match_sequential_loop(self, name):
+        config = resolve_config(WIDE_STATE if name == "wide_state" else name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = config.build_model()
+        step, grid = model.steps[Action.REST], model.grid
+        for cog in range(grid.star_index + 1, grid.n_levels):
+            mean = mean_first_passage(step, grid, cog)
+            t_cap = max(1, int(np.ceil(model.params.rest_cap_factor * mean)))
+            probs, tail = fpt_pmf(step, grid, cog, t_cap)
+            expected, expected_tail = sequential_fpt(step, grid, cog, t_cap)
+            assert np.array_equal(probs, expected), (name, cog)
+            assert tail == expected_tail, (name, cog)
+            assert model.sojourn(cog, Action.REST).truncated_mass == tail
+
+    @given(
+        levels=st.integers(1, 12),
+        star=st.integers(1, 3),
+        pb=st.floats(0.01, 0.99),
+        share=st.floats(0.0, 0.99),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_birth_death_chains_match_sequential_loop(self, levels, star, pb, share, data):
+        # the tolerance is lifted so short caps compare whole ladders too;
+        # a cap below the start level's distance would leave no mass
+        grid = CogGrid(n_intervals=star + levels, star_index=star)
+        rates = make_rates(**{Action.REST: (share * min(pb, 1.0 - pb), pb)})
+        step = build_step_matrix(grid, rates, Action.REST)
+        cog = data.draw(st.integers(star + 1, grid.n_intervals), label="cog")
+        t_cap = data.draw(st.integers(cog - star, 300), label="t_cap")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cogchain, "FPT_TAIL_TOL", np.inf)
+            probs, tail = fpt_pmf(step, grid, cog, t_cap)
+        expected, expected_tail = sequential_fpt(step, grid, cog, t_cap)
+        assert np.array_equal(probs, expected)
+        assert tail == expected_tail
 
 
 class TestGrid:
