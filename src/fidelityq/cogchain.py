@@ -54,10 +54,6 @@ class CogGrid:
         return self.n_intervals + 1
 
     @property
-    def levels(self):
-        return np.arange(self.n_levels) / self.n_intervals
-
-    @property
     def star_level(self):
         return self.star_index / self.n_intervals
 

@@ -92,14 +92,14 @@ def arrival_table(rate, taus, capacity):
 
 class SmdpModel:
     """Assembled immutable model: distributions, moment tables, rewards and
-    the discounted kernel over the admissible pairs (``pair_state``,
-    ``pair_action``, ``pair_reward``; state s's pairs start at
-    ``segment_starts[s]``). The kernel is kept factored
-    (``hankel_weights`` read through ``hankel_index`` at each pair's
-    ``pair_start`` and ``pair_column``; see ``_build_kernel``), with each
-    state's pairs also laid out as padded ``slot_*`` rows for the backup;
-    the dense ``kernel`` is built only when read. ``service_reward[a]`` is
-    r(a), an epoch's reward before holding costs."""
+    the discounted kernel over the admissible (state, action) pairs, held
+    as one table with a row per flat state and a column per action in
+    ``TIE_ORDER`` (``admits``, ``cell``, ``cell_reward``; see
+    ``_build_table``). The kernel is kept factored (``hankel_weights``, one
+    column per sojourn law, read through ``hankel_index`` at each pair's
+    ``cell``; see ``_build_kernel``); the dense ``kernel`` is built only
+    when read. ``service_reward[a]`` is r(a), an epoch's reward before
+    holding costs."""
 
     def __init__(self, params):
         self.params = params
@@ -110,6 +110,7 @@ class SmdpModel:
 
         self.steps = {a: build_step_matrix(self.grid, params.rates, a) for a in UNIT_RATES}
         self._sojourns = self._build_sojourns()
+        self.n_laws = len(self._sojourns)
         self._moments = self._build_moment_tables()
         self.powers = self._build_powers()
         self.service_reward = {
@@ -118,16 +119,10 @@ class SmdpModel:
             Action.HIGH: params.reward_high,
         }
         self._taus, self._arrival_pmf, self._arrival_tail = self._build_arrivals()
-        self.pair_state, self.pair_action, self.segment_starts = self._build_pairs()
-        rewards = np.stack([self.reward_table(a).reshape(-1) for a in ACTIONS])
-        self.pair_reward = rewards[self.pair_action, self.pair_state]
-        (self.pair_start, self.pair_column, self.hankel_index, self.hankel_weights,
-         self._tail_weights) = self._build_kernel()
-        self.slot_cell, self.slot_reward, self.slot_action = self._build_slots()
-        for table in (self.pair_state, self.pair_action, self.segment_starts,
-                      self.pair_reward, self.pair_start, self.pair_column,
-                      self.hankel_index, self.hankel_weights, self._tail_weights,
-                      self.slot_cell, self.slot_reward, self.slot_action):
+        self.hankel_index, self.hankel_weights, self._tail_weights = self._build_kernel()
+        self.admits, self.cell, self.cell_reward = self._build_table()
+        for table in (self.hankel_index, self.hankel_weights, self._tail_weights,
+                      self.admits, self.cell, self.cell_reward):
             table.setflags(write=False)
 
         self.moment_ordering_violations = self._check_moment_ordering()
@@ -148,22 +143,28 @@ class SmdpModel:
     # -- assembly ---------------------------------------------------------
 
     def _build_sojourns(self):
+        """Every (level, action) sojourn law, action by action in ``ACTIONS``
+        order and by level within an action: law j is column j of
+        ``hankel_weights`` and segment j of ``epoch_law``."""
         grid, params = self.grid, self.params
         rest_step = self.steps[Action.REST]
         # the wait and skip laws do not depend on the level: every level
         # shares one (read-only) law of each
         wait, skip = wait_pmf(params.arrival_rate), skip_pmf(params.skip_time)
         table = {}
-        for cog in range(self.n_cog):
-            table[(cog, Action.WAIT)] = wait
-            for a in queue_actions(cog, grid):
-                if a is Action.SKIP:
-                    pmf = skip
+        for a in ACTIONS:
+            for cog in range(self.n_cog):
+                if a is Action.WAIT:
+                    table[(cog, a)] = wait
+                elif a not in queue_actions(cog, grid):
+                    continue
+                elif a is Action.SKIP:
+                    table[(cog, a)] = skip
                 elif a is Action.REST:
-                    pmf = rest_pmf(rest_step, grid, cog, cap_factor=params.rest_cap_factor)
+                    table[(cog, a)] = rest_pmf(rest_step, grid, cog,
+                                               cap_factor=params.rest_cap_factor)
                 else:
-                    pmf = service_pmf(params.service, grid, cog, a)
-                table[(cog, a)] = pmf
+                    table[(cog, a)] = service_pmf(params.service, grid, cog, a)
         return table
 
     def _build_moment_tables(self):
@@ -195,18 +196,6 @@ class SmdpModel:
         tail.setflags(write=False)
         return taus, pmf, tail
 
-    def _build_pairs(self):
-        """Flat state and ``ACTIONS`` index of every admissible pair,
-        ordered by state and within a state by ``TIE_ORDER``, and each
-        state's first pair."""
-        pairs = [
-            (s, ACTIONS.index(a))
-            for s in range(self.n_states)
-            for a in admissible(*divmod(s, self.n_cog), self.grid)
-        ]
-        states, actions = np.array(pairs).T.copy()
-        return states, actions, np.searchsorted(states, np.arange(self.n_states))
-
     def _build_kernel(self):
         """The discounted pair kernel in factored form:
         (T V)[(q,cog), a] = sum_{tau,c',q'} gamma^tau P(tau|cog,a)
@@ -222,9 +211,9 @@ class SmdpModel:
         the pmf and one with the tail give the block of every start: below
         the capacity the kernel is block-Toeplitz in the queue.
 
-        The products of every action are stacked, one column per (action,
-        level) law; a pair reads column ``pair_column`` from start
-        ``pair_start``. ``hankel_weights[(k, c'), col]`` is the pmf product
+        The products of every action are stacked, column j for law j of
+        ``_sojourns``; a pair reads its law's column from its start (its
+        ``cell``). ``hankel_weights[(k, c'), col]`` is the pmf product
         for k < L arrivals and the tail product P(W >= L) at k = L;
         ``_tail_weights[s, col, c']`` is the tail product P(W >= L - s) from
         start s. Since P(W >= L - s) = P(L - s <= W < L) + P(W >= L), the
@@ -233,9 +222,8 @@ class SmdpModel:
         is scattered from the same tables when it is read."""
         gamma = self.params.discount
         cap = self.n_q - 1
-        column = np.full((len(ACTIONS), self.n_cog), -1)
         moved, full = [], []
-        for ai, a in enumerate(ACTIONS):
+        for a in ACTIONS:
             laws = []
             for cog in range(self.n_cog):
                 pmf = self._sojourns.get((cog, a))
@@ -252,55 +240,56 @@ class SmdpModel:
                 weights[rows - lo, i, :] = w[:, None] * self.cog_move(a, times, cog)
             weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
             shape = (self.n_q, len(cogs), self.n_cog)
-            column[ai, cogs] = sum(m.shape[1] for m in moved) + np.arange(len(cogs))
             moved.append((self._arrival_pmf[lo:hi].T @ weights).reshape(shape))
             full.append((self._arrival_tail[lo:hi].T @ weights).reshape(shape))
         moved, full = np.concatenate(moved, axis=1), np.concatenate(full, axis=1)
         hankel = np.concatenate([moved[:cap], full[cap:]]).transpose(0, 2, 1)
-        decrement = np.array([DECREMENT[a] for a in ACTIONS])
-        q, cog = divmod(self.pair_state, self.n_cog)
         start = np.minimum(np.arange(self.n_q)[:, None] + np.arange(self.n_q), cap)
         return (
-            np.maximum(q - decrement[self.pair_action], 0),
-            column[self.pair_action, cog],
             (start[:, :, None] * self.n_cog + np.arange(self.n_cog)).reshape(self.n_q, -1),
             hankel.reshape(self.n_states, -1),
             full[::-1].copy(),
         )
 
-    def _build_slots(self):
-        """Each state's pairs in one row, as wide as the most actions a state
-        has, in ``TIE_ORDER``: a pair's flat (start, column) cell of
-        ``hankel_index`` @ ``hankel_weights``, its reward and its ``ACTIONS``
-        index. A state with fewer actions repeats its first pair in the empty
-        slots at reward -inf, so an argmax over a row picks the state's first
-        best action."""
-        width = np.diff(np.append(self.segment_starts, len(self.pair_state)))
-        slot = np.arange(width.max())
-        used = slot < width[:, None]
-        pair = self.segment_starts[:, None] + np.where(used, slot, 0)
-        cell = self.pair_start * self.hankel_weights.shape[1] + self.pair_column
-        return (
-            cell[pair],
-            np.where(used, self.pair_reward[pair], -np.inf),
-            self.pair_action[pair],
-        )
+    def _build_table(self):
+        """The (state, action) table: one row per flat state and one column
+        per action in ``TIE_ORDER``. ``admits`` says whether the state
+        allows the action; ``cell`` is the pair's flat (start, law) index
+        into the backup's ``hankel_index`` @ ``hankel_weights``, with start
+        max(q - d, 0) for the action's decrement d (0 where not admitted);
+        ``cell_reward`` is its ``reward_table`` value (-inf where not
+        admitted). The actions of a state depend only on its level and on
+        whether its queue is empty, so two rows per level cover the table."""
+        allowed = [admissible(q, cog, self.grid) for q in (0, 1) for cog in range(self.n_cog)]
+        empty, busy = np.split(np.array([[a in acts for a in TIE_ORDER] for acts in allowed]), 2)
+        admits = np.concatenate([empty, np.tile(busy, (self.n_q - 1, 1))])
+        law = np.zeros((self.n_cog, len(TIE_ORDER)), dtype=np.intp)
+        for j, (cog, a) in enumerate(self._sojourns):
+            law[cog, TIE_ORDER.index(a)] = j
+        decrement = np.array([DECREMENT[a] for a in TIE_ORDER])
+        start = np.maximum(np.arange(self.n_q)[:, None, None] - decrement, 0)
+        cell = (start * self.n_laws + law).reshape(self.n_states, -1)
+        rewards = np.stack([self.reward_table(a) for a in TIE_ORDER], axis=-1)
+        return (admits, np.where(admits, cell, 0),
+                np.where(admits, rewards.reshape(self.n_states, -1), -np.inf))
 
     @cached_property
     def kernel(self):
-        """The dense ``(n_pairs, n_states)`` kernel, one row per admissible
-        pair, scattered from the factored tables on first read; read-only.
-        Only exact policy evaluation and ``operators`` read it, so solving,
-        grading and simulating never allocate it."""
+        """The dense ``(n_pairs, n_states)`` kernel, one row per admitted
+        cell of ``admits`` in row-major order (by state, then in
+        ``TIE_ORDER``), scattered from the factored tables on first read;
+        read-only. Only exact policy evaluation and ``operators`` read it,
+        so solving, grading and simulating never allocate it."""
         cap = self.n_q - 1
         moved = self.hankel_weights.reshape(self.n_q, self.n_cog, -1)
-        kernel = np.zeros((len(self.pair_state), self.n_q, self.n_cog))
+        start, law = np.divmod(self.cell[self.admits], self.n_laws)
+        kernel = np.zeros((len(law), self.n_q, self.n_cog))
         for s in range(self.n_q):
-            rows = np.flatnonzero(self.pair_start == s)
-            cols = self.pair_column[rows]
+            rows = np.flatnonzero(start == s)
+            cols = law[rows]
             kernel[rows, s:cap] = moved[: cap - s, :, cols].transpose(2, 0, 1)
             kernel[rows, cap] = self._tail_weights[s, cols]
-        kernel = kernel.reshape(len(self.pair_state), self.n_states)
+        kernel = kernel.reshape(len(law), self.n_states)
         kernel.setflags(write=False)
         return kernel
 
@@ -309,7 +298,8 @@ class SmdpModel:
         """{action: that action's rows of the dense ``kernel``}, gathered
         when read (which builds the kernel). Only ``bench/counts.py`` reads
         it, to size the operator bytes."""
-        return {a: self.kernel[self.pair_action == i] for i, a in enumerate(ACTIONS)}
+        taken = np.nonzero(self.admits)[1]
+        return {a: self.kernel[taken == TIE_ORDER.index(a)] for a in ACTIONS}
 
     # -- accessors --------------------------------------------------------
 
@@ -335,7 +325,6 @@ class SmdpModel:
         """The joint (tau, next level) law of one epoch for every (level,
         action) with a sojourn law, built on first use and shared by every
         sampler of this model; see ``sampling.EpochLaw``."""
-        segment = np.full((self.n_cog, len(ACTIONS)), -1, dtype=np.intp)
         laws = self._sojourns.values()
         # at most n_cog next levels per positive-probability tau; the
         # buffers are filled in place, and their unused tails are never
@@ -356,11 +345,9 @@ class SmdpModel:
             np.cumsum(joint[outcome], out=cdf[n : n + k])
             cogs[n : n + k] = nxt
             arrival_row[n : n + k] = np.searchsorted(self._taus, times)[row]
-            segment[cog, ACTIONS.index(a)] = len(lengths)
             lengths.append(k)
             n += k
         return EpochLaw(
-            segment=segment,
             cogs=cogs[:n],
             arrival_row=arrival_row[:n],
             cdf=SegmentedCdf(cdf[:n], lengths),

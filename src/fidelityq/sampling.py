@@ -94,16 +94,14 @@ class EpochLaw:
     P(tau | c, a) C_a_tau[c, c'], for every (level, action) with a sojourn
     law.
 
-    ``segment[c, i]`` is the law of level ``c`` under ``ACTIONS[i]`` in
-    ``cdf`` (-1 where the action has no law). Each law lists its
-    positive-probability outcomes in tau-major order; ``cogs[pos]`` is the
-    next level at flat position ``pos``, and ``arrival_row[pos]`` is the
-    sojourn's index in the model's sorted taus (the sojourn is
-    ``model._taus[arrival_row[pos]]``), its row of arrival pmf and tail, and
-    its law in ``model.arrival_law``.
+    Segment ``j`` of ``cdf`` is law ``j`` of the model's sojourn laws. Each
+    law lists its positive-probability outcomes in tau-major order;
+    ``cogs[pos]`` is the next level at flat position ``pos``, and
+    ``arrival_row[pos]`` is the sojourn's index in the model's sorted taus
+    (the sojourn is ``model._taus[arrival_row[pos]]``), its row of arrival
+    pmf and tail, and its law in ``model.arrival_law``.
     """
 
-    segment: np.ndarray
     cogs: np.ndarray
     arrival_row: np.ndarray
     cdf: SegmentedCdf

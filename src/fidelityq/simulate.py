@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ACTIONS, DECREMENT
+from .actions import TIE_ORDER
 from .config import check_episode_count, check_start
 from .solver import validate_policy
 
@@ -83,7 +83,7 @@ def _check_horizon(horizon_epochs):
 
 def reward_ceiling(model):
     """Largest absolute one-epoch expected reward over admissible pairs."""
-    return float(np.max(np.abs(model.pair_reward)))
+    return float(np.max(np.abs(model.cell_reward[model.admits])))
 
 
 def plan_horizon(model, target_bias):
@@ -113,17 +113,15 @@ class PolicySampler:
 
     def __init__(self, model, policy):
         self.model = model
-        # per flat state q * n_cog + cog: the action's index, its epoch law's guide
-        # start and bucket count, its reward r(a) and the queue max(q - d, 0) it leaves
-        self._codes = model.pair_action[validate_policy(model, policy)]
+        # per flat state q * n_cog + cog: its epoch law's guide start and
+        # bucket count, its reward r(a) and the queue max(q - d, 0) it leaves
+        columns = validate_policy(model, policy)
         self.policy = np.asarray(policy)
-        levels = np.tile(np.arange(model.n_cog), model.n_q)
-        segments = model.epoch_law.segment[levels, self._codes]
+        cell = model.cell[np.arange(model.n_states), columns]
+        self._served, segments = np.divmod(cell, model.n_laws)
         self._guide_start = model.epoch_law.cdf.guide_start[segments]
         self._buckets = model.epoch_law.cdf.buckets[segments]
-        self._reward = np.array([model.service_reward[a] for a in ACTIONS])[self._codes]
-        decrement = np.array([DECREMENT[a] for a in ACTIONS])[self._codes]
-        self._served = np.maximum(np.repeat(np.arange(model.n_q), model.n_cog) - decrement, 0)
+        self._reward = np.array([model.service_reward[a] for a in TIE_ORDER])[columns]
         # every arrival law has n_q outcomes, so all share one bucket count
         # and one guide stride: law i's guide starts at i * stride
         arrivals = model.arrival_law

@@ -6,14 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import ACTIONS, from_symbol
+from .actions import TIE_ORDER, from_symbol
 from .errors import PolicyMismatchError
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_SWEEPS = 5000
 
-# one-letter symbol of each action, indexed like ``model.pair_action``
-_SYMBOLS = np.array([a.value for a in ACTIONS])
+# one-letter symbol of each action, indexed like the columns of ``model.admits``
+_SYMBOLS = np.array([a.value for a in TIE_ORDER])
 
 
 @dataclass
@@ -44,17 +44,17 @@ def bellman_backup(model, values):
     """One synchronous optimality backup over the model's factored kernel:
     one product of the Hankel gather of the values with the stacked arrival
     weights gives every (start, law) expectation, one gather lays them out
-    as each state's action slots, and each state takes its first best slot;
-    slots run in the fixed tie order, so on exact ties the earlier action
-    wins."""
+    as the (state, action) table (``model.cell``), and each state takes its
+    first best column. Columns run in the fixed tie order, so on exact ties
+    the earlier action wins; a column the state does not admit holds -inf
+    and never wins."""
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     after = flat[model.hankel_index] @ model.hankel_weights
-    slot_values = model.slot_reward + after.take(model.slot_cell)
-    best = slot_values.argmax(axis=1)
-    states = np.arange(model.n_states)
+    q_values = model.cell_reward + after.take(model.cell)
+    best = q_values.argmax(axis=1)
     shape = (model.n_q, model.n_cog)
-    return (slot_values[states, best].reshape(shape),
-            _SYMBOLS[model.slot_action[states, best]].reshape(shape))
+    return (q_values[np.arange(model.n_states), best].reshape(shape),
+            _SYMBOLS[best].reshape(shape))
 
 
 def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEPS):
@@ -87,30 +87,32 @@ def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEP
 
 
 def validate_policy(model, policy):
-    """Kernel row of each state's action under a symbol table, in flat
-    state order; the first state (row-major) with no such row raises, on an
-    unknown symbol as ``from_symbol`` does."""
+    """Column of each state's action in the (state, action) table
+    (``TIE_ORDER`` index), in flat state order; the first state (row-major)
+    whose action it does not admit raises, on an unknown symbol as
+    ``from_symbol`` does."""
     symbols = np.asarray(policy).astype(str)
     if symbols.shape != (model.n_q, model.n_cog):
         raise PolicyMismatchError(
             f"policy shape {symbols.shape} does not match the "
             f"{model.n_q}x{model.n_cog} state space"
         )
-    match = _SYMBOLS[model.pair_action] == symbols.reshape(-1)[model.pair_state]
-    rows = np.full(model.n_states, -1)
-    rows[model.pair_state[match]] = np.flatnonzero(match)
-    if np.any(rows < 0):
-        q, cog = divmod(int(np.argmax(rows < 0)), model.n_cog)
+    match = model.admits & (_SYMBOLS == symbols.reshape(-1, 1))
+    valid = match.any(axis=1)
+    if not valid.all():
+        q, cog = divmod(int(np.argmin(valid)), model.n_cog)
         a = from_symbol(str(symbols[q, cog]))
         raise PolicyMismatchError(f"policy action {a} inadmissible in state ({q},{cog})")
-    return rows
+    return match.argmax(axis=1)
 
 
 def policy_evaluation(model, policy):
     """Exact value of a stationary policy via the linear fixed point
     (I - T_pi) V = R_pi over the policy's kernel rows."""
-    rows = validate_policy(model, policy)
-    t_pi, r_pi = model.kernel[rows], model.pair_reward[rows]
+    states = np.arange(model.n_states)
+    columns = validate_policy(model, policy)
+    # the kernel's rows are the admitted cells in row-major order
+    rows = (np.cumsum(model.admits) - 1).reshape(model.admits.shape)[states, columns]
+    t_pi, r_pi = model.kernel[rows], model.cell_reward[states, columns]
     values = np.linalg.solve(np.eye(model.n_states) - t_pi, r_pi)
     return values.reshape(model.n_q, model.n_cog)
-

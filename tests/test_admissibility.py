@@ -6,10 +6,9 @@ resting level sits just above the bottom and at the top."""
 
 import warnings
 
-import numpy as np
 import pytest
 
-from fidelityq.actions import ACTIONS, Action
+from fidelityq.actions import ACTIONS, TIE_ORDER, Action
 from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
@@ -78,16 +77,20 @@ def test_light_tail_laws_cover_the_rule(model):
 
 
 def test_epoch_law_has_a_segment_exactly_off_the_rule(model):
-    cells = np.argwhere(model.epoch_law.segment >= 0)
-    assert {(int(cog), ACTIONS[i]) for cog, i in cells} == rule(model)
+    """Segment j of the epoch law is law j of ``_sojourns``: its sojourns
+    are that law's support, and the laws are exactly the rule's pairs."""
+    law = model.epoch_law
+    assert len(law.cdf.start) == len(model._sojourns)
+    assert set(model._sojourns) == rule(model)
+    for j, (cog, a) in enumerate(model._sojourns):
+        rows = law.arrival_row[law.cdf.start[j] : law.cdf.end[j] + 1]
+        assert set(model._taus[rows]) == set(model.sojourn(cog, a).support[0])
 
 
 def test_kernel_pairs_are_each_states_admissible_actions(model):
-    ends = list(model.segment_starts[1:]) + [len(model.pair_state)]
-    for s, (lo, hi) in enumerate(zip(model.segment_starts, ends)):
+    for s, admits in enumerate(model.admits):
         q, cog = divmod(s, model.n_cog)
-        assert list(model.pair_state[lo:hi]) == [s] * (hi - lo)
-        got = tuple(ACTIONS[i] for i in model.pair_action[lo:hi])
+        got = tuple(a for a, admitted in zip(TIE_ORDER, admits) if admitted)
         assert got == admissible(q, cog, model.grid)
 
 

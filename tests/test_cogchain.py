@@ -418,7 +418,9 @@ class TestFirstPassageLadder:
 class TestGrid:
     def test_levels(self):
         grid = CogGrid(n_intervals=5, star_index=3)
-        assert np.allclose(grid.levels, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        assert [grid.level(i) for i in range(grid.n_levels)] == pytest.approx(
+            [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        )
         assert grid.star_level == pytest.approx(0.6)
 
     def test_invalid_grids_rejected(self):

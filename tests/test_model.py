@@ -91,10 +91,11 @@ def table_row(start, tau, rate, capacity):
 
 
 def row_index(model, q, cog, a):
-    """The kernel row of the pair (q, cog, a); there must be exactly one."""
-    s = q * model.n_cog + cog
-    (row,) = np.flatnonzero((model.pair_state == s) & (model.pair_action == ACTIONS.index(a)))
-    return row
+    """The kernel row of the pair (q, cog, a), which must be admitted: the
+    rows are the admitted cells of ``admits`` in row-major order."""
+    s, col = q * model.n_cog + cog, TIE_ORDER.index(a)
+    assert model.admits[s, col]
+    return int(np.cumsum(model.admits)[s * len(TIE_ORDER) + col]) - 1
 
 
 def queue_marginal(model, q, cog, a):
@@ -337,25 +338,26 @@ class TestSupport:
 def assert_row_sums_equal_transform(model):
     """Every kernel row sums to E[gamma^tau] of its (level, action) law."""
     sums = model.kernel.sum(axis=1)
-    for row, (s, i) in enumerate(zip(model.pair_state, model.pair_action)):
-        tr = model.moment("transform", ACTIONS[i])[s % model.n_cog]
-        assert sums[row] == pytest.approx(tr, abs=1e-12), (s, ACTIONS[i])
+    for row, (s, col) in enumerate(np.argwhere(model.admits)):
+        tr = model.moment("transform", TIE_ORDER[col])[s % model.n_cog]
+        assert sums[row] == pytest.approx(tr, abs=1e-12), (s, TIE_ORDER[col])
 
 
 def assert_one_row_per_admissible_pair(model):
-    """Rows are the admissible pairs, state-major and in TIE_ORDER within
-    a state; each state's segment starts at its first row."""
-    pairs, starts = [], []
+    """Each state's row of ``admits`` marks its admissible actions, one
+    column per action in TIE_ORDER; the kernel's rows are the admitted
+    cells, state-major and in TIE_ORDER within a state."""
+    pairs = []
     for q in range(model.n_q):
         for cog in range(model.n_cog):
-            starts.append(len(pairs))
             allowed = admissible(q, cog, model.grid)
             s = q * model.n_cog + cog
-            pairs += [(s, ACTIONS.index(a)) for a in TIE_ORDER if a in allowed]
-    assert list(zip(model.pair_state.tolist(), model.pair_action.tolist())) == pairs
-    assert model.segment_starts.tolist() == starts
+            assert model.admits[s].tolist() == [a in allowed for a in TIE_ORDER]
+            pairs += [(s, TIE_ORDER.index(a)) for a in TIE_ORDER if a in allowed]
+    assert [tuple(cell) for cell in np.argwhere(model.admits).tolist()] == pairs
     assert model.kernel.shape == (len(pairs), model.n_states)
-    assert model.pair_reward.shape == (len(pairs),)
+    for table in (model.admits, model.cell, model.cell_reward):
+        assert table.shape == (model.n_states, len(TIE_ORDER))
 
 
 class TestOperators:
@@ -374,15 +376,14 @@ class TestOperators:
     def test_pair_rewards_are_the_reward_table(self, shipped):
         model = shipped[1]
         tables = {a: model.reward_table(a).reshape(-1) for a in ACTIONS}
-        for row, (s, i) in enumerate(zip(model.pair_state, model.pair_action)):
-            assert model.pair_reward[row] == tables[ACTIONS[i]][s]
+        for s, col in np.argwhere(model.admits):
+            assert model.cell_reward[s, col] == tables[TIE_ORDER[col]][s]
+        assert np.all(model.cell_reward[~model.admits] == -np.inf)
 
     def test_kernel_is_read_only_and_contiguous(self, model):
         assert model.kernel.flags.c_contiguous
-        for table in (model.kernel, model.pair_reward, model.pair_state,
-                      model.pair_action, model.segment_starts, model.pair_start,
-                      model.pair_column, model.hankel_index, model.hankel_weights,
-                      model.slot_cell, model.slot_reward, model.slot_action):
+        for table in (model.kernel, model.admits, model.cell, model.cell_reward,
+                      model.hankel_index, model.hankel_weights):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -395,8 +396,9 @@ class TestOperators:
         ops = model.operators
         assert list(ops) == list(ACTIONS)
         assert sum(op.nbytes for op in ops.values()) == model.kernel.nbytes
-        for i, a in enumerate(ACTIONS):
-            assert np.array_equal(ops[a], model.kernel[model.pair_action == i])
+        taken = np.argwhere(model.admits)[:, 1]
+        for a in ACTIONS:
+            assert np.array_equal(ops[a], model.kernel[taken == TIE_ORDER.index(a)])
             assert ops[a].shape[1] == model.n_states
 
     def test_row_matches_kernel_entries(self, model):
@@ -444,9 +446,9 @@ WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_s
 def factored_product(model, values):
     """Each pair's kernel row against flat ``values`` through the factored
     tables: the Hankel gather of the values against the stacked arrival
-    weights, read at the pair's (start, column) cell."""
+    weights, read at the pair's (start, law) cell, in kernel row order."""
     after = values[model.hankel_index] @ model.hankel_weights
-    return after[model.pair_start, model.pair_column]
+    return after.take(model.cell[model.admits])
 
 
 def assert_factored_product_is_the_kernel(model, seed, draws=3):
@@ -507,16 +509,20 @@ class TestFactoredKernel:
 
     def test_pairs_read_their_start_and_law(self, shipped):
         """A pair's start is its queue less the action's decrement, at
-        least 0; its column holds its own (action, level) law, so pairs of
-        one action and level share a column and no two laws do."""
+        least 0; its law is its own (level, action) law of ``_sojourns``,
+        so pairs of one action and level share a law and no two laws do.
+        A cell the state does not admit reads cell 0."""
         model = shipped[1]
-        q, cog = np.divmod(model.pair_state, model.n_cog)
-        decrement = np.array([DECREMENT[a] for a in ACTIONS])[model.pair_action]
-        assert np.array_equal(model.pair_start, np.maximum(q - decrement, 0))
-        law = model.pair_action * model.n_cog + cog
-        for column in np.unique(model.pair_column):
-            assert len(set(law[model.pair_column == column])) == 1
-        assert len(np.unique(model.pair_column)) == len(model._sojourns)
+        assert model.n_laws == model.hankel_weights.shape[1] == len(model._sojourns)
+        s, col = np.nonzero(model.admits)
+        q, cog = np.divmod(s, model.n_cog)
+        start, law = np.divmod(model.cell[s, col], model.n_laws)
+        decrement = np.array([DECREMENT[a] for a in TIE_ORDER])[col]
+        assert np.array_equal(start, np.maximum(q - decrement, 0))
+        laws = list(model._sojourns)
+        assert [laws[j] for j in law] == [(c, TIE_ORDER[i]) for c, i in zip(cog, col)]
+        assert len(np.unique(law)) == len(model._sojourns)
+        assert np.all(model.cell[~model.admits] == 0)
 
 
 class TestDiagnostics:

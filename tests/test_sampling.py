@@ -142,21 +142,23 @@ def test_lengths_must_cover_the_table_with_nonempty_laws(lengths):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_epoch_law_matches_sojourn_and_moves(name):
     """For every (level, action) with a sojourn law, the mass the sampler
-    draws, summed over the next level, is the sojourn pmf, and each tau's
-    row of mass is P(tau) times ``cog_move``; outcomes are exactly the
-    positive ones, in tau-major order. The last outcome takes every draw
-    beyond the others, so its mass is one minus the entry before it."""
+    draws from segment j, law j of ``_sojourns``, summed over the next
+    level, is the sojourn pmf, and each tau's row of mass is P(tau) times
+    ``cog_move``; outcomes are exactly the positive ones, in tau-major
+    order. The last outcome takes every draw beyond the others, so its mass
+    is one minus the entry before it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = resolve_config(name).build_model()
     law = model.epoch_law
+    laws = list(model._sojourns)
+    assert len(law.cdf.start) == len(laws)
     for cog in range(model.n_cog):
-        for i, a in enumerate(ACTIONS):
+        for a in ACTIONS:
             if (cog, a) not in model._sojourns:
-                assert law.segment[cog, i] == -1
                 continue
             pmf = model.sojourn(cog, a)
-            s = law.segment[cog, i]
+            s = laws.index((cog, a))
             positions = np.arange(law.cdf.start[s], law.cdf.end[s] + 1)
             cdf = law.cdf.table[positions]
             assert cdf[-1] == np.inf

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fidelityq.actions import ACTIONS, DECREMENT, Action
+from fidelityq.actions import DECREMENT, Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix
 from fidelityq.config import resolve_config
 from fidelityq.errors import ConfigError
@@ -334,10 +334,12 @@ class TestSharedLoop:
 def replay_epochs(model, policy, start, uniforms):
     """The epoch loop written out one run and one epoch at a time: each
     recorded (2, runs) draw is inverted by a per-law searchsorted on the
-    law's segment of ``epoch_law.cdf.table`` and of ``arrival_law.table``,
+    law's segment of ``epoch_law.cdf.table`` (segment j is law j of
+    ``model._sojourns``) and of ``arrival_law.table``,
     and the reward is the scalar r(a) - c tau (q + lambda tau / 2). Returns
     per epoch the flat states, sojourns, admitted arrivals and rewards."""
     law, arrivals = model.epoch_law, model.arrival_law
+    laws = list(model._sojourns)
     cap = model.n_q - 1
     runs = uniforms[0].shape[1]
     q, cog = [start[0]] * runs, [start[1]] * runs
@@ -346,7 +348,7 @@ def replay_epochs(model, policy, start, uniforms):
         states, taus, admitted, rewards = [], [], [], []
         for i in range(runs):
             action = Action(policy[q[i], cog[i]])
-            s = law.segment[cog[i], ACTIONS.index(action)]
+            s = laws.index((cog[i], action))
             lo, hi = law.cdf.start[s], law.cdf.end[s]
             pos = lo + np.searchsorted(law.cdf.table[lo : hi + 1], u[0, i], side="right")
             row = law.arrival_row[pos]
@@ -362,6 +364,35 @@ def replay_epochs(model, policy, start, uniforms):
             q[i], cog[i] = nxt, int(law.cogs[pos])
         epochs.append((states, taus, admitted, rewards))
     return epochs
+
+
+@pytest.fixture(
+    scope="module", params=["tiny", "default", "high_lambda", "skip_cheap", "large_gap"]
+)
+def shipped_sampler(request):
+    """The sampler of a shipped configuration under its solved policy."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = resolve_config(request.param).build_model()
+    return PolicySampler(model, value_iteration(model).policy)
+
+
+def test_sampler_tables_follow_each_states_action(shipped_sampler):
+    """Per state: the queue service leaves, the guide of the epoch law's
+    segment of the state's (level, action) law and the reward r(a)."""
+    sampler = shipped_sampler
+    model = sampler.model
+    cdf = model.epoch_law.cdf
+    laws = list(model._sojourns)
+    for q in range(model.n_q):
+        for cog in range(model.n_cog):
+            s = q * model.n_cog + cog
+            a = Action(str(sampler.policy[q, cog]))
+            assert sampler._served[s] == max(q - DECREMENT[a], 0)
+            j = laws.index((cog, a))
+            assert sampler._guide_start[s] == cdf.guide_start[j]
+            assert sampler._buckets[s] == cdf.buckets[j]
+            assert sampler._reward[s] == model.service_reward[a]
 
 
 class TestEpochLoopReplay:

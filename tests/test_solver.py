@@ -5,13 +5,18 @@ The backup oracle re-derives Q-values from the pair rows of
 backward induction is crossed against repeated solver backups.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from fidelityq.actions import ACTIONS, Action
+from fidelityq.actions import TIE_ORDER, Action
+from fidelityq.cogchain import CogGrid
+from fidelityq.config import builtin_config
 from fidelityq.errors import PolicyMismatchError
 from fidelityq.model import admissible, build_model
 from fidelityq.simulate import monte_carlo_value
@@ -37,10 +42,11 @@ def solution(model):
 
 
 def row_index(model, q, cog, a):
-    """The kernel row of the pair (q, cog, a); there must be exactly one."""
-    s = q * model.n_cog + cog
-    (row,) = np.flatnonzero((model.pair_state == s) & (model.pair_action == ACTIONS.index(a)))
-    return row
+    """The kernel row of the pair (q, cog, a), which must be admitted: the
+    rows are the admitted cells of ``admits`` in row-major order."""
+    s, col = q * model.n_cog + cog, TIE_ORDER.index(a)
+    assert model.admits[s, col]
+    return int(np.cumsum(model.admits)[s * len(TIE_ORDER) + col]) - 1
 
 
 def backup_oracle(model, values):
@@ -81,26 +87,28 @@ class TestBackup:
         each state's first best row, the rule it replaces."""
         rng = np.random.default_rng(17)
         values = rng.normal(size=(model.n_q, model.n_cog))
-        pair_values = model.pair_reward + model.kernel @ values.reshape(-1)
-        ends = np.append(model.segment_starts[1:], len(pair_values))
-        first = [lo + int(np.argmax(pair_values[lo:hi]))
-                 for lo, hi in zip(model.segment_starts, ends)]
+        pair_values = model.cell_reward[model.admits] + model.kernel @ values.reshape(-1)
+        # the kernel rows are the admitted cells, state by state
+        states, columns = np.nonzero(model.admits)
+        starts = np.searchsorted(states, np.arange(model.n_states))
+        ends = np.append(starts[1:], len(pair_values))
+        first = [lo + int(np.argmax(pair_values[lo:hi])) for lo, hi in zip(starts, ends)]
         backed, policy = bellman_backup(model, values)
         assert np.max(np.abs(backed.reshape(-1) - pair_values[first])) <= 1e-14 * np.max(
             np.abs(values)
         )
-        symbols = [ACTIONS[i].value for i in model.pair_action[first]]
+        symbols = [TIE_ORDER[i].value for i in columns[first]]
         assert policy.reshape(-1).tolist() == symbols
 
     def test_exact_ties_go_to_the_earlier_action(self, model):
         """Give every action of a state the row and reward of its last
         action (high service, or wait on an empty queue): each state then
         ties exactly, and takes its first action in TIE_ORDER."""
-        used = model.slot_reward > -np.inf
-        last = (np.arange(model.n_states), used.sum(axis=1) - 1)
+        used = model.admits
+        last = (np.arange(model.n_states), used.shape[1] - 1 - used[:, ::-1].argmax(axis=1))
         tied = SimpleNamespace(**vars(model))
-        tied.slot_cell = np.where(used, model.slot_cell[last][:, None], 0)
-        tied.slot_reward = np.where(used, model.slot_reward[last][:, None], -np.inf)
+        tied.cell = np.where(used, model.cell[last][:, None], 0)
+        tied.cell_reward = np.where(used, model.cell_reward[last][:, None], -np.inf)
         rng = np.random.default_rng(5)
         values = rng.normal(size=(model.n_q, model.n_cog))
         backed, policy = bellman_backup(tied, values)
@@ -110,7 +118,7 @@ class TestBackup:
         assert not np.all(own[1:] == Action.SKIP.value)
         # the tied value is the last action's
         after = values.reshape(-1)[model.hankel_index] @ model.hankel_weights
-        expected = model.slot_reward[last] + after.take(model.slot_cell[last])
+        expected = model.cell_reward[last] + after.take(model.cell[last])
         assert np.array_equal(backed.reshape(-1), expected)
 
     def test_solving_and_simulating_never_build_the_dense_kernel(self):
@@ -136,14 +144,15 @@ class TestValueIteration:
         flat = solution.values.reshape(-1)
         for q in range(model.n_q):
             for cog in range(model.n_cog):
-                row = row_index(model, q, cog, Action(str(solution.policy[q, cog])))
-                q_value = model.pair_reward[row] + model.kernel[row] @ flat
+                a = Action(str(solution.policy[q, cog]))
+                reward = model.cell_reward[q * model.n_cog + cog, TIE_ORDER.index(a)]
+                q_value = reward + model.kernel[row_index(model, q, cog, a)] @ flat
                 assert q_value == pytest.approx(
                     solution.values[q, cog], abs=10 * solution.epsilon
                 )
 
     def test_value_bounded_by_reward_over_contraction(self, model, solution):
-        r_max = np.max(np.abs(model.pair_reward))
+        r_max = np.max(np.abs(model.cell_reward[model.admits]))
         bound = r_max / (1.0 - model.max_discount_transform)
         assert np.max(np.abs(solution.values)) <= bound
 
@@ -256,11 +265,63 @@ class TestPolicyEvaluation:
             validate_policy(model, bad)
 
     def test_returns_each_states_kernel_row(self, model, solution):
-        rows = validate_policy(model, solution.policy)
-        assert rows.shape == (model.n_states,)
-        assert np.array_equal(model.pair_state[rows], np.arange(model.n_states))
-        symbols = np.array([a.value for a in ACTIONS])[model.pair_action[rows]]
+        """Each state's column of the (state, action) table, which
+        ``cumsum(admits) - 1`` maps to one of the state's kernel rows."""
+        columns = validate_policy(model, solution.policy)
+        assert columns.shape == (model.n_states,)
+        states = np.arange(model.n_states)
+        rows = (np.cumsum(model.admits) - 1).reshape(model.admits.shape)[states, columns]
+        assert np.array_equal(np.nonzero(model.admits)[0][rows], states)
+        symbols = np.array([a.value for a in TIE_ORDER])[columns]
         assert np.array_equal(symbols, solution.policy.reshape(-1))
+
+
+@pytest.fixture(scope="module", params=["tiny", "rest-at-top-only"])
+def policy_model(request):
+    """tiny, and a model that may rest only at its top level."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if request.param == "tiny":
+            return builtin_config("tiny").build_model()
+        grid = CogGrid(n_intervals=5, star_index=4)
+        return build_model(small_params(queue_capacity=4, grid=grid))
+
+
+class TestValidatePolicyProperty:
+    """Random symbol tables over W, R, S, N, H and the unknown X: the first
+    bad state in row-major order decides what ``validate_policy`` does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_first_bad_state_decides(self, policy_model, data):
+        model = policy_model
+        allowed = [
+            [a.value for a in admissible(q, cog, model.grid)]
+            for q in range(model.n_q)
+            for cog in range(model.n_cog)
+        ]
+        # an admissible table with a few states redrawn from every symbol
+        table = [data.draw(st.sampled_from(symbols)) for symbols in allowed]
+        for s in data.draw(st.lists(st.integers(0, model.n_states - 1), max_size=3)):
+            table[s] = data.draw(st.sampled_from("WRSNHX"))
+        policy = np.array(table).reshape(model.n_q, model.n_cog)
+        bad = [s for s in range(model.n_states) if table[s] not in allowed[s]]
+        if not bad:
+            columns = validate_policy(model, policy)
+            assert [TIE_ORDER[c].value for c in columns] == table
+            return
+        q, cog = divmod(bad[0], model.n_cog)
+        symbol = table[bad[0]]
+        if symbol == "X":
+            with pytest.raises(ValueError, match=r"^unknown action symbol 'X'$") as caught:
+                validate_policy(model, policy)
+            assert not isinstance(caught.value, PolicyMismatchError)
+        else:
+            with pytest.raises(
+                PolicyMismatchError,
+                match=rf"^policy action {symbol} inadmissible in state \({q},{cog}\)$",
+            ):
+                validate_policy(model, policy)
 
 
 class TestFiniteHorizon:
