@@ -322,6 +322,7 @@ def cmd_simulate(args):
                     "mean": est.mean,
                     "std_error": est.std_error,
                     "horizon_epochs": est.horizon_epochs,
+                    "simulated_epochs": est.simulated_epochs,
                     "truncation_bias_bound": est.truncation_bias_bound,
                     "empty_queue_fraction": est.empty_queue_fraction,
                 }
@@ -348,7 +349,8 @@ def cmd_simulate(args):
         print(
             f"start {est.start}: value {est.mean:.6f} "
             f"(se {est.std_error:.6f}, {episodes} episodes, "
-            f"horizon {est.horizon_epochs})"
+            f"horizon {est.horizon_epochs}, {est.simulated_epochs} of "
+            f"{episodes * est.horizon_epochs} episode-epochs simulated)"
         )
     return 0
 

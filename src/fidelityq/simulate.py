@@ -23,6 +23,21 @@ per law and epoch:
 horizon so the truncation bias stays below a fraction of the standard
 error, and ``PolicySampler.run_episode`` runs one episode through it and
 keeps every epoch as a record for export.
+
+Each episode carries its discount gamma^zeta and retires from the batch at
+the first epoch start n where gamma^zeta_n <= beta^H, or at n = H, where H
+is the batch's ``horizon_epochs`` and beta = ``model.max_discount_transform``
+is the largest E[gamma^tau] over admissible pairs. Its return is the sum
+over the epochs it ran, and later epochs draw uniforms only for the
+episodes still live. The retirement epoch T is a stopping time, so the
+dropped tail has conditional mean gamma^zeta_T * V(s_T) given the past,
+with |V| <= scale = reward_ceiling / (1 - beta). An episode retired by the
+rule has gamma^zeta_T <= beta^H; one that reaches the cap has
+E[gamma^zeta_H] <= beta^H, since each epoch multiplies the expected
+discount by at most beta. So the truncation bias is at most
+scale * (beta^H + E[gamma^zeta_H]) <= 2 * scale * beta^H. Most epochs serve,
+and gamma^tau of a service is far below beta when a short skip sets beta,
+so most episodes retire long before the cap.
 """
 
 import math
@@ -65,6 +80,7 @@ class MonteCarloEstimate:
     std_error: float
     episodes: int
     horizon_epochs: int
+    simulated_epochs: int
     truncation_bias_bound: float
     empty_queue_fraction: float
     start: tuple
@@ -134,69 +150,87 @@ class PolicySampler:
         self._tau_cost = model.params.holding_cost * taus
         self._half_arrivals = 0.5 * model.params.arrival_rate * taus
 
-    def _epochs(self, start, episodes, horizon_epochs, rng):
-        """Advance ``episodes`` runs from ``start`` in lockstep, one epoch
-        per step: yields the epoch's flat states, the rows of their sojourns
-        in ``model._taus``, admitted arrivals and rewards (on the
-        pre-transition queue), then moves every run to its next state."""
+    def _epochs(self, start, totals, horizon_epochs, rng):
+        """Advance ``len(totals)`` runs from ``start`` in lockstep, one epoch
+        per step, and write each run's discounted return into ``totals`` as
+        it retires (see the module docstring for the rule). Yields the live
+        runs' flat states, the rows of their sojourns in ``model._taus``,
+        next queues and rewards (on the pre-transition queue), in run order,
+        then moves every live run to its next state."""
         model = self.model
         law = model.epoch_law
         arrival_law = model.arrival_law
         cap = model.n_q - 1
+        floor = model.max_discount_transform**horizon_epochs
+        episodes = len(totals)
+        run = np.arange(episodes)  # each live run's slot in totals
         q = np.full(episodes, start[0], dtype=np.int64)
         cog = np.full(episodes, start[1], dtype=np.int64)
+        discount = np.ones(episodes)  # gamma^zeta at each epoch's start
+        total = np.zeros(episodes)
         for _ in range(horizon_epochs):
             state = q * model.n_cog + cog
-            u = rng.random((2, episodes))
+            u = rng.random((2, len(state)))
             pos = law.cdf.draw(self._guide_start.take(state), self._buckets.take(state), u[0])
             # in intp, so row * stride cannot wrap (and native indices gather faster)
             row = law.arrival_row.take(pos).astype(np.intp)
             guide_start = row * self._arrival_stride
             capped = arrival_law.draw(guide_start, self._arrival_buckets, u[1]) - row * model.n_q
-            served = self._served.take(state)
-            nxt = np.minimum(served + capped, cap)
+            nxt = np.minimum(self._served.take(state) + capped, cap)
             # the reward r(a) - c*tau*(q + lambda*tau/2)
             cost = self._tau_cost.take(row) * (q + self._half_arrivals.take(row))
-            yield state, row, nxt - served, self._reward.take(state) - cost
+            reward = self._reward.take(state) - cost
+            yield state, row, nxt, reward
+            total += discount * reward
+            discount *= self._tau_discount.take(row)
             q = nxt
             cog = law.cogs.take(pos)
+            live = discount > floor
+            if not live.all():
+                totals[run] = total  # final for the runs that retire here
+                keep = np.flatnonzero(live)
+                if not keep.size:
+                    return
+                run, q, cog, discount, total = (
+                    x.take(keep) for x in (run, q, cog, discount, total)
+                )
+        totals[run] = total
 
     def run_episode(self, start, horizon_epochs, seed):
-        """Simulate one episode and keep every epoch record."""
+        """Simulate one episode and keep every epoch record; it stops where
+        a one-episode batch with this horizon would."""
         model = self.model
         start = check_start(start, model.n_q - 1, model.n_cog - 1)
         _check_horizon(horizon_epochs)
-        gamma = model.params.discount
-        epochs = self._epochs(start, 1, horizon_epochs, np.random.default_rng(seed))
+        total = np.zeros(1)
+        epochs = self._epochs(start, total, horizon_epochs, np.random.default_rng(seed))
         zeta = 0
-        total = 0.0
         records = []
         for epoch, draws in enumerate(epochs):
-            state, row, w, reward = (x.item() for x in draws)
+            state, row, nxt, reward = (x.item() for x in draws)
             tau = int(model._taus[row])
             q, cog = divmod(state, model.n_cog)
             action = str(self.policy[q, cog])
-            records.append(EpochRecord(epoch, zeta, q, cog, action, tau, w, reward))
-            total += gamma**zeta * reward
+            arrivals = nxt - int(self._served[state])
+            records.append(EpochRecord(epoch, zeta, q, cog, action, tau, arrivals, reward))
             zeta += tau
-        return Trajectory(start=start, records=records, discounted_return=total)
+        return Trajectory(start=start, records=records, discounted_return=float(total[0]))
 
     def run_batch(self, start, episodes, horizon_epochs, rng):
-        """All episodes advance one epoch per iteration; returns the
-        discounted totals and the fraction of epoch starts with an empty
-        queue."""
+        """Run ``episodes`` episodes of at most ``horizon_epochs`` epochs in
+        lockstep; returns their discounted totals, the fraction of
+        simulated epoch starts with an empty queue and the number of
+        episode-epochs simulated."""
         model = self.model
         start = check_start(start, model.n_q - 1, model.n_cog - 1)
         _check_horizon(horizon_epochs)
-        discount = np.ones(episodes)  # gamma^zeta at each epoch's start
         totals = np.zeros(episodes)
-        empty_epochs = 0
-        for state, row, _, reward in self._epochs(start, episodes, horizon_epochs, rng):
+        simulated = empty_epochs = 0
+        for state, _, _, _ in self._epochs(start, totals, horizon_epochs, rng):
+            simulated += len(state)
             # flat states below n_cog are the empty-queue ones
             empty_epochs += int(np.count_nonzero(state < model.n_cog))
-            totals += discount * reward
-            discount *= self._tau_discount.take(row)
-        return totals, empty_epochs / (episodes * horizon_epochs)
+        return totals, empty_epochs / simulated, simulated
 
     def estimate(
         self,
@@ -211,7 +245,13 @@ class PolicySampler:
 
         When no horizon is given, a pilot batch sizes it so the truncation
         bias bound stays below ``bias_ratio`` times the projected standard
-        error of the full run.
+        error of the full run. Episodes retire early as the module docstring
+        says, so the reported bound is 2 * scale * beta^H with
+        scale = reward_ceiling / (1 - beta): the dropped tail's conditional
+        mean is gamma^zeta_T * V(s_T) at the retirement epoch T, |V| <= scale,
+        and E[gamma^zeta_T] <= beta^H + E[gamma^zeta_H] <= 2 * beta^H.
+        ``simulated_epochs`` counts the main batch's episode-epochs run, at
+        most ``episodes * horizon_epochs``.
         """
         check_episode_count("episodes", episodes)
         check_episode_count("pilot_episodes", pilot_episodes)
@@ -222,7 +262,7 @@ class PolicySampler:
             pilot_horizon = plan_horizon(
                 self.model, 0.01 * max(reward_ceiling(self.model), 1e-12)
             )
-            pilot_totals, _ = self.run_batch(
+            pilot_totals, _, _ = self.run_batch(
                 start, pilot_episodes, pilot_horizon, pilot_rng
             )
             spread = float(np.std(pilot_totals, ddof=1))
@@ -231,22 +271,26 @@ class PolicySampler:
                 horizon_epochs = pilot_horizon
             else:
                 # the pilot's spread estimate is itself noisy; aim below the
-                # requested ratio so the final bound clears it with margin
+                # requested ratio so the final bound clears it with margin,
+                # and plan scale * beta^H for half of it (the bound is twice that)
                 horizon_epochs = max(
-                    plan_horizon(self.model, 0.8 * bias_ratio * projected_se),
+                    plan_horizon(self.model, 0.5 * 0.8 * bias_ratio * projected_se),
                     pilot_horizon,
                 )
         rng = np.random.default_rng(main_seq)
-        totals, empty_fraction = self.run_batch(start, episodes, horizon_epochs, rng)
+        totals, empty_fraction, simulated = self.run_batch(
+            start, episodes, horizon_epochs, rng
+        )
         mean = math.fsum(totals) / episodes
         std_error = float(np.std(totals, ddof=1)) / math.sqrt(episodes)
         beta = self.model.max_discount_transform
-        bias_bound = reward_ceiling(self.model) / (1.0 - beta) * beta**horizon_epochs
+        bias_bound = 2.0 * reward_ceiling(self.model) / (1.0 - beta) * beta**horizon_epochs
         return MonteCarloEstimate(
             mean=mean,
             std_error=std_error,
             episodes=episodes,
             horizon_epochs=horizon_epochs,
+            simulated_epochs=simulated,
             truncation_bias_bound=bias_bound,
             empty_queue_fraction=empty_fraction,
             start=(int(start[0]), int(start[1])),

@@ -5,6 +5,7 @@ the estimates; trajectory records are re-validated step by step against
 the model's transition and reward rules.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -66,7 +67,8 @@ def drain_sampler(model):
 class TestTrajectories:
     def test_records_obey_the_model(self, model, optimal_sampler):
         traj = optimal_sampler.run_episode((6, 4), horizon_epochs=400, seed=42)
-        assert len(traj) == 400
+        # it retires once gamma^zeta <= beta^400, long before the cap
+        assert 100 <= len(traj) < 400
         recs = traj.records
         assert (recs[0].q, recs[0].cog, recs[0].time) == (6, 4, 0)
         cap = model.n_q - 1
@@ -121,8 +123,11 @@ class TestTrajectories:
         t_s = model.params.skip_time
         law = stats.poisson(model.params.arrival_rate * t_s)
         for start, room in [((8, 4), 0), ((8, 2), 1), ((7, 2), 2), ((3, 2), 6), ((1, 2), 8)]:
-            epochs = sampler._epochs(start, 20_000, 1, np.random.default_rng([5, room]))
-            _, row, admitted, _ = next(epochs)
+            epochs = sampler._epochs(
+                start, np.zeros(20_000), 1, np.random.default_rng([5, room])
+            )
+            state, row, nxt, _ = next(epochs)
+            admitted = nxt - sampler._served[state]
             observed = np.bincount(admitted, minlength=room + 1)
             assert len(observed) == room + 1, start
             if room == 0:
@@ -315,13 +320,23 @@ class TestSharedLoop:
         sampler = request.getfixturevalue(sampler)
         traj = sampler.run_episode(start, horizon, seed=seed)
         rng = RecordingRng(seed)
-        totals, _ = sampler.run_batch(start, 1, horizon, rng)
-        plain, _ = sampler.run_batch(start, 1, horizon, np.random.default_rng(seed))
-        assert totals[0] == plain[0]
-        assert traj.discounted_return == pytest.approx(totals[0], rel=1e-12)
-        # one (2, runs) draw per epoch; the second row picks the arrivals by
-        # inverting Poisson(lambda tau) capped at the capacity
-        assert [u.shape for u in rng.uniforms] == [(2, 1)] * horizon
+        totals, _, simulated = sampler.run_batch(start, 1, horizon, rng)
+        plain, _, _ = sampler.run_batch(start, 1, horizon, np.random.default_rng(seed))
+        assert totals[0] == plain[0] == traj.discounted_return
+        # one (2, runs) draw per epoch the episode ran
+        assert simulated == len(traj)
+        assert [u.shape for u in rng.uniforms] == [(2, 1)] * len(traj)
+        # it ran while its discount gamma^zeta stayed above beta^H and
+        # stopped at the first epoch start where it did not, or at the cap
+        floor = model.max_discount_transform**horizon
+        tau_discount = dict(zip(model._taus.tolist(), model.params.discount ** model._taus))
+        discount = 1.0
+        for rec in traj.records:
+            assert discount > floor
+            discount *= float(tau_discount[rec.tau])
+        assert len(traj) == horizon or discount <= floor
+        # the second row picks the arrivals by inverting Poisson(lambda tau)
+        # capped at the capacity
         rate = model.params.arrival_rate
         cap = model.n_q - 1
         for rec, u in zip(traj.records, rng.uniforms):
@@ -331,39 +346,52 @@ class TestSharedLoop:
             assert rec.arrivals == min(served + w, cap) - served
 
 
-def replay_epochs(model, policy, start, uniforms):
+def replay_epochs(model, policy, start, uniforms, floor):
     """The epoch loop written out one run and one epoch at a time: each
-    recorded (2, runs) draw is inverted by a per-law searchsorted on the
-    law's segment of ``epoch_law.cdf.table`` (segment j is law j of
+    recorded (2, live runs) draw is inverted by a per-law searchsorted on
+    the law's segment of ``epoch_law.cdf.table`` (segment j is law j of
     ``model._sojourns``) and of ``arrival_law.table``,
-    and the reward is the scalar r(a) - c tau (q + lambda tau / 2). Returns
-    per epoch the flat states, sojourns, admitted arrivals and rewards."""
+    and the reward is the scalar r(a) - c tau (q + lambda tau / 2). A run
+    is live while its discount, the running product of gamma^tau, is above
+    ``floor``; the live runs take the draw's columns in run order. Returns
+    per epoch the live runs' flat states, sojourns, admitted arrivals and
+    rewards, each run's discounted total and the runs still live at the
+    end."""
     law, arrivals = model.epoch_law, model.arrival_law
     laws = list(model._sojourns)
     cap = model.n_q - 1
+    # gamma^tau per sojourn row, taken as numpy's power like the sampler
+    # (a libm pow may differ in the last bit)
+    tau_discount = model.params.discount ** model._taus
     runs = uniforms[0].shape[1]
     q, cog = [start[0]] * runs, [start[1]] * runs
+    discount, total = [1.0] * runs, [0.0] * runs
     epochs = []
     for u in uniforms:
         states, taus, admitted, rewards = [], [], [], []
-        for i in range(runs):
+        live = [i for i in range(runs) if discount[i] > floor]
+        for column, i in enumerate(live):
             action = Action(policy[q[i], cog[i]])
             s = laws.index((cog[i], action))
             lo, hi = law.cdf.start[s], law.cdf.end[s]
-            pos = lo + np.searchsorted(law.cdf.table[lo : hi + 1], u[0, i], side="right")
+            pos = lo + np.searchsorted(law.cdf.table[lo : hi + 1], u[0, column], side="right")
             row = law.arrival_row[pos]
             tau = int(model._taus[row])
             lo, hi = arrivals.start[row], arrivals.end[row]
-            k = int(np.searchsorted(arrivals.table[lo : hi + 1], u[1, i], side="right"))
+            k = int(np.searchsorted(arrivals.table[lo : hi + 1], u[1, column], side="right"))
             served = max(q[i] - DECREMENT[action], 0)
             nxt = min(served + k, cap)
+            reward = epoch_reward(model, q[i], tau, action)
             states.append(q[i] * model.n_cog + cog[i])
             taus.append(tau)
             admitted.append(nxt - served)
-            rewards.append(epoch_reward(model, q[i], tau, action))
+            rewards.append(reward)
+            total[i] += discount[i] * reward
+            discount[i] *= float(tau_discount[row])
             q[i], cog[i] = nxt, int(law.cogs[pos])
         epochs.append((states, taus, admitted, rewards))
-    return epochs
+    still_live = sum(d > floor for d in discount)
+    return epochs, total, still_live
 
 
 @pytest.fixture(
@@ -397,24 +425,87 @@ def test_sampler_tables_follow_each_states_action(shipped_sampler):
 
 class TestEpochLoopReplay:
     """Many runs of the vectorised epoch loop against a plain replay of the
-    same uniforms, bit for bit."""
+    same uniforms, bit for bit, as the batch shrinks."""
 
     @pytest.mark.parametrize(
-        "name, start", [("tiny", (3, 1)), ("high_lambda", (20, 6)), ("large_gap", (5, 2))]
+        "name, start, horizon",
+        [
+            pytest.param("tiny", (3, 1), 60, id="tiny-start0"),
+            pytest.param("high_lambda", (20, 6), 60, id="high_lambda-start1"),
+            pytest.param("large_gap", (5, 2), 60, id="large_gap-start2"),
+            # some runs reach the cap before their discount retires them
+            pytest.param("tiny", (3, 1), 12, id="tiny-capped"),
+        ],
     )
-    def test_multi_episode_loop_equals_replay(self, name, start):
+    def test_multi_episode_loop_equals_replay(self, name, start, horizon):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = resolve_config(name).build_model()
         policy = value_iteration(model).policy
         sampler = PolicySampler(model, policy)
         rng = RecordingRng(2)
-        got = list(sampler._epochs(start, 24, 60, rng))
-        assert [u.shape for u in rng.uniforms] == [(2, 24)] * 60
-        for (state, row, admitted, reward), expected in zip(
-            got, replay_epochs(model, policy, start, rng.uniforms)
-        ):
-            assert state.tolist() == expected[0]
-            assert model._taus[row].tolist() == expected[1]
-            assert admitted.tolist() == expected[2]
-            assert reward.tolist() == expected[3]
+        totals = np.zeros(24)
+        got = list(sampler._epochs(start, totals, horizon, rng))
+        floor = model.max_discount_transform**horizon
+        expected, expected_totals, still_live = replay_epochs(
+            model, policy, start, rng.uniforms, floor
+        )
+        # one (2, live) draw per epoch: a run leaves the batch at its first
+        # epoch start with gamma^zeta <= beta^H, and every run stops at the cap
+        assert [u.shape for u in rng.uniforms] == [(2, len(e[0])) for e in expected]
+        assert len(expected[-1][0]) < 24
+        assert len(got) == horizon or still_live == 0
+        assert len(got) <= horizon
+        for (state, row, nxt, reward), expected_epoch in zip(got, expected):
+            assert state.tolist() == expected_epoch[0]
+            assert model._taus[row].tolist() == expected_epoch[1]
+            assert (nxt - sampler._served[state]).tolist() == expected_epoch[2]
+            assert reward.tolist() == expected_epoch[3]
+        assert totals.tolist() == expected_totals
+
+
+def solved_config(name):
+    """(config, model, policy) of a configuration, solved as ``check`` does."""
+    cfg = resolve_config(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = cfg.build_model()
+    solution = value_iteration(
+        model, epsilon=cfg.solver["epsilon"], max_sweeps=cfg.solver["max_sweeps"]
+    )
+    return cfg, model, solution.policy
+
+
+WIDE_STATE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "wide_state.yaml"
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["tiny", "default", "high_lambda", "skip_cheap", "large_gap", WIDE_STATE],
+    ids=["tiny", "default", "high_lambda", "skip_cheap", "large_gap", "wide_state"],
+)
+def test_check_estimate_matches_policy_evaluation(name):
+    """The estimate ``check`` runs (its episodes, seed, bias ratio, pilot
+    and start) lies within 5 standard errors plus the truncation-bias bound
+    of the exact value, with early retirement dropping the tails."""
+    cfg, model, policy = solved_config(name)
+    sim = cfg.simulation
+    start = sim["starts"][0] if sim["starts"] else (model.n_q // 2, model.grid.star_index)
+    est = monte_carlo_value(
+        model, policy, start, sim["episodes"], sim["seed"],
+        bias_ratio=sim["bias_ratio"], pilot_episodes=sim["pilot_episodes"],
+    )
+    exact = policy_evaluation(model, policy)[tuple(start)]
+    assert abs(est.mean - exact) <= 5 * est.std_error + est.truncation_bias_bound
+    assert est.simulated_epochs < est.episodes * est.horizon_epochs
+
+
+def test_heavy_traffic_retires_most_episode_epochs():
+    """high_lambda from (20, 6): beta is gamma (a one-step skip) but most
+    epochs serve, so the batch runs a small share of its requested
+    episode-epochs."""
+    _, model, policy = solved_config("high_lambda")
+    est = monte_carlo_value(model, policy, (20, 6), 20_000, 1)
+    assert est.simulated_epochs == 455_931
+    assert est.simulated_epochs < 0.15 * est.episodes * est.horizon_epochs
