@@ -217,7 +217,8 @@ def fpt_pmf(step, grid, cog_index, t_cap):
     transient block Q with one-step absorption vector r.
 
     The rows alpha_t = e' Q^t, t = 0..t_cap, fill one preallocated ladder:
-    row t + 1 is row t times Q, written in place. That is the same GEMV on
+    row t + 1 is row t times Q, written in place (the row views are made
+    once, then walked in pairs). That is the same GEMV on
     the same input bits as step t of the loop ``alpha = alpha @ Q``, so
     each row equals the loop's alpha bit for bit. The probabilities are
     then one product of the first t_cap rows with r, and the tail is the
@@ -268,8 +269,9 @@ def fpt_pmf(step, grid, cog_index, t_cap):
     else:
         alphas[0] = 0.0
         alphas[0, cog_index - (grid.star_index + 1)] = 1.0
-        for t in range(t_cap):
-            np.dot(alphas[t], q_block, out=alphas[t + 1])
+        rows = list(alphas)
+        for cur, nxt in zip(rows, rows[1:]):
+            np.dot(cur, q_block, out=nxt)
     probs = alphas[:t_cap] @ absorb
     tail = float(alphas[t_cap].sum())
     if tail > FPT_TAIL_TOL:

@@ -118,7 +118,8 @@ class SmdpModel:
             Action.NORMAL: params.reward_normal,
             Action.HIGH: params.reward_high,
         }
-        self._taus, self._arrival_pmf, self._arrival_tail = self._build_arrivals()
+        (self._taus, self._tau_row, self._tau_discount,
+         self._arrival_pmf, self._arrival_tail) = self._build_arrivals()
         self.hankel_index, self.hankel_weights, self._tail_weights = self._build_kernel()
         self.admits, self.cell, self.cell_reward = self._build_table()
         for table in (self.hankel_index, self.hankel_weights, self._tail_weights,
@@ -186,15 +187,26 @@ class SmdpModel:
         return powers
 
     def _build_arrivals(self):
-        """Sorted sojourn lengths with positive probability under some law,
-        and the read-only ``arrival_table`` pmf and tail over them."""
-        # sort and drop repeats: np.unique would import numpy.ma (numpy 2.4)
-        taus = np.sort(np.concatenate([pmf.support[0] for pmf in self._sojourns.values()]))
-        taus = taus[np.append(True, taus[1:] != taus[:-1])]
+        """The model's one sojourn-length layer, read by the kernel, the
+        epoch law and the sampler: ``_taus``, the sorted lengths with
+        positive probability under some law (each support marked in one
+        boolean array, then ``np.flatnonzero``: no sort, and no
+        ``np.unique``, which would import numpy.ma); ``_tau_row``, a dense
+        map from a length to its row of ``_taus``; ``_tau_discount``,
+        gamma^tau over those rows; and the ``arrival_table`` pmf and tail
+        over them. All are read-only."""
+        laws = self._sojourns.values()
+        seen = np.zeros(max(int(pmf.times[-1]) for pmf in laws) + 1, dtype=bool)
+        for pmf in laws:
+            seen[pmf.support[0]] = True
+        taus = np.flatnonzero(seen)
+        tau_row = np.zeros(len(seen), dtype=np.intp)
+        tau_row[taus] = np.arange(len(taus))
+        discount = self.params.discount**taus
         pmf, tail = arrival_table(self.params.arrival_rate, taus, self.n_q - 1)
-        pmf.setflags(write=False)
-        tail.setflags(write=False)
-        return taus, pmf, tail
+        for table in (taus, tau_row, discount, pmf, tail):
+            table.setflags(write=False)
+        return taus, tau_row, discount, pmf, tail
 
     def _build_kernel(self):
         """The discounted pair kernel in factored form:
@@ -211,6 +223,14 @@ class SmdpModel:
         the pmf and one with the tail give the block of every start: below
         the capacity the kernel is block-Toeplitz in the queue.
 
+        W_a is assembled for all of a's laws at once, not law by law: one
+        scatter puts gamma^tau P(tau|c,a) of every law into a (tau row,
+        law) matrix ``w``, read off ``_tau_row`` and ``_tau_discount``. For
+        wait, normal and high, W_a is ``w`` broadcast against the step
+        powers C_a^tau gathered at those taus; skip and rest land on one
+        level (the own level, the resting level), so W_a is ``w`` written
+        into that level's column.
+
         The products of every action are stacked, column j for law j of
         ``_sojourns``; a pair reads its law's column from its start (its
         ``cell``). ``hankel_weights[(k, c'), col]`` is the pmf product
@@ -220,24 +240,27 @@ class SmdpModel:
         row of start s against V is ``hankel_weights`` against the Hankel
         gather V[min(s + k, L), c'] (``hankel_index``). The dense ``kernel``
         is scattered from the same tables when it is read."""
-        gamma = self.params.discount
         cap = self.n_q - 1
         moved, full = [], []
         for a in ACTIONS:
-            laws = []
-            for cog in range(self.n_cog):
-                pmf = self._sojourns.get((cog, a))
-                if pmf is not None:
-                    times, probs = pmf.support
-                    w = gamma**times * probs
-                    laws.append((cog, times, w, np.searchsorted(self._taus, times)))
-            # every law of a lies in taus[lo:hi], a view of the arrival rows
-            lo = min(int(rows[0]) for *_, rows in laws)
-            hi = max(int(rows[-1]) for *_, rows in laws) + 1
-            cogs = np.array([cog for cog, *_ in laws])
-            weights = np.zeros((hi - lo, len(cogs), self.n_cog))
-            for i, (cog, times, w, rows) in enumerate(laws):
-                weights[rows - lo, i, :] = w[:, None] * self.cog_move(a, times, cog)
+            cogs = [cog for cog in range(self.n_cog) if (cog, a) in self._sojourns]
+            times, probs = zip(*(self._sojourns[(cog, a)].support for cog in cogs))
+            law = np.repeat(np.arange(len(cogs)), [len(t) for t in times])
+            rows = self._tau_row[np.concatenate(times)]
+            # every law of a lies in taus[lo:hi], a view of the arrival rows;
+            # w[:, i] is gamma^tau P(tau | cogs[i], a) there, zero off the support
+            lo, hi = int(rows.min()), int(rows.max()) + 1
+            w = np.zeros((hi - lo, len(cogs)))
+            w[rows - lo, law] = self._tau_discount[rows] * np.concatenate(probs)
+            if a is Action.SKIP or a is Action.REST:
+                # the next level is the own level (skip) or the resting one
+                weights = np.zeros((hi - lo, len(cogs), self.n_cog))
+                land = cogs if a is Action.SKIP else self.grid.star_index
+                weights[:, np.arange(len(cogs)), land] = w
+            else:
+                # every level has a wait and a service law, so cogs is every level
+                weights = self.powers[a].take(self._taus[lo:hi], axis=0)
+                weights *= w[:, :, None]
             weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
             shape = (self.n_q, len(cogs), self.n_cog)
             moved.append((self._arrival_pmf[lo:hi].T @ weights).reshape(shape))
@@ -324,7 +347,8 @@ class SmdpModel:
     def epoch_law(self):
         """The joint (tau, next level) law of one epoch for every (level,
         action) with a sojourn law, built on first use and shared by every
-        sampler of this model; see ``sampling.EpochLaw``."""
+        sampler of this model; see ``sampling.EpochLaw``. An outcome's
+        ``arrival_row`` is its tau's row of ``_taus``, read off ``_tau_row``."""
         laws = self._sojourns.values()
         # at most n_cog next levels per positive-probability tau; the
         # buffers are filled in place, and their unused tails are never
@@ -344,7 +368,7 @@ class SmdpModel:
             k = len(row)
             np.cumsum(joint[outcome], out=cdf[n : n + k])
             cogs[n : n + k] = nxt
-            arrival_row[n : n + k] = np.searchsorted(self._taus, times)[row]
+            arrival_row[n : n + k] = self._tau_row[times][row]
             lengths.append(k)
             n += k
         return EpochLaw(
@@ -378,10 +402,11 @@ class SmdpModel:
         slope = c * self._moments["mu1"][action]
         return intercept[None, :] - slope[None, :] * np.arange(self.n_q)[:, None]
 
-    @property
+    @cached_property
     def max_discount_transform(self):
         """sup over states and actions of E[gamma^tau]; the solver's
-        contraction modulus."""
+        contraction modulus. Computed on first read: the moment tables
+        and ``params`` never change."""
         return float(np.nanmax([self._moments["transform"][a] for a in TIE_ORDER]))
 
     # -- validation reports ----------------------------------------------

@@ -128,9 +128,13 @@ class PolicySampler:
     """
 
     def __init__(self, model, policy):
+        """Read the policy's column of ``model.cell`` once per flat state
+        q * n_cog + cog: its epoch law's guide start and bucket count, its
+        reward r(a) and the queue max(q - d, 0) it leaves. An epoch's
+        discount and reward factors gamma^tau, c*tau and (lambda/2)*tau are
+        tables over the sojourn rows of ``model._taus``; gamma^tau is the
+        model's own ``_tau_discount``, the others are made here."""
         self.model = model
-        # per flat state q * n_cog + cog: its epoch law's guide start and
-        # bucket count, its reward r(a) and the queue max(q - d, 0) it leaves
         columns = validate_policy(model, policy)
         self.policy = np.asarray(policy)
         cell = model.cell[np.arange(model.n_states), columns]
@@ -143,10 +147,7 @@ class PolicySampler:
         arrivals = model.arrival_law
         self._arrival_buckets = arrivals.buckets[0]
         self._arrival_stride = len(arrivals.guide) // len(arrivals.start)
-        # per sojourn, indexed like model._taus: gamma^tau, c*tau and
-        # (lambda/2)*tau, the factors of the epoch's discount and reward
         taus = model._taus
-        self._tau_discount = model.params.discount ** taus
         self._tau_cost = model.params.holding_cost * taus
         self._half_arrivals = 0.5 * model.params.arrival_rate * taus
 
@@ -182,7 +183,7 @@ class PolicySampler:
             reward = self._reward.take(state) - cost
             yield state, row, nxt, reward
             total += discount * reward
-            discount *= self._tau_discount.take(row)
+            discount *= model._tau_discount.take(row)
             q = nxt
             cog = law.cogs.take(pos)
             live = discount > floor
@@ -281,7 +282,7 @@ class PolicySampler:
         totals, empty_fraction, simulated = self.run_batch(
             start, episodes, horizon_epochs, rng
         )
-        mean = math.fsum(totals) / episodes
+        mean = math.fsum(totals.tolist()) / episodes
         std_error = float(np.std(totals, ddof=1)) / math.sqrt(episodes)
         beta = self.model.max_discount_transform
         bias_bound = 2.0 * reward_ceiling(self.model) / (1.0 - beta) * beta**horizon_epochs

@@ -5,7 +5,9 @@
 ``bench/counts.py``. Both are imported here unchanged, so renaming or
 deleting a name they read (``model.operators``, ``solver.policy_evaluation``,
 the structure checks, the Monte-Carlo estimate and its epoch count) fails
-this suite, not only a traced benchmark run.
+this suite, not only a traced benchmark run. ``bench/tracer.py`` skips a
+``LAYER_SPANS`` name that is gone, so its span would silently read 0; the
+names are checked here too.
 """
 
 import os
@@ -19,10 +21,22 @@ sys.path.insert(0, BENCH)
 
 import counts  # noqa: E402
 import gate  # noqa: E402
+import tracer  # noqa: E402
 from workloads import WORKLOADS, mc_start  # noqa: E402
 
 from fidelityq import simulate, solver  # noqa: E402
-from fidelityq.config import resolve_config  # noqa: E402
+from fidelityq.config import builtin_config, resolve_config  # noqa: E402
+
+# the LAYER_SPANS names that already no longer resolve: the per-start arrival
+# row, and the five grading calls that moved behind ``structure.grade``
+STALE_SPANS = {
+    "fidelityq.model.queue_arrival_row",
+    "fidelityq.cli.compute_rho",
+    "fidelityq.cli.dominance_margins",
+    "fidelityq.cli.check_value_gap_bounds",
+    "fidelityq.cli.check_value_shape",
+    "fidelityq.cli.verify_threshold_structure",
+}
 
 
 @pytest.fixture(scope="module", params=["long-sojourn", "heavy-traffic"])
@@ -76,3 +90,24 @@ def test_monte_carlo_estimate_passes_the_gate(solved, monkeypatch):
     )
     # the pilot batch and the main batch, as simulated
     assert steps == sum(simulated)
+
+
+def test_layer_spans_resolve():
+    """Every traced name but the stale ones wraps a live function."""
+    spans = tracer.Tracer()
+    with spans.instrument(tracer.LAYER_SPANS):
+        pass
+    assert set(spans.absent) <= STALE_SPANS
+
+
+def test_traced_build_records_the_assembly_layers():
+    """A build calls the sojourn laws and the step powers through the names
+    the tracer wraps, so their spans nest under ``model.build``."""
+    spans = tracer.Tracer()
+    with spans.instrument(tracer.LAYER_SPANS):
+        builtin_config("tiny").build_model()
+    builds = {i for i, span in enumerate(spans.spans) if span[0] == "model.build"}
+    assert builds
+    for name in ("sojourn.pmf", "cogchain.step_powers"):
+        parents = [span[1] for span in spans.spans if span[0] == name]
+        assert parents and set(parents) <= builds, name

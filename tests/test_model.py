@@ -26,6 +26,7 @@ from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
 from fidelityq.model import admissible, arrival_table, build_model
+from fidelityq.sampling import SegmentedCdf
 from fidelityq.sojourn import ServiceFamily
 from small_model import small_params
 
@@ -523,6 +524,91 @@ class TestFactoredKernel:
         assert [laws[j] for j in law] == [(c, TIE_ORDER[i]) for c, i in zip(cog, col)]
         assert len(np.unique(law)) == len(model._sojourns)
         assert np.all(model.cell[~model.admits] == 0)
+
+
+def per_law_weights(model):
+    """``(hankel_weights, _tail_weights)`` assembled law by law, the reference
+    for the per-action assembly: each law finds its taus in ``_taus`` by
+    ``searchsorted``, takes gamma^tau as a power and writes its rows of the
+    action's weight table through ``cog_move``. The two products per action
+    then run on the same inputs."""
+    gamma = model.params.discount
+    cap = model.n_q - 1
+    moved, full = [], []
+    for a in ACTIONS:
+        laws = []
+        for cog in range(model.n_cog):
+            pmf = model._sojourns.get((cog, a))
+            if pmf is not None:
+                times, probs = pmf.support
+                rows = np.searchsorted(model._taus, times)
+                laws.append((cog, times, gamma**times * probs, rows))
+        lo = min(int(rows[0]) for *_, rows in laws)
+        hi = max(int(rows[-1]) for *_, rows in laws) + 1
+        weights = np.zeros((hi - lo, len(laws), model.n_cog))
+        for i, (cog, times, w, rows) in enumerate(laws):
+            weights[rows - lo, i, :] = w[:, None] * model.cog_move(a, times, cog)
+        weights = weights.reshape(hi - lo, len(laws) * model.n_cog)
+        shape = (model.n_q, len(laws), model.n_cog)
+        moved.append((model._arrival_pmf[lo:hi].T @ weights).reshape(shape))
+        full.append((model._arrival_tail[lo:hi].T @ weights).reshape(shape))
+    moved, full = np.concatenate(moved, axis=1), np.concatenate(full, axis=1)
+    hankel = np.concatenate([moved[:cap], full[cap:]]).transpose(0, 2, 1)
+    return hankel.reshape(model.n_states, -1), full[::-1]
+
+
+def searchsorted_epoch_law(model):
+    """``(cogs, arrival_row, cdf)`` of the epoch law, law by law, with each
+    outcome's row of ``_taus`` found by ``searchsorted``."""
+    cogs, rows, cdfs = [], [], []
+    for (cog, a), pmf in model._sojourns.items():
+        times, probs = pmf.support
+        joint = model.cog_move(a, times, cog) * probs[:, None]
+        row, nxt = np.nonzero(joint > 0)
+        cogs.append(nxt)
+        rows.append(np.searchsorted(model._taus, times)[row])
+        cdfs.append(np.cumsum(joint[row, nxt]))
+    cdf = SegmentedCdf(np.concatenate(cdfs), [len(c) for c in cdfs])
+    return np.concatenate(cogs), np.concatenate(rows), cdf
+
+
+@pytest.fixture(scope="module", params=SHIPPED + ["wide_state"])
+def assembled(request):
+    """A shipped model, or the benchmark's 976-state ``wide_state``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if request.param == "wide_state":
+            return fidelityq.resolve_config(WIDE_STATE).build_model()
+        return builtin_config(request.param).build_model()
+
+
+class TestActionAssembly:
+    """The weight tables are assembled one action at a time from the
+    model's one tau layer (``_taus``, ``_tau_row``, ``_tau_discount``); the
+    result is bit-identical to the per-law loop, and the epoch law reads the
+    same rows a ``searchsorted`` into ``_taus`` finds."""
+
+    def test_tau_layer(self, assembled):
+        model = assembled
+        times = np.concatenate([pmf.support[0] for pmf in model._sojourns.values()])
+        assert np.array_equal(model._taus, np.unique(times))
+        assert np.array_equal(model._tau_row[model._taus], np.arange(len(model._taus)))
+        assert np.array_equal(model._tau_discount, model.params.discount**model._taus)
+        for table in (model._taus, model._tau_row, model._tau_discount):
+            assert not table.flags.writeable
+
+    def test_weights_equal_the_per_law_loop(self, assembled):
+        hankel, tail = per_law_weights(assembled)
+        assert np.array_equal(assembled.hankel_weights, hankel)
+        assert np.array_equal(assembled._tail_weights, tail)
+
+    def test_epoch_law_equals_a_searchsorted_copy(self, assembled):
+        law = assembled.epoch_law
+        cogs, rows, cdf = searchsorted_epoch_law(assembled)
+        assert np.array_equal(law.cogs, cogs)
+        assert np.array_equal(law.arrival_row, rows)
+        for name in ("table", "guide", "guide_start", "buckets"):
+            assert np.array_equal(getattr(law.cdf, name), getattr(cdf, name)), name
 
 
 class TestDiagnostics:
