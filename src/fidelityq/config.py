@@ -123,7 +123,8 @@ def _check_mapping(path, value):
 
 def _typed(path, default, value):
     """``value`` converted by the type rule of its key, which the key's
-    default sets; the range checks come later, in ``_check_ranges``."""
+    default sets (an open section merges over its default mapping); the
+    range checks come later, in ``_check_ranges``."""
     if path in _OPEN_SECTIONS:
         names, rule = _OPEN_SECTIONS[path]
         _check_mapping(path, value)
@@ -133,7 +134,7 @@ def _typed(path, default, value):
                     f"unknown key '{path}.{key}'; expected one of "
                     + ", ".join(sorted(names))
                 )
-        return {key: rule(f"{path}.{key}", item) for key, item in value.items()}
+        return {**default, **{key: rule(f"{path}.{key}", item) for key, item in value.items()}}
     if isinstance(default, dict):
         return _merge(default, value, path)
     if isinstance(default, int):

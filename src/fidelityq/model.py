@@ -208,6 +208,32 @@ class SmdpModel:
             table.setflags(write=False)
         return taus, tau_row, discount, pmf, tail
 
+    def _action_weights(self, a, per_tau):
+        """``(lo, hi, W)``: the joint law of an epoch's sojourn and next level
+        under action ``a``, weighted per sojourn length, over the rows lo:hi
+        of ``_taus`` that a's laws use. W[r, i, c'] is per_tau[lo + r]
+        P(taus[lo + r] | c_i, a) C_a^tau[c_i, c'] for a's law i, at level c_i
+        (``_sojourns`` order); the kernel weighs by ``_tau_discount``, the
+        epoch law by one. Skip keeps the level and rest lands on the resting
+        level, so their W is the weight written into that level's column."""
+        cogs = [cog for cog in range(self.n_cog) if (cog, a) in self._sojourns]
+        times, probs = zip(*(self._sojourns[(cog, a)].support for cog in cogs))
+        law = np.repeat(np.arange(len(cogs)), [len(t) for t in times])
+        rows = self._tau_row[np.concatenate(times)]
+        # every law of a lies in taus[lo:hi], a view of the arrival rows;
+        # w[:, i] is per_tau P(tau | cogs[i], a) there, zero off the support
+        lo, hi = int(rows.min()), int(rows.max()) + 1
+        w = np.zeros((hi - lo, len(cogs)))
+        w[rows - lo, law] = per_tau[rows] * np.concatenate(probs)
+        if a is Action.SKIP or a is Action.REST:
+            weights = np.zeros((hi - lo, len(cogs), self.n_cog))
+            land = cogs if a is Action.SKIP else self.grid.star_index
+            weights[:, np.arange(len(cogs)), land] = w
+        else:
+            weights = self.powers[a].take(self._taus[lo:hi], axis=0)
+            weights *= w[:, :, None]
+        return lo, hi, weights
+
     def _build_kernel(self):
         """The discounted pair kernel in factored form:
         (T V)[(q,cog), a] = sum_{tau,c',q'} gamma^tau P(tau|cog,a)
@@ -217,19 +243,11 @@ class SmdpModel:
         T[(q,c),a][(q',c')] = sum_tau B_tau[s, q'] W_a[tau, c, c'] with
         s = start_a(q) the tasks left after the epoch's service and
         W_a[tau, c, :] = gamma^tau P(tau|c,a) C_a_tau[c, :], so each action
-        takes one weight table W_a over the contiguous run of taus its laws
-        use. From start s, B_tau is the arrival pmf shifted by s and the tail
+        takes one weight table W_a, ``_action_weights(a, _tau_discount)``,
+        over the contiguous run of taus its laws use. From start s, B_tau is the arrival pmf shifted by s and the tail
         P(W >= L - s) at the capacity L, so one product over tau of W_a with
         the pmf and one with the tail give the block of every start: below
         the capacity the kernel is block-Toeplitz in the queue.
-
-        W_a is assembled for all of a's laws at once, not law by law: one
-        scatter puts gamma^tau P(tau|c,a) of every law into a (tau row,
-        law) matrix ``w``, read off ``_tau_row`` and ``_tau_discount``. For
-        wait, normal and high, W_a is ``w`` broadcast against the step
-        powers C_a^tau gathered at those taus; skip and rest land on one
-        level (the own level, the resting level), so W_a is ``w`` written
-        into that level's column.
 
         The products of every action are stacked, column j for law j of
         ``_sojourns``; a pair reads its law's column from its start (its
@@ -243,26 +261,9 @@ class SmdpModel:
         cap = self.n_q - 1
         moved, full = [], []
         for a in ACTIONS:
-            cogs = [cog for cog in range(self.n_cog) if (cog, a) in self._sojourns]
-            times, probs = zip(*(self._sojourns[(cog, a)].support for cog in cogs))
-            law = np.repeat(np.arange(len(cogs)), [len(t) for t in times])
-            rows = self._tau_row[np.concatenate(times)]
-            # every law of a lies in taus[lo:hi], a view of the arrival rows;
-            # w[:, i] is gamma^tau P(tau | cogs[i], a) there, zero off the support
-            lo, hi = int(rows.min()), int(rows.max()) + 1
-            w = np.zeros((hi - lo, len(cogs)))
-            w[rows - lo, law] = self._tau_discount[rows] * np.concatenate(probs)
-            if a is Action.SKIP or a is Action.REST:
-                # the next level is the own level (skip) or the resting one
-                weights = np.zeros((hi - lo, len(cogs), self.n_cog))
-                land = cogs if a is Action.SKIP else self.grid.star_index
-                weights[:, np.arange(len(cogs)), land] = w
-            else:
-                # every level has a wait and a service law, so cogs is every level
-                weights = self.powers[a].take(self._taus[lo:hi], axis=0)
-                weights *= w[:, :, None]
-            weights = weights.reshape(hi - lo, len(cogs) * self.n_cog)
-            shape = (self.n_q, len(cogs), self.n_cog)
+            lo, hi, weights = self._action_weights(a, self._tau_discount)
+            shape = (self.n_q, *weights.shape[1:])
+            weights = weights.reshape(hi - lo, -1)
             moved.append((self._arrival_pmf[lo:hi].T @ weights).reshape(shape))
             full.append((self._arrival_tail[lo:hi].T @ weights).reshape(shape))
         moved, full = np.concatenate(moved, axis=1), np.concatenate(full, axis=1)
@@ -327,54 +328,51 @@ class SmdpModel:
     # -- accessors --------------------------------------------------------
 
     def sojourn(self, cog_index, action):
-        pmf = self._sojourns.get((cog_index, action))
-        if pmf is None:
-            raise InadmissibleRestError(
-                "rest has no sojourn distribution at or below the resting level"
-            )
-        return pmf
-
-    def cog_move(self, action, tau, cog_index):
-        """Distribution of the cognitive level after one epoch of ``action``
-        lasting ``tau`` steps; an array of taus gives one row per tau."""
-        if action is Action.SKIP or action is Action.REST:
-            out = np.zeros(np.shape(tau) + (self.n_cog,))
-            out[..., cog_index if action is Action.SKIP else self.grid.star_index] = 1.0
-            return out
-        return self.powers[action][tau, cog_index].copy()
+        try:
+            return self._sojourns[(cog_index, action)]
+        except KeyError:
+            if action is Action.REST and 0 <= cog_index <= self.grid.star_index:
+                raise InadmissibleRestError(
+                    "rest has no sojourn distribution at or below the resting level"
+                ) from None
+            raise KeyError(f"no sojourn law for level {cog_index} and action {action!r}") from None
 
     @cached_property
     def epoch_law(self):
         """The joint (tau, next level) law of one epoch for every (level,
         action) with a sojourn law, built on first use and shared by every
-        sampler of this model; see ``sampling.EpochLaw``. An outcome's
-        ``arrival_row`` is its tau's row of ``_taus``, read off ``_tau_row``."""
-        laws = self._sojourns.values()
-        # at most n_cog next levels per positive-probability tau; the
-        # buffers are filled in place, and their unused tails are never
-        # written, so never paged in
-        bound = self.n_cog * sum(len(pmf.support[0]) for pmf in laws)
+        sampler of this model; see ``sampling.EpochLaw``. A law's outcomes
+        are its positive entries of ``_action_weights`` at weight one, in
+        (tau, next level) order, and its cdf is a running sum along its row
+        of that table: the zeros between outcomes leave the sum unchanged."""
+        # at most n_cog next levels per positive-probability tau; the buffers
+        # are filled in place, so their unused tails are never paged in
+        bound = self.n_cog * sum(len(pmf.support[0]) for pmf in self._sojourns.values())
         cdf = np.empty(bound)
         cogs = np.empty(bound, np.min_scalar_type(self.n_cog - 1))
         arrival_row = np.empty(bound, np.min_scalar_type(len(self._taus) - 1))
         lengths = []
         n = 0
-        for (cog, a), pmf in self._sojourns.items():
-            times, probs = pmf.support
-            joint = self.cog_move(a, times, cog)
-            joint *= probs[:, None]
+        for a in ACTIONS:
+            lo, hi, joint = self._action_weights(a, np.ones(len(self._taus)))
+            # one row per law, (tau, next level) in tau-major order
+            joint = joint.transpose(1, 0, 2).reshape(joint.shape[1], -1)
             outcome = joint > 0
-            row, nxt = np.nonzero(outcome)
-            k = len(row)
-            np.cumsum(joint[outcome], out=cdf[n : n + k])
-            cogs[n : n + k] = nxt
-            arrival_row[n : n + k] = self._tau_row[times][row]
-            lengths.append(k)
+            k = np.count_nonzero(outcome)
+            np.cumsum(joint, axis=1, out=joint)
+            cdf[n : n + k] = joint[outcome]
+            # each entry's next level and row of _taus, laid out like joint
+            levels = np.arange(self.n_cog, dtype=cogs.dtype)
+            rows = np.arange(lo, hi, dtype=arrival_row.dtype).repeat(self.n_cog)
+            flat = outcome.reshape(-1)
+            cogs[n : n + k] = np.tile(levels, joint.size // self.n_cog)[flat]
+            arrival_row[n : n + k] = np.tile(rows, len(joint))[flat]
+            lengths.append(np.count_nonzero(outcome, axis=1))
             n += k
         return EpochLaw(
             cogs=cogs[:n],
             arrival_row=arrival_row[:n],
-            cdf=SegmentedCdf(cdf[:n], lengths),
+            cdf=SegmentedCdf(cdf[:n], np.concatenate(lengths)),
         )
 
     @cached_property

@@ -1,12 +1,13 @@
 """Exact finite-horizon oracle for the solver, built from public model data.
 
 The oracle reads each (level, action) sojourn law through
-``model.sojourn(cog, a).support``, the level's move through
-``model.cog_move``, rewards through ``model.reward_table`` and the actions
+``model.sojourn(cog, a).support``, the step powers C_a^tau through
+``model.powers``, rewards through ``model.reward_table`` and the actions
 of a state through ``fidelityq.model.admissible``. Queue moves come from
-``scipy.stats.poisson`` here and the queue-consumption rule is written out
-below, so the oracle shares no arrival code and no row assembly with the
-model it checks.
+``scipy.stats.poisson`` here, and the queue-consumption rule and the
+level's move (skip stays, rest lands on the resting level) are written out
+below, so the oracle shares no arrival code, no level-move code and no row
+assembly with the model it checks.
 """
 
 import numpy as np
@@ -28,6 +29,18 @@ def arrival_rows(rate, taus, start, capacity):
     return rows
 
 
+def level_rows(model, a, times, cog):
+    """Next-level law from level ``cog`` after an epoch of ``a`` lasting
+    each of ``times`` steps: one row per tau. Skipping leaves the level
+    where it is and resting ends on the resting level; waiting and service
+    move it by the tau-th step power."""
+    if a is Action.SKIP or a is Action.REST:
+        rows = np.zeros((len(times), model.n_cog))
+        rows[:, cog if a is Action.SKIP else model.grid.star_index] = 1.0
+        return rows
+    return model.powers[a][np.asarray(times), cog]
+
+
 def pair_row(model, q, cog, a):
     """Discounted row of the pair (q, cog, a) over the flat states:
     sum over tau of gamma^tau p_tau (queue row outer level row)."""
@@ -37,7 +50,7 @@ def pair_row(model, q, cog, a):
     start = q if a in (Action.WAIT, Action.REST) else max(q - 1, 0)
     queue = arrival_rows(model.params.arrival_rate, times, start, model.n_q - 1)
     weights = model.params.discount**times * probs
-    row = np.einsum("t,tq,tc->qc", weights, queue, model.cog_move(a, times, cog))
+    row = np.einsum("t,tq,tc->qc", weights, queue, level_rows(model, a, times, cog))
     return row.reshape(-1)
 
 

@@ -31,6 +31,17 @@ class TestMerge:
         assert cfg.data["queue"]["capacity"] == DEFAULTS["queue"]["capacity"]
         assert cfg.data["service"] == DEFAULTS["service"]
 
+    @pytest.mark.parametrize("section, given, value, kept", [
+        ("base_mean", "normal", 15.0, "high"),
+        ("curvature", "high", 90.0, "normal"),
+    ])
+    def test_partial_open_section_keeps_the_other_default(self, section, given, value, kept):
+        cfg = from_mapping({"service": {section: {given: value}}})
+        assert cfg.data["service"][section][given] == value
+        assert cfg.data["service"][section][kept] == DEFAULTS["service"][section][kept]
+        service = cfg.build_model().params.service
+        assert getattr(service, section)[Action[kept.upper()]] == DEFAULTS["service"][section][kept]
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key 'quue'"):
             from_mapping({"quue": {}})
@@ -222,6 +233,20 @@ class TestBuiltins:
     def test_unknown_builtin_lists_alternatives(self):
         with pytest.raises(ConfigError, match="available: .*default"):
             builtin_config("nonesuch")
+
+    # shipped configs set every action of each open section, so merging
+    # those sections over their defaults leaves these digests as they were
+    DIGESTS = {
+        "default": "a8f9cf19c8ff08e57d890b22afb2277e214fe610b82f65c1b89f00e88ed6d087",
+        "high_lambda": "975e0a716a65bc8c32833adc47f9da76be3ccd851ddb153a2612101db6653d95",
+        "large_gap": "72ab9d4435d121b8b370e97aac1dcf6433afeb57b3de105ff7fe5866a3a9b111",
+        "skip_cheap": "2ba9dbe2b8f142068c0fcc2405e6099792c9232460ffa2488c9e17b32bad83de",
+        "tiny": "5a0d95973b10f5fb8a32d10e52e4ddc24635a0cb08073744ede5a5a43a3d2cb6",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_builtin_digests_are_pinned(self, name):
+        assert builtin_config(name).digest == self.DIGESTS[name]
 
     def test_builtin_default_matches_bare_defaults(self):
         assert builtin_config("default").digest == from_mapping({}).digest

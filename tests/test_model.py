@@ -269,24 +269,55 @@ class TestRewards:
         assert np.all(skip[1:] < 0)
 
 
+def epoch_outcomes(model, cog, a):
+    """``(taus, next levels)`` of the epoch law's outcomes for the pair
+    (cog, a), in the order the sampler stores them."""
+    law = model.epoch_law
+    s = list(model._sojourns).index((cog, a))
+    positions = np.arange(law.cdf.start[s], law.cdf.end[s] + 1)
+    return model._taus[law.arrival_row[positions]], law.cogs[positions]
+
+
 class TestCogMove:
+    """The level's move over an epoch, read where the model keeps it: the
+    epoch law's outcomes and the per-action joint table
+    (``_action_weights`` at weight one), and the oracle's own
+    ``level_rows``."""
+
     def test_skip_freezes_the_state(self, model):
         for cog in range(model.n_cog):
-            dist = model.cog_move(Action.SKIP, 2, cog)
+            taus, nxt = epoch_outcomes(model, cog, Action.SKIP)
+            assert taus.tolist() == [model.params.skip_time]
+            assert nxt.tolist() == [cog]
             expected = np.zeros(model.n_cog)
             expected[cog] = 1.0
-            assert dist == pytest.approx(expected, abs=0)
+            assert oracle.level_rows(model, Action.SKIP, [2], cog)[0] == pytest.approx(
+                expected, abs=0
+            )
 
     def test_rest_lands_exactly_on_resting_level(self, model):
-        dist = model.cog_move(Action.REST, 7, 4)
-        assert dist[model.grid.star_index] == 1.0
+        star = model.grid.star_index
+        taus, nxt = epoch_outcomes(model, 4, Action.REST)
+        assert np.array_equal(taus, model.sojourn(4, Action.REST).support[0])
+        assert np.all(nxt == star)
+        *_, table = model._action_weights(Action.REST, np.ones(len(model._taus)))
+        others = np.arange(model.n_cog) != star
+        assert not np.any(table[:, :, others])
+        assert oracle.level_rows(model, Action.REST, [7], 4)[0, star] == 1.0
 
     def test_service_matches_step_power(self, model):
+        ones = np.ones(len(model._taus))
         for a in (Action.NORMAL, Action.HIGH, Action.WAIT):
             step = model.steps[a]
+            lo, hi, table = model._action_weights(a, ones)
+            times, probs = model.sojourn(1, a).support
+            for tau, p in zip(times[:3], probs[:3]):
+                expected = np.linalg.matrix_power(step, int(tau))[1]
+                got = table[model._tau_row[tau] - lo, 1]
+                assert got == pytest.approx(p * expected, abs=1e-12)
             for tau in (1, 3, 5):
-                got = model.cog_move(a, tau, 1)
                 expected = np.linalg.matrix_power(step, tau)[1]
+                got = oracle.level_rows(model, a, [tau], 1)[0]
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_powers_are_read_only(self, model):
@@ -296,6 +327,13 @@ class TestCogMove:
     def test_rest_sojourn_missing_below_resting_level(self, model):
         with pytest.raises(InadmissibleRestError):
             model.sojourn(2, Action.REST)
+
+    def test_missing_sojourn_off_the_grid_names_the_pair(self):
+        model = builtin_config("tiny").build_model()
+        with pytest.raises(KeyError, match="level 50 and action") as info:
+            model.sojourn(50, Action.NORMAL)
+        assert not isinstance(info.value, InadmissibleRestError)
+        assert "resting level" not in str(info.value)
 
 
 SHIPPED = ["tiny", "default", "high_lambda", "skip_cheap", "large_gap"]
@@ -530,8 +568,8 @@ def per_law_weights(model):
     """``(hankel_weights, _tail_weights)`` assembled law by law, the reference
     for the per-action assembly: each law finds its taus in ``_taus`` by
     ``searchsorted``, takes gamma^tau as a power and writes its rows of the
-    action's weight table through ``cog_move``. The two products per action
-    then run on the same inputs."""
+    action's weight table through the oracle's ``level_rows``. The two
+    products per action then run on the same inputs."""
     gamma = model.params.discount
     cap = model.n_q - 1
     moved, full = [], []
@@ -547,7 +585,7 @@ def per_law_weights(model):
         hi = max(int(rows[-1]) for *_, rows in laws) + 1
         weights = np.zeros((hi - lo, len(laws), model.n_cog))
         for i, (cog, times, w, rows) in enumerate(laws):
-            weights[rows - lo, i, :] = w[:, None] * model.cog_move(a, times, cog)
+            weights[rows - lo, i, :] = w[:, None] * oracle.level_rows(model, a, times, cog)
         weights = weights.reshape(hi - lo, len(laws) * model.n_cog)
         shape = (model.n_q, len(laws), model.n_cog)
         moved.append((model._arrival_pmf[lo:hi].T @ weights).reshape(shape))
@@ -563,7 +601,7 @@ def searchsorted_epoch_law(model):
     cogs, rows, cdfs = [], [], []
     for (cog, a), pmf in model._sojourns.items():
         times, probs = pmf.support
-        joint = model.cog_move(a, times, cog) * probs[:, None]
+        joint = oracle.level_rows(model, a, times, cog) * probs[:, None]
         row, nxt = np.nonzero(joint > 0)
         cogs.append(nxt)
         rows.append(np.searchsorted(model._taus, times)[row])
@@ -601,6 +639,19 @@ class TestActionAssembly:
         hankel, tail = per_law_weights(assembled)
         assert np.array_equal(assembled.hankel_weights, hankel)
         assert np.array_equal(assembled._tail_weights, tail)
+
+    def test_table_sums_to_one_and_to_the_transform(self, assembled):
+        """Each law's column of the per-action table sums, over tau and the
+        next level, to one at weight one and to E[gamma^tau] at weight
+        gamma^tau: the row sums of an undiscounted and a discounted kernel."""
+        model = assembled
+        for a in ACTIONS:
+            cogs = [cog for cog in range(model.n_cog) if (cog, a) in model._sojourns]
+            *_, table = model._action_weights(a, np.ones(len(model._taus)))
+            assert table.sum(axis=(0, 2)) == pytest.approx(np.ones(len(cogs)), abs=1e-13)
+            *_, table = model._action_weights(a, model._tau_discount)
+            transform = model.moment("transform", a)[cogs]
+            assert table.sum(axis=(0, 2)) == pytest.approx(transform, abs=1e-13)
 
     def test_epoch_law_equals_a_searchsorted_copy(self, assembled):
         law = assembled.epoch_law

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from fidelityq.actions import ACTIONS
 from fidelityq.config import resolve_config
 from fidelityq.sampling import SegmentedCdf
@@ -144,9 +145,9 @@ def test_epoch_law_matches_sojourn_and_moves(name):
     """For every (level, action) with a sojourn law, the mass the sampler
     draws from segment j, law j of ``_sojourns``, summed over the next
     level, is the sojourn pmf, and each tau's row of mass is P(tau) times
-    ``cog_move``; outcomes are exactly the positive ones, in tau-major
-    order. The last outcome takes every draw beyond the others, so its mass
-    is one minus the entry before it."""
+    the oracle's ``level_rows``; outcomes are exactly the positive ones, in
+    tau-major order. The last outcome takes every draw beyond the others,
+    so its mass is one minus the entry before it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = resolve_config(name).build_model()
@@ -171,9 +172,7 @@ def test_epoch_law_matches_sojourn_and_moves(name):
             table = np.zeros((len(pmf.times), model.n_cog))
             table[rows, nxt] = mass
             np.testing.assert_allclose(table.sum(axis=1), pmf.probs, rtol=0, atol=1e-14)
-            expected = np.array(
-                [p * model.cog_move(a, int(t), cog) for t, p in zip(pmf.times, pmf.probs)]
-            )
+            expected = pmf.probs[:, None] * oracle.level_rows(model, a, pmf.times, cog)
             np.testing.assert_allclose(table, expected, rtol=0, atol=1e-14)
             present = np.zeros(table.shape, dtype=bool)
             present[rows, nxt] = True
