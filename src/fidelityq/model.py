@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .actions import ACTIONS, DECREMENT, TIE_ORDER, Action
 from .cogchain import UNIT_RATES, build_step_matrix, step_powers
@@ -97,8 +98,9 @@ class SmdpModel:
     ``TIE_ORDER`` (``admits``, ``cell``, ``cell_reward``; see
     ``_build_table``). The kernel is kept factored (``hankel_weights``, one
     column per sojourn law, read through ``hankel_index`` at each pair's
-    ``cell``; see ``_build_kernel``); the dense ``kernel`` is built only
-    when read. ``service_reward[a]`` is r(a), an epoch's reward before
+    ``cell``; see ``_build_kernel``); ``pair_rows`` gathers the dense
+    rows of the pairs asked for from the same tables, and no dense kernel
+    is kept. ``service_reward[a]`` is r(a), an epoch's reward before
     holding costs."""
 
     def __init__(self, params):
@@ -256,8 +258,8 @@ class SmdpModel:
         ``_tail_weights[s, col, c']`` is the tail product P(W >= L - s) from
         start s. Since P(W >= L - s) = P(L - s <= W < L) + P(W >= L), the
         row of start s against V is ``hankel_weights`` against the Hankel
-        gather V[min(s + k, L), c'] (``hankel_index``). The dense ``kernel``
-        is scattered from the same tables when it is read."""
+        gather V[min(s + k, L), c'] (``hankel_index``); ``pair_rows``
+        gathers a pair's dense row from the same tables."""
         cap = self.n_q - 1
         moved, full = [], []
         for a in ACTIONS:
@@ -297,33 +299,33 @@ class SmdpModel:
         return (admits, np.where(admits, cell, 0),
                 np.where(admits, rewards.reshape(self.n_states, -1), -np.inf))
 
-    @cached_property
-    def kernel(self):
-        """The dense ``(n_pairs, n_states)`` kernel, one row per admitted
-        cell of ``admits`` in row-major order (by state, then in
-        ``TIE_ORDER``), scattered from the factored tables on first read;
-        read-only. Only exact policy evaluation and ``operators`` read it,
-        so solving, grading and simulating never allocate it."""
+    def pair_rows(self, states, columns):
+        """The dense discounted rows ``(len(states), n_states)`` of the cells
+        ``(states[i], columns[i])`` of the (state, action) table, gathered
+        from the factored tables: with (s, j) = divmod(cell, n_laws), the
+        entry at (q', c') is ``hankel_weights[(q' - s, c'), j]`` for
+        s <= q' < L, 0 below s, and ``_tail_weights[s, j, c']`` at the
+        capacity L. Only exact policy evaluation and ``operators`` read
+        dense rows; solving, grading and simulating never do."""
         cap = self.n_q - 1
-        moved = self.hankel_weights.reshape(self.n_q, self.n_cog, -1)
-        start, law = np.divmod(self.cell[self.admits], self.n_laws)
-        kernel = np.zeros((len(law), self.n_q, self.n_cog))
-        for s in range(self.n_q):
-            rows = np.flatnonzero(start == s)
-            cols = law[rows]
-            kernel[rows, s:cap] = moved[: cap - s, :, cols].transpose(2, 0, 1)
-            kernel[rows, cap] = self._tail_weights[s, cols]
-        kernel = kernel.reshape(len(law), self.n_states)
-        kernel.setflags(write=False)
-        return kernel
+        start, law = np.divmod(self.cell[states, columns], self.n_laws)
+        # each law's hankel_weights rows after L zero rows, flattened: the
+        # n_states entries from row L - s are start s's row but for its tail
+        padded = np.zeros((self.n_laws, cap + self.n_q, self.n_cog))
+        padded[:, cap:] = self.hankel_weights.reshape(self.n_q, self.n_cog, -1).transpose(2, 0, 1)
+        windows = sliding_window_view(padded.reshape(self.n_laws, -1), self.n_states, axis=1)
+        rows = windows[:, :: self.n_cog][law, cap - start]
+        rows[:, cap * self.n_cog :] = self._tail_weights[start, law]
+        return rows
 
     @property
     def operators(self):
-        """{action: that action's rows of the dense ``kernel``}, gathered
-        when read (which builds the kernel). Only ``bench/counts.py`` reads
-        it, to size the operator bytes."""
-        taken = np.nonzero(self.admits)[1]
-        return {a: self.kernel[taken == TIE_ORDER.index(a)] for a in ACTIONS}
+        """{action: the dense rows of the states admitting it}, gathered by
+        ``pair_rows`` when read. Only ``bench/counts.py`` reads it, to size
+        the operator bytes."""
+        columns = {a: TIE_ORDER.index(a) for a in ACTIONS}
+        return {a: self.pair_rows(np.flatnonzero(self.admits[:, c]), c)
+                for a, c in columns.items()}
 
     # -- accessors --------------------------------------------------------
 

@@ -68,9 +68,6 @@ class Trajectory:
     records: list
     discounted_return: float
 
-    def __len__(self):
-        return len(self.records)
-
 
 @dataclass
 class MonteCarloEstimate:

@@ -1,5 +1,5 @@
 """Value iteration over the model's factored pair kernel and exact policy
-evaluation over its dense rows."""
+evaluation over the policy's dense rows, gathered from the same tables."""
 
 import math
 from dataclasses import dataclass, field
@@ -108,11 +108,12 @@ def validate_policy(model, policy):
 
 def policy_evaluation(model, policy):
     """Exact value of a stationary policy via the linear fixed point
-    (I - T_pi) V = R_pi over the policy's kernel rows."""
+    (I - T_pi) V = R_pi over the policy's rows, gathered by ``pair_rows``."""
     states = np.arange(model.n_states)
     columns = validate_policy(model, policy)
-    # the kernel's rows are the admitted cells in row-major order
-    rows = (np.cumsum(model.admits) - 1).reshape(model.admits.shape)[states, columns]
-    t_pi, r_pi = model.kernel[rows], model.cell_reward[states, columns]
-    values = np.linalg.solve(np.eye(model.n_states) - t_pi, r_pi)
+    lhs, r_pi = model.pair_rows(states, columns), model.cell_reward[states, columns]
+    # 0 - t, then 1 - t on the diagonal: the entries of I - T_pi, bit for bit
+    np.subtract(0.0, lhs, out=lhs)
+    lhs.flat[:: model.n_states + 1] += 1.0
+    values = np.linalg.solve(lhs, r_pi)
     return values.reshape(model.n_q, model.n_cog)

@@ -417,10 +417,6 @@ def extract_thresholds(policy_row, cog_index, grid, q_range):
 class ThresholdReport:
     rows: list
 
-    @property
-    def all_threshold(self):
-        return all(row.is_threshold for row in self.rows)
-
 
 def threshold_report(model, policy, buffer_fraction=DEFAULT_BUFFER_FRACTION):
     """Extract thresholds for every cognitive level; which levels carry a

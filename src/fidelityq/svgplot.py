@@ -64,6 +64,8 @@ def _cell_origin(q, cog, n_q):
 
 
 def _header(width, height, title):
+    # by hand: xml.sax.saxutils imports urllib.request, MBs of RSS per run
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

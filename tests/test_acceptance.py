@@ -169,7 +169,7 @@ def test_06_threshold_guarantee_certified_end_to_end(tmp_path, large_gap_solved)
     margins = graded.margins
     assert margins.all_guaranteed, "expected every level to carry the guarantee"
     enforce_guarantee(graded.thresholds, margins)
-    assert graded.thresholds.all_threshold
+    assert all(row.is_threshold for row in graded.thresholds.rows)
     code = cli.main(
         ["check", "--config", "large_gap", "--out", str(tmp_path / "out"),
          "--episodes", "500"]

@@ -63,7 +63,8 @@ def test_gate_accepts_the_solution(solved):
 def test_counts_size_the_pair_kernel(solved):
     _, _, model, _ = solved
     got = counts.model_counts(model)
-    assert got["model.operator_bytes"] == model.kernel.nbytes
+    # one row of n_states floats per admitted (state, action) cell
+    assert got["model.operator_bytes"] == int(model.admits.sum()) * model.n_states * 8
     assert got["solver.backup_bytes"] == got["model.operator_bytes"] + 5 * model.n_states * 8
 
 

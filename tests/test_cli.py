@@ -30,12 +30,13 @@ def run(*argv):
     ids=lambda argv: argv[0],
 )
 def test_commands_never_build_the_dense_kernel(tmp_path, monkeypatch, argv):
-    """Solving, grading and simulating read the factored kernel only."""
+    """Solving, grading and simulating read the factored kernel only: no
+    command gathers a dense pair row."""
 
-    def never(model):
-        raise AssertionError("built the dense pair kernel")
+    def never(model, states, columns):
+        raise AssertionError("gathered dense pair rows")
 
-    monkeypatch.setattr(SmdpModel, "kernel", property(never))
+    monkeypatch.setattr(SmdpModel, "pair_rows", never)
     assert run(*argv, "--config", "tiny", "--out", str(tmp_path / "out")) == 0
 
 
@@ -86,6 +87,19 @@ class TestSolve:
             assert root.tag.endswith("svg")
             rects = [el for el in root.iter() if el.tag.endswith("rect")]
             assert len(rects) >= 4 * 3
+
+    def test_heatmap_titles_are_escaped(self, tmp_path):
+        """A config name with XML markup characters still gives heatmaps
+        that parse, with the name as the title's text."""
+        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
+        cfg_file = tmp_path / "markup.yaml"
+        cfg_file.write_text(tiny.replace("name: tiny", 'name: "R&D <pilot>"'))
+        out = tmp_path / "out"
+        assert run("solve", "--config", str(cfg_file), "--out", str(out)) == 0
+        for name in ["value_heatmap.svg", "policy_heatmap.svg"]:
+            root = ET.fromstring((out / name).read_text())
+            title = next(el for el in root.iter() if el.tag.endswith("text"))
+            assert "R&D <pilot>" in title.text, name
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

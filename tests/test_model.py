@@ -3,7 +3,7 @@ discounted kernel over the admissible (state, action) pairs.
 
 The arrival law, shifted to each start by the rule written out below, is
 checked against the ``scipy.stats.poisson`` rows of ``tests/oracle.py``
-within 1e-14 absolute, and the kernel against the oracle's pair rows.
+within 1e-14 absolute, and the gathered pair rows against the oracle's.
 The reward oracle sums the realized per-epoch reward over the joint law of
 (sojourn, arrivals) and must reproduce the closed-form immediate reward.
 """
@@ -91,18 +91,11 @@ def table_row(start, tau, rate, capacity):
     return start_rows(*arrival_table(rate, [tau], capacity), start)[0]
 
 
-def row_index(model, q, cog, a):
-    """The kernel row of the pair (q, cog, a), which must be admitted: the
-    rows are the admitted cells of ``admits`` in row-major order."""
-    s, col = q * model.n_cog + cog, TIE_ORDER.index(a)
-    assert model.admits[s, col]
-    return int(np.cumsum(model.admits)[s * len(TIE_ORDER) + col]) - 1
-
-
 def queue_marginal(model, q, cog, a):
-    """The kernel row of (q, cog, a) summed over the next level: the
+    """The dense row of (q, cog, a) summed over the next level: the
     discounted law of the next queue length."""
-    return model.kernel[row_index(model, q, cog, a)].reshape(model.n_q, model.n_cog).sum(axis=1)
+    row = model.pair_rows([q * model.n_cog + cog], [TIE_ORDER.index(a)])[0]
+    return row.reshape(model.n_q, model.n_cog).sum(axis=1)
 
 
 class TestArrivalTable:
@@ -177,7 +170,8 @@ def test_runs_without_scipy(tmp_path):
     """scipy is a test-only dependency: with it blocked before the package
     loads, building every shipped config loads no scipy module, and every
     subcommand runs end to end on tiny. No path imports ``numpy.ma``
-    either (``np.unique`` does, on numpy 2.4)."""
+    either (``np.unique`` does, on numpy 2.4), nor ``urllib.request``
+    (``xml.sax.saxutils`` does: 3 MB more peak RSS for a ``check`` run)."""
     code = (
         "import sys, warnings\n"
         "sys.modules['scipy'] = None\n"
@@ -193,7 +187,7 @@ def test_runs_without_scipy(tmp_path):
         "             ['sweep', '--grid', '0.3,0.5'], ['simulate', '--episodes', '200']):\n"
         "    status = cli.main([*args, '--config', 'tiny', '--out', out])\n"
         "    assert status == 0, (args, status)\n"
-        "assert 'numpy.ma' not in sys.modules\n"
+        "assert not {'numpy.ma', 'urllib.request'} & set(sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fidelityq.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -375,8 +369,8 @@ class TestSupport:
 
 
 def assert_row_sums_equal_transform(model):
-    """Every kernel row sums to E[gamma^tau] of its (level, action) law."""
-    sums = model.kernel.sum(axis=1)
+    """Every pair's row sums to E[gamma^tau] of its (level, action) law."""
+    sums = model.pair_rows(*np.nonzero(model.admits)).sum(axis=1)
     for row, (s, col) in enumerate(np.argwhere(model.admits)):
         tr = model.moment("transform", TIE_ORDER[col])[s % model.n_cog]
         assert sums[row] == pytest.approx(tr, abs=1e-12), (s, TIE_ORDER[col])
@@ -384,8 +378,8 @@ def assert_row_sums_equal_transform(model):
 
 def assert_one_row_per_admissible_pair(model):
     """Each state's row of ``admits`` marks its admissible actions, one
-    column per action in TIE_ORDER; the kernel's rows are the admitted
-    cells, state-major and in TIE_ORDER within a state."""
+    column per action in TIE_ORDER; ``np.nonzero`` lists the admitted
+    cells state-major and in TIE_ORDER within a state, one dense row each."""
     pairs = []
     for q in range(model.n_q):
         for cog in range(model.n_cog):
@@ -394,7 +388,7 @@ def assert_one_row_per_admissible_pair(model):
             assert model.admits[s].tolist() == [a in allowed for a in TIE_ORDER]
             pairs += [(s, TIE_ORDER.index(a)) for a in TIE_ORDER if a in allowed]
     assert [tuple(cell) for cell in np.argwhere(model.admits).tolist()] == pairs
-    assert model.kernel.shape == (len(pairs), model.n_states)
+    assert model.pair_rows(*np.nonzero(model.admits)).shape == (len(pairs), model.n_states)
     for table in (model.admits, model.cell, model.cell_reward):
         assert table.shape == (model.n_states, len(TIE_ORDER))
 
@@ -420,24 +414,23 @@ class TestOperators:
         assert np.all(model.cell_reward[~model.admits] == -np.inf)
 
     def test_kernel_is_read_only_and_contiguous(self, model):
-        assert model.kernel.flags.c_contiguous
-        for table in (model.kernel, model.admits, model.cell, model.cell_reward,
-                      model.hankel_index, model.hankel_weights):
+        """The factored tables are read-only; a gathered row block is a
+        fresh contiguous array, and no dense kernel is kept."""
+        assert model.pair_rows(*np.nonzero(model.admits)).flags.c_contiguous
+        assert not hasattr(model, "kernel")
+        for table in (model.admits, model.cell, model.cell_reward,
+                      model.hankel_index, model.hankel_weights, model._tail_weights):
             with pytest.raises(ValueError):
                 table[0] = 0
-
-    def test_kernel_is_built_once_on_first_read(self):
-        fresh = build_model(small_params(**OWN))
-        assert "kernel" not in fresh.__dict__
-        assert fresh.kernel is fresh.kernel
 
     def test_operators_gather_each_actions_rows(self, model):
         ops = model.operators
         assert list(ops) == list(ACTIONS)
-        assert sum(op.nbytes for op in ops.values()) == model.kernel.nbytes
-        taken = np.argwhere(model.admits)[:, 1]
+        assert sum(op.nbytes for op in ops.values()) == model.admits.sum() * model.n_states * 8
         for a in ACTIONS:
-            assert np.array_equal(ops[a], model.kernel[taken == TIE_ORDER.index(a)])
+            states = np.flatnonzero(model.admits[:, TIE_ORDER.index(a)])
+            columns = np.full(len(states), TIE_ORDER.index(a))
+            assert np.array_equal(ops[a], model.pair_rows(states, columns))
             assert ops[a].shape[1] == model.n_states
 
     def test_row_matches_kernel_entries(self, model):
@@ -448,9 +441,8 @@ class TestOperators:
             (5, 0, Action.SKIP),
             (6, 2, Action.HIGH),
         ]:
-            assert model.kernel[row_index(model, q, cog, a)] == pytest.approx(
-                oracle.pair_row(model, q, cog, a), abs=1e-13
-            )
+            row = model.pair_rows([q * model.n_cog + cog], [TIE_ORDER.index(a)])[0]
+            assert row == pytest.approx(oracle.pair_row(model, q, cog, a), abs=1e-13)
 
     def test_shipped_rows_match_kernel_entries(self, shipped):
         """Every admissible row on tiny; on the other configs the states
@@ -467,7 +459,8 @@ class TestOperators:
         for q in qs:
             for cog in cogs:
                 for a in admissible(q, cog, model.grid):
-                    assert model.kernel[row_index(model, q, cog, a)] == pytest.approx(
+                    row = model.pair_rows([q * model.n_cog + cog], [TIE_ORDER.index(a)])[0]
+                    assert row == pytest.approx(
                         oracle.pair_row(model, q, cog, a), abs=1e-13
                     ), (q, cog, a)
 
@@ -483,26 +476,49 @@ WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_s
 
 
 def factored_product(model, values):
-    """Each pair's kernel row against flat ``values`` through the factored
+    """Each pair's dense row against flat ``values`` through the factored
     tables: the Hankel gather of the values against the stacked arrival
-    weights, read at the pair's (start, law) cell, in kernel row order."""
+    weights, read at the pair's (start, law) cell, admitted cells in
+    row-major order."""
     after = values[model.hankel_index] @ model.hankel_weights
     return after.take(model.cell[model.admits])
 
 
+def scattered_rows(model):
+    """The dense rows of every admitted cell, in row-major order, scattered
+    start by start from the factored tables: the reference for the gather
+    of ``pair_rows``. From start s, the row is 0 below s, the law's
+    ``hankel_weights`` rows k = 0..L-1-s at queues s..L-1 and the tail from
+    s at the capacity L."""
+    cap = model.n_q - 1
+    moved = model.hankel_weights.reshape(model.n_q, model.n_cog, -1)
+    start, law = np.divmod(model.cell[model.admits], model.n_laws)
+    rows = np.zeros((len(law), model.n_q, model.n_cog))
+    for s in range(model.n_q):
+        picked = np.flatnonzero(start == s)
+        cols = law[picked]
+        rows[picked, s:cap] = moved[: cap - s, :, cols].transpose(2, 0, 1)
+        rows[picked, cap] = model._tail_weights[s, cols]
+    return rows.reshape(len(law), model.n_states)
+
+
 def assert_factored_product_is_the_kernel(model, seed, draws=3):
-    """The factored product equals the dense kernel's within 1e-14 of the
-    values' scale (a reordered sum; at most 8.4e-16 seen with unit normals)."""
+    """The gathered rows equal the start-by-start scatter bit for bit, and
+    the factored product equals their product within 1e-14 of the values'
+    scale (a reordered sum; at most 8.4e-16 seen with unit normals)."""
+    dense = model.pair_rows(*np.nonzero(model.admits))
+    assert np.array_equal(dense, scattered_rows(model))
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         values = rng.normal(size=model.n_states)
-        gap = np.max(np.abs(factored_product(model, values) - model.kernel @ values))
+        gap = np.max(np.abs(factored_product(model, values) - dense @ values))
         assert gap <= 1e-14 * np.max(np.abs(values))
 
 
 class TestFactoredKernel:
-    """Solving reads the kernel in factored form; the dense rows are
-    scattered from the same tables only when read."""
+    """Solving reads the kernel in factored form; ``pair_rows`` gathers
+    dense rows from the same tables only for exact policy evaluation and
+    ``operators``."""
 
     def test_shipped_factored_product_is_the_kernel(self, shipped):
         assert_factored_product_is_the_kernel(shipped[1], seed=5)

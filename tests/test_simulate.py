@@ -68,7 +68,7 @@ class TestTrajectories:
     def test_records_obey_the_model(self, model, optimal_sampler):
         traj = optimal_sampler.run_episode((6, 4), horizon_epochs=400, seed=42)
         # it retires once gamma^zeta <= beta^400, long before the cap
-        assert 100 <= len(traj) < 400
+        assert 100 <= len(traj.records) < 400
         recs = traj.records
         assert (recs[0].q, recs[0].cog, recs[0].time) == (6, 4, 0)
         cap = model.n_q - 1
@@ -324,8 +324,8 @@ class TestSharedLoop:
         plain, _, _ = sampler.run_batch(start, 1, horizon, np.random.default_rng(seed))
         assert totals[0] == plain[0] == traj.discounted_return
         # one (2, runs) draw per epoch the episode ran
-        assert simulated == len(traj)
-        assert [u.shape for u in rng.uniforms] == [(2, 1)] * len(traj)
+        assert simulated == len(traj.records)
+        assert [u.shape for u in rng.uniforms] == [(2, 1)] * len(traj.records)
         # it ran while its discount gamma^zeta stayed above beta^H and
         # stopped at the first epoch start where it did not, or at the cap
         floor = model.max_discount_transform**horizon
@@ -334,7 +334,7 @@ class TestSharedLoop:
         for rec in traj.records:
             assert discount > floor
             discount *= float(tau_discount[rec.tau])
-        assert len(traj) == horizon or discount <= floor
+        assert len(traj.records) == horizon or discount <= floor
         # the second row picks the arrivals by inverting Poisson(lambda tau)
         # capped at the capacity
         rate = model.params.arrival_rate

@@ -1,10 +1,11 @@
 """Tests for value iteration and policy evaluation.
 
 The backup oracle re-derives Q-values from the pair rows of
-``tests/oracle.py``, bypassing the model's kernel; the oracle's stage-wise
+``tests/oracle.py``, bypassing the model's tables; the oracle's stage-wise
 backward induction is crossed against repeated solver backups.
 """
 
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from fidelityq.actions import TIE_ORDER, Action
 from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config
 from fidelityq.errors import PolicyMismatchError
-from fidelityq.model import admissible, build_model
+from fidelityq.model import SmdpModel, admissible, build_model
 from fidelityq.simulate import monte_carlo_value
 from fidelityq.solver import (
     ValuePolicyTable,
@@ -39,14 +40,6 @@ def model():
 @pytest.fixture(scope="module")
 def solution(model):
     return value_iteration(model)
-
-
-def row_index(model, q, cog, a):
-    """The kernel row of the pair (q, cog, a), which must be admitted: the
-    rows are the admitted cells of ``admits`` in row-major order."""
-    s, col = q * model.n_cog + cog, TIE_ORDER.index(a)
-    assert model.admits[s, col]
-    return int(np.cumsum(model.admits)[s * len(TIE_ORDER) + col]) - 1
 
 
 def backup_oracle(model, values):
@@ -87,9 +80,11 @@ class TestBackup:
         each state's first best row, the rule it replaces."""
         rng = np.random.default_rng(17)
         values = rng.normal(size=(model.n_q, model.n_cog))
-        pair_values = model.cell_reward[model.admits] + model.kernel @ values.reshape(-1)
-        # the kernel rows are the admitted cells, state by state
+        # the admitted cells, state by state, and their dense rows
         states, columns = np.nonzero(model.admits)
+        pair_values = model.cell_reward[model.admits] + (
+            model.pair_rows(states, columns) @ values.reshape(-1)
+        )
         starts = np.searchsorted(states, np.arange(model.n_states))
         ends = np.append(starts[1:], len(pair_values))
         first = [lo + int(np.argmax(pair_values[lo:hi])) for lo, hi in zip(starts, ends)]
@@ -121,12 +116,15 @@ class TestBackup:
         expected = model.cell_reward[last] + after.take(model.cell[last])
         assert np.array_equal(backed.reshape(-1), expected)
 
-    def test_solving_and_simulating_never_build_the_dense_kernel(self):
+    def test_solving_and_simulating_never_build_the_dense_kernel(self, monkeypatch):
+        def never(model, states, columns):
+            raise AssertionError("gathered dense pair rows")
+
+        monkeypatch.setattr(SmdpModel, "pair_rows", never)
         fresh = build_model(small_params(queue_capacity=5))
         solved = value_iteration(fresh)
         grade(fresh, solved)
         monte_carlo_value(fresh, solved.policy, (2, 1), episodes=20, seed=1)
-        assert "kernel" not in fresh.__dict__
 
 
 class TestValueIteration:
@@ -145,8 +143,8 @@ class TestValueIteration:
         for q in range(model.n_q):
             for cog in range(model.n_cog):
                 a = Action(str(solution.policy[q, cog]))
-                reward = model.cell_reward[q * model.n_cog + cog, TIE_ORDER.index(a)]
-                q_value = reward + model.kernel[row_index(model, q, cog, a)] @ flat
+                s, col = q * model.n_cog + cog, TIE_ORDER.index(a)
+                q_value = model.cell_reward[s, col] + model.pair_rows([s], [col])[0] @ flat
                 assert q_value == pytest.approx(
                     solution.values[q, cog], abs=10 * solution.epsilon
                 )
@@ -210,7 +208,7 @@ class TestPolicyEvaluation:
             for cog in range(model.n_cog):
                 s = q * model.n_cog + cog
                 a = Action(str(solution.policy[q, cog]))
-                row = model.kernel[row_index(model, q, cog, a)]
+                row = model.pair_rows([s], [TIE_ORDER.index(a)])[0]
                 rhs = model.reward_table(a)[q, cog] + row @ flat
                 assert flat[s] == pytest.approx(rhs, abs=1e-9)
 
@@ -226,11 +224,25 @@ class TestPolicyEvaluation:
                 s = q * model.n_cog + cog
                 a = Action(str(policy[q, cog]))
                 r_pi[s] = model.reward_table(a)[q, cog]
-                rows[s] = model.kernel[row_index(model, q, cog, a)]
+                rows[s] = model.pair_rows([s], [TIE_ORDER.index(a)])[0]
         v = np.zeros(model.n_states)
         for _ in range(600):
             v = r_pi + rows @ v
         assert direct == pytest.approx(v, abs=1e-8)
+
+    def test_peak_memory_stays_below_the_pair_kernel(self):
+        """Evaluation gathers the policy's rows only: on default, the traced
+        peak stays below the size of the dense kernel of all admitted pairs
+        (3.06 MB), which building every pair's row would pass alone."""
+        model = builtin_config("default").build_model()
+        _, policy = bellman_backup(model, np.zeros((model.n_q, model.n_cog)))
+        tracemalloc.start()
+        try:
+            policy_evaluation(model, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < int(model.admits.sum()) * model.n_states * 8
 
     def test_suboptimal_policy_is_dominated(self, model, solution):
         policy = np.full((model.n_q, model.n_cog), "S", dtype="<U1")
@@ -265,13 +277,11 @@ class TestPolicyEvaluation:
             validate_policy(model, bad)
 
     def test_returns_each_states_kernel_row(self, model, solution):
-        """Each state's column of the (state, action) table, which
-        ``cumsum(admits) - 1`` maps to one of the state's kernel rows."""
+        """Each state's column of the (state, action) table, an admitted
+        cell of the state's row, whose dense row ``pair_rows`` gathers."""
         columns = validate_policy(model, solution.policy)
         assert columns.shape == (model.n_states,)
-        states = np.arange(model.n_states)
-        rows = (np.cumsum(model.admits) - 1).reshape(model.admits.shape)[states, columns]
-        assert np.array_equal(np.nonzero(model.admits)[0][rows], states)
+        assert model.admits[np.arange(model.n_states), columns].all()
         symbols = np.array([a.value for a in TIE_ORDER])[columns]
         assert np.array_equal(symbols, solution.policy.reshape(-1))
 

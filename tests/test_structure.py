@@ -427,7 +427,7 @@ class TestVerifyThresholdStructure:
         report = verify_threshold_structure(
             model, self.make_policy(model), margins=margins
         )
-        assert report.all_threshold
+        assert all(row.is_threshold for row in report.rows)
         assert all(margins.guaranteed)
 
     def test_guaranteed_break_raises(self, model):
@@ -452,7 +452,7 @@ class TestVerifyThresholdStructure:
         report = verify_threshold_structure(
             model, self.make_policy(model, broken_cog=2), margins=margins
         )
-        assert not report.all_threshold
+        assert not all(row.is_threshold for row in report.rows)
         assert not margins.guaranteed[2]
         assert not report.rows[2].is_threshold
 
