@@ -32,7 +32,7 @@ from .errors import (
 )
 from .simulate import EpochRecord, PolicySampler
 from .solver import validate_policy, value_iteration
-from .structure import enforce_guarantee, grade, light_tail_laws
+from .structure import checked_queue_range, enforce_guarantee, grade, light_tail_laws
 from .svgplot import policy_heatmap, value_heatmap
 
 
@@ -225,6 +225,8 @@ def cmd_solve(args):
 
 def cmd_check(args):
     cfg = resolve_config(args.config)
+    # a queue too short for the boundary buffer fails before anything is built
+    checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
     episodes, seed = _sim_settings(cfg, args)
     model = cfg.build_model()
     solution = _solve(cfg, model)
@@ -357,6 +359,7 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg = resolve_config(args.config)
+    checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
     if args.grid is not None:
         rates = check_arrival_rates(
             "--grid", [x for x in args.grid.split(",") if x.strip()]

@@ -76,19 +76,19 @@ def admissible(q, cog_index, grid):
 
 
 def arrival_table(rate, taus, capacity):
-    """Poisson(rate) arrivals W over ``taus[i]`` time units, up to the
-    capacity: ``pmf[i, w]`` is P(W = w) and ``tail[i, r]`` is P(W >= r).
-    From ``start`` tasks the queue moves to ``start + w`` with ``pmf[i, w]``
-    below the capacity and to the capacity with ``tail[i, capacity - start]``.
-    One broadcast covers the (tau, count) grid: the pmf is
-    exp(w log(lam) - log(w!) - lam), and the tail adds one minus its running
-    sum, so every start's row sums to one."""
+    """The capped Poisson(rate) arrivals min(W, capacity) over ``taus[i]``
+    time units: ``table[i, k]`` is P(W = k) below the capacity and
+    P(W >= capacity) at it. From ``start`` tasks the queue moves to
+    min(start + k, capacity) with ``table[i, k]``. One broadcast covers the
+    (tau, count) grid: the pmf is exp(w log(lam) - log(w!) - lam), and the
+    capacity column adds one minus its running sum, so every row sums to
+    one."""
     lam = rate * np.asarray(taus)[:, None]
     w = np.arange(capacity + 1)
     log_factorial = np.array([math.lgamma(x + 1.0) for x in range(capacity + 1)])
-    pmf = np.exp(w * np.log(lam) - log_factorial - lam)
-    tail = pmf + np.clip(1.0 - np.cumsum(pmf, axis=1), 0, 1)
-    return pmf, tail
+    table = np.exp(w * np.log(lam) - log_factorial - lam)
+    table[:, -1] += np.clip(1.0 - np.cumsum(table, axis=1)[:, -1], 0, 1)
+    return table
 
 
 class SmdpModel:
@@ -99,9 +99,9 @@ class SmdpModel:
     ``_build_table``). The kernel is kept factored (``hankel_weights``, one
     column per sojourn law, read through ``hankel_index`` at each pair's
     ``cell``; see ``_build_kernel``); ``pair_rows`` gathers the dense
-    rows of the pairs asked for from the same tables, and no dense kernel
-    is kept. ``service_reward[a]`` is r(a), an epoch's reward before
-    holding costs."""
+    rows of the pairs asked for from ``hankel_weights`` alone, and no
+    dense kernel is kept. ``service_reward[a]`` is r(a), an epoch's reward
+    before holding costs."""
 
     def __init__(self, params):
         self.params = params
@@ -120,11 +120,10 @@ class SmdpModel:
             Action.NORMAL: params.reward_normal,
             Action.HIGH: params.reward_high,
         }
-        (self._taus, self._tau_row, self._tau_discount,
-         self._arrival_pmf, self._arrival_tail) = self._build_arrivals()
-        self.hankel_index, self.hankel_weights, self._tail_weights = self._build_kernel()
+        self._taus, self._tau_row, self._tau_discount, self._arrivals = self._build_arrivals()
+        self.hankel_index, self.hankel_weights = self._build_kernel()
         self.admits, self.cell, self.cell_reward = self._build_table()
-        for table in (self.hankel_index, self.hankel_weights, self._tail_weights,
+        for table in (self.hankel_index, self.hankel_weights,
                       self.admits, self.cell, self.cell_reward):
             table.setflags(write=False)
 
@@ -195,8 +194,8 @@ class SmdpModel:
         boolean array, then ``np.flatnonzero``: no sort, and no
         ``np.unique``, which would import numpy.ma); ``_tau_row``, a dense
         map from a length to its row of ``_taus``; ``_tau_discount``,
-        gamma^tau over those rows; and the ``arrival_table`` pmf and tail
-        over them. All are read-only."""
+        gamma^tau over those rows; and ``_arrivals``, the ``arrival_table``
+        of the capped arrivals over them. All are read-only."""
         laws = self._sojourns.values()
         seen = np.zeros(max(int(pmf.times[-1]) for pmf in laws) + 1, dtype=bool)
         for pmf in laws:
@@ -205,10 +204,10 @@ class SmdpModel:
         tau_row = np.zeros(len(seen), dtype=np.intp)
         tau_row[taus] = np.arange(len(taus))
         discount = self.params.discount**taus
-        pmf, tail = arrival_table(self.params.arrival_rate, taus, self.n_q - 1)
-        for table in (taus, tau_row, discount, pmf, tail):
+        arrivals = arrival_table(self.params.arrival_rate, taus, self.n_q - 1)
+        for table in (taus, tau_row, discount, arrivals):
             table.setflags(write=False)
-        return taus, tau_row, discount, pmf, tail
+        return taus, tau_row, discount, arrivals
 
     def _action_weights(self, a, per_tau):
         """``(lo, hi, W)``: the joint law of an epoch's sojourn and next level
@@ -246,35 +245,27 @@ class SmdpModel:
         s = start_a(q) the tasks left after the epoch's service and
         W_a[tau, c, :] = gamma^tau P(tau|c,a) C_a_tau[c, :], so each action
         takes one weight table W_a, ``_action_weights(a, _tau_discount)``,
-        over the contiguous run of taus its laws use. From start s, B_tau is the arrival pmf shifted by s and the tail
-        P(W >= L - s) at the capacity L, so one product over tau of W_a with
-        the pmf and one with the tail give the block of every start: below
-        the capacity the kernel is block-Toeplitz in the queue.
+        over the contiguous run of taus its laws use. From start s, B_tau
+        moves the queue to min(s + k, L) with ``_arrivals`` at k, so one
+        product over tau of W_a with that table gives the block of every
+        start: below the capacity the kernel is block-Toeplitz in the queue.
 
         The products of every action are stacked, column j for law j of
-        ``_sojourns``; a pair reads its law's column from its start (its
-        ``cell``). ``hankel_weights[(k, c'), col]`` is the pmf product
-        for k < L arrivals and the tail product P(W >= L) at k = L;
-        ``_tail_weights[s, col, c']`` is the tail product P(W >= L - s) from
-        start s. Since P(W >= L - s) = P(L - s <= W < L) + P(W >= L), the
-        row of start s against V is ``hankel_weights`` against the Hankel
-        gather V[min(s + k, L), c'] (``hankel_index``); ``pair_rows``
-        gathers a pair's dense row from the same tables."""
+        ``_sojourns``, so ``hankel_weights[(k, c'), j]`` weighs k capped
+        arrivals and next level c'. Start s reads it against the Hankel
+        gather V[min(s + k, L), c'] (``hankel_index``) at the pair's
+        ``cell``; ``pair_rows`` gathers dense rows by the same clamp."""
         cap = self.n_q - 1
-        moved, full = [], []
+        blocks = []
         for a in ACTIONS:
             lo, hi, weights = self._action_weights(a, self._tau_discount)
-            shape = (self.n_q, *weights.shape[1:])
-            weights = weights.reshape(hi - lo, -1)
-            moved.append((self._arrival_pmf[lo:hi].T @ weights).reshape(shape))
-            full.append((self._arrival_tail[lo:hi].T @ weights).reshape(shape))
-        moved, full = np.concatenate(moved, axis=1), np.concatenate(full, axis=1)
-        hankel = np.concatenate([moved[:cap], full[cap:]]).transpose(0, 2, 1)
+            product = self._arrivals[lo:hi].T @ weights.reshape(hi - lo, -1)
+            blocks.append(product.reshape(self.n_q, *weights.shape[1:]))
+        hankel = np.concatenate(blocks, axis=1).transpose(0, 2, 1)
         start = np.minimum(np.arange(self.n_q)[:, None] + np.arange(self.n_q), cap)
         return (
             (start[:, :, None] * self.n_cog + np.arange(self.n_cog)).reshape(self.n_q, -1),
             hankel.reshape(self.n_states, -1),
-            full[::-1].copy(),
         )
 
     def _build_table(self):
@@ -302,20 +293,22 @@ class SmdpModel:
     def pair_rows(self, states, columns):
         """The dense discounted rows ``(len(states), n_states)`` of the cells
         ``(states[i], columns[i])`` of the (state, action) table, gathered
-        from the factored tables: with (s, j) = divmod(cell, n_laws), the
+        from ``hankel_weights``: with (s, j) = divmod(cell, n_laws), the
         entry at (q', c') is ``hankel_weights[(q' - s, c'), j]`` for
-        s <= q' < L, 0 below s, and ``_tail_weights[s, j, c']`` at the
-        capacity L. Only exact policy evaluation and ``operators`` read
-        dense rows; solving, grading and simulating never do."""
+        s <= q' < L, 0 below s, and at the capacity L the sum of the rows
+        k >= L - s, run from k = L down, which the backup's clamp
+        V[min(s + k, L)] adds. Only exact policy evaluation and ``operators``
+        read dense rows; solving, grading and simulating never do."""
         cap = self.n_q - 1
         start, law = np.divmod(self.cell[states, columns], self.n_laws)
-        # each law's hankel_weights rows after L zero rows, flattened: the
-        # n_states entries from row L - s are start s's row but for its tail
+        moved = self.hankel_weights.reshape(self.n_q, self.n_cog, -1).transpose(2, 0, 1)
+        # each law's rows after L zero rows, flattened: the n_states entries
+        # from row L - s are start s's row but for its capacity entry
         padded = np.zeros((self.n_laws, cap + self.n_q, self.n_cog))
-        padded[:, cap:] = self.hankel_weights.reshape(self.n_q, self.n_cog, -1).transpose(2, 0, 1)
+        padded[:, cap:] = moved
         windows = sliding_window_view(padded.reshape(self.n_laws, -1), self.n_states, axis=1)
         rows = windows[:, :: self.n_cog][law, cap - start]
-        rows[:, cap * self.n_cog :] = self._tail_weights[start, law]
+        rows[:, cap * self.n_cog :] = np.cumsum(moved[:, ::-1], axis=1)[law, start]
         return rows
 
     @property
@@ -381,13 +374,12 @@ class SmdpModel:
     def arrival_law(self):
         """Capped arrivals over every sojourn length, built on first use and
         shared by every sampler of this model: law ``i`` is that of
-        k = min(W, L), W ~ Poisson(rate * taus[i]) and L the capacity (the
-        arrival pmf below L, its tail at L). Outcome k sits at flat position
-        ``start[i] + k``; s tasks left after service become min(s + k, L).
-        The laws are short, so their guides are kept four times finer:
-        Poisson laws of large mean crowd their first bucket."""
-        capped = [self._arrival_pmf[:, :-1], self._arrival_tail[:, -1:]]
-        table = np.cumsum(np.concatenate(capped, axis=1), axis=1)
+        k = min(W, L), W ~ Poisson(rate * taus[i]) and L the capacity: the
+        running sum of row i of ``_arrivals``. Outcome k sits at flat
+        position ``start[i] + k``; s tasks left after service become
+        min(s + k, L). The laws are short, so their guides are kept four
+        times finer: Poisson laws of large mean crowd their first bucket."""
+        table = np.cumsum(self._arrivals, axis=1)
         return SegmentedCdf(table.reshape(-1), np.full(len(self._taus), self.n_q), refine=2)
 
     def moment(self, name, action):

@@ -98,8 +98,8 @@ class EpochLaw:
     law lists its positive-probability outcomes in tau-major order;
     ``cogs[pos]`` is the next level at flat position ``pos``, and
     ``arrival_row[pos]`` is the sojourn's index in the model's sorted taus
-    (the sojourn is ``model._taus[arrival_row[pos]]``), its row of arrival
-    pmf and tail, and its law in ``model.arrival_law``.
+    (the sojourn is ``model._taus[arrival_row[pos]]``), its row of the
+    capped arrival table, and its law in ``model.arrival_law``.
     """
 
     cogs: np.ndarray

@@ -445,6 +445,35 @@ class TestErrors:
         assert "analysis.buffer_fraction must lie in [0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [("check",), ("sweep", "--grid", "0.3,0.5")],
+                             ids=lambda argv: argv[0])
+    def test_queue_too_short_for_the_buffer_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        cfg_file = tmp_path / "short.yaml"
+        cfg_file.write_text("name: x\nqueue: {capacity: 1}\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved a queue too short to grade")
+
+        monkeypatch.setattr("fidelityq.cli.value_iteration", never)
+        out = tmp_path / "out"
+        assert run(*argv, "--config", str(cfg_file), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "queue too short for the requested boundary buffer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve",), ("simulate", "--episodes", "200", "--trajectories", "1"),
+         ("export-moments",)],
+        ids=lambda argv: argv[0],
+    )
+    def test_short_queue_still_solves_simulates_and_exports(self, tmp_path, argv):
+        cfg_file = tmp_path / "short.yaml"
+        cfg_file.write_text("name: x\nqueue: {capacity: 1}\n")
+        assert run(*argv, "--config", str(cfg_file), "--out", str(tmp_path / "out")) == 0
+
     @pytest.mark.parametrize(
         "section, message",
         [

@@ -75,20 +75,21 @@ class TestAdmissible:
             )
 
 
-def start_rows(pmf, tail, start):
+def start_rows(table, start):
     """Next-queue law from ``start`` pending tasks, one row per tau, by the
-    shift rule: ``start + w`` with ``pmf[:, w]`` below the capacity, and the
-    capacity with ``tail[:, capacity - start]``."""
-    capacity = pmf.shape[1] - 1
+    clamp min(start + k, capacity): ``start + k`` with ``table[:, k]`` below
+    the capacity, and the capacity with the running sum of the table's last
+    columns k = capacity down to capacity - start."""
+    capacity = table.shape[1] - 1
     room = capacity - start
-    rows = np.zeros_like(pmf)
-    rows[:, start:capacity] = pmf[:, :room]
-    rows[:, capacity] = tail[:, room]
+    rows = np.zeros_like(table)
+    rows[:, start:capacity] = table[:, :room]
+    rows[:, capacity] = np.cumsum(table[:, ::-1], axis=1)[:, start]
     return rows
 
 
 def table_row(start, tau, rate, capacity):
-    return start_rows(*arrival_table(rate, [tau], capacity), start)[0]
+    return start_rows(arrival_table(rate, [tau], capacity), start)[0]
 
 
 def queue_marginal(model, q, cog, a):
@@ -107,11 +108,11 @@ class TestArrivalTable:
     )
     def test_matches_scalar_reference(self, rate, taus, capacity):
         # the worst gap seen over 400 draws of these ranges was 3.3e-15
-        pmf, tail = arrival_table(rate, taus, capacity)
-        assert pmf.shape == tail.shape == (len(taus), capacity + 1)
+        table = arrival_table(rate, taus, capacity)
+        assert table.shape == (len(taus), capacity + 1)
         for start in range(capacity + 1):
             expected = oracle.arrival_rows(rate, taus, start, capacity)
-            got = start_rows(pmf, tail, start)
+            got = start_rows(table, start)
             assert np.abs(got - expected).max() <= 1e-14, start
 
 
@@ -360,12 +361,11 @@ class TestSupport:
         assert shipped[1]._taus.tolist() == sorted(union)
 
     def test_arrival_law_is_stored_once(self, shipped):
-        """One read-only pmf row and one tail row per sojourn length, no
-        copy per start length."""
+        """One read-only row of capped arrivals per sojourn length, no copy
+        per start length."""
         model = shipped[1]
-        for table in (model._arrival_pmf, model._arrival_tail):
-            assert table.shape == (len(model._taus), model.n_q)
-            assert not table.flags.writeable
+        assert model._arrivals.shape == (len(model._taus), model.n_q)
+        assert not model._arrivals.flags.writeable
 
 
 def assert_row_sums_equal_transform(model):
@@ -415,11 +415,13 @@ class TestOperators:
 
     def test_kernel_is_read_only_and_contiguous(self, model):
         """The factored tables are read-only; a gathered row block is a
-        fresh contiguous array, and no dense kernel is kept."""
+        fresh contiguous array, and neither a dense kernel nor a second
+        table of capacity weights is kept."""
         assert model.pair_rows(*np.nonzero(model.admits)).flags.c_contiguous
         assert not hasattr(model, "kernel")
+        assert not hasattr(model, "_tail_weights")
         for table in (model.admits, model.cell, model.cell_reward,
-                      model.hankel_index, model.hankel_weights, model._tail_weights):
+                      model.hankel_index, model.hankel_weights):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -488,8 +490,9 @@ def scattered_rows(model):
     """The dense rows of every admitted cell, in row-major order, scattered
     start by start from the factored tables: the reference for the gather
     of ``pair_rows``. From start s, the row is 0 below s, the law's
-    ``hankel_weights`` rows k = 0..L-1-s at queues s..L-1 and the tail from
-    s at the capacity L."""
+    ``hankel_weights`` rows k = 0..L-1-s at queues s..L-1 and, at the
+    capacity L, its rows k = L down to L - s added one at a time: every
+    k whose clamp V[min(s + k, L)] reads the capacity."""
     cap = model.n_q - 1
     moved = model.hankel_weights.reshape(model.n_q, model.n_cog, -1)
     start, law = np.divmod(model.cell[model.admits], model.n_laws)
@@ -498,7 +501,10 @@ def scattered_rows(model):
         picked = np.flatnonzero(start == s)
         cols = law[picked]
         rows[picked, s:cap] = moved[: cap - s, :, cols].transpose(2, 0, 1)
-        rows[picked, cap] = model._tail_weights[s, cols]
+        full = moved[cap]
+        for k in range(cap - 1, cap - s - 1, -1):
+            full = full + moved[k]
+        rows[picked, cap] = full[:, cols].T
     return rows.reshape(len(law), model.n_states)
 
 
@@ -581,14 +587,13 @@ class TestFactoredKernel:
 
 
 def per_law_weights(model):
-    """``(hankel_weights, _tail_weights)`` assembled law by law, the reference
-    for the per-action assembly: each law finds its taus in ``_taus`` by
+    """``hankel_weights`` assembled law by law, the reference for the
+    per-action assembly: each law finds its taus in ``_taus`` by
     ``searchsorted``, takes gamma^tau as a power and writes its rows of the
-    action's weight table through the oracle's ``level_rows``. The two
-    products per action then run on the same inputs."""
+    action's weight table through the oracle's ``level_rows``. The one
+    product per action then runs on the same inputs."""
     gamma = model.params.discount
-    cap = model.n_q - 1
-    moved, full = [], []
+    products = []
     for a in ACTIONS:
         laws = []
         for cog in range(model.n_cog):
@@ -603,12 +608,10 @@ def per_law_weights(model):
         for i, (cog, times, w, rows) in enumerate(laws):
             weights[rows - lo, i, :] = w[:, None] * oracle.level_rows(model, a, times, cog)
         weights = weights.reshape(hi - lo, len(laws) * model.n_cog)
-        shape = (model.n_q, len(laws), model.n_cog)
-        moved.append((model._arrival_pmf[lo:hi].T @ weights).reshape(shape))
-        full.append((model._arrival_tail[lo:hi].T @ weights).reshape(shape))
-    moved, full = np.concatenate(moved, axis=1), np.concatenate(full, axis=1)
-    hankel = np.concatenate([moved[:cap], full[cap:]]).transpose(0, 2, 1)
-    return hankel.reshape(model.n_states, -1), full[::-1]
+        product = model._arrivals[lo:hi].T @ weights
+        products.append(product.reshape(model.n_q, len(laws), model.n_cog))
+    hankel = np.concatenate(products, axis=1).transpose(0, 2, 1)
+    return hankel.reshape(model.n_states, -1)
 
 
 def searchsorted_epoch_law(model):
@@ -652,9 +655,7 @@ class TestActionAssembly:
             assert not table.flags.writeable
 
     def test_weights_equal_the_per_law_loop(self, assembled):
-        hankel, tail = per_law_weights(assembled)
-        assert np.array_equal(assembled.hankel_weights, hankel)
-        assert np.array_equal(assembled._tail_weights, tail)
+        assert np.array_equal(assembled.hankel_weights, per_law_weights(assembled))
 
     def test_table_sums_to_one_and_to_the_transform(self, assembled):
         """Each law's column of the per-action table sums, over tau and the

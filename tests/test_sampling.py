@@ -207,15 +207,14 @@ def test_model_laws_invert_exactly_at_every_breakpoint(name):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_arrival_law_is_the_start_0_rows(name):
     """Law i of ``arrival_law`` is the next-queue row from an empty queue
-    over ``taus[i]``, cumulated: the arrival pmf below the capacity and its
-    tail at the capacity, the law of the capped arrivals."""
+    over ``taus[i]``, cumulated: row i of the model's one table of capped
+    arrivals, P(W = k) below the capacity and P(W >= L) at it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = resolve_config(name).build_model()
     law = model.arrival_law
     np.testing.assert_array_equal(law.end - law.start, np.full(len(model._taus), model.n_q - 1))
-    for i, (pmf, tail) in enumerate(zip(model._arrival_pmf, model._arrival_tail)):
-        row = np.append(pmf[:-1], tail[-1])
+    for i, row in enumerate(model._arrivals):
         cdf = law.table[law.start[i] : law.end[i] + 1]
         np.testing.assert_array_equal(cdf[:-1], np.cumsum(row)[:-1])
         assert cdf[-1] == np.inf
