@@ -5,16 +5,23 @@ into model parameters, ``model`` assembles the decision process,
 ``solver`` computes the optimal policy, ``structure.grade`` grades it, and
 ``simulate`` cross-checks values by Monte Carlo. The names re-exported
 here cover the common path; everything else is importable from its
-submodule.
+submodule. The numerical names, and numpy with them, load on first
+access (PEP 562), so resolving a config loads no numpy.
 """
+
+import importlib
 
 from .actions import ACTIONS, Action
 from .config import available_configs, builtin_config, load_config, resolve_config
 from .errors import FidelityQError
-from .model import build_model
-from .simulate import monte_carlo_value
-from .solver import policy_evaluation, validate_policy, value_iteration
-from .structure import dominance_margins, grade, verify_threshold_structure
+
+# each name that loads on first access, and the submodule it comes from
+_LAZY = {
+    "build_model": "model",
+    "monte_carlo_value": "simulate",
+    **dict.fromkeys(("policy_evaluation", "validate_policy", "value_iteration"), "solver"),
+    **dict.fromkeys(("dominance_margins", "grade", "verify_threshold_structure"), "structure"),
+}
 
 __all__ = [
     "ACTIONS",
@@ -33,3 +40,13 @@ __all__ = [
     "value_iteration",
     "verify_threshold_structure",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

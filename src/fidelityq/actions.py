@@ -36,6 +36,17 @@ DECREMENT = {
 
 ACTIONS = tuple(Action)
 
+# Per-unit-time drift rates of the cognitive chain; multiplied by the step
+# scale to obtain per-step probabilities. Waiting and resting relax the
+# state downward, servicing pushes it upward, high fidelity harder than
+# normal. Its keys are the actions that move the chain.
+UNIT_RATES = {
+    Action.WAIT: (0.02, 0.5),
+    Action.REST: (0.02, 0.5),
+    Action.NORMAL: (0.6, 0.02),
+    Action.HIGH: (1.1, 0.02),
+}
+
 
 def from_symbol(symbol):
     """Map a one-letter symbol back to an Action."""

@@ -11,19 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import Action
+from .actions import UNIT_RATES, Action
 from .errors import InadmissibleRestError, InvalidRatesError, TailMassError
-
-# Per-unit-time drift rates; multiplied by the step scale to obtain per-step
-# probabilities. Waiting and resting relax the state downward, servicing
-# pushes it upward, high fidelity harder than normal. Its keys are the
-# actions that move the chain.
-UNIT_RATES = {
-    Action.WAIT: (0.02, 0.5),
-    Action.REST: (0.02, 0.5),
-    Action.NORMAL: (0.6, 0.02),
-    Action.HIGH: (1.1, 0.02),
-}
 
 FPT_TAIL_TOL = 1e-6
 

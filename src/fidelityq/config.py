@@ -19,11 +19,18 @@ from importlib import resources
 
 import yaml
 
-from .actions import Action
-from .cogchain import UNIT_RATES, ChainRates, CogGrid
+from .actions import UNIT_RATES, Action
 from .errors import ConfigError
-from .model import ModelParams, build_model
-from .sojourn import MAX_SUPPORT, SERVICE_FAMILIES, ServiceFamily, wait_support
+
+# The sojourn laws' config-time rules live here, so a config resolves
+# without numpy; ``sojourn`` imports them. TRUNCATION_TOL is the tail mass a
+# truncated wait or neg-binomial law may drop. MAX_SUPPORT is the most points
+# a law may have (the shipped configs reach 3,200) and, with skip.duration
+# held to it, the longest sojourn: the tau layer has at most MAX_SUPPORT + 1.
+TRUNCATION_TOL = 1e-6
+MAX_SUPPORT = 10_000
+
+SERVICE_FAMILIES = ("beta-binomial", "neg-binomial")
 
 DEFAULTS = {
     "name": "default",
@@ -80,6 +87,27 @@ DEFAULTS = {
 _CHAIN_NAMES = {a.name.lower(): a for a in UNIT_RATES}
 
 _FIDELITY_NAMES = {"normal": Action.NORMAL, "high": Action.HIGH}
+
+
+def _check_support(what, support):
+    """Refuse a law of over ``MAX_SUPPORT`` points before allocating it."""
+    if support > MAX_SUPPORT:
+        raise ValueError(f"{what} needs {support} support points, over {MAX_SUPPORT}")
+
+
+def wait_support(arrival_rate):
+    """Points of the wait law at ``arrival_rate``: the support whose
+    truncated geometric tail falls below the truncation tolerance. Raises
+    ``ValueError`` over ``MAX_SUPPORT`` points, or when the chance of an
+    arrival per step rounds to 0 or 1, so a rate can be refused before any
+    law is built."""
+    p = 1.0 - math.exp(-arrival_rate)
+    # p rounds to 0 below ~1e-16 arrivals per step and to 1 above ~37
+    if not 0 < p < 1:
+        raise ValueError("arrival probability per step must be in (0,1)")
+    support = max(1, math.ceil(math.log(TRUNCATION_TOL) / math.log1p(-p)))
+    _check_support(f"the wait law at arrival rate {arrival_rate!r}", support)
+    return support
 
 
 def _is_integer(x):
@@ -202,6 +230,9 @@ class RunConfig:
     def model_params(self, arrival_rate=None):
         """Assemble model parameters; ``arrival_rate`` overrides the
         configured one (used by sweeps)."""
+        from .cogchain import ChainRates, CogGrid
+        from .model import ModelParams
+        from .sojourn import ServiceFamily
         d = self.data
         cognition, service, economics = d["cognition"], d["service"], d["economics"]
         lam = d["queue"]["arrival_rate"] if arrival_rate is None else arrival_rate
@@ -232,6 +263,12 @@ class RunConfig:
 
     def build_model(self, arrival_rate=None):
         return build_model(self.model_params(arrival_rate))
+
+
+def build_model(params):
+    """``model.build_model``, imported on first use: a config loads no numpy."""
+    from . import model
+    return model.build_model(params)
 
 
 def config_digest(data):
@@ -316,9 +353,11 @@ def _check_ranges(data):
         raise ConfigError(
             f"analysis.buffer_fraction must lie in [0, 1), got {buffer_fraction!r}"
         )
-    support = data["service"]["support"]
-    if support > MAX_SUPPORT:
-        raise ConfigError(f"service.support must be at most {MAX_SUPPORT}, got {support}")
+    # a skip lasts skip.duration steps, the longest sojourn of its law
+    for key, value in (("service.support", data["service"]["support"]),
+                       ("skip.duration", data["skip"]["duration"])):
+        if value > MAX_SUPPORT:
+            raise ConfigError(f"{key} must be at most {MAX_SUPPORT}, got {value}")
     epsilon, max_sweeps = data["solver"]["epsilon"], data["solver"]["max_sweeps"]
     if not 0 < epsilon < math.inf:
         raise ConfigError(f"solver.epsilon must be positive and finite, got {epsilon!r}")

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .actions import ACTIONS, DECREMENT, TIE_ORDER, Action
-from .cogchain import UNIT_RATES, build_step_matrix, step_powers
+from .actions import ACTIONS, DECREMENT, TIE_ORDER, UNIT_RATES, Action
+from .cogchain import build_step_matrix, step_powers
 from .errors import InadmissibleRestError
 from .sampling import EpochLaw, SegmentedCdf
 from .sojourn import rest_pmf, service_pmf, skip_pmf, wait_pmf
@@ -173,10 +173,13 @@ class SmdpModel:
         mu1 = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
         mu2 = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
         transform = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
+        # levels share the wait and skip laws: one transform per law object
+        laws = {id(pmf): pmf for pmf in self._sojourns.values()}
+        by_law = {key: pmf.discount_transform(self.params.discount) for key, pmf in laws.items()}
         for (cog, a), pmf in self._sojourns.items():
             mu1[a][cog] = pmf.mean
             mu2[a][cog] = pmf.second_moment
-            transform[a][cog] = pmf.discount_transform(self.params.discount)
+            transform[a][cog] = by_law[id(pmf)]
         return {"mu1": mu1, "mu2": mu2, "transform": transform}
 
     def _build_powers(self):

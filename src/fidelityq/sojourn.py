@@ -13,14 +13,10 @@ import numpy as np
 
 from .actions import Action
 from .cogchain import fpt_pmf, mean_first_passage
+from .config import MAX_SUPPORT, SERVICE_FAMILIES, TRUNCATION_TOL, _check_support, wait_support
 from .errors import SupportTooSmallError, TailMassError
 
-TRUNCATION_TOL = 1e-6
 MEAN_REL_TOL = 5e-3
-# the most points a sojourn law may have (the shipped configs reach 3,200)
-MAX_SUPPORT = 10_000
-
-SERVICE_FAMILIES = ("beta-binomial", "neg-binomial")
 
 
 @dataclass(frozen=True)
@@ -221,27 +217,6 @@ def service_pmf(family, grid, cog_index, action):
 def skip_pmf(skip_time):
     """Point mass at the fixed skip duration."""
     return SojournPMF(times=np.array([skip_time]), probs=np.array([1.0]))
-
-
-def _check_support(what, support):
-    """Refuse a law of over ``MAX_SUPPORT`` points before allocating it."""
-    if support > MAX_SUPPORT:
-        raise ValueError(f"{what} needs {support} support points, over {MAX_SUPPORT}")
-
-
-def wait_support(arrival_rate):
-    """Points of the wait law at ``arrival_rate``: the support whose
-    truncated geometric tail falls below the truncation tolerance. Raises
-    ``ValueError`` over ``MAX_SUPPORT`` points, or when the chance of an
-    arrival per step rounds to 0 or 1, so a rate can be refused before any
-    law is built."""
-    p = 1.0 - math.exp(-arrival_rate)
-    # p rounds to 0 below ~1e-16 arrivals per step and to 1 above ~37
-    if not 0 < p < 1:
-        raise ValueError("arrival probability per step must be in (0,1)")
-    support = max(1, math.ceil(math.log(TRUNCATION_TOL) / math.log1p(-p)))
-    _check_support(f"the wait law at arrival rate {arrival_rate!r}", support)
-    return support
 
 
 def wait_pmf(arrival_rate):

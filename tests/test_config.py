@@ -164,6 +164,15 @@ class TestMerge:
         ):
             from_mapping({"service": {"support": MAX_SUPPORT + 1}})
 
+    def test_skip_duration_is_bounded(self):
+        # the model's sojourn-length map is as long as the longest sojourn,
+        # so a skip past the bound is refused before anything is built
+        assert from_mapping({"skip": {"duration": MAX_SUPPORT}})
+        with pytest.raises(
+            ConfigError, match=f"^skip.duration must be at most {MAX_SUPPORT}, got 10001$"
+        ):
+            from_mapping({"skip": {"duration": MAX_SUPPORT + 1}})
+
     def test_simulation_settings_accepted(self):
         cfg = from_mapping(
             {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2,

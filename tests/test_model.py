@@ -27,7 +27,7 @@ from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
 from fidelityq.model import admissible, arrival_table, build_model
 from fidelityq.sampling import SegmentedCdf
-from fidelityq.sojourn import ServiceFamily
+from fidelityq.sojourn import ServiceFamily, SojournPMF
 from small_model import small_params
 
 # this module's small model: capacity 6, and its own service family
@@ -677,6 +677,30 @@ class TestActionAssembly:
         assert np.array_equal(law.arrival_row, rows)
         for name in ("table", "guide", "guide_start", "buckets"):
             assert np.array_equal(getattr(law.cdf, name), getattr(cdf, name)), name
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_each_distinct_law_is_transformed_once(name, monkeypatch):
+    """Every level shares one wait law and one skip law, so the moment
+    tables take one discount transform per law object, and the table is
+    bit-equal to one transform per (level, action)."""
+    calls = []
+    transform = SojournPMF.discount_transform
+
+    def counted(pmf, discount):
+        calls.append(pmf)
+        return transform(pmf, discount)
+
+    monkeypatch.setattr(SojournPMF, "discount_transform", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = builtin_config(name).build_model()
+    monkeypatch.undo()
+    laws = model._sojourns
+    assert len(calls) == len({id(pmf) for pmf in laws.values()}) < len(laws)
+    for (cog, a), pmf in laws.items():
+        got = model.moment("transform", a)[cog]
+        assert got == pmf.discount_transform(model.params.discount), (cog, a)
 
 
 class TestDiagnostics:
