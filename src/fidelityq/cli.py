@@ -189,8 +189,6 @@ def cmd_solve(args):
         rows,
     )
     write_policy_csv(os.path.join(out, "policy.csv"), solution.policy, comments)
-    # NaN after a single sweep; JSON has no NaN, so it is written as null
-    contraction = float(solution.contraction_estimate)
     _write_json(
         os.path.join(out, "convergence.json"),
         {
@@ -199,7 +197,6 @@ def cmd_solve(args):
             "sweeps": int(solution.sweeps),
             "residual": float(solution.residual),
             "converged": bool(solution.converged),
-            "contraction_estimate": contraction if np.isfinite(contraction) else None,
             "n_states": int(model.n_q * model.n_cog),
         },
     )

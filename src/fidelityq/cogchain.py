@@ -184,18 +184,15 @@ def _transient_blocks(step, grid):
     return q_block, absorb
 
 
-def mean_first_passage(step, grid, cog_index):
-    """Exact mean first-passage time from ``cog_index`` down to the resting
-    level, via the standard linear system (I - Q) m = 1 over the transient
-    block."""
-    if cog_index <= grid.star_index:
-        raise InadmissibleRestError(
-            "first-passage time is defined only from above the resting level"
-        )
+def mean_first_passage(step, grid):
+    """Exact mean first-passage times down to the resting level from every
+    level, one solve of (I - Q) m = 1 over the transient block: an
+    ``(n_levels,)`` array, NaN at and below the resting level."""
     q_block, _ = _transient_blocks(step, grid)
     k = q_block.shape[0]
-    means = np.linalg.solve(np.eye(k) - q_block, np.ones(k))
-    return float(means[cog_index - (grid.star_index + 1)])
+    means = np.full(grid.n_levels, np.nan)
+    means[grid.star_index + 1 :] = np.linalg.solve(np.eye(k) - q_block, np.ones(k))
+    return means
 
 
 def fpt_pmf(step, grid, cog_index, t_cap):

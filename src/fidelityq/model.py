@@ -19,7 +19,7 @@ from .actions import ACTIONS, DECREMENT, TIE_ORDER, UNIT_RATES, Action
 from .cogchain import build_step_matrix, step_powers
 from .errors import InadmissibleRestError
 from .sampling import EpochLaw, SegmentedCdf
-from .sojourn import rest_pmf, service_pmf, skip_pmf, wait_pmf
+from .sojourn import rest_caps, rest_pmf, service_pmf, skip_pmf, wait_pmf
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ class SmdpModel:
         self.steps = {a: build_step_matrix(self.grid, params.rates, a) for a in UNIT_RATES}
         self._sojourns = self._build_sojourns()
         self.n_laws = len(self._sojourns)
-        self._moments = self._build_moment_tables()
         self.powers = self._build_powers()
         self.service_reward = {
             **dict.fromkeys(ACTIONS, 0.0),
@@ -121,6 +120,7 @@ class SmdpModel:
             Action.HIGH: params.reward_high,
         }
         self._taus, self._tau_row, self._tau_discount, self._arrivals = self._build_arrivals()
+        self._moments = self._build_moment_tables()
         self.hankel_index, self.hankel_weights = self._build_kernel()
         self.admits, self.cell, self.cell_reward = self._build_table()
         for table in (self.hankel_index, self.hankel_weights,
@@ -150,6 +150,8 @@ class SmdpModel:
         ``hankel_weights`` and segment j of ``epoch_law``."""
         grid, params = self.grid, self.params
         rest_step = self.steps[Action.REST]
+        # every rest cap is checked before the first first-passage ladder
+        caps = rest_caps(rest_step, grid, params.rest_cap_factor)
         # the wait and skip laws do not depend on the level: every level
         # shares one (read-only) law of each
         wait, skip = wait_pmf(params.arrival_rate), skip_pmf(params.skip_time)
@@ -163,23 +165,22 @@ class SmdpModel:
                 elif a is Action.SKIP:
                     table[(cog, a)] = skip
                 elif a is Action.REST:
-                    table[(cog, a)] = rest_pmf(rest_step, grid, cog,
-                                               cap_factor=params.rest_cap_factor)
+                    table[(cog, a)] = rest_pmf(rest_step, grid, cog, caps[cog])
                 else:
                     table[(cog, a)] = service_pmf(params.service, grid, cog, a)
         return table
 
     def _build_moment_tables(self):
+        """Per-action ``(n_cog,)`` tables of the laws' moments and discount
+        transforms (NaN where there is no law); a transform reads gamma^tau
+        off ``_tau_discount`` and sums over ``support`` as the moments do."""
         mu1 = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
         mu2 = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
         transform = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
-        # levels share the wait and skip laws: one transform per law object
-        laws = {id(pmf): pmf for pmf in self._sojourns.values()}
-        by_law = {key: pmf.discount_transform(self.params.discount) for key, pmf in laws.items()}
         for (cog, a), pmf in self._sojourns.items():
-            mu1[a][cog] = pmf.mean
-            mu2[a][cog] = pmf.second_moment
-            transform[a][cog] = by_law[id(pmf)]
+            times, probs = pmf.support
+            mu1[a][cog], mu2[a][cog] = pmf.mean, pmf.second_moment
+            transform[a][cog] = (probs * self._tau_discount[self._tau_row[times]]).sum()
         return {"mu1": mu1, "mu2": mu2, "transform": transform}
 
     def _build_powers(self):

@@ -25,13 +25,14 @@ error, and ``PolicySampler.run_episode`` runs one episode through it and
 keeps every epoch as a record for export.
 
 Each episode carries its discount gamma^zeta and retires from the batch at
-the first epoch start n where gamma^zeta_n <= beta^H, or at n = H, where H
-is the batch's ``horizon_epochs`` and beta = ``model.max_discount_transform``
-is the largest E[gamma^tau] over admissible pairs. Its return is the sum
-over the epochs it ran, and later epochs draw uniforms only for the
-episodes still live. The retirement epoch T is a stopping time, so the
-dropped tail has conditional mean gamma^zeta_T * V(s_T) given the past,
-with |V| <= scale = reward_ceiling / (1 - beta). An episode retired by the
+the first epoch start n where gamma^zeta_n <= beta^H (1 - 2^-30), or at
+n = H, where H is the batch's ``horizon_epochs`` and
+beta = ``model.max_discount_transform`` is the largest E[gamma^tau] over
+admissible pairs (``RETIRE_BELOW``). Its return is the sum over the epochs
+it ran, and later epochs draw uniforms only for the episodes still live.
+The retirement epoch T is a stopping time, so the dropped tail has
+conditional mean gamma^zeta_T * V(s_T) given the past, with
+|V| <= scale = reward_ceiling / (1 - beta). An episode retired by the
 rule has gamma^zeta_T <= beta^H; one that reaches the cap has
 E[gamma^zeta_H] <= beta^H, since each epoch multiplies the expected
 discount by at most beta. So the truncation bias is at most
@@ -54,6 +55,10 @@ from .solver import validate_policy
 DEFAULT_PILOT_EPISODES = 256
 DEFAULT_BIAS_RATIO = 0.1
 MAX_HORIZON_EPOCHS = 20_000
+# the retirement floor is beta^H * RETIRE_BELOW: where a skip of t_s sets
+# beta = gamma^t_s, an episode at zeta = H t_s ties beta^H exactly, and a gap
+# far above the rounding of H <= 20,000 factors keeps it live on every CPU
+RETIRE_BELOW = 1.0 - 2.0**-30
 
 EpochRecord = namedtuple(
     "EpochRecord", ["epoch", "time", "q", "cog", "action", "tau", "arrivals", "reward"]
@@ -159,7 +164,7 @@ class PolicySampler:
         law = model.epoch_law
         arrival_law = model.arrival_law
         cap = model.n_q - 1
-        floor = model.max_discount_transform**horizon_epochs
+        floor = model.max_discount_transform**horizon_epochs * RETIRE_BELOW
         episodes = len(totals)
         run = np.arange(episodes)  # each live run's slot in totals
         q = np.full(episodes, start[0], dtype=np.int64)

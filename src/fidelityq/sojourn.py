@@ -65,16 +65,13 @@ class SojournPMF:
         for array in support:
             array.setflags(write=False)
         object.__setattr__(self, "support", support)
-        t = times.astype(np.float64)
-        object.__setattr__(self, "mean", float(probs @ t))
-        object.__setattr__(self, "second_moment", float(probs @ (t * t)))
+        # numpy's pairwise sum, not a BLAS dot whose order varies by CPU
+        t = support[0].astype(np.float64)
+        object.__setattr__(self, "mean", float((support[1] * t).sum()))
+        object.__setattr__(self, "second_moment", float((support[1] * (t * t)).sum()))
         object.__setattr__(
             self, "variance", max(self.second_moment - self.mean**2, 0.0)
         )
-
-    def discount_transform(self, discount):
-        """E[discount^tau], an exact finite sum over the support."""
-        return float(self.probs @ np.power(discount, self.times.astype(np.float64)))
 
 
 def _trim_trailing(times, probs):
@@ -154,15 +151,15 @@ def _neg_binomial_pmf(mean, shape, support):
         )
     p = r / mean
     ks = np.arange(r, support + 1)
-    # f(j) = C(j+r-1, r-1) p^r (1-p)^j over j = k - r failures, in logs; the
-    # binomial coefficient is the sum of log(1 + j/i) over 0 < i < r. Each
-    # point is evaluated on its own from the absolute log f(0) = r log p, so
-    # 1 - probs.sum() is the mass beyond the support
-    j = (ks - r).astype(np.float64)
-    log_pmf = r * math.log(p) + j * math.log1p(-p)
-    for i in range(1, r):
-        log_pmf += np.log1p(j / i)
-    probs = np.exp(log_pmf)
+    # f(0) = p^r, f(j) = f(j-1) (1-p) (j+r-1) / j over j = k - r failures:
+    # one running product with no exp or log, whose last bits vary with the
+    # CPU's SIMD kernels; 1 - probs.sum() is the mass beyond the support
+    first = p**r
+    if first < np.finfo(float).tiny:
+        raise SupportTooSmallError(f"neg-binomial shape {r} at mean {mean:.3f} "
+                                   "underflows p^r; lower the dispersion")
+    j = np.arange(1, len(ks), dtype=np.float64)
+    probs = np.multiply.accumulate(np.concatenate(([first], (1.0 - p) * (j + (r - 1)) / j)))
     tail = 1.0 - probs.sum()
     if tail > TRUNCATION_TOL:
         raise TailMassError(
@@ -240,13 +237,21 @@ def wait_pmf(arrival_rate):
     return SojournPMF(times=ks, probs=probs, truncated_mass=tail)
 
 
-def rest_pmf(step, grid, cog_index, cap_factor):
+def rest_caps(step, grid, cap_factor):
+    """{level: truncation point} of the rest law from each level above the
+    resting level, max(1, ceil(cap_factor * mean first passage)), from one
+    solve; each is checked against the support bound, lowest level first."""
+    means = mean_first_passage(step, grid)
+    caps = {}
+    for cog in range(grid.star_index + 1, grid.n_levels):
+        caps[cog] = max(1, int(np.ceil(cap_factor * means[cog])))
+        _check_support(f"the rest law from level {cog}", caps[cog])
+    return caps
+
+
+def rest_pmf(step, grid, cog_index, t_cap):
     """Rest sojourn: first-passage time of the resting chain down to the
-    resting level, truncated at ``cap_factor`` times its exact mean."""
-    mean = mean_first_passage(step, grid, cog_index)
-    t_cap = max(1, int(np.ceil(cap_factor * mean)))
-    _check_support(f"the rest law from level {cog_index}", t_cap)
+    resting level, truncated at ``t_cap`` (its ``rest_caps`` entry)."""
     probs, tail = fpt_pmf(step, grid, cog_index, t_cap)
-    times = np.arange(1, t_cap + 1)
-    times, probs = _trim_trailing(times, probs)
+    times, probs = _trim_trailing(np.arange(1, t_cap + 1), probs)
     return SojournPMF(times=times, probs=probs, truncated_mass=tail)

@@ -32,13 +32,6 @@ class ValuePolicyTable:
     epsilon: float
     residual_history: list = field(default_factory=list)
 
-    @property
-    def contraction_estimate(self):
-        h = self.residual_history
-        if len(h) < 2 or h[-2] == 0:
-            return float("nan")
-        return h[-1] / h[-2]
-
 
 def bellman_backup(model, values):
     """One synchronous optimality backup over the model's factored kernel:

@@ -307,14 +307,13 @@ def dominance_margins(model, bound_report=None):
     rows = []
     for cog in range(model.n_cog):
         chain = queue_actions(cog, model.grid)
-        # skipping takes exactly t_s; every other action its level's law
-        mean = {**{a: mu1[a][cog] for a in chain}, Action.SKIP: t_s}
-        exact = {**{a: tr[a][cog] for a in chain}, Action.SKIP: gamma**t_s}
+        mean = {a: mu1[a][cog] for a in chain}
+        exact = {a: tr[a][cog] for a in chain}
         bonus = t_s * gamma ** mean[Action.HIGH] / (1.0 - gamma**t_max)
         # one switch per neighbouring pair of the chain, keyed by its faster action
         gap = {lo: mean[hi] - mean[lo] for lo, hi in zip(chain, chain[1:])}
         margin = {lo: gap[lo] + bonus - pressure * exact[lo] for lo in gap}
-        combined = min(gap.values()) + bonus - pressure * max(tr[a][cog] for a in chain)
+        combined = min(gap.values()) + bonus - pressure * max(exact.values())
         rest = Action.REST in chain
         rows.append(
             {

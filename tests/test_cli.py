@@ -124,8 +124,8 @@ class TestSolve:
         assert (out / "value.csv").is_file()
 
     def test_single_sweep_writes_valid_json(self, tmp_path):
-        # one sweep leaves no contraction estimate; it is written as null,
-        # never as a bare NaN that JSON parsers reject
+        # after one sweep every key is still a finite number or a flag:
+        # no bare NaN that JSON parsers reject
         tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
         cfg_file = tmp_path / "coarse.yaml"
         cfg_file.write_text(tiny.replace("epsilon: 1.0e-10", "epsilon: 100"))
@@ -137,7 +137,9 @@ class TestSolve:
 
         payload = json.loads((out / "convergence.json").read_text(), parse_constant=reject)
         assert payload["sweeps"] == 1
-        assert payload["contraction_estimate"] is None
+        assert sorted(payload) == [
+            "config", "converged", "epsilon", "n_states", "residual", "sweeps"
+        ]
 
 
 class TestCheck:

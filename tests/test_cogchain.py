@@ -39,8 +39,8 @@ GRID = CogGrid(n_intervals=10, star_index=6)
 
 
 def default_cap(step, start, factor=50):
-    """``rest_pmf``'s truncation point: ``factor`` times the exact mean."""
-    return max(1, int(np.ceil(factor * mean_first_passage(step, GRID, start))))
+    """``rest_caps``' truncation point: ``factor`` times the exact mean."""
+    return max(1, int(np.ceil(factor * mean_first_passage(step, GRID)[start])))
 
 
 class TestStepMatrix:
@@ -300,7 +300,7 @@ class TestFirstPassage:
             cap = default_cap(step, start)
             probs, _ = fpt_pmf(step, GRID, start, cap)
             pmf_mean = float(np.arange(1, cap + 1) @ probs)
-            exact = mean_first_passage(step, GRID, start)
+            exact = mean_first_passage(step, GRID)[start]
             assert pmf_mean == pytest.approx(exact, rel=1e-6)
 
     def test_matches_monte_carlo(self):
@@ -308,7 +308,7 @@ class TestFirstPassage:
         start = GRID.n_levels - 1
         n_runs = 100_000
         times = simulate_first_passage(step, start, GRID.star_index, n_runs, seed=7)
-        exact = mean_first_passage(step, GRID, start)
+        exact = mean_first_passage(step, GRID)[start]
         se = times.std(ddof=1) / np.sqrt(n_runs)
         assert abs(times.mean() - exact) < 3 * se
 
@@ -327,10 +327,7 @@ class TestFirstPassage:
 
     def test_mean_nondecreasing_in_start_level(self):
         step = build_step_matrix(GRID, make_rates(), Action.REST)
-        means = [
-            mean_first_passage(step, GRID, start)
-            for start in range(GRID.star_index + 1, GRID.n_levels)
-        ]
+        means = mean_first_passage(step, GRID)[GRID.star_index + 1 :]
         assert all(b > a for a, b in zip(means, means[1:]))
 
     def test_support_and_normalization(self):
@@ -349,8 +346,10 @@ class TestFirstPassage:
         step = build_step_matrix(GRID, make_rates(), Action.REST)
         with pytest.raises(InadmissibleRestError):
             fpt_pmf(step, GRID, GRID.star_index, t_cap=50)
-        with pytest.raises(InadmissibleRestError):
-            mean_first_passage(step, GRID, 2)
+        # no mean first passage from at or below the resting level
+        means = mean_first_passage(step, GRID)
+        assert np.isnan(means[: GRID.star_index + 1]).all()
+        assert np.isfinite(means[GRID.star_index + 1 :]).all()
 
 
 def sequential_fpt(step, grid, cog_index, t_cap):
@@ -382,9 +381,9 @@ class TestFirstPassageLadder:
             warnings.simplefilter("ignore")
             model = config.build_model()
         step, grid = model.steps[Action.REST], model.grid
+        means = mean_first_passage(step, grid)
         for cog in range(grid.star_index + 1, grid.n_levels):
-            mean = mean_first_passage(step, grid, cog)
-            t_cap = max(1, int(np.ceil(model.params.rest_cap_factor * mean)))
+            t_cap = max(1, int(np.ceil(model.params.rest_cap_factor * means[cog])))
             probs, tail = fpt_pmf(step, grid, cog, t_cap)
             expected, expected_tail = sequential_fpt(step, grid, cog, t_cap)
             assert np.array_equal(probs, expected), (name, cog)

@@ -8,6 +8,7 @@ The reward oracle sums the realized per-epoch reward over the joint law of
 (sojourn, arrivals) and must reproduce the closed-form immediate reward.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from fidelityq.config import builtin_config
 from fidelityq.errors import InadmissibleRestError
 from fidelityq.model import admissible, arrival_table, build_model
 from fidelityq.sampling import SegmentedCdf
-from fidelityq.sojourn import ServiceFamily, SojournPMF
+from fidelityq.sojourn import ServiceFamily
 from small_model import small_params
 
 # this module's small model: capacity 6, and its own service family
@@ -679,28 +680,19 @@ class TestActionAssembly:
             assert np.array_equal(getattr(law.cdf, name), getattr(cdf, name)), name
 
 
-@pytest.mark.parametrize("name", SHIPPED)
-def test_each_distinct_law_is_transformed_once(name, monkeypatch):
-    """Every level shares one wait law and one skip law, so the moment
-    tables take one discount transform per law object, and the table is
-    bit-equal to one transform per (level, action)."""
-    calls = []
-    transform = SojournPMF.discount_transform
-
-    def counted(pmf, discount):
-        calls.append(pmf)
-        return transform(pmf, discount)
-
-    monkeypatch.setattr(SojournPMF, "discount_transform", counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = builtin_config(name).build_model()
-    monkeypatch.undo()
-    laws = model._sojourns
-    assert len(calls) == len({id(pmf) for pmf in laws.values()}) < len(laws)
-    for (cog, a), pmf in laws.items():
-        got = model.moment("transform", a)[cog]
-        assert got == pmf.discount_transform(model.params.discount), (cog, a)
+def test_transform_reads_the_tau_discount_table(shipped):
+    """A law's discount transform E[gamma^tau] reads gamma^tau off the
+    model's one table, ``_tau_discount``. Gathered at a law's support it is
+    numpy's power over that support bit for bit, and the transform is the
+    correctly rounded sum of those terms within 1e-14 relative."""
+    model = shipped[1]
+    gamma = model.params.discount
+    for (cog, a), pmf in model._sojourns.items():
+        times, probs = pmf.support
+        gathered = model._tau_discount[model._tau_row[times]]
+        assert np.array_equal(gathered, np.power(gamma, times.astype(np.float64))), (cog, a)
+        exact = math.fsum((probs * gathered).tolist())
+        assert model.moment("transform", a)[cog] == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestDiagnostics:

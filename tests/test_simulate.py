@@ -5,6 +5,7 @@ the estimates; trajectory records are re-validated step by step against
 the model's transition and reward rules.
 """
 
+import copy
 import os
 import warnings
 
@@ -19,6 +20,7 @@ from fidelityq.errors import ConfigError
 from fidelityq.model import admissible, build_model
 from fidelityq.solver import policy_evaluation, value_iteration
 from fidelityq.simulate import (
+    RETIRE_BELOW,
     PolicySampler,
     monte_carlo_value,
     plan_horizon,
@@ -326,9 +328,10 @@ class TestSharedLoop:
         # one (2, runs) draw per epoch the episode ran
         assert simulated == len(traj.records)
         assert [u.shape for u in rng.uniforms] == [(2, 1)] * len(traj.records)
-        # it ran while its discount gamma^zeta stayed above beta^H and
-        # stopped at the first epoch start where it did not, or at the cap
-        floor = model.max_discount_transform**horizon
+        # it ran while its discount gamma^zeta stayed above the floor just
+        # under beta^H and stopped at the first epoch start where it did
+        # not, or at the cap
+        floor = model.max_discount_transform**horizon * RETIRE_BELOW
         tau_discount = dict(zip(model._taus.tolist(), model.params.discount ** model._taus))
         discount = 1.0
         for rec in traj.records:
@@ -446,12 +449,13 @@ class TestEpochLoopReplay:
         rng = RecordingRng(2)
         totals = np.zeros(24)
         got = list(sampler._epochs(start, totals, horizon, rng))
-        floor = model.max_discount_transform**horizon
+        floor = model.max_discount_transform**horizon * RETIRE_BELOW
         expected, expected_totals, still_live = replay_epochs(
             model, policy, start, rng.uniforms, floor
         )
         # one (2, live) draw per epoch: a run leaves the batch at its first
-        # epoch start with gamma^zeta <= beta^H, and every run stops at the cap
+        # epoch start with gamma^zeta at or below the floor, and every run
+        # stops at the cap
         assert [u.shape for u in rng.uniforms] == [(2, len(e[0])) for e in expected]
         assert len(expected[-1][0]) < 24
         assert len(got) == horizon or still_live == 0
@@ -507,5 +511,35 @@ def test_heavy_traffic_retires_most_episode_epochs():
     episode-epochs."""
     _, model, policy = solved_config("high_lambda")
     est = monte_carlo_value(model, policy, (20, 6), 20_000, 1)
-    assert est.simulated_epochs == 455_931
+    assert est.simulated_epochs == 457_076
     assert est.simulated_epochs < 0.15 * est.episodes * est.horizon_epochs
+
+
+@pytest.mark.parametrize("name", ["tiny", "default", "high_lambda", "skip_cheap"])
+def test_one_ulp_of_discount_moves_no_retirement(name):
+    """Where a skip of t_s sets beta = gamma^t_s, an episode at zeta = H t_s
+    has gamma^zeta = beta^H in exact arithmetic, so a floor at beta^H leaves
+    its retirement to rounding. Moving every gamma^tau and beta by one ulp,
+    up or down, as another CPU's power kernel may, changes no episode-epoch
+    count of the estimate ``check`` runs, and its mean by at most 1e-13."""
+    cfg, model, policy = solved_config(name)
+    sim = cfg.simulation
+    start = sim["starts"][0] if sim["starts"] else (model.n_q // 2, model.grid.star_index)
+    beta = model.max_discount_transform
+    assert any(beta == g for g in model._tau_discount.tolist())
+
+    def estimate(model):
+        return monte_carlo_value(
+            model, policy, start, 2000, 1,
+            bias_ratio=sim["bias_ratio"], pilot_episodes=sim["pilot_episodes"],
+        )
+
+    base = estimate(model)
+    for toward in (np.inf, 0.0):
+        shifted = copy.copy(model)
+        shifted._tau_discount = np.nextafter(model._tau_discount, toward)
+        shifted.__dict__["max_discount_transform"] = float(np.nextafter(beta, toward))
+        moved = estimate(shifted)
+        assert moved.horizon_epochs == base.horizon_epochs, toward
+        assert moved.simulated_epochs == base.simulated_epochs, toward
+        assert moved.mean == pytest.approx(base.mean, rel=0, abs=1e-13), toward

@@ -20,6 +20,7 @@ from scipy import stats
 from fidelityq import sojourn
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix, mean_first_passage
+from fidelityq.config import from_mapping
 from fidelityq.errors import SupportTooSmallError, TailMassError
 from fidelityq.sojourn import (
     MAX_SUPPORT,
@@ -28,6 +29,7 @@ from fidelityq.sojourn import (
     SojournPMF,
     _beta_binomial_pmf,
     _neg_binomial_pmf,
+    rest_caps,
     rest_pmf,
     service_pmf,
     skip_pmf,
@@ -37,6 +39,16 @@ from fidelityq.sojourn import (
 
 def no_allocation(*args, **kwargs):
     raise AssertionError("a sojourn law was allocated past the support bound")
+
+
+def transform(pmf, gamma):
+    """E[gamma^tau] of a law, summed term by term in Python."""
+    return math.fsum(float(p) * gamma ** int(t) for t, p in zip(pmf.times, pmf.probs))
+
+
+def capped_rest(step, grid, cog_index, cap_factor):
+    """The rest law from ``cog_index`` at its ``rest_caps`` truncation point."""
+    return rest_pmf(step, grid, cog_index, rest_caps(step, grid, cap_factor)[cog_index])
 
 
 def two_atom():
@@ -49,11 +61,6 @@ class TestSojournPMF:
         assert pmf.mean == pytest.approx(1.5, abs=1e-15)
         assert pmf.second_moment == pytest.approx(0.75 * 1 + 0.25 * 9, abs=1e-15)
         assert pmf.variance == pytest.approx(3.0 - 1.5**2, abs=1e-15)
-
-    def test_discount_transform_hand_sum(self):
-        pmf = two_atom()
-        # 0.75 * 0.5 + 0.25 * 0.5**3
-        assert pmf.discount_transform(0.5) == pytest.approx(0.40625, abs=1e-15)
 
     def test_moments_match_python_loop(self):
         pmf = wait_pmf(0.7)
@@ -95,7 +102,6 @@ class TestSkipWait:
         assert pmf.probs.tolist() == [1.0]
         assert pmf.mean == 2.0
         assert pmf.second_moment == 4.0
-        assert pmf.discount_transform(0.96) == pytest.approx(0.9216, abs=1e-15)
 
 
 class TestWait:
@@ -153,7 +159,7 @@ class TestRest:
         # From one level above the resting level a pure-down chain hits it
         # on a geometric(1/2) time: mean 2, second moment (2-p)/p^2 = 6.
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
-        pmf = rest_pmf(step, self.GRID, cog_index=3, cap_factor=50)
+        pmf = capped_rest(step, self.GRID, cog_index=3, cap_factor=50)
         assert pmf.probs[0] == pytest.approx(0.5, abs=1e-12)
         assert pmf.probs[3] == pytest.approx(0.5**4, abs=1e-12)
         assert pmf.mean == pytest.approx(2.0, abs=1e-9)
@@ -161,7 +167,7 @@ class TestRest:
 
     def test_two_levels_is_sum_of_geometrics(self):
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
-        pmf = rest_pmf(step, self.GRID, cog_index=4, cap_factor=50)
+        pmf = capped_rest(step, self.GRID, cog_index=4, cap_factor=50)
         assert pmf.probs[0] == 0.0  # two steps down take at least two ticks
         assert pmf.probs[1] == pytest.approx(0.25, abs=1e-12)
         assert pmf.mean == pytest.approx(4.0, abs=1e-9)
@@ -170,7 +176,7 @@ class TestRest:
 
     def test_support_skips_the_leading_zero(self):
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
-        pmf = rest_pmf(step, self.GRID, cog_index=4, cap_factor=50)
+        pmf = capped_rest(step, self.GRID, cog_index=4, cap_factor=50)
         times, probs = pmf.support
         assert pmf.times[0] == 1 and pmf.probs[0] == 0.0
         assert times[0] == 2
@@ -181,30 +187,39 @@ class TestRest:
         rates = ChainRates.default(step_scale=0.8)
         step = build_step_matrix(grid, rates, Action.REST)
         for cog in range(grid.star_index + 1, grid.n_levels):
-            pmf = rest_pmf(step, grid, cog, cap_factor=50)
-            exact = mean_first_passage(step, grid, cog)
+            pmf = capped_rest(step, grid, cog, cap_factor=50)
+            exact = mean_first_passage(step, grid)[cog]
             assert pmf.mean == pytest.approx(exact, rel=1e-6)
+
+    def test_every_cap_is_checked_before_the_first_ladder(self, monkeypatch):
+        # on a 150-interval grid the rest law from level 83 is the first whose
+        # cap passes the support bound; the build refuses it before it walks
+        # the ladder of level 7
+        monkeypatch.setattr(sojourn, "fpt_pmf", no_allocation)
+        cfg = from_mapping({"cognition": {"intervals": 150}})
+        with pytest.raises(ValueError, match="^the rest law from level 83 needs 10027 support"):
+            cfg.build_model()
 
     def test_tight_cap_raises(self):
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
         with pytest.raises(TailMassError):
             # the mean is 2, so the cap is 3 steps
-            rest_pmf(step, self.GRID, cog_index=3, cap_factor=1.5)
+            capped_rest(step, self.GRID, cog_index=3, cap_factor=1.5)
 
     def test_support_bound_is_checked_before_walking_the_chain(self, monkeypatch):
         # a mean first passage of 1e4 steps would cap the law at 5e5 steps
         step = build_step_matrix(self.GRID, pure_down_rest_rates(1e-4), Action.REST)
         monkeypatch.setattr(sojourn, "fpt_pmf", no_allocation)
         with pytest.raises(ValueError, match=f"support points, over {MAX_SUPPORT}$"):
-            rest_pmf(step, self.GRID, cog_index=3, cap_factor=50)
+            rest_caps(step, self.GRID, cap_factor=50)
 
     def test_transform_matches_geometric_generating_function(self):
         # E[gamma^T] for geometric(p) is p*gamma / (1 - (1-p)*gamma)
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
-        pmf = rest_pmf(step, self.GRID, cog_index=3, cap_factor=50)
+        pmf = capped_rest(step, self.GRID, cog_index=3, cap_factor=50)
         gamma = 0.9
         expected = 0.5 * gamma / (1.0 - 0.5 * gamma)
-        assert pmf.discount_transform(gamma) == pytest.approx(expected, abs=1e-9)
+        assert transform(pmf, gamma) == pytest.approx(expected, abs=1e-9)
 
 
 class TestServiceFamily:
@@ -409,6 +424,13 @@ def test_neg_binomial_matches_scipy_stats(shape, support, fraction):
     assert abs(pmf.truncated_mass - max(tail, 0.0)) <= 1e-13
 
 
+def test_neg_binomial_refuses_a_first_point_below_the_normal_range():
+    # shape 2000 at mean 4000: p^r = 0.5^2000, which no float holds, and the
+    # running product from it would lose every digit
+    with pytest.raises(SupportTooSmallError, match="underflows p\\^r"):
+        _neg_binomial_pmf(4000.0, 2000, 10_000)
+
+
 class TestNegBinomialFamily:
     def family(self, support=400):
         return ServiceFamily(
@@ -431,7 +453,7 @@ class TestNegBinomialFamily:
         # (gamma * p / (1 - (1-p)*gamma))^r; here r=3, mean 6, gamma=1/2
         # gives exactly (1/3)^3.
         pmf = service_pmf(self.family(), self.GRID, 2, Action.NORMAL)
-        assert pmf.discount_transform(0.5) == pytest.approx((1 / 3) ** 3, abs=1e-9)
+        assert transform(pmf, 0.5) == pytest.approx((1 / 3) ** 3, abs=1e-9)
 
     def test_cramped_support_raises_tail_error(self):
         with pytest.raises(TailMassError):
@@ -465,4 +487,4 @@ def test_transform_dominates_discounted_mean(mean, dispersion, gamma):
     )
     grid = CogGrid(n_intervals=2, star_index=1)
     pmf = service_pmf(family, grid, 1, Action.NORMAL)
-    assert pmf.discount_transform(gamma) >= gamma**pmf.mean - 1e-12
+    assert transform(pmf, gamma) >= gamma**pmf.mean - 1e-12

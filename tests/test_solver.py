@@ -21,13 +21,7 @@ from fidelityq.config import builtin_config
 from fidelityq.errors import PolicyMismatchError
 from fidelityq.model import SmdpModel, admissible, build_model
 from fidelityq.simulate import monte_carlo_value
-from fidelityq.solver import (
-    ValuePolicyTable,
-    bellman_backup,
-    policy_evaluation,
-    validate_policy,
-    value_iteration,
-)
+from fidelityq.solver import bellman_backup, policy_evaluation, validate_policy, value_iteration
 from fidelityq.structure import grade
 from small_model import small_params
 
@@ -158,7 +152,6 @@ class TestValueIteration:
         h = solution.residual_history
         beta = model.max_discount_transform
         assert h[-1] <= beta * h[-2] * (1.0 + 1e-6)
-        assert solution.contraction_estimate <= beta + 1e-6
 
     def test_deterministic_across_rebuilds(self, solution):
         again = value_iteration(build_model(small_params(queue_capacity=5)))
@@ -180,20 +173,6 @@ class TestValueIteration:
     def test_epsilon_not_positive_and_finite_rejected(self, model, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             value_iteration(model, epsilon=epsilon, max_sweeps=3)
-
-    def test_contraction_estimate_edge_cases(self):
-        t = ValuePolicyTable(
-            values=np.zeros(1),
-            policy=np.array(["W"]),
-            residual=0.0,
-            sweeps=1,
-            converged=True,
-            epsilon=1e-9,
-            residual_history=[1.0],
-        )
-        assert np.isnan(t.contraction_estimate)
-        t.residual_history = [1.0, 0.5]
-        assert t.contraction_estimate == 0.5
 
 
 class TestPolicyEvaluation:
