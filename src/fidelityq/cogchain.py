@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import UNIT_RATES, Action
+from .config import TRUNCATION_TOL
 from .errors import InadmissibleRestError, InvalidRatesError, TailMassError
-
-FPT_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ def fpt_pmf(step, grid, cog_index, t_cap):
     Raises
     ------
     TailMassError
-        If the pre-renormalization tail mass exceeds 1e-6.
+        If the pre-renormalization tail mass exceeds ``TRUNCATION_TOL``.
     """
     if cog_index <= grid.star_index:
         raise InadmissibleRestError(
@@ -260,10 +259,10 @@ def fpt_pmf(step, grid, cog_index, t_cap):
             np.dot(cur, q_block, out=nxt)
     probs = alphas[:t_cap] @ absorb
     tail = float(alphas[t_cap].sum())
-    if tail > FPT_TAIL_TOL:
+    if tail > TRUNCATION_TOL:
         raise TailMassError(
             f"first-passage tail mass {tail:.3e} beyond t_cap={t_cap} "
-            f"exceeds {FPT_TAIL_TOL:.0e}; raise the rest cap factor or speed "
+            f"exceeds {TRUNCATION_TOL:.0e}; raise the rest cap factor or speed "
             "up the resting drift"
         )
     total = probs.sum()

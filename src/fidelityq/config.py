@@ -23,10 +23,11 @@ from .actions import UNIT_RATES, Action
 from .errors import ConfigError
 
 # The sojourn laws' config-time rules live here, so a config resolves
-# without numpy; ``sojourn`` imports them. TRUNCATION_TOL is the tail mass a
-# truncated wait or neg-binomial law may drop. MAX_SUPPORT is the most points
-# a law may have (the shipped configs reach 3,200) and, with skip.duration
-# held to it, the longest sojourn: the tau layer has at most MAX_SUPPORT + 1.
+# without numpy; ``sojourn`` and ``cogchain`` import them. TRUNCATION_TOL is
+# the tail mass a truncated wait, neg-binomial or rest law may drop.
+# MAX_SUPPORT is the most points a law may have (the shipped configs reach
+# 3,200) and, with skip.duration held to it, the longest sojourn: the tau
+# layer has at most MAX_SUPPORT + 1.
 TRUNCATION_TOL = 1e-6
 MAX_SUPPORT = 10_000
 

@@ -173,14 +173,13 @@ class SmdpModel:
     def _build_moment_tables(self):
         """Per-action ``(n_cog,)`` tables of the laws' moments and discount
         transforms (NaN where there is no law); a transform reads gamma^tau
-        off ``_tau_discount`` and sums over ``support`` as the moments do."""
+        off ``_tau_discount`` and sums over the law's points as the moments do."""
         mu1 = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
         mu2 = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
         transform = {a: np.full(self.n_cog, np.nan) for a in ACTIONS}
         for (cog, a), pmf in self._sojourns.items():
-            times, probs = pmf.support
             mu1[a][cog], mu2[a][cog] = pmf.mean, pmf.second_moment
-            transform[a][cog] = (probs * self._tau_discount[self._tau_row[times]]).sum()
+            transform[a][cog] = (pmf.probs * self._tau_discount[self._tau_row[pmf.times]]).sum()
         return {"mu1": mu1, "mu2": mu2, "transform": transform}
 
     def _build_powers(self):
@@ -203,7 +202,7 @@ class SmdpModel:
         laws = self._sojourns.values()
         seen = np.zeros(max(int(pmf.times[-1]) for pmf in laws) + 1, dtype=bool)
         for pmf in laws:
-            seen[pmf.support[0]] = True
+            seen[pmf.times] = True
         taus = np.flatnonzero(seen)
         tau_row = np.zeros(len(seen), dtype=np.intp)
         tau_row[taus] = np.arange(len(taus))
@@ -222,14 +221,14 @@ class SmdpModel:
         epoch law by one. Skip keeps the level and rest lands on the resting
         level, so their W is the weight written into that level's column."""
         cogs = [cog for cog in range(self.n_cog) if (cog, a) in self._sojourns]
-        times, probs = zip(*(self._sojourns[(cog, a)].support for cog in cogs))
-        law = np.repeat(np.arange(len(cogs)), [len(t) for t in times])
-        rows = self._tau_row[np.concatenate(times)]
+        laws = [self._sojourns[(cog, a)] for cog in cogs]
+        law = np.repeat(np.arange(len(cogs)), [len(pmf.times) for pmf in laws])
+        rows = self._tau_row[np.concatenate([pmf.times for pmf in laws])]
         # every law of a lies in taus[lo:hi], a view of the arrival rows;
         # w[:, i] is per_tau P(tau | cogs[i], a) there, zero off the support
         lo, hi = int(rows.min()), int(rows.max()) + 1
         w = np.zeros((hi - lo, len(cogs)))
-        w[rows - lo, law] = per_tau[rows] * np.concatenate(probs)
+        w[rows - lo, law] = per_tau[rows] * np.concatenate([pmf.probs for pmf in laws])
         if a is Action.SKIP or a is Action.REST:
             weights = np.zeros((hi - lo, len(cogs), self.n_cog))
             land = cogs if a is Action.SKIP else self.grid.star_index
@@ -346,7 +345,7 @@ class SmdpModel:
         of that table: the zeros between outcomes leave the sum unchanged."""
         # at most n_cog next levels per positive-probability tau; the buffers
         # are filled in place, so their unused tails are never paged in
-        bound = self.n_cog * sum(len(pmf.support[0]) for pmf in self._sojourns.values())
+        bound = self.n_cog * sum(len(pmf.times) for pmf in self._sojourns.values())
         cdf = np.empty(bound)
         cogs = np.empty(bound, np.min_scalar_type(self.n_cog - 1))
         arrival_row = np.empty(bound, np.min_scalar_type(len(self._taus) - 1))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .actions import Action
 from .cogchain import fpt_pmf, mean_first_passage
-from .config import MAX_SUPPORT, SERVICE_FAMILIES, TRUNCATION_TOL, _check_support, wait_support
+from .config import SERVICE_FAMILIES, TRUNCATION_TOL, _check_support, wait_support
 from .errors import SupportTooSmallError, TailMassError
 
 MEAN_REL_TOL = 5e-3
@@ -24,11 +24,10 @@ class SojournPMF:
     """Finite sojourn-time distribution with cached moments.
 
     ``times`` holds strictly increasing integer support points (all >= 1)
-    and ``probs`` their probabilities, summing to one; both may include
-    zero-probability points. ``support`` is the read-only ``(times,
-    probs)`` pair of the positive-probability points alone. ``truncated_mass``
-    records how much probability was cut off before renormalization when
-    the distribution was capped.
+    and ``probs`` their probabilities, summing to one; the constructor
+    keeps only the positive-probability points, so both are read-only and
+    hold the support alone. ``truncated_mass`` records how much probability
+    was cut off before renormalization when the distribution was capped.
     """
 
     times: np.ndarray
@@ -37,7 +36,6 @@ class SojournPMF:
     mean: float = field(init=False)
     second_moment: float = field(init=False)
     variance: float = field(init=False)
-    support: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.int64)
@@ -56,31 +54,19 @@ class SojournPMF:
         total = probs.sum()
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"sojourn probabilities sum to {total!r}, not 1")
+        positive = probs > 0
+        times, probs = times[positive], probs[positive]
         times.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "probs", probs)
-        positive = probs > 0
-        support = (times[positive], probs[positive])
-        for array in support:
-            array.setflags(write=False)
-        object.__setattr__(self, "support", support)
         # numpy's pairwise sum, not a BLAS dot whose order varies by CPU
-        t = support[0].astype(np.float64)
-        object.__setattr__(self, "mean", float((support[1] * t).sum()))
-        object.__setattr__(self, "second_moment", float((support[1] * (t * t)).sum()))
+        t = times.astype(np.float64)
+        object.__setattr__(self, "mean", float((probs * t).sum()))
+        object.__setattr__(self, "second_moment", float((probs * (t * t)).sum()))
         object.__setattr__(
             self, "variance", max(self.second_moment - self.mean**2, 0.0)
         )
-
-
-def _trim_trailing(times, probs):
-    """Drop trailing zero-probability support points."""
-    nz = np.nonzero(probs)[0]
-    if nz.size == 0:
-        raise ValueError("sojourn distribution has no mass")
-    last = nz[-1] + 1
-    return times[:last], probs[:last]
 
 
 @dataclass(frozen=True)
@@ -167,8 +153,7 @@ def _neg_binomial_pmf(mean, shape, support):
             f"exceeds {TRUNCATION_TOL:.0e}; raise the support cap"
         )
     probs = probs / probs.sum()
-    times, probs = _trim_trailing(ks, probs)
-    return SojournPMF(times=times, probs=probs, truncated_mass=max(tail, 0.0))
+    return SojournPMF(times=ks, probs=probs, truncated_mass=max(tail, 0.0))
 
 
 def service_pmf(family, grid, cog_index, action):
@@ -253,5 +238,4 @@ def rest_pmf(step, grid, cog_index, t_cap):
     """Rest sojourn: first-passage time of the resting chain down to the
     resting level, truncated at ``t_cap`` (its ``rest_caps`` entry)."""
     probs, tail = fpt_pmf(step, grid, cog_index, t_cap)
-    times, probs = _trim_trailing(np.arange(1, t_cap + 1), probs)
-    return SojournPMF(times=times, probs=probs, truncated_mass=tail)
+    return SojournPMF(times=np.arange(1, t_cap + 1), probs=probs, truncated_mass=tail)

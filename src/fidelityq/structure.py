@@ -262,7 +262,6 @@ class DominanceReport:
     """
 
     per_cog: list
-    rho: float
     ceiling: SlowestService
 
     def combined_margin(self, cog):
@@ -294,12 +293,11 @@ def dominance_margins(model, bound_report=None):
     """
     if bound_report is None:
         bound_report = compute_rho(model)
-    rho = bound_report.rho
     gamma = model.params.discount
     t_s = model.params.skip_time
     ceiling = slowest_service(model)
     t_max = ceiling.value
-    pressure = t_max / (1.0 - rho)
+    pressure = t_max / (1.0 - bound_report.rho)
 
     mu1 = {a: model.moment("mu1", a) for a in Action}
     tr = {a: model.moment("transform", a) for a in Action}
@@ -327,7 +325,7 @@ def dominance_margins(model, bound_report=None):
                 "combined_margin": float(combined),
             }
         )
-    return DominanceReport(per_cog=rows, rho=rho, ceiling=ceiling)
+    return DominanceReport(per_cog=rows, ceiling=ceiling)
 
 
 # -- threshold extraction --------------------------------------------------

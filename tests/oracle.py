@@ -1,7 +1,7 @@
 """Exact finite-horizon oracle for the solver, built from public model data.
 
 The oracle reads each (level, action) sojourn law through
-``model.sojourn(cog, a).support``, the step powers C_a^tau through
+``model.sojourn(cog, a)``, the step powers C_a^tau through
 ``model.powers``, rewards through ``model.reward_table`` and the actions
 of a state through ``fidelityq.model.admissible``. Queue moves come from
 ``scipy.stats.poisson`` here, and the queue-consumption rule and the
@@ -44,7 +44,8 @@ def level_rows(model, a, times, cog):
 def pair_row(model, q, cog, a):
     """Discounted row of the pair (q, cog, a) over the flat states:
     sum over tau of gamma^tau p_tau (queue row outer level row)."""
-    times, probs = model.sojourn(cog, a).support
+    pmf = model.sojourn(cog, a)
+    times, probs = pmf.times, pmf.probs
     # wait and rest keep the queue; skip and service take the head task
     # before the epoch's arrivals join
     start = q if a in (Action.WAIT, Action.REST) else max(q - 1, 0)

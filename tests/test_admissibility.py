@@ -84,7 +84,7 @@ def test_epoch_law_has_a_segment_exactly_off_the_rule(model):
     assert set(model._sojourns) == rule(model)
     for j, (cog, a) in enumerate(model._sojourns):
         rows = law.arrival_row[law.cdf.start[j] : law.cdf.end[j] + 1]
-        assert set(model._taus[rows]) == set(model.sojourn(cog, a).support[0])
+        assert set(model._taus[rows]) == set(model.sojourn(cog, a).times)
 
 
 def test_kernel_pairs_are_each_states_admissible_actions(model):

@@ -14,6 +14,7 @@ import os
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -66,6 +67,20 @@ def test_counts_size_the_pair_kernel(solved):
     # one row of n_states floats per admitted (state, action) cell
     assert got["model.operator_bytes"] == int(model.admits.sum()) * model.n_states * 8
     assert got["solver.backup_bytes"] == got["model.operator_bytes"] + 5 * model.n_states * 8
+
+
+# positive-probability (level, action, tau) points of each workload's laws
+SUPPORT_POINTS = {"long-sojourn": 25_647, "heavy-traffic": 3_768}
+
+
+def test_support_points_count_the_positive_points(solved):
+    """A law keeps no zero-probability point, so the traced count of its
+    points is the count of its positive ones."""
+    name, _, model, _ = solved
+    laws = counts.sojourn_laws(model).values()
+    positive = sum(int(np.count_nonzero(pmf.probs > 0)) for pmf in laws)
+    assert counts.model_counts(model)["sojourn.support_points"] == positive
+    assert positive == SUPPORT_POINTS[name]
 
 
 def test_monte_carlo_estimate_passes_the_gate(solved, monkeypatch):

@@ -407,7 +407,7 @@ class TestFirstPassageLadder:
         cog = data.draw(st.integers(star + 1, grid.n_intervals), label="cog")
         t_cap = data.draw(st.integers(cog - star, 300), label="t_cap")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cogchain, "FPT_TAIL_TOL", np.inf)
+            patch.setattr(cogchain, "TRUNCATION_TOL", np.inf)
             probs, tail = fpt_pmf(step, grid, cog, t_cap)
         expected, expected_tail = sequential_fpt(step, grid, cog, t_cap)
         assert np.array_equal(probs, expected)

@@ -7,6 +7,7 @@ import pytest
 from fidelityq.actions import Action
 from fidelityq.config import (
     DEFAULTS,
+    MAX_SUPPORT,
     available_configs,
     builtin_config,
     config_digest,
@@ -15,7 +16,6 @@ from fidelityq.config import (
     resolve_config,
 )
 from fidelityq.errors import ConfigError
-from fidelityq.sojourn import MAX_SUPPORT
 
 
 class TestMerge:

@@ -141,7 +141,8 @@ class TestQueueKernel:
     def test_head_task_consumed_before_arrivals(self, model):
         # servicing from q = 5 starts the arrivals from 4
         rate = model.params.arrival_rate
-        times, probs = model.sojourn(1, Action.NORMAL).support
+        pmf = model.sojourn(1, Action.NORMAL)
+        times, probs = pmf.times, pmf.probs
         expected = sum(
             0.9**tau * p * table_row(4, tau, rate, model.n_q - 1)
             for tau, p in zip(times.tolist(), probs.tolist())
@@ -153,14 +154,15 @@ class TestQueueKernel:
     def test_decrement_clamped_at_zero(self, model):
         # skipping takes two steps here; next queue = 0 from q = 1 requires
         # zero arrivals over them
-        assert model.sojourn(0, Action.SKIP).support[0].tolist() == [2]
+        assert model.sojourn(0, Action.SKIP).times.tolist() == [2]
         got = queue_marginal(model, 1, 0, Action.SKIP)
         assert got[0] == pytest.approx(0.9**2 * np.exp(-0.4 * 2), abs=1e-15)
 
     def test_wait_and_rest_do_not_consume(self, model):
         # the queue stays at 3 resting and at 0 waiting only without arrivals
         for q, cog, a in [(3, 3, Action.REST), (0, 2, Action.WAIT)]:
-            times, probs = model.sojourn(cog, a).support
+            pmf = model.sojourn(cog, a)
+            times, probs = pmf.times, pmf.probs
             got = queue_marginal(model, q, cog, a)
             assert got[:q].sum() == 0.0
             assert got[q] == pytest.approx(
@@ -294,7 +296,7 @@ class TestCogMove:
     def test_rest_lands_exactly_on_resting_level(self, model):
         star = model.grid.star_index
         taus, nxt = epoch_outcomes(model, 4, Action.REST)
-        assert np.array_equal(taus, model.sojourn(4, Action.REST).support[0])
+        assert np.array_equal(taus, model.sojourn(4, Action.REST).times)
         assert np.all(nxt == star)
         *_, table = model._action_weights(Action.REST, np.ones(len(model._taus)))
         others = np.arange(model.n_cog) != star
@@ -306,7 +308,8 @@ class TestCogMove:
         for a in (Action.NORMAL, Action.HIGH, Action.WAIT):
             step = model.steps[a]
             lo, hi, table = model._action_weights(a, ones)
-            times, probs = model.sojourn(1, a).support
+            pmf = model.sojourn(1, a)
+            times, probs = pmf.times, pmf.probs
             for tau, p in zip(times[:3], probs[:3]):
                 expected = np.linalg.matrix_power(step, int(tau))[1]
                 got = table[model._tau_row[tau] - lo, 1]
@@ -344,21 +347,26 @@ def shipped(request):
 
 
 class TestSupport:
-    """``SojournPMF.support`` is the one positive-probability view that the
-    arrival law, the kernel and the epoch law read."""
+    """A ``SojournPMF`` keeps only its positive-probability points, so the
+    ``times`` and ``probs`` that the arrival law, the kernel and the epoch
+    law read are its support."""
 
-    def test_support_is_the_positive_points(self, shipped):
-        for pmf in shipped[1]._sojourns.values():
-            times, probs = pmf.support
-            positive = pmf.probs > 0
-            assert np.array_equal(times, pmf.times[positive])
-            assert np.array_equal(probs, pmf.probs[positive])
-            assert not times.flags.writeable
-            assert not probs.flags.writeable
+    def test_support_is_the_positive_points(self, assembled):
+        for pmf in assembled._sojourns.values():
+            assert np.all(pmf.probs > 0)
+            assert not pmf.times.flags.writeable
+            assert not pmf.probs.flags.writeable
+
+    def test_rest_law_starts_at_the_distance_to_the_resting_level(self, assembled):
+        # the chain moves one level per step, so the first passage from
+        # level c takes at least c - star steps
+        star = assembled.grid.star_index
+        for cog in range(star + 1, assembled.n_cog):
+            assert assembled.sojourn(cog, Action.REST).times[0] == cog - star, cog
 
     def test_taus_are_the_union_of_support_times(self, shipped):
         laws = shipped[1]._sojourns.values()
-        union = set().union(*(pmf.support[0].tolist() for pmf in laws))
+        union = set().union(*(pmf.times.tolist() for pmf in laws))
         assert shipped[1]._taus.tolist() == sorted(union)
 
     def test_arrival_law_is_stored_once(self, shipped):
@@ -600,7 +608,7 @@ def per_law_weights(model):
         for cog in range(model.n_cog):
             pmf = model._sojourns.get((cog, a))
             if pmf is not None:
-                times, probs = pmf.support
+                times, probs = pmf.times, pmf.probs
                 rows = np.searchsorted(model._taus, times)
                 laws.append((cog, times, gamma**times * probs, rows))
         lo = min(int(rows[0]) for *_, rows in laws)
@@ -620,7 +628,7 @@ def searchsorted_epoch_law(model):
     outcome's row of ``_taus`` found by ``searchsorted``."""
     cogs, rows, cdfs = [], [], []
     for (cog, a), pmf in model._sojourns.items():
-        times, probs = pmf.support
+        times, probs = pmf.times, pmf.probs
         joint = oracle.level_rows(model, a, times, cog) * probs[:, None]
         row, nxt = np.nonzero(joint > 0)
         cogs.append(nxt)
@@ -648,7 +656,7 @@ class TestActionAssembly:
 
     def test_tau_layer(self, assembled):
         model = assembled
-        times = np.concatenate([pmf.support[0] for pmf in model._sojourns.values()])
+        times = np.concatenate([pmf.times for pmf in model._sojourns.values()])
         assert np.array_equal(model._taus, np.unique(times))
         assert np.array_equal(model._tau_row[model._taus], np.arange(len(model._taus)))
         assert np.array_equal(model._tau_discount, model.params.discount**model._taus)
@@ -688,7 +696,7 @@ def test_transform_reads_the_tau_discount_table(shipped):
     model = shipped[1]
     gamma = model.params.discount
     for (cog, a), pmf in model._sojourns.items():
-        times, probs = pmf.support
+        times, probs = pmf.times, pmf.probs
         gathered = model._tau_discount[model._tau_row[times]]
         assert np.array_equal(gathered, np.power(gamma, times.astype(np.float64))), (cog, a)
         exact = math.fsum((probs * gathered).tolist())

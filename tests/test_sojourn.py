@@ -20,11 +20,9 @@ from scipy import stats
 from fidelityq import sojourn
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix, mean_first_passage
-from fidelityq.config import from_mapping
+from fidelityq.config import MAX_SUPPORT, TRUNCATION_TOL, from_mapping
 from fidelityq.errors import SupportTooSmallError, TailMassError
 from fidelityq.sojourn import (
-    MAX_SUPPORT,
-    TRUNCATION_TOL,
     ServiceFamily,
     SojournPMF,
     _beta_binomial_pmf,
@@ -44,6 +42,13 @@ def no_allocation(*args, **kwargs):
 def transform(pmf, gamma):
     """E[gamma^tau] of a law, summed term by term in Python."""
     return math.fsum(float(p) * gamma ** int(t) for t, p in zip(pmf.times, pmf.probs))
+
+
+def dense(pmf, last):
+    """The probabilities of ``pmf`` at tau = 0..last, zero off its points."""
+    full = np.zeros(last + 1)
+    full[pmf.times] = pmf.probs
+    return full
 
 
 def capped_rest(step, grid, cog_index, cap_factor):
@@ -80,6 +85,16 @@ class TestSojournPMF:
             SojournPMF(times=np.array([1, 2]), probs=np.array([1.2, -0.2]))
         with pytest.raises(ValueError):
             SojournPMF(times=np.array([], dtype=int), probs=np.array([]))
+        with pytest.raises(ValueError, match=", not 1$"):
+            SojournPMF(times=np.array([1, 2]), probs=np.array([0.0, 0.0]))
+
+    def test_keeps_only_the_positive_points(self):
+        pmf = SojournPMF(times=np.array([1, 2, 3, 5]), probs=np.array([0.0, 0.75, 0.0, 0.25]))
+        assert pmf.times.tolist() == [2, 5]
+        assert pmf.probs.tolist() == [0.75, 0.25]
+        assert not pmf.times.flags.writeable
+        assert not pmf.probs.flags.writeable
+        assert pmf.mean == pytest.approx(0.75 * 2 + 0.25 * 5, abs=1e-15)
 
     @pytest.mark.parametrize(
         "probs", [[np.nan, np.nan], [np.nan, 1.0]]
@@ -160,16 +175,18 @@ class TestRest:
         # on a geometric(1/2) time: mean 2, second moment (2-p)/p^2 = 6.
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
         pmf = capped_rest(step, self.GRID, cog_index=3, cap_factor=50)
-        assert pmf.probs[0] == pytest.approx(0.5, abs=1e-12)
-        assert pmf.probs[3] == pytest.approx(0.5**4, abs=1e-12)
+        probs = dense(pmf, pmf.times[-1])
+        assert probs[1] == pytest.approx(0.5, abs=1e-12)
+        assert probs[4] == pytest.approx(0.5**4, abs=1e-12)
         assert pmf.mean == pytest.approx(2.0, abs=1e-9)
         assert pmf.second_moment == pytest.approx(6.0, abs=1e-8)
 
     def test_two_levels_is_sum_of_geometrics(self):
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
         pmf = capped_rest(step, self.GRID, cog_index=4, cap_factor=50)
-        assert pmf.probs[0] == 0.0  # two steps down take at least two ticks
-        assert pmf.probs[1] == pytest.approx(0.25, abs=1e-12)
+        probs = dense(pmf, pmf.times[-1])
+        assert probs[1] == 0.0  # two steps down take at least two ticks
+        assert probs[2] == pytest.approx(0.25, abs=1e-12)
         assert pmf.mean == pytest.approx(4.0, abs=1e-9)
         # sum of two independent geometric(1/2): variance 2 + 2
         assert pmf.variance == pytest.approx(4.0, abs=1e-8)
@@ -177,10 +194,8 @@ class TestRest:
     def test_support_skips_the_leading_zero(self):
         step = build_step_matrix(self.GRID, pure_down_rest_rates(0.5), Action.REST)
         pmf = capped_rest(step, self.GRID, cog_index=4, cap_factor=50)
-        times, probs = pmf.support
-        assert pmf.times[0] == 1 and pmf.probs[0] == 0.0
-        assert times[0] == 2
-        assert (probs > 0).all()
+        assert pmf.times[0] == 2
+        assert (pmf.probs > 0).all()
 
     def test_mean_matches_linear_solve(self):
         grid = CogGrid(n_intervals=6, star_index=3)
@@ -358,8 +373,8 @@ def test_beta_binomial_matches_scipy_stats(support, fraction, dispersion):
         mean = np.nextafter(1.0, 2.0)
     times, probs = reference_beta_binomial(mean, dispersion, support)
     pmf = _beta_binomial_pmf(mean, dispersion, support)
-    assert np.array_equal(pmf.times, times)
-    assert np.abs(pmf.probs - probs).max() <= 1e-11
+    # a tail that underflows to zero is dropped; compare on all of {1..support}
+    assert np.abs(dense(pmf, support)[times] - probs).max() <= 1e-11
 
 
 def mpmath_beta_binomial(mean, dispersion, support):
@@ -387,7 +402,7 @@ def test_beta_binomial_matches_mpmath(support, fraction, dispersion):
     mean = 1.0 + fraction * (support - 2)
     pmf = _beta_binomial_pmf(mean, dispersion, support)
     expected = mpmath_beta_binomial(mean, dispersion, support)
-    assert np.abs(pmf.probs - expected).max() <= 1e-15
+    assert np.abs(dense(pmf, support)[1:] - expected).max() <= 1e-15
 
 
 def reference_neg_binomial(mean, shape, support):
@@ -415,12 +430,9 @@ def test_neg_binomial_matches_scipy_stats(shape, support, fraction):
             _neg_binomial_pmf(mean, shape, support)
         return
     pmf = _neg_binomial_pmf(mean, shape, support)
-    kept = pmf.times.size
-    assert np.array_equal(pmf.times, times[:kept])
-    # only trailing zeros are trimmed, so the dropped points are ~0 in scipy
-    got = np.zeros_like(probs)
-    got[:kept] = pmf.probs
-    assert np.abs(got - probs).max() <= 1e-14
+    # a tail that underflows to zero is dropped; compare on all of {shape..support}
+    assert pmf.times[0] >= shape
+    assert np.abs(dense(pmf, support)[times] - probs).max() <= 1e-14
     assert abs(pmf.truncated_mass - max(tail, 0.0)) <= 1e-13
 
 
