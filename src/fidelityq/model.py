@@ -94,14 +94,14 @@ def arrival_table(rate, taus, capacity):
 class SmdpModel:
     """Assembled immutable model: distributions, moment tables, rewards and
     the discounted kernel over the admissible (state, action) pairs, held
-    as one table with a row per flat state and a column per action in
-    ``TIE_ORDER`` (``admits``, ``cell``, ``cell_reward``; see
+    as one action-major table with a row per action in ``TIE_ORDER`` and a
+    column per flat state (``admits``, ``cell``, ``cell_reward``; see
     ``_build_table``). The kernel is kept factored (``hankel_weights``, one
-    column per sojourn law, read through ``hankel_index`` at each pair's
-    ``cell``; see ``_build_kernel``); ``pair_rows`` gathers the dense
-    rows of the pairs asked for from ``hankel_weights`` alone, and no
-    dense kernel is kept. ``service_reward[a]`` is r(a), an epoch's reward
-    before holding costs."""
+    column per sojourn law, read against a window over the clamped values
+    at each pair's ``cell``; see ``_build_kernel``); ``pair_rows`` gathers
+    the dense rows of the pairs asked for from ``hankel_weights`` alone,
+    and no dense kernel is kept. ``service_reward[a]`` is r(a), an epoch's
+    reward before holding costs."""
 
     def __init__(self, params):
         self.params = params
@@ -121,10 +121,9 @@ class SmdpModel:
         }
         self._taus, self._tau_row, self._tau_discount, self._arrivals = self._build_arrivals()
         self._moments = self._build_moment_tables()
-        self.hankel_index, self.hankel_weights = self._build_kernel()
+        self.hankel_weights = self._build_kernel()
         self.admits, self.cell, self.cell_reward = self._build_table()
-        for table in (self.hankel_index, self.hankel_weights,
-                      self.admits, self.cell, self.cell_reward):
+        for table in (self.hankel_weights, self.admits, self.cell, self.cell_reward):
             table.setflags(write=False)
 
         self.moment_ordering_violations = self._check_moment_ordering()
@@ -256,46 +255,43 @@ class SmdpModel:
         The products of every action are stacked, column j for law j of
         ``_sojourns``, so ``hankel_weights[(k, c'), j]`` weighs k capped
         arrivals and next level c'. Start s reads it against the Hankel
-        gather V[min(s + k, L), c'] (``hankel_index``) at the pair's
-        ``cell``; ``pair_rows`` gathers dense rows by the same clamp."""
-        cap = self.n_q - 1
+        gather V[min(s + k, L), c'], a window over the values padded with
+        L copies of the capacity row, at the pair's ``cell``; ``pair_rows``
+        gathers dense rows by the same clamp."""
         blocks = []
         for a in ACTIONS:
             lo, hi, weights = self._action_weights(a, self._tau_discount)
             product = self._arrivals[lo:hi].T @ weights.reshape(hi - lo, -1)
             blocks.append(product.reshape(self.n_q, *weights.shape[1:]))
         hankel = np.concatenate(blocks, axis=1).transpose(0, 2, 1)
-        start = np.minimum(np.arange(self.n_q)[:, None] + np.arange(self.n_q), cap)
-        return (
-            (start[:, :, None] * self.n_cog + np.arange(self.n_cog)).reshape(self.n_q, -1),
-            hankel.reshape(self.n_states, -1),
-        )
+        return hankel.reshape(self.n_states, -1)
 
     def _build_table(self):
-        """The (state, action) table: one row per flat state and one column
-        per action in ``TIE_ORDER``. ``admits`` says whether the state
-        allows the action; ``cell`` is the pair's flat (start, law) index
-        into the backup's ``hankel_index`` @ ``hankel_weights``, with start
-        max(q - d, 0) for the action's decrement d (0 where not admitted);
-        ``cell_reward`` is its ``reward_table`` value (-inf where not
-        admitted). The actions of a state depend only on its level and on
-        whether its queue is empty, so two rows per level cover the table."""
+        """The action-major (state, action) table: one row per action in
+        ``TIE_ORDER`` and one column per flat state. ``admits`` says whether
+        the state allows the action; ``cell`` is the pair's flat (start,
+        law) index into the backup's product with ``hankel_weights``, with
+        start max(q - d, 0) for the action's decrement d (0 where not
+        admitted); ``cell_reward`` is its ``reward_table`` value (-inf where
+        not admitted). A state's actions depend only on its level and on
+        whether its queue is empty, so two columns per level cover it."""
         allowed = [admissible(q, cog, self.grid) for q in (0, 1) for cog in range(self.n_cog)]
-        empty, busy = np.split(np.array([[a in acts for a in TIE_ORDER] for acts in allowed]), 2)
-        admits = np.concatenate([empty, np.tile(busy, (self.n_q - 1, 1))])
-        law = np.zeros((self.n_cog, len(TIE_ORDER)), dtype=np.intp)
+        first = np.array([[a in acts for acts in allowed] for a in TIE_ORDER])
+        admits = np.concatenate([first, np.tile(first[:, self.n_cog :], self.n_q - 2)], axis=1)
+        law = np.zeros((len(TIE_ORDER), 1, self.n_cog), dtype=np.intp)
         for j, (cog, a) in enumerate(self._sojourns):
-            law[cog, TIE_ORDER.index(a)] = j
+            law[TIE_ORDER.index(a), 0, cog] = j
         decrement = np.array([DECREMENT[a] for a in TIE_ORDER])
-        start = np.maximum(np.arange(self.n_q)[:, None, None] - decrement, 0)
-        cell = (start * self.n_laws + law).reshape(self.n_states, -1)
-        rewards = np.stack([self.reward_table(a) for a in TIE_ORDER], axis=-1)
+        start = np.maximum(np.arange(self.n_q)[:, None] - decrement[:, None, None], 0)
+        cell = (start * self.n_laws + law).reshape(len(TIE_ORDER), -1)
+        rewards = np.stack([self.reward_table(a) for a in TIE_ORDER])
         return (admits, np.where(admits, cell, 0),
-                np.where(admits, rewards.reshape(self.n_states, -1), -np.inf))
+                np.where(admits, rewards.reshape(len(TIE_ORDER), -1), -np.inf))
 
     def pair_rows(self, states, columns):
-        """The dense discounted rows ``(len(states), n_states)`` of the cells
-        ``(states[i], columns[i])`` of the (state, action) table, gathered
+        """The dense discounted rows ``(len(states), n_states)`` of the pairs
+        (``states[i]``, action ``TIE_ORDER[columns[i]]``), cells
+        ``(columns[i], states[i])`` of the action-major table, gathered
         from ``hankel_weights``: with (s, j) = divmod(cell, n_laws), the
         entry at (q', c') is ``hankel_weights[(q' - s, c'), j]`` for
         s <= q' < L, 0 below s, and at the capacity L the sum of the rows
@@ -303,7 +299,7 @@ class SmdpModel:
         V[min(s + k, L)] adds. Only exact policy evaluation and ``operators``
         read dense rows; solving, grading and simulating never do."""
         cap = self.n_q - 1
-        start, law = np.divmod(self.cell[states, columns], self.n_laws)
+        start, law = np.divmod(self.cell[columns, states], self.n_laws)
         moved = self.hankel_weights.reshape(self.n_q, self.n_cog, -1).transpose(2, 0, 1)
         # each law's rows after L zero rows, flattened: the n_states entries
         # from row L - s are start s's row but for its capacity entry
@@ -320,7 +316,7 @@ class SmdpModel:
         ``pair_rows`` when read. Only ``bench/counts.py`` reads it, to size
         the operator bytes."""
         columns = {a: TIE_ORDER.index(a) for a in ACTIONS}
-        return {a: self.pair_rows(np.flatnonzero(self.admits[:, c]), c)
+        return {a: self.pair_rows(np.flatnonzero(self.admits[c]), c)
                 for a, c in columns.items()}
 
     # -- accessors --------------------------------------------------------

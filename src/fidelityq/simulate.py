@@ -130,7 +130,7 @@ class PolicySampler:
     """
 
     def __init__(self, model, policy):
-        """Read the policy's column of ``model.cell`` once per flat state
+        """Read the policy's cell of ``model.cell`` once per flat state
         q * n_cog + cog: its epoch law's guide start and bucket count, its
         reward r(a) and the queue max(q - d, 0) it leaves. An epoch's
         discount and reward factors gamma^tau, c*tau and (lambda/2)*tau are
@@ -139,7 +139,7 @@ class PolicySampler:
         self.model = model
         columns = validate_policy(model, policy)
         self.policy = np.asarray(policy)
-        cell = model.cell[np.arange(model.n_states), columns]
+        cell = model.cell[columns, np.arange(model.n_states)]
         self._served, segments = np.divmod(cell, model.n_laws)
         self._guide_start = model.epoch_law.cdf.guide_start[segments]
         self._buckets = model.epoch_law.cdf.buckets[segments]

@@ -55,6 +55,15 @@ def pair_row(model, q, cog, a):
     return row.reshape(-1)
 
 
+def hankel_index(model):
+    """Flat index of the Hankel gather V[min(s + k, L), c'] over the
+    values, one row per start s and one column per (k, c'), written out:
+    the reference for the backup's window over the padded values."""
+    cap = model.n_q - 1
+    start = np.minimum(np.arange(model.n_q)[:, None] + np.arange(model.n_q), cap)
+    return (start[:, :, None] * model.n_cog + np.arange(model.n_cog)).reshape(model.n_q, -1)
+
+
 def finite_horizon_table(model, n_stages, terminal_cost):
     """Exact optimal values of every state over ``n_stages`` epochs with
     terminal value -terminal_cost * q, by backward induction: each stage

@@ -88,7 +88,7 @@ def test_epoch_law_has_a_segment_exactly_off_the_rule(model):
 
 
 def test_kernel_pairs_are_each_states_admissible_actions(model):
-    for s, admits in enumerate(model.admits):
+    for s, admits in enumerate(model.admits.T):
         q, cog = divmod(s, model.n_cog)
         got = tuple(a for a, admitted in zip(TIE_ORDER, admits) if admitted)
         assert got == admissible(q, cog, model.grid)

@@ -379,27 +379,28 @@ class TestSupport:
 
 def assert_row_sums_equal_transform(model):
     """Every pair's row sums to E[gamma^tau] of its (level, action) law."""
-    sums = model.pair_rows(*np.nonzero(model.admits)).sum(axis=1)
-    for row, (s, col) in enumerate(np.argwhere(model.admits)):
+    sums = model.pair_rows(*np.nonzero(model.admits)[::-1]).sum(axis=1)
+    for row, (col, s) in enumerate(np.argwhere(model.admits)):
         tr = model.moment("transform", TIE_ORDER[col])[s % model.n_cog]
         assert sums[row] == pytest.approx(tr, abs=1e-12), (s, TIE_ORDER[col])
 
 
 def assert_one_row_per_admissible_pair(model):
-    """Each state's row of ``admits`` marks its admissible actions, one
-    column per action in TIE_ORDER; ``np.nonzero`` lists the admitted
-    cells state-major and in TIE_ORDER within a state, one dense row each."""
+    """Each state's column of ``admits`` marks its admissible actions, one
+    row per action in TIE_ORDER; ``np.nonzero`` lists the admitted cells
+    action-major and in state order within an action, one dense row each."""
     pairs = []
     for q in range(model.n_q):
         for cog in range(model.n_cog):
             allowed = admissible(q, cog, model.grid)
             s = q * model.n_cog + cog
-            assert model.admits[s].tolist() == [a in allowed for a in TIE_ORDER]
-            pairs += [(s, TIE_ORDER.index(a)) for a in TIE_ORDER if a in allowed]
-    assert [tuple(cell) for cell in np.argwhere(model.admits).tolist()] == pairs
-    assert model.pair_rows(*np.nonzero(model.admits)).shape == (len(pairs), model.n_states)
+            assert model.admits[:, s].tolist() == [a in allowed for a in TIE_ORDER]
+            pairs += [(TIE_ORDER.index(a), s) for a in TIE_ORDER if a in allowed]
+    assert [tuple(cell) for cell in np.argwhere(model.admits).tolist()] == sorted(pairs)
+    rows = model.pair_rows(*np.nonzero(model.admits)[::-1])
+    assert rows.shape == (len(pairs), model.n_states)
     for table in (model.admits, model.cell, model.cell_reward):
-        assert table.shape == (model.n_states, len(TIE_ORDER))
+        assert table.shape == (len(TIE_ORDER), model.n_states)
 
 
 class TestOperators:
@@ -418,19 +419,23 @@ class TestOperators:
     def test_pair_rewards_are_the_reward_table(self, shipped):
         model = shipped[1]
         tables = {a: model.reward_table(a).reshape(-1) for a in ACTIONS}
-        for s, col in np.argwhere(model.admits):
-            assert model.cell_reward[s, col] == tables[TIE_ORDER[col]][s]
+        for col, s in np.argwhere(model.admits):
+            assert model.cell_reward[col, s] == tables[TIE_ORDER[col]][s]
         assert np.all(model.cell_reward[~model.admits] == -np.inf)
 
     def test_kernel_is_read_only_and_contiguous(self, model):
-        """The factored tables are read-only; a gathered row block is a
-        fresh contiguous array, and neither a dense kernel nor a second
-        table of capacity weights is kept."""
-        assert model.pair_rows(*np.nonzero(model.admits)).flags.c_contiguous
+        """The factored tables are read-only, and the action-major table's
+        three arrays C-contiguous; a gathered row block is a fresh
+        contiguous array, and neither a dense kernel, a second table of
+        capacity weights nor a stored gather index is kept."""
+        assert model.pair_rows(*np.nonzero(model.admits)[::-1]).flags.c_contiguous
         assert not hasattr(model, "kernel")
         assert not hasattr(model, "_tail_weights")
-        for table in (model.admits, model.cell, model.cell_reward,
-                      model.hankel_index, model.hankel_weights):
+        assert not hasattr(model, "hankel_index")
+        for table in (model.admits, model.cell, model.cell_reward):
+            assert table.shape == (len(TIE_ORDER), model.n_states)
+            assert table.flags.c_contiguous
+        for table in (model.admits, model.cell, model.cell_reward, model.hankel_weights):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -439,7 +444,7 @@ class TestOperators:
         assert list(ops) == list(ACTIONS)
         assert sum(op.nbytes for op in ops.values()) == model.admits.sum() * model.n_states * 8
         for a in ACTIONS:
-            states = np.flatnonzero(model.admits[:, TIE_ORDER.index(a)])
+            states = np.flatnonzero(model.admits[TIE_ORDER.index(a)])
             columns = np.full(len(states), TIE_ORDER.index(a))
             assert np.array_equal(ops[a], model.pair_rows(states, columns))
             assert ops[a].shape[1] == model.n_states
@@ -489,19 +494,19 @@ WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_s
 def factored_product(model, values):
     """Each pair's dense row against flat ``values`` through the factored
     tables: the Hankel gather of the values against the stacked arrival
-    weights, read at the pair's (start, law) cell, admitted cells in
-    row-major order."""
-    after = values[model.hankel_index] @ model.hankel_weights
+    weights, read at the pair's (start, law) cell, admitted cells in the
+    action-major table's row-major order."""
+    after = values[oracle.hankel_index(model)] @ model.hankel_weights
     return after.take(model.cell[model.admits])
 
 
 def scattered_rows(model):
-    """The dense rows of every admitted cell, in row-major order, scattered
-    start by start from the factored tables: the reference for the gather
-    of ``pair_rows``. From start s, the row is 0 below s, the law's
-    ``hankel_weights`` rows k = 0..L-1-s at queues s..L-1 and, at the
-    capacity L, its rows k = L down to L - s added one at a time: every
-    k whose clamp V[min(s + k, L)] reads the capacity."""
+    """The dense rows of every admitted cell, in the action-major table's
+    row-major order, scattered start by start from the factored tables: the
+    reference for the gather of ``pair_rows``. From start s, the row is 0
+    below s, the law's ``hankel_weights`` rows k = 0..L-1-s at queues
+    s..L-1 and, at the capacity L, its rows k = L down to L - s added one
+    at a time: every k whose clamp V[min(s + k, L)] reads the capacity."""
     cap = model.n_q - 1
     moved = model.hankel_weights.reshape(model.n_q, model.n_cog, -1)
     start, law = np.divmod(model.cell[model.admits], model.n_laws)
@@ -521,7 +526,7 @@ def assert_factored_product_is_the_kernel(model, seed, draws=3):
     """The gathered rows equal the start-by-start scatter bit for bit, and
     the factored product equals their product within 1e-14 of the values'
     scale (a reordered sum; at most 8.4e-16 seen with unit normals)."""
-    dense = model.pair_rows(*np.nonzero(model.admits))
+    dense = model.pair_rows(*np.nonzero(model.admits)[::-1])
     assert np.array_equal(dense, scattered_rows(model))
     rng = np.random.default_rng(seed)
     for _ in range(draws):
@@ -584,9 +589,9 @@ class TestFactoredKernel:
         A cell the state does not admit reads cell 0."""
         model = shipped[1]
         assert model.n_laws == model.hankel_weights.shape[1] == len(model._sojourns)
-        s, col = np.nonzero(model.admits)
+        col, s = np.nonzero(model.admits)
         q, cog = np.divmod(s, model.n_cog)
-        start, law = np.divmod(model.cell[s, col], model.n_laws)
+        start, law = np.divmod(model.cell[col, s], model.n_laws)
         decrement = np.array([DECREMENT[a] for a in TIE_ORDER])[col]
         assert np.array_equal(start, np.maximum(q - decrement, 0))
         laws = list(model._sojourns)

@@ -2,9 +2,11 @@
 
 The backup oracle re-derives Q-values from the pair rows of
 ``tests/oracle.py``, bypassing the model's tables; the oracle's stage-wise
-backward induction is crossed against repeated solver backups.
+backward induction is crossed against repeated solver backups, and its
+written-out Hankel gather index against the backup's window.
 """
 
+import os
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -17,13 +19,21 @@ from hypothesis import strategies as st
 import oracle
 from fidelityq.actions import TIE_ORDER, Action
 from fidelityq.cogchain import CogGrid
-from fidelityq.config import builtin_config
+from fidelityq.config import builtin_config, resolve_config
 from fidelityq.errors import PolicyMismatchError
 from fidelityq.model import SmdpModel, admissible, build_model
 from fidelityq.simulate import monte_carlo_value
 from fidelityq.solver import bellman_backup, policy_evaluation, validate_policy, value_iteration
 from fidelityq.structure import grade
 from small_model import small_params
+
+SYMBOLS = np.array([a.value for a in TIE_ORDER])
+WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_state.yaml")
+
+
+def greedy(model, q_values):
+    """Each state's first best action symbol in the action-major Q table."""
+    return SYMBOLS[q_values.argmax(axis=0)].reshape(model.n_q, model.n_cog)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +67,8 @@ class TestBackup:
 
     def test_policy_is_admissible_everywhere(self, model):
         rng = np.random.default_rng(3)
-        _, policy = bellman_backup(model, rng.normal(size=(model.n_q, model.n_cog)))
-        validate_policy(model, policy)
+        _, q_values = bellman_backup(model, rng.normal(size=(model.n_q, model.n_cog)))
+        validate_policy(model, greedy(model, q_values))
 
     def test_empty_queue_always_waits(self, model, solution):
         assert all(sym == "W" for sym in solution.policy[0])
@@ -75,14 +85,15 @@ class TestBackup:
         rng = np.random.default_rng(17)
         values = rng.normal(size=(model.n_q, model.n_cog))
         # the admitted cells, state by state, and their dense rows
-        states, columns = np.nonzero(model.admits)
-        pair_values = model.cell_reward[model.admits] + (
+        states, columns = np.nonzero(model.admits.T)
+        pair_values = model.cell_reward.T[model.admits.T] + (
             model.pair_rows(states, columns) @ values.reshape(-1)
         )
         starts = np.searchsorted(states, np.arange(model.n_states))
         ends = np.append(starts[1:], len(pair_values))
         first = [lo + int(np.argmax(pair_values[lo:hi])) for lo, hi in zip(starts, ends)]
-        backed, policy = bellman_backup(model, values)
+        backed, q_values = bellman_backup(model, values)
+        policy = greedy(model, q_values)
         assert np.max(np.abs(backed.reshape(-1) - pair_values[first])) <= 1e-14 * np.max(
             np.abs(values)
         )
@@ -92,23 +103,29 @@ class TestBackup:
     def test_exact_ties_go_to_the_earlier_action(self, model):
         """Give every action of a state the row and reward of its last
         action (high service, or wait on an empty queue): each state then
-        ties exactly, and takes its first action in TIE_ORDER."""
+        ties exactly, and takes its first action in TIE_ORDER; so does
+        value iteration, whose policy is the last sweep's."""
         used = model.admits
-        last = (np.arange(model.n_states), used.shape[1] - 1 - used[:, ::-1].argmax(axis=1))
+        last = (used.shape[0] - 1 - used[::-1].argmax(axis=0), np.arange(model.n_states))
         tied = SimpleNamespace(**vars(model))
-        tied.cell = np.where(used, model.cell[last][:, None], 0)
-        tied.cell_reward = np.where(used, model.cell_reward[last][:, None], -np.inf)
+        tied.cell = np.where(used, model.cell[last], 0)
+        tied.cell_reward = np.where(used, model.cell_reward[last], -np.inf)
         rng = np.random.default_rng(5)
         values = rng.normal(size=(model.n_q, model.n_cog))
-        backed, policy = bellman_backup(tied, values)
+        backed, q_values = bellman_backup(tied, values)
+        policy = greedy(tied, q_values)
         assert np.all(policy[0] == Action.WAIT.value)
         assert np.all(policy[1:] == Action.SKIP.value)
         _, own = bellman_backup(model, values)
-        assert not np.all(own[1:] == Action.SKIP.value)
+        assert not np.all(greedy(model, own)[1:] == Action.SKIP.value)
         # the tied value is the last action's
-        after = values.reshape(-1)[model.hankel_index] @ model.hankel_weights
+        after = values.reshape(-1)[oracle.hankel_index(model)] @ model.hankel_weights
         expected = model.cell_reward[last] + after.take(model.cell[last])
         assert np.array_equal(backed.reshape(-1), expected)
+        solved = value_iteration(tied, max_sweeps=4)
+        _, q_last = bellman_backup(tied, value_iteration(tied, max_sweeps=3).values)
+        assert np.array_equal(solved.policy, greedy(tied, q_last))
+        assert np.all(solved.policy[1:] == Action.SKIP.value)
 
     def test_solving_and_simulating_never_build_the_dense_kernel(self, monkeypatch):
         def never(model, states, columns):
@@ -119,6 +136,40 @@ class TestBackup:
         solved = value_iteration(fresh)
         grade(fresh, solved)
         monte_carlo_value(fresh, solved.policy, (2, 1), episodes=20, seed=1)
+
+
+@pytest.fixture(
+    scope="module", params=["tiny", "default", "high_lambda", "skip_cheap", "large_gap", "wide_state"]
+)
+def shipped_model(request):
+    """The five shipped configs and ``bench/wide_state.yaml`` (976 states)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if request.param == "wide_state":
+            return resolve_config(WIDE_STATE).build_model()
+        return builtin_config(request.param).build_model()
+
+
+class TestQTable:
+    """The backup's window over the padded values is the written-out Hankel
+    gather: its action-major Q table is the gather's, bit for bit."""
+
+    def test_matches_the_index_gather(self, shipped_model):
+        model = shipped_model
+        values = np.random.default_rng(23).normal(size=(model.n_q, model.n_cog))
+        backed, q_values = bellman_backup(model, values)
+        after = values.reshape(-1)[oracle.hankel_index(model)] @ model.hankel_weights
+        assert np.array_equal(q_values, model.cell_reward + after.take(model.cell))
+        assert np.array_equal(q_values == -np.inf, ~model.admits)
+        assert np.array_equal(backed.reshape(-1), q_values.max(axis=0))
+
+    def test_policy_is_the_last_sweeps_greedy_action(self, shipped_model):
+        model = shipped_model
+        solved = value_iteration(model)
+        before = value_iteration(model, max_sweeps=solved.sweeps - 1)
+        backed, q_values = bellman_backup(model, before.values)
+        assert np.array_equal(solved.values, backed)
+        assert np.array_equal(solved.policy, greedy(model, q_values))
 
 
 class TestValueIteration:
@@ -138,7 +189,7 @@ class TestValueIteration:
             for cog in range(model.n_cog):
                 a = Action(str(solution.policy[q, cog]))
                 s, col = q * model.n_cog + cog, TIE_ORDER.index(a)
-                q_value = model.cell_reward[s, col] + model.pair_rows([s], [col])[0] @ flat
+                q_value = model.cell_reward[col, s] + model.pair_rows([s], [col])[0] @ flat
                 assert q_value == pytest.approx(
                     solution.values[q, cog], abs=10 * solution.epsilon
                 )
@@ -164,12 +215,12 @@ class TestValueIteration:
         assert capped.sweeps == 3
         assert capped.residual > capped.epsilon
 
-    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    @pytest.mark.parametrize("max_sweeps", [0, -1, True, 2.0])
     def test_sweep_cap_below_one_rejected(self, model, max_sweeps):
         with pytest.raises(ValueError, match="max_sweeps"):
             value_iteration(model, max_sweeps=max_sweeps)
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_epsilon_not_positive_and_finite_rejected(self, model, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             value_iteration(model, epsilon=epsilon, max_sweeps=3)
@@ -214,7 +265,7 @@ class TestPolicyEvaluation:
         peak stays below the size of the dense kernel of all admitted pairs
         (3.06 MB), which building every pair's row would pass alone."""
         model = builtin_config("default").build_model()
-        _, policy = bellman_backup(model, np.zeros((model.n_q, model.n_cog)))
+        policy = value_iteration(model, max_sweeps=1).policy
         tracemalloc.start()
         try:
             policy_evaluation(model, policy)
@@ -256,13 +307,12 @@ class TestPolicyEvaluation:
             validate_policy(model, bad)
 
     def test_returns_each_states_kernel_row(self, model, solution):
-        """Each state's column of the (state, action) table, an admitted
-        cell of the state's row, whose dense row ``pair_rows`` gathers."""
+        """Each state's action row of the action-major table, an admitted
+        cell of the state's column, whose dense row ``pair_rows`` gathers."""
         columns = validate_policy(model, solution.policy)
         assert columns.shape == (model.n_states,)
-        assert model.admits[np.arange(model.n_states), columns].all()
-        symbols = np.array([a.value for a in TIE_ORDER])[columns]
-        assert np.array_equal(symbols, solution.policy.reshape(-1))
+        assert model.admits[columns, np.arange(model.n_states)].all()
+        assert np.array_equal(SYMBOLS[columns], solution.policy.reshape(-1))
 
 
 @pytest.fixture(scope="module", params=["tiny", "rest-at-top-only"])
