@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import check_arrival_rates, check_episode_count, resolve_config
+from .config import check_arrival_rates, check_episode_count, check_seed, resolve_config
 from .errors import (
     ConfigError,
     FidelityQError,
@@ -67,6 +67,20 @@ def _outdir(args):
     return args.out
 
 
+def _build_model(cfg, arrival_rate=None):
+    """The config's model, at ``arrival_rate`` if one is given. Each model
+    warning is printed as one stderr line, ``warning:`` or, for a swept
+    rate, ``warning at arrival rate R:``; warnings of other categories keep
+    their filters."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        model = cfg.build_model(arrival_rate=arrival_rate)
+    where = "" if arrival_rate is None else f" at arrival rate {arrival_rate!r}"
+    for warning in caught:
+        print(f"warning{where}: {warning.message}", file=sys.stderr)
+    return model
+
+
 def _solve(cfg, model):
     return value_iteration(
         model, epsilon=cfg.solver["epsilon"], max_sweeps=cfg.solver["max_sweeps"]
@@ -79,9 +93,7 @@ def _sim_settings(cfg, args):
         episodes = sim["episodes"]
     else:
         episodes = check_episode_count("--episodes", args.episodes)
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    seed = args.seed if args.seed is not None else sim["seed"]
+    seed = sim["seed"] if args.seed is None else check_seed("--seed", args.seed)
     return episodes, seed
 
 
@@ -171,7 +183,7 @@ def read_policy_csv(path, model):
 
 def cmd_solve(args):
     cfg = resolve_config(args.config)
-    model = cfg.build_model()
+    model = _build_model(cfg)
     solution = _solve(cfg, model)
     out = _outdir(args)
     comments = [f"config: {cfg.digest}"]
@@ -225,7 +237,7 @@ def cmd_check(args):
     # a queue too short for the boundary buffer fails before anything is built
     checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
     episodes, seed = _sim_settings(cfg, args)
-    model = cfg.build_model()
+    model = _build_model(cfg)
     solution = _solve(cfg, model)
     if not solution.converged:
         print("solver did not converge; refusing to grade structure",
@@ -291,7 +303,7 @@ def cmd_simulate(args):
         raise ConfigError(f"--trajectories must be nonnegative, got {args.trajectories}")
     cfg = resolve_config(args.config)
     episodes, seed = _sim_settings(cfg, args)
-    model = cfg.build_model()
+    model = _build_model(cfg)
     out = _outdir(args)
     if args.policy is not None:
         policy = read_policy_csv(args.policy, model)
@@ -376,12 +388,7 @@ def cmd_sweep(args):
     rows = []
     any_unconverged = False
     for rate in rates:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            model = cfg.build_model(arrival_rate=rate)
-        for warning in caught:
-            print(f"warning at arrival rate {rate!r}: {warning.message}",
-                  file=sys.stderr)
+        model = _build_model(cfg, rate)
         solution = _solve(cfg, model)
         if not solution.converged:
             any_unconverged = True
@@ -402,7 +409,7 @@ def cmd_sweep(args):
 
 def cmd_export_moments(args):
     cfg = resolve_config(args.config)
-    model = cfg.build_model()
+    model = _build_model(cfg)
     out = _outdir(args)
     rows = [
         (

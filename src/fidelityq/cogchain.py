@@ -134,17 +134,10 @@ def build_step_matrix(grid, rates, action):
     pf, pb = rates.probs[action]
     n = grid.n_levels
     m = np.zeros((n, n))
-    for i in range(n):
-        if i == 0:
-            m[i, 0] = 1.0 - pf
-            m[i, 1] = pf
-        elif i == n - 1:
-            m[i, i - 1] = pb
-            m[i, i] = 1.0 - pb
-        else:
-            m[i, i - 1] = pb
-            m[i, i] = 1.0 - pf - pb
-            m[i, i + 1] = pf
+    m.flat[1 :: n + 1] = pf  # super-diagonal
+    m.flat[n :: n + 1] = pb  # sub-diagonal
+    m.flat[:: n + 1] = 1.0 - pf - pb
+    m[0, 0], m[-1, -1] = 1.0 - pf, 1.0 - pb
     m.setflags(write=False)
     return m
 
@@ -153,7 +146,8 @@ def step_powers(step, t_max):
     """Matrix powers P^0 .. P^t_max stacked as one array.
 
     Computed by repeated multiplication, P^t = P^(t-1) @ P, so the whole
-    ladder is available to kernel assembly and trajectory sampling at once.
+    ladder is available at once to the kernel's per-action tables
+    (``SmdpModel._action_weights``).
     An ergodic chain's float64 ladder reaches a fixed point: once a product
     has the same bytes as its input, every later product takes those same
     input bits and so returns them again. The loop stops there and copies

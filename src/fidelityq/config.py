@@ -287,22 +287,45 @@ def check_episode_count(name, episodes):
     return episodes
 
 
+def check_positive(name, value):
+    """Reject a value that is not positive and finite, or is a bool. Every
+    comparison fails for NaN, so NaN is rejected too."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def check_count(name, value):
+    """Reject a library caller's count that is not a positive integer."""
+    if not (_is_integer(value) and value >= 1):
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def check_seed(name, seed):
+    """Reject a negative seed."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {seed}")
+    return seed
+
+
+def check_arrival_rate(name, rate):
+    """Reject an arrival rate that is not positive and finite, or whose wait
+    law ``wait_support`` refuses, naming it as ``name``."""
+    check_positive(name, rate)
+    try:
+        wait_support(rate)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return rate
+
+
 def check_arrival_rates(name, rates):
-    """Reject a sweep rate that is not a number, not positive and finite,
-    or so slow that its wait law would pass ``MAX_SUPPORT`` points, naming
-    it as ``name[i]``; every rate is checked before any is solved. Returns
-    the rates as floats."""
-    checked = []
-    for i, rate in enumerate(rates):
-        rate = _number(f"{name}[{i}]", rate)
-        if not 0 < rate < math.inf:
-            raise ConfigError(f"{name}[{i}] must be positive and finite, got {rate!r}")
-        try:
-            wait_support(rate)
-        except ValueError as exc:
-            raise ConfigError(f"{name}[{i}]: {exc}") from None
-        checked.append(rate)
-    return checked
+    """``check_arrival_rate`` on each rate, read as a number and named
+    ``name[i]``; every rate is checked before any is solved. Returns the
+    rates as floats."""
+    return [check_arrival_rate(f"{name}[{i}]", _number(f"{name}[{i}]", rate))
+            for i, rate in enumerate(rates)]
 
 
 def check_start(start, capacity, intervals, what="start"):
@@ -331,23 +354,14 @@ def _check_ranges(data):
         raise ConfigError(
             f"service.family must be one of {SERVICE_FAMILIES}, got {family!r}"
         )
-    arrival_rate = data["queue"]["arrival_rate"]
-    if not 0 < arrival_rate < math.inf:
-        raise ConfigError(
-            f"queue.arrival_rate must be positive and finite, got {arrival_rate!r}"
-        )
+    check_arrival_rate("queue.arrival_rate", data["queue"]["arrival_rate"])
     sim = data["simulation"]
     # the horizon targets a positive bias ratio, and both the main and the
     # pilot batch need two runs
     check_episode_count("simulation.episodes", sim["episodes"])
     check_episode_count("simulation.pilot_episodes", sim["pilot_episodes"])
-    if sim["seed"] < 0:
-        raise ConfigError(f"simulation.seed must be nonnegative, got {sim['seed']}")
-    bias_ratio = sim["bias_ratio"]
-    if not 0 < bias_ratio < math.inf:
-        raise ConfigError(
-            f"simulation.bias_ratio must be positive and finite, got {bias_ratio!r}"
-        )
+    check_seed("simulation.seed", sim["seed"])
+    check_positive("simulation.bias_ratio", sim["bias_ratio"])
     # the share of the top of the queue range the structural checks leave out
     buffer_fraction = data["analysis"]["buffer_fraction"]
     if not 0 <= buffer_fraction < 1:
@@ -359,15 +373,12 @@ def _check_ranges(data):
                        ("skip.duration", data["skip"]["duration"])):
         if value > MAX_SUPPORT:
             raise ConfigError(f"{key} must be at most {MAX_SUPPORT}, got {value}")
-    epsilon, max_sweeps = data["solver"]["epsilon"], data["solver"]["max_sweeps"]
-    if not 0 < epsilon < math.inf:
-        raise ConfigError(f"solver.epsilon must be positive and finite, got {epsilon!r}")
-    if max_sweeps < 1:
-        raise ConfigError(f"solver.max_sweeps must be at least 1, got {max_sweeps}")
-    sweep = data["sweep"]
-    if sweep["max_points"] < 1:
-        raise ConfigError(f"sweep.max_points must be at least 1, got {sweep['max_points']}")
-    check_arrival_rates("sweep.arrival_rates", sweep["arrival_rates"])
+    check_positive("solver.epsilon", data["solver"]["epsilon"])
+    for key, value in (("solver.max_sweeps", data["solver"]["max_sweeps"]),
+                       ("sweep.max_points", data["sweep"]["max_points"])):
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+    check_arrival_rates("sweep.arrival_rates", data["sweep"]["arrival_rates"])
     starts = sim["starts"]
     if starts is not None and not isinstance(starts, (list, tuple)):
         raise ConfigError(f"simulation.starts must be a list, got {starts!r}")

@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .actions import ACTIONS, DECREMENT, TIE_ORDER, UNIT_RATES, Action
 from .cogchain import build_step_matrix, step_powers
+from .config import wait_support
 from .errors import InadmissibleRestError
 from .sampling import EpochLaw, SegmentedCdf
 from .sojourn import rest_caps, rest_pmf, service_pmf, skip_pmf, wait_pmf
@@ -45,8 +46,7 @@ class ModelParams:
             raise ValueError("skip_time must be a positive integer")
         if not 0 < self.arrival_rate:
             raise ValueError("arrival rate must be positive")
-        if not 0 < 1.0 - math.exp(-self.arrival_rate) < 1:
-            raise ValueError("arrival probability per step must be in (0,1)")
+        wait_support(self.arrival_rate)  # raises where no wait law can be built
         if not 0 < self.holding_cost < math.inf:
             raise ValueError("holding cost must be positive and finite")
         if not math.inf > self.reward_high > self.reward_normal >= 0:

@@ -42,18 +42,17 @@ so most episodes retire long before the cap.
 """
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .actions import TIE_ORDER
-from .config import check_episode_count, check_start
+from .config import DEFAULTS, check_count, check_episode_count, check_positive, check_start
 from .solver import validate_policy
 
-DEFAULT_PILOT_EPISODES = 256
-DEFAULT_BIAS_RATIO = 0.1
+DEFAULT_PILOT_EPISODES = DEFAULTS["simulation"]["pilot_episodes"]
+DEFAULT_BIAS_RATIO = DEFAULTS["simulation"]["bias_ratio"]
 MAX_HORIZON_EPOCHS = 20_000
 # the retirement floor is beta^H * RETIRE_BELOW: where a skip of t_s sets
 # beta = gamma^t_s, an episode at zeta = H t_s ties beta^H exactly, and a gap
@@ -87,16 +86,6 @@ class MonteCarloEstimate:
     empty_queue_fraction: float
     start: tuple
     seed: int
-
-
-def _check_horizon(horizon_epochs):
-    """Reject an epoch count that is not a positive integer."""
-    if isinstance(horizon_epochs, bool) or not (
-        isinstance(horizon_epochs, numbers.Integral) and horizon_epochs >= 1
-    ):
-        raise ValueError(
-            f"horizon_epochs must be a positive integer, got {horizon_epochs!r}"
-        )
 
 
 def reward_ceiling(model):
@@ -204,7 +193,7 @@ class PolicySampler:
         a one-episode batch with this horizon would."""
         model = self.model
         start = check_start(start, model.n_q - 1, model.n_cog - 1)
-        _check_horizon(horizon_epochs)
+        check_count("horizon_epochs", horizon_epochs)
         total = np.zeros(1)
         epochs = self._epochs(start, total, horizon_epochs, np.random.default_rng(seed))
         zeta = 0
@@ -226,7 +215,7 @@ class PolicySampler:
         episode-epochs simulated."""
         model = self.model
         start = check_start(start, model.n_q - 1, model.n_cog - 1)
-        _check_horizon(horizon_epochs)
+        check_count("horizon_epochs", horizon_epochs)
         totals = np.zeros(episodes)
         simulated = empty_epochs = 0
         for state, _, _, _ in self._epochs(start, totals, horizon_epochs, rng):
@@ -258,6 +247,7 @@ class PolicySampler:
         """
         check_episode_count("episodes", episodes)
         check_episode_count("pilot_episodes", pilot_episodes)
+        check_positive("bias_ratio", bias_ratio)
         seed = int(seed)
         pilot_seq, main_seq = np.random.SeedSequence(seed).spawn(2)
         if horizon_epochs is None:

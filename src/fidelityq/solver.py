@@ -1,17 +1,16 @@
 """Value iteration over the model's factored pair kernel and exact policy
 evaluation over the policy's dense rows, gathered from the same tables."""
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .actions import TIE_ORDER, from_symbol
+from .config import DEFAULTS, check_count, check_positive
 from .errors import PolicyMismatchError
 
-DEFAULT_EPSILON = 1e-9
-DEFAULT_MAX_SWEEPS = 5000
+DEFAULT_EPSILON = DEFAULTS["solver"]["epsilon"]
+DEFAULT_MAX_SWEEPS = DEFAULTS["solver"]["max_sweeps"]
 
 # one-letter symbol of each action, indexed like the rows of ``model.admits``
 _SYMBOLS = np.array([a.value for a in TIE_ORDER])
@@ -61,12 +60,8 @@ def value_iteration(model, epsilon=DEFAULT_EPSILON, max_sweeps=DEFAULT_MAX_SWEEP
     within ``max_sweeps`` is reported through ``converged``, not raised.
     The greedy policy is the last sweep's first best action in ``TIE_ORDER``.
     """
-    if isinstance(max_sweeps, bool) or not (
-        isinstance(max_sweeps, numbers.Integral) and max_sweeps >= 1
-    ):
-        raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
-    if isinstance(epsilon, bool) or not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    check_count("max_sweeps", max_sweeps)
+    check_positive("epsilon", epsilon)
     values = np.zeros((model.n_q, model.n_cog))
     history = []
     for _ in range(max_sweeps):

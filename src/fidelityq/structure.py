@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ACTIONS, TIE_ORDER, Action
+from .config import DEFAULTS
 from .errors import ConfigError, GuaranteeViolationError
 from .model import queue_actions
 
 A3_TOL = 1e-12
 # a value-gap pair fails when either margin falls below -VALUE_GAP_TOL
 VALUE_GAP_TOL = 1e-9
-DEFAULT_BUFFER_FRACTION = 0.2
+DEFAULT_BUFFER_FRACTION = DEFAULTS["analysis"]["buffer_fraction"]
 # the structural results assume the queue (almost) never empties: a run
 # counts as busy while at most this fraction of its epochs start empty
 BUSY_EMPTY_FRACTION = 0.01

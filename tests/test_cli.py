@@ -141,6 +141,16 @@ class TestSolve:
             "config", "converged", "epsilon", "n_states", "residual", "sweeps"
         ]
 
+    def test_solve_prints_model_warnings_as_lines(self, tmp_path, capsys, recwarn):
+        # skip_cheap's skips outlast the mean gap between arrivals
+        assert run("solve", "--config", "skip_cheap", "--out", str(tmp_path / "out")) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: skip_time >= 1/arrival_rate: the queue is unstable even "
+            "under constant skipping"
+        ]
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
 
 class TestCheck:
     def test_writes_reports(self, tmp_path):

@@ -1,5 +1,6 @@
 """Configuration loading, merging, and identity hashing."""
 
+import inspect
 import re
 
 import pytest
@@ -141,6 +142,23 @@ class TestMerge:
         with pytest.raises(
             ConfigError, match=f"^queue.arrival_rate must be positive and finite, got {shown}$"
         ):
+            from_mapping({"queue": {"arrival_rate": rate}})
+
+    # the sweep rates' wait-law rule, applied to the configured rate too
+    @pytest.mark.parametrize(
+        "rate, match",
+        [
+            (1e-6, "the wait law at arrival rate 1e-06 needs "
+                   rf"13815511 support points, over {MAX_SUPPORT}"),
+            (1e-3, "the wait law at arrival rate 0.001 needs "
+                   rf"13816 support points, over {MAX_SUPPORT}"),
+            (50.0, r"arrival probability per step must be in \(0,1\)"),
+            (1e-300, r"arrival probability per step must be in \(0,1\)"),
+        ],
+        ids=["1e-6", "1e-3", "50", "1e-300"],
+    )
+    def test_arrival_rate_needs_a_wait_law(self, rate, match):
+        with pytest.raises(ConfigError, match=f"^queue.arrival_rate: {match}$"):
             from_mapping({"queue": {"arrival_rate": rate}})
 
     @pytest.mark.parametrize(
@@ -399,8 +417,9 @@ class TestFloatKeys:
 
     @pytest.mark.parametrize("slot", NUMBER_SLOTS)
     def test_numeric_string_loads_as_float(self, slot):
-        # a sweep rate of 1e-4 would need a 138,156-point wait law
-        text = "1e-1" if slot == "sweep.arrival_rates[0]" else "1e-4"
+        # an arrival rate of 1e-4, in queue.arrival_rate or a sweep rate,
+        # would need a 138,156-point wait law and is refused
+        text = "1e-1" if "arrival_rate" in slot else "1e-4"
         loaded = read(from_mapping(NUMBER_SLOTS[slot](text)).data, slot)
         assert type(loaded) is float and loaded == float(text)
 
@@ -424,3 +443,22 @@ class TestFloatKeys:
 def test_true_rejected_for_every_key(key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         from_mapping(nested(key, True))
+
+
+def test_library_defaults_are_the_config_defaults():
+    """A library call with the defaults runs what a default config runs."""
+    from fidelityq import simulate, solver, structure
+
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    assert default(solver.value_iteration, "epsilon") == DEFAULTS["solver"]["epsilon"]
+    assert default(solver.value_iteration, "max_sweeps") == DEFAULTS["solver"]["max_sweeps"]
+    estimate, sim = simulate.PolicySampler.estimate, DEFAULTS["simulation"]
+    assert default(estimate, "bias_ratio") == sim["bias_ratio"]
+    assert default(estimate, "pilot_episodes") == sim["pilot_episodes"]
+    graders = [f for _, f in inspect.getmembers(structure, inspect.isfunction)
+               if "buffer_fraction" in inspect.signature(f).parameters]
+    assert len(graders) >= 5
+    for func in graders:
+        assert default(func, "buffer_fraction") == DEFAULTS["analysis"]["buffer_fraction"]

@@ -70,3 +70,24 @@ def test_resolving_a_config_loads_no_numpy(tmp_path):
     )
     run = run_fresh(code, str(path))
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("rate", ["1.0e-6", "50.0"])
+def test_refusing_an_arrival_rate_loads_no_numpy(tmp_path, rate):
+    """A file config whose arrival rate has no wait law is refused when it
+    loads, naming the key, before numpy is imported."""
+    path = tmp_path / "rate.yaml"
+    path.write_text(f"queue: {{arrival_rate: {rate}}}\n")
+    code = (
+        "import sys, fidelityq\n"
+        "try:\n"
+        "    fidelityq.resolve_config(sys.argv[1])\n"
+        "except fidelityq.errors.ConfigError as exc:\n"
+        "    assert str(exc).startswith('queue.arrival_rate: '), exc\n"
+        "else:\n"
+        "    raise AssertionError('loaded')\n"
+        "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded\n"
+    )
+    run = run_fresh(code, str(path))
+    assert run.returncode == 0, run.stderr

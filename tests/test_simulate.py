@@ -222,12 +222,18 @@ class TestArguments:
     @pytest.mark.parametrize("horizon", [0, -2, 2.5, True])
     def test_bad_horizon_rejected(self, optimal_sampler, horizon):
         match = "horizon_epochs must be a positive integer"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ConfigError, match=match):
             optimal_sampler.estimate((4, 2), episodes=50, seed=1, horizon_epochs=horizon)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ConfigError, match=match):
             optimal_sampler.run_batch((4, 2), 50, horizon, np.random.default_rng(1))
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ConfigError, match=match):
             optimal_sampler.run_episode((4, 2), horizon_epochs=horizon, seed=1)
+
+    # the same rule as the config's simulation.bias_ratio
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bias_ratio_not_positive_and_finite_rejected(self, optimal_sampler, ratio):
+        with pytest.raises(ConfigError, match="^bias_ratio must be positive and finite"):
+            optimal_sampler.estimate((4, 2), episodes=50, seed=1, bias_ratio=ratio)
 
     # the same rule as the config's simulation.starts: an integer pair on
     # the grid (this model: 0 <= q <= 8, 0 <= cog <= 4)

@@ -20,7 +20,7 @@ import oracle
 from fidelityq.actions import TIE_ORDER, Action
 from fidelityq.cogchain import CogGrid
 from fidelityq.config import builtin_config, resolve_config
-from fidelityq.errors import PolicyMismatchError
+from fidelityq.errors import ConfigError, PolicyMismatchError
 from fidelityq.model import SmdpModel, admissible, build_model
 from fidelityq.simulate import monte_carlo_value
 from fidelityq.solver import bellman_backup, policy_evaluation, validate_policy, value_iteration
@@ -217,12 +217,12 @@ class TestValueIteration:
 
     @pytest.mark.parametrize("max_sweeps", [0, -1, True, 2.0])
     def test_sweep_cap_below_one_rejected(self, model, max_sweeps):
-        with pytest.raises(ValueError, match="max_sweeps"):
+        with pytest.raises(ConfigError, match="^max_sweeps must be a positive integer"):
             value_iteration(model, max_sweeps=max_sweeps)
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_epsilon_not_positive_and_finite_rejected(self, model, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        with pytest.raises(ConfigError, match="^epsilon must be positive and finite"):
             value_iteration(model, epsilon=epsilon, max_sweeps=3)
 
 
