@@ -11,16 +11,19 @@ bytes.
 
 Exit codes: 0 success, 1 invalid input, 2 violated structural guarantee,
 3 solver did not converge.
+
+The numerical modules, and numpy with them, are imported inside the
+commands once the config has loaded, so a config refused at load exits
+before numpy is imported.
 """
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import warnings
 from dataclasses import asdict
-
-import numpy as np
 
 from .config import check_arrival_rates, check_episode_count, check_seed, resolve_config
 from .errors import (
@@ -30,15 +33,13 @@ from .errors import (
     GuaranteeViolationError,
     PolicyMismatchError,
 )
-from .simulate import EpochRecord, PolicySampler
-from .solver import validate_policy, value_iteration
-from .structure import checked_queue_range, enforce_guarantee, grade, light_tail_laws
 from .svgplot import policy_heatmap, value_heatmap
 
 
 def _fmt(x):
-    """Deterministic scalar formatting for CSV cells."""
-    if isinstance(x, (float, np.floating)):
+    """Deterministic scalar formatting for CSV cells: a real number that is
+    not an integer (numpy's floats included) as the repr of a float."""
+    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Integral):
         return repr(float(x))
     if x is None:
         return ""
@@ -82,6 +83,7 @@ def _build_model(cfg, arrival_rate=None):
 
 
 def _solve(cfg, model):
+    from .solver import value_iteration
     return value_iteration(
         model, epsilon=cfg.solver["epsilon"], max_sweeps=cfg.solver["max_sweeps"]
     )
@@ -148,6 +150,9 @@ def write_policy_csv(path, policy, comments):
 
 def read_policy_csv(path, model):
     """Reload a policy table written by ``solve``; validates coverage."""
+    import numpy as np
+
+    from .solver import validate_policy
     policy = np.full((model.n_q, model.n_cog), None, dtype=object)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -234,6 +239,8 @@ def cmd_solve(args):
 
 def cmd_check(args):
     cfg = resolve_config(args.config)
+    from .simulate import PolicySampler
+    from .structure import checked_queue_range, enforce_guarantee, grade
     # a queue too short for the boundary buffer fails before anything is built
     checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
     episodes, seed = _sim_settings(cfg, args)
@@ -302,6 +309,9 @@ def cmd_simulate(args):
     if args.trajectories < 0:
         raise ConfigError(f"--trajectories must be nonnegative, got {args.trajectories}")
     cfg = resolve_config(args.config)
+    import numpy as np
+
+    from .simulate import EpochRecord, PolicySampler
     episodes, seed = _sim_settings(cfg, args)
     model = _build_model(cfg)
     out = _outdir(args)
@@ -368,6 +378,7 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg = resolve_config(args.config)
+    from .structure import checked_queue_range, grade
     checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
     if args.grid is not None:
         rates = check_arrival_rates(
@@ -409,6 +420,7 @@ def cmd_sweep(args):
 
 def cmd_export_moments(args):
     cfg = resolve_config(args.config)
+    from .structure import light_tail_laws
     model = _build_model(cfg)
     out = _outdir(args)
     rows = [

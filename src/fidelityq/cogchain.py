@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import UNIT_RATES, Action
-from .config import TRUNCATION_TOL
+from .actions import UNIT_RATES
+from .config import TRUNCATION_TOL, check_chain, check_grid, step_probs
 from .errors import InadmissibleRestError, InvalidRatesError, TailMassError
 
 
@@ -32,10 +32,7 @@ class CogGrid:
     star_index: int
 
     def __post_init__(self):
-        if self.n_intervals < 2:
-            raise ValueError("cognitive grid needs at least 2 intervals")
-        if not 0 < self.star_index < self.n_intervals:
-            raise ValueError("resting level must be an interior grid point")
+        check_grid(self.n_intervals, self.star_index)
 
     @property
     def n_levels(self):
@@ -68,32 +65,9 @@ class ChainRates:
                 "chain rates must cover exactly the actions "
                 f"{''.join(map(str, UNIT_RATES))}, got {''.join(map(str, self.probs))}"
             )
-        clean = {}
-        for action in UNIT_RATES:
-            pf, pb = (float(x) for x in self.probs[action])
-            if pf < 0 or pb < 0:
-                raise InvalidRatesError(f"negative rate for action {action}")
-            if pf + pb > 1.0:
-                raise InvalidRatesError(
-                    f"rates for action {action} sum to {pf + pb:.4f} > 1; "
-                    "per-step probabilities must leave a nonnegative "
-                    "stay-put mass"
-                )
-            clean[action] = (pf, pb)
-        object.__setattr__(self, "probs", clean)
-        for action in (Action.WAIT, Action.REST):
-            pf, pb = self.probs[action]
-            if not pb > pf:
-                raise InvalidRatesError(f"{action} must drift downward")
-        for action in (Action.NORMAL, Action.HIGH):
-            pf, pb = self.probs[action]
-            if not pf > pb:
-                raise InvalidRatesError(f"{action} must drift upward")
-        if not self.probs[Action.HIGH][0] > self.probs[Action.NORMAL][0]:
-            raise InvalidRatesError(
-                "high fidelity must push the cognitive state harder than "
-                "normal fidelity"
-            )
+        probs = {a: tuple(float(x) for x in self.probs[a]) for a in UNIT_RATES}
+        check_chain(probs)
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def default(cls, step_scale, overrides=None):
@@ -104,13 +78,7 @@ class ChainRates:
         strong high-fidelity push. ``overrides`` maps an action to a
         (forward, backward) pair of unit rates replacing the built-in one.
         """
-        rates = dict(UNIT_RATES)
-        if overrides:
-            rates.update(overrides)
-        probs = {
-            a: (pf * step_scale, pb * step_scale) for a, (pf, pb) in rates.items()
-        }
-        return cls(probs=probs)
+        return cls(probs=step_probs(step_scale, overrides))
 
 
 def build_step_matrix(grid, rates, action):

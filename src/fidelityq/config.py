@@ -20,7 +20,7 @@ from importlib import resources
 import yaml
 
 from .actions import UNIT_RATES, Action
-from .errors import ConfigError
+from .errors import ConfigError, InvalidRatesError
 
 # The sojourn laws' config-time rules live here, so a config resolves
 # without numpy; ``sojourn`` and ``cogchain`` import them. TRUNCATION_TOL is
@@ -101,7 +101,9 @@ def wait_support(arrival_rate):
     truncated geometric tail falls below the truncation tolerance. Raises
     ``ValueError`` over ``MAX_SUPPORT`` points, or when the chance of an
     arrival per step rounds to 0 or 1, so a rate can be refused before any
-    law is built."""
+    law is built. A rate that is not positive is refused first."""
+    if not arrival_rate > 0:
+        raise ValueError("arrival rate must be positive")
     p = 1.0 - math.exp(-arrival_rate)
     # p rounds to 0 below ~1e-16 arrivals per step and to 1 above ~37
     if not 0 < p < 1:
@@ -114,6 +116,24 @@ def wait_support(arrival_rate):
 def _is_integer(x):
     """An integral value that is not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_count(x):
+    """A positive integer that is not a bool."""
+    return _is_integer(x) and x >= 1
+
+
+def _is_positive(x):
+    """A positive, finite value that is not a bool. Every comparison fails
+    for NaN, so NaN is not positive."""
+    return not isinstance(x, bool) and 0 < x < math.inf
+
+
+def _integer(name, value):
+    """Reject a value that is not an integer, or is a bool."""
+    if not _is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _number(path, value):
@@ -167,9 +187,7 @@ def _typed(path, default, value):
     if isinstance(default, dict):
         return _merge(default, value, path)
     if isinstance(default, int):
-        if not _is_integer(value):
-            raise ConfigError(f"{path} must be an integer, got {value!r}")
-        return int(value)
+        return int(_integer(path, value))
     if isinstance(default, float):
         return _number(path, value)
     if isinstance(default, str):
@@ -204,6 +222,130 @@ def _by_action(section):
     return {Action[key.upper()]: value for key, value in section.items()}
 
 
+def _refuse_first(rules, error=ConfigError):
+    """Raise ``error(text)`` for the first ``(key, holds, text)`` rule that
+    does not hold. The model's range rules below, one per parameter class,
+    are applied by the class for library callers, who read the text as it
+    stands, and by ``_check_ranges`` at load, which puts the exception's
+    ``key`` in front of it."""
+    for key, holds, text in rules:
+        if not holds:
+            exc = error(text)
+            exc.key = key
+            raise exc
+
+
+def check_grid(n_intervals, star_index):
+    """The cognitive grid's rule."""
+    _refuse_first([
+        ("cognition.intervals", n_intervals >= 2,
+         "cognitive grid needs at least 2 intervals"),
+        ("cognition.star_index", 0 < star_index < n_intervals,
+         "resting level must be an interior grid point"),
+    ])
+
+
+def step_probs(step_scale, overrides=None):
+    """Per-step ``(forward, backward)`` probabilities of each action that
+    moves the chain: its unit rates (``UNIT_RATES``, or the pair in
+    ``overrides``) times ``step_scale``."""
+    rates = {**UNIT_RATES, **(overrides or {})}
+    return {a: (pf * step_scale, pb * step_scale) for a, (pf, pb) in rates.items()}
+
+
+def check_chain(probs, overridden=()):
+    """The cognitive chain's rule on per-step ``probs[action] = (forward,
+    backward)`` in ``UNIT_RATES`` order: stochastic rows, waiting and
+    resting drift down, serving drifts up, high fidelity harder than normal.
+    It raises ``InvalidRatesError``, keyed by ``cognition.unit_rates.<action>``
+    for an action in ``overridden``, else by ``cognition.step_scale``."""
+    keys = {a: f"cognition.unit_rates.{a.name.lower()}" if a in overridden
+            else "cognition.step_scale" for a in probs}
+    rules = []
+    for action, (pf, pb) in probs.items():
+        rules += [
+            (keys[action], not (pf < 0 or pb < 0), f"negative rate for action {action}"),
+            (keys[action], not pf + pb > 1.0,
+             f"rates for action {action} sum to {pf + pb:.4f} > 1; "
+             "per-step probabilities must leave a nonnegative stay-put mass"),
+        ]
+    for action, (pf, pb) in probs.items():
+        down = action in (Action.WAIT, Action.REST)
+        rules.append((keys[action], pb > pf if down else pf > pb,
+                      f"{action} must drift {'downward' if down else 'upward'}"))
+    high, normal = Action.HIGH, Action.NORMAL
+    rules.append((keys[high] if high in overridden else keys[normal],
+                  probs[high][0] > probs[normal][0],
+                  "high fidelity must push the cognitive state harder than normal fidelity"))
+    _refuse_first(rules, InvalidRatesError)
+
+
+def check_service(base_mean, curvature, dispersion, support, family):
+    """The service family's rule; ``base_mean`` and ``curvature`` are keyed
+    by ``Action.NORMAL`` and ``Action.HIGH``."""
+    _refuse_first([
+        ("service.base_mean", base_mean[Action.HIGH] > base_mean[Action.NORMAL],
+         "high fidelity must be slower than normal on average"),
+        *((f"service.base_mean.{name}", base_mean[a] > 1.0,
+           "base service means must exceed one time step")
+          for name, a in _FIDELITY_NAMES.items()),
+        *((f"service.curvature.{name}", 0 <= curvature[a] < math.inf,
+           "curvature must be nonnegative and finite")
+          for name, a in _FIDELITY_NAMES.items()),
+        ("service.dispersion", _is_positive(dispersion),
+         "dispersion must be positive and finite"),
+        ("service.support", support >= 3, "service support cap must be at least 3"),
+        ("service.family", family in SERVICE_FAMILIES,
+         f"unknown service family {family!r}; expected one of {', '.join(SERVICE_FAMILIES)}"),
+        ("service.dispersion", family != "neg-binomial" or float(dispersion).is_integer(),
+         "neg-binomial dispersion is an integer shape"),
+    ])
+
+
+def check_model(queue_capacity, skip_time, holding_cost, reward_normal, reward_high,
+                discount, rest_cap_factor):
+    """The model's scalar rule; the arrival rate's is ``wait_support``."""
+    rewards = "rewards must be finite and satisfy high > normal >= 0"
+    _refuse_first([
+        ("queue.capacity", queue_capacity >= 1, "queue capacity must be at least 1"),
+        ("skip.duration", _is_count(skip_time), "skip_time must be a positive integer"),
+        ("economics.holding_cost", _is_positive(holding_cost),
+         "holding cost must be positive and finite"),
+        ("economics.reward_normal", 0 <= reward_normal < math.inf, rewards),
+        ("economics.reward_high", reward_normal < reward_high < math.inf, rewards),
+        ("economics.discount", 0 < discount < 1, "discount factor must lie in (0,1)"),
+        ("rest.cap_factor", rest_cap_factor >= 1, "rest cap factor must be at least 1"),
+    ])
+
+
+def _model_fields(data):
+    """Merged config data as the parameter classes' fields: ``CogGrid``'s,
+    ``ChainRates``' probabilities and the actions whose unit rates are
+    overridden, ``ServiceFamily``'s, and ``ModelParams``' scalars but the
+    arrival rate, which a sweep overrides."""
+    cognition, service, economics = data["cognition"], data["service"], data["economics"]
+    overridden = _by_action(cognition["unit_rates"])
+    grid_fields = {"n_intervals": cognition["intervals"], "star_index": cognition["star_index"]}
+    service_fields = {
+        "base_mean": _by_action(service["base_mean"]),
+        "curvature": _by_action(service["curvature"]),
+        "dispersion": service["dispersion"],
+        "support": service["support"],
+        "family": service["family"],
+    }
+    scalars = {
+        "queue_capacity": data["queue"]["capacity"],
+        "skip_time": data["skip"]["duration"],
+        "holding_cost": economics["holding_cost"],
+        "reward_normal": economics["reward_normal"],
+        "reward_high": economics["reward_high"],
+        "discount": economics["discount"],
+        "rest_cap_factor": data["rest"]["cap_factor"],
+    }
+    probs = step_probs(cognition["step_scale"], overridden)
+    return grid_fields, probs, overridden, service_fields, scalars
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A fully merged configuration plus its identity hash."""
@@ -234,32 +376,14 @@ class RunConfig:
         from .cogchain import ChainRates, CogGrid
         from .model import ModelParams
         from .sojourn import ServiceFamily
-        d = self.data
-        cognition, service, economics = d["cognition"], d["service"], d["economics"]
-        lam = d["queue"]["arrival_rate"] if arrival_rate is None else arrival_rate
+        grid, probs, _, service, scalars = _model_fields(self.data)
+        lam = self.data["queue"]["arrival_rate"] if arrival_rate is None else arrival_rate
         return ModelParams(
-            queue_capacity=d["queue"]["capacity"],
-            grid=CogGrid(
-                n_intervals=cognition["intervals"], star_index=cognition["star_index"]
-            ),
-            rates=ChainRates.default(
-                step_scale=cognition["step_scale"],
-                overrides=_by_action(cognition["unit_rates"]) or None,
-            ),
-            service=ServiceFamily(
-                base_mean=_by_action(service["base_mean"]),
-                curvature=_by_action(service["curvature"]),
-                dispersion=service["dispersion"],
-                support=service["support"],
-                family=service["family"],
-            ),
-            skip_time=d["skip"]["duration"],
+            grid=CogGrid(**grid),
+            rates=ChainRates(probs=probs),
+            service=ServiceFamily(**service),
             arrival_rate=lam,
-            holding_cost=economics["holding_cost"],
-            reward_normal=economics["reward_normal"],
-            reward_high=economics["reward_high"],
-            discount=economics["discount"],
-            rest_cap_factor=d["rest"]["cap_factor"],
+            **scalars,
         )
 
     def build_model(self, arrival_rate=None):
@@ -280,9 +404,9 @@ def config_digest(data):
 
 
 def check_episode_count(name, episodes):
-    """Reject a Monte-Carlo batch too small for a sample standard
-    deviation, which needs two runs."""
-    if episodes < 2:
+    """Reject a Monte-Carlo batch that is not an integer, or too small for
+    a sample standard deviation, which needs two runs."""
+    if _integer(name, episodes) < 2:
         raise ConfigError(f"{name} must be at least 2, got {episodes}")
     return episodes
 
@@ -290,21 +414,21 @@ def check_episode_count(name, episodes):
 def check_positive(name, value):
     """Reject a value that is not positive and finite, or is a bool. Every
     comparison fails for NaN, so NaN is rejected too."""
-    if isinstance(value, bool) or not 0 < value < math.inf:
+    if not _is_positive(value):
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
 def check_count(name, value):
     """Reject a library caller's count that is not a positive integer."""
-    if not (_is_integer(value) and value >= 1):
+    if not _is_count(value):
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
 def check_seed(name, seed):
-    """Reject a negative seed."""
-    if seed < 0:
+    """Reject a seed that is not an integer, or is negative."""
+    if _integer(name, seed) < 0:
         raise ConfigError(f"{name} must be nonnegative, got {seed}")
     return seed
 
@@ -349,11 +473,14 @@ def check_start(start, capacity, intervals, what="start"):
 def _check_ranges(data):
     """Reject typed values the program cannot honour. Every comparison
     fails for NaN, so NaN is rejected wherever a range is checked."""
-    family = data["service"]["family"]
-    if family not in SERVICE_FAMILIES:
-        raise ConfigError(
-            f"service.family must be one of {SERVICE_FAMILIES}, got {family!r}"
-        )
+    grid, probs, overridden, service, scalars = _model_fields(data)
+    try:
+        check_grid(**grid)
+        check_chain(probs, overridden)
+        check_service(**service)
+        check_model(**scalars)
+    except (ConfigError, InvalidRatesError) as exc:
+        raise ConfigError(f"{exc.key}: {exc}") from None
     check_arrival_rate("queue.arrival_rate", data["queue"]["arrival_rate"])
     sim = data["simulation"]
     # the horizon targets a positive bias ratio, and both the main and the

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .actions import ACTIONS, DECREMENT, TIE_ORDER, UNIT_RATES, Action
 from .cogchain import build_step_matrix, step_powers
-from .config import wait_support
+from .config import check_model, wait_support
 from .errors import InadmissibleRestError
 from .sampling import EpochLaw, SegmentedCdf
 from .sojourn import rest_caps, rest_pmf, service_pmf, skip_pmf, wait_pmf
@@ -40,21 +40,10 @@ class ModelParams:
     rest_cap_factor: int
 
     def __post_init__(self):
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
-        if self.skip_time < 1 or int(self.skip_time) != self.skip_time:
-            raise ValueError("skip_time must be a positive integer")
-        if not 0 < self.arrival_rate:
-            raise ValueError("arrival rate must be positive")
+        check_model(self.queue_capacity, self.skip_time, self.holding_cost,
+                    self.reward_normal, self.reward_high, self.discount,
+                    self.rest_cap_factor)
         wait_support(self.arrival_rate)  # raises where no wait law can be built
-        if not 0 < self.holding_cost < math.inf:
-            raise ValueError("holding cost must be positive and finite")
-        if not math.inf > self.reward_high > self.reward_normal >= 0:
-            raise ValueError("rewards must be finite and satisfy high > normal >= 0")
-        if not 0 < self.discount < 1:
-            raise ValueError("discount factor must lie in (0,1)")
-        if self.rest_cap_factor < 1:
-            raise ValueError("rest cap factor must be at least 1")
 
 
 def queue_actions(cog_index, grid):

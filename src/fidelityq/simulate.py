@@ -48,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import TIE_ORDER
-from .config import DEFAULTS, check_count, check_episode_count, check_positive, check_start
+from .config import (DEFAULTS, check_count, check_episode_count, check_positive, check_seed,
+                     check_start)
 from .solver import validate_policy
 
 DEFAULT_PILOT_EPISODES = DEFAULTS["simulation"]["pilot_episodes"]
@@ -248,7 +249,7 @@ class PolicySampler:
         check_episode_count("episodes", episodes)
         check_episode_count("pilot_episodes", pilot_episodes)
         check_positive("bias_ratio", bias_ratio)
-        seed = int(seed)
+        seed = int(check_seed("seed", seed))
         pilot_seq, main_seq = np.random.SeedSequence(seed).spawn(2)
         if horizon_epochs is None:
             pilot_rng = np.random.default_rng(pilot_seq)

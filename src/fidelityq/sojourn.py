@@ -13,7 +13,7 @@ import numpy as np
 
 from .actions import Action
 from .cogchain import fpt_pmf, mean_first_passage
-from .config import SERVICE_FAMILIES, TRUNCATION_TOL, _check_support, wait_support
+from .config import TRUNCATION_TOL, _check_support, check_service, wait_support
 from .errors import SupportTooSmallError, TailMassError
 
 MEAN_REL_TOL = 5e-3
@@ -92,20 +92,8 @@ class ServiceFamily:
         for d in (self.base_mean, self.curvature):
             if set(d) != {Action.NORMAL, Action.HIGH}:
                 raise ValueError("service parameters must cover exactly N and H")
-        if not self.base_mean[Action.HIGH] > self.base_mean[Action.NORMAL]:
-            raise ValueError("high fidelity must be slower than normal on average")
-        if min(self.base_mean.values()) <= 1.0:
-            raise ValueError("base service means must exceed one time step")
-        if not all(0 <= k < math.inf for k in self.curvature.values()):
-            raise ValueError("curvature must be nonnegative and finite")
-        if not 0 < self.dispersion < math.inf:
-            raise ValueError("dispersion must be positive and finite")
-        if self.support < 3:
-            raise ValueError("service support cap must be at least 3")
-        if self.family not in SERVICE_FAMILIES:
-            raise ValueError(f"unknown service family {self.family!r}")
-        if self.family == "neg-binomial" and int(self.dispersion) != self.dispersion:
-            raise ValueError("neg-binomial dispersion is an integer shape")
+        check_service(self.base_mean, self.curvature, self.dispersion, self.support,
+                      self.family)
 
     def target_mean(self, level, star_level, action):
         return self.base_mean[action] + self.curvature[action] * (level - star_level) ** 2

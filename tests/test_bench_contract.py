@@ -29,9 +29,13 @@ from fidelityq import simulate, solver  # noqa: E402
 from fidelityq.config import builtin_config, resolve_config  # noqa: E402
 
 # the LAYER_SPANS names that already no longer resolve: the per-start arrival
-# row, and the five grading calls that moved behind ``structure.grade``
+# row, the five grading calls that moved behind ``structure.grade``, and the
+# solver, which ``cli`` imports inside its commands (its span is recorded
+# through ``fidelityq.solver.value_iteration``; see
+# ``test_traced_cli_solve_records_the_solver_and_the_heatmaps``)
 STALE_SPANS = {
     "fidelityq.model.queue_arrival_row",
+    "fidelityq.cli.value_iteration",
     "fidelityq.cli.compute_rho",
     "fidelityq.cli.dominance_margins",
     "fidelityq.cli.check_value_gap_bounds",
@@ -114,6 +118,19 @@ def test_layer_spans_resolve():
     with spans.instrument(tracer.LAYER_SPANS):
         pass
     assert set(spans.absent) <= STALE_SPANS
+
+
+def test_traced_cli_solve_records_the_solver_and_the_heatmaps(tmp_path, capsys):
+    """A traced ``fidelityq solve`` records one ``solver.value_iteration``
+    span and both heatmaps, so neither span of a CLI run reads 0."""
+    from fidelityq import cli
+
+    spans = tracer.Tracer()
+    with spans.instrument(tracer.LAYER_SPANS):
+        assert cli.main(["solve", "--config", "tiny", "--out", str(tmp_path)]) == 0
+    names = [span[0] for span in spans.spans]
+    assert names.count("solver.value_iteration") == 1
+    assert names.count("svgplot.heatmap") == 2
 
 
 def test_traced_build_records_the_assembly_layers():

@@ -203,7 +203,7 @@ class TestCheck:
         def explode(*args, **kwargs):
             raise GuaranteeViolationError("forced for the test")
 
-        monkeypatch.setattr(cli, "enforce_guarantee", explode)
+        monkeypatch.setattr("fidelityq.structure.enforce_guarantee", explode)
         out = tmp_path / "out"
         assert run("check", "--config", "tiny", "--out", str(out),
                    "--episodes", "100") == 2
@@ -375,7 +375,7 @@ class TestSweep:
         def never(*args, **kwargs):
             raise AssertionError("solved a rate before refusing the grid")
 
-        monkeypatch.setattr("fidelityq.cli.value_iteration", never)
+        monkeypatch.setattr("fidelityq.solver.value_iteration", never)
         assert run("sweep", "--config", "tiny", "--out", str(out),
                    "--grid", "0.3,1e-6") == 1
         captured = capsys.readouterr()
@@ -451,7 +451,7 @@ class TestErrors:
         def never(*args, **kwargs):
             raise AssertionError("solved a rejected configuration")
 
-        monkeypatch.setattr(cli, "value_iteration", never)
+        monkeypatch.setattr("fidelityq.solver.value_iteration", never)
         out = tmp_path / "out"
         assert run(command, "--config", str(cfg_file), "--out", str(out)) == 1
         assert "analysis.buffer_fraction must lie in [0, 1)" in capsys.readouterr().err
@@ -468,7 +468,7 @@ class TestErrors:
         def never(*args, **kwargs):
             raise AssertionError("solved a queue too short to grade")
 
-        monkeypatch.setattr("fidelityq.cli.value_iteration", never)
+        monkeypatch.setattr("fidelityq.solver.value_iteration", never)
         out = tmp_path / "out"
         assert run(*argv, "--config", str(cfg_file), "--out", str(out)) == 1
         err = capsys.readouterr().err
@@ -509,7 +509,7 @@ class TestErrors:
         def never(*args, **kwargs):
             raise AssertionError("solved a rejected configuration")
 
-        monkeypatch.setattr(cli, "value_iteration", never)
+        monkeypatch.setattr("fidelityq.solver.value_iteration", never)
         assert run("solve", "--config", str(cfg_file),
                    "--out", str(tmp_path / "out")) == 1
         assert message in capsys.readouterr().err
@@ -569,7 +569,7 @@ class TestErrors:
         def never(*args, **kwargs):
             raise AssertionError("solved a rejected configuration")
 
-        monkeypatch.setattr(cli, "value_iteration", never)
+        monkeypatch.setattr("fidelityq.solver.value_iteration", never)
         out = tmp_path / "out"
         assert run(command, "--config", str(cfg_file), "--out", str(out), *flags) == 1
         assert message in capsys.readouterr().err

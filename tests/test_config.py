@@ -9,6 +9,7 @@ from fidelityq.actions import Action
 from fidelityq.config import (
     DEFAULTS,
     MAX_SUPPORT,
+    _merge,
     available_configs,
     builtin_config,
     config_digest,
@@ -411,15 +412,26 @@ class TestFloatKeys:
 
     @pytest.mark.parametrize("slot", NUMBER_SLOTS)
     def test_integer_loads_as_float(self, slot):
-        value = 0 if slot == "analysis.buffer_fraction" else 1  # 1 is out of its range
-        loaded = read(from_mapping(NUMBER_SLOTS[slot](value)).data, slot)
-        assert type(loaded) is float and loaded == value
+        # the type rule applies as the override merges, before the range
+        # rules; no integer lies in the range of economics.discount or, at
+        # the default unit rates, of cognition.step_scale, so the merged
+        # data are read
+        loaded = read(_merge(DEFAULTS, NUMBER_SLOTS[slot](1)), slot)
+        assert type(loaded) is float and loaded == 1
+
+    # in range: an arrival rate of 1e-4 would need a 138,156-point wait
+    # law, and high fidelity must be slower and pay more than normal
+    IN_RANGE_TEXT = {
+        "queue.arrival_rate": "1e-1",
+        "sweep.arrival_rates[0]": "1e-1",
+        "service.base_mean.normal": "1.5e1",
+        "service.base_mean.high": "2.5e1",
+        "economics.reward_high": "1e1",
+    }
 
     @pytest.mark.parametrize("slot", NUMBER_SLOTS)
     def test_numeric_string_loads_as_float(self, slot):
-        # an arrival rate of 1e-4, in queue.arrival_rate or a sweep rate,
-        # would need a 138,156-point wait law and is refused
-        text = "1e-1" if "arrival_rate" in slot else "1e-4"
+        text = self.IN_RANGE_TEXT.get(slot, "1e-4")
         loaded = read(from_mapping(NUMBER_SLOTS[slot](text)).data, slot)
         assert type(loaded) is float and loaded == float(text)
 

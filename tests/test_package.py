@@ -72,22 +72,76 @@ def test_resolving_a_config_loads_no_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-@pytest.mark.parametrize("rate", ["1.0e-6", "50.0"])
-def test_refusing_an_arrival_rate_loads_no_numpy(tmp_path, rate):
-    """A file config whose arrival rate has no wait law is refused when it
-    loads, naming the key, before numpy is imported."""
-    path = tmp_path / "rate.yaml"
-    path.write_text(f"queue: {{arrival_rate: {rate}}}\n")
+def refused(doc, key, text, id=None, command=None):
+    """A case for ``test_refusing_an_arrival_rate_loads_no_numpy``: a file
+    config, the key its refusal names and the rule's own text (what a
+    library caller reads), loaded by ``resolve_config`` or, given a
+    ``command``, by ``cli.main``."""
+    return pytest.param(doc, key, text, command, id=id or key)
+
+
+@pytest.mark.parametrize("doc, key, text, command", [
+    refused("queue: {arrival_rate: 1.0e-6}", "queue.arrival_rate",
+            "the wait law at arrival rate 1e-06 needs 13815511 support points", "1.0e-6"),
+    refused("queue: {arrival_rate: 50.0}", "queue.arrival_rate",
+            "arrival probability per step must be in (0,1)", "50.0"),
+    refused("queue: {capacity: 0}", "queue.capacity", "queue capacity must be at least 1"),
+    refused("cognition: {intervals: 1}", "cognition.intervals",
+            "cognitive grid needs at least 2 intervals"),
+    refused("cognition: {star_index: 0}", "cognition.star_index",
+            "resting level must be an interior grid point"),
+    refused("cognition: {step_scale: 2.0}", "cognition.step_scale",
+            "rates for action W sum to 1.0400 > 1"),
+    refused("cognition: {unit_rates: {wait: [1.0, 0.1]}}", "cognition.unit_rates.wait",
+            "W must drift downward"),
+    refused("cognition: {unit_rates: {high: [0.1, 0.0]}}", "cognition.unit_rates.high",
+            "high fidelity must push the cognitive state harder than normal fidelity"),
+    refused("rest: {cap_factor: 0}", "rest.cap_factor", "rest cap factor must be at least 1"),
+    refused("skip: {duration: 0}", "skip.duration", "skip_time must be a positive integer"),
+    refused("economics: {discount: 1.5}", "economics.discount",
+            "discount factor must lie in (0,1)"),
+    refused("economics: {reward_high: 1.0}", "economics.reward_high",
+            "rewards must be finite and satisfy high > normal >= 0"),
+    refused("economics: {holding_cost: .nan}", "economics.holding_cost",
+            "holding cost must be positive and finite"),
+    refused("service: {dispersion: -1}", "service.dispersion",
+            "dispersion must be positive and finite"),
+    refused("service: {support: 2}", "service.support", "service support cap must be at least 3"),
+    refused("service: {base_mean: {normal: 0.5}}", "service.base_mean.normal",
+            "base service means must exceed one time step"),
+    refused("service: {family: neg-binomial, dispersion: 2.5}", "service.dispersion",
+            "neg-binomial dispersion is an integer shape", "neg-binomial-dispersion"),
+    refused("economics: {discount: 1.5}", "economics.discount",
+            "discount factor must lie in (0,1)", "cli", command="export-moments"),
+])
+def test_refusing_an_arrival_rate_loads_no_numpy(tmp_path, doc, key, text, command):
+    """A file config with an arrival rate that has no wait law, or any
+    other model key out of its range, is refused when it loads, before
+    numpy is imported. The message names the key, then gives the text the
+    parameter class gives a library caller. Through ``cli.main`` the
+    command exits 1 with that message."""
+    path = tmp_path / "refused.yaml"
+    path.write_text(doc + "\n")
     code = (
-        "import sys, fidelityq\n"
-        "try:\n"
-        "    fidelityq.resolve_config(sys.argv[1])\n"
-        "except fidelityq.errors.ConfigError as exc:\n"
-        "    assert str(exc).startswith('queue.arrival_rate: '), exc\n"
+        "import contextlib, io, sys, fidelityq\n"
+        "path, key, text, command = sys.argv[1:]\n"
+        "if command:\n"
+        "    from fidelityq import cli\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        status = cli.main([command, '--config', path, '--out', path + '.out'])\n"
+        "    assert status == 1, status\n"
+        "    message = err.getvalue().removeprefix('error: ')\n"
         "else:\n"
-        "    raise AssertionError('loaded')\n"
+        "    try:\n"
+        "        fidelityq.resolve_config(path)\n"
+        "    except fidelityq.errors.ConfigError as exc:\n"
+        "        message = str(exc)\n"
+        "    else:\n"
+        "        raise AssertionError('loaded')\n"
+        "assert message.startswith(key + ': ') and text in message, message\n"
         "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'numpy')\n"
         "assert not loaded, loaded\n"
     )
-    run = run_fresh(code, str(path))
+    run = run_fresh(code, str(path), key, text, command or "")
     assert run.returncode == 0, run.stderr

@@ -206,12 +206,14 @@ class TestEstimates:
         est = optimal_sampler.estimate((4, 2), episodes=200, seed=3, horizon_epochs=17)
         assert est.horizon_epochs == 17
 
-    @pytest.mark.parametrize("count", [1, 0, -3])
+    @pytest.mark.parametrize("count", [1, 0, -3, 3.5, 10.5, True])
     def test_too_few_episodes_rejected(self, model, solution, count):
-        # a sample standard deviation needs two runs, in both batches
-        with pytest.raises(ConfigError, match="^episodes must be at least 2"):
+        # a sample standard deviation needs two runs, in both batches, and a
+        # count is an integer
+        rule = "must be at least 2" if type(count) is int else "must be an integer"
+        with pytest.raises(ConfigError, match=f"^episodes {rule}"):
             monte_carlo_value(model, solution.policy, (1, 1), episodes=count, seed=1)
-        with pytest.raises(ConfigError, match="pilot_episodes must be at least 2"):
+        with pytest.raises(ConfigError, match=f"^pilot_episodes {rule}"):
             monte_carlo_value(
                 model, solution.policy, (1, 1), episodes=50, seed=1,
                 pilot_episodes=count,
@@ -228,6 +230,17 @@ class TestArguments:
             optimal_sampler.run_batch((4, 2), 50, horizon, np.random.default_rng(1))
         with pytest.raises(ConfigError, match=match):
             optimal_sampler.run_episode((4, 2), horizon_epochs=horizon, seed=1)
+
+    # the same rule as the config's simulation.seed and --seed
+    @pytest.mark.parametrize(
+        "seed, match",
+        [(2.7, "must be an integer, got 2.7"), (True, "must be an integer, got True"),
+         (-1, "must be nonnegative, got -1")],
+        ids=["float", "bool", "negative"],
+    )
+    def test_bad_seed_rejected(self, optimal_sampler, seed, match):
+        with pytest.raises(ConfigError, match=f"^seed {match}$"):
+            optimal_sampler.estimate((4, 2), episodes=50, seed=seed)
 
     # the same rule as the config's simulation.bias_ratio
     @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
@@ -249,8 +262,9 @@ class TestArguments:
             optimal_sampler.run_episode(start, horizon_epochs=5, seed=1)
 
     def test_numpy_integer_start_accepted(self, optimal_sampler):
+        # numpy integers pass the start rule, and the seed rule too
         start = (np.int64(4), np.int64(2))
-        assert optimal_sampler.estimate(start, episodes=50, seed=1).start == (4, 2)
+        assert optimal_sampler.estimate(start, episodes=50, seed=np.int64(1)).start == (4, 2)
         assert optimal_sampler.run_episode(start, horizon_epochs=5, seed=1).start == (4, 2)
 
 
