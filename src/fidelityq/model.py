@@ -145,6 +145,11 @@ class SmdpModel:
         wait, skip = wait_pmf(params.arrival_rate), skip_pmf(params.skip_time)
         table = {}
         for a in ACTIONS:
+            if a in (Action.NORMAL, Action.HIGH):
+                # one table over every level, where both fidelities are admissible
+                laws = service_pmf(params.service, grid, a)
+                table.update(((cog, a), pmf) for cog, pmf in enumerate(laws))
+                continue
             for cog in range(self.n_cog):
                 if a is Action.WAIT:
                     table[(cog, a)] = wait
@@ -152,10 +157,8 @@ class SmdpModel:
                     continue
                 elif a is Action.SKIP:
                     table[(cog, a)] = skip
-                elif a is Action.REST:
-                    table[(cog, a)] = rest_pmf(rest_step, grid, cog, caps[cog])
                 else:
-                    table[(cog, a)] = service_pmf(params.service, grid, cog, a)
+                    table[(cog, a)] = rest_pmf(rest_step, grid, cog, caps[cog])
         return table
 
     def _build_moment_tables(self):
