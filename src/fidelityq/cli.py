@@ -25,7 +25,7 @@ import sys
 import warnings
 from dataclasses import asdict
 
-from .config import check_arrival_rates, check_episode_count, check_seed, resolve_config
+from .config import check_arrival_rates, check_episode_count, check_seed, override, resolve_config
 from .errors import (
     ConfigError,
     FidelityQError,
@@ -68,17 +68,15 @@ def _outdir(args):
     return args.out
 
 
-def _build_model(cfg, arrival_rate=None):
-    """The config's model, at ``arrival_rate`` if one is given. Each model
-    warning is printed as one stderr line, ``warning:`` or, for a swept
-    rate, ``warning at arrival rate R:``; warnings of other categories keep
-    their filters."""
+def _build_model(cfg, label="warning"):
+    """The config's model. Each model warning is printed as one stderr line,
+    ``label: message`` (``sweep`` labels a rate's ``warning at arrival rate
+    R``); warnings of other categories keep their filters."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        model = cfg.build_model(arrival_rate=arrival_rate)
-    where = "" if arrival_rate is None else f" at arrival rate {arrival_rate!r}"
+        model = cfg.build_model()
     for warning in caught:
-        print(f"warning{where}: {warning.message}", file=sys.stderr)
+        print(f"{label}: {warning.message}", file=sys.stderr)
     return model
 
 
@@ -378,12 +376,8 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg = resolve_config(args.config)
-    from .structure import checked_queue_range, grade
-    checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
     if args.grid is not None:
-        rates = check_arrival_rates(
-            "--grid", [x for x in args.grid.split(",") if x.strip()]
-        )
+        rates = check_arrival_rates("--grid", [x for x in args.grid.split(",") if x.strip()])
     else:
         rates = cfg.sweep["arrival_rates"]
     if not rates:
@@ -392,18 +386,20 @@ def cmd_sweep(args):
         return 1
     budget = cfg.sweep["max_points"]
     if len(rates) > budget:
-        raise GridTooLargeError(
-            f"sweep grid has {len(rates)} points, budget is {budget}"
-        )
+        raise GridTooLargeError(f"sweep grid has {len(rates)} points, budget is {budget}")
+    # each point is a config of its own, loaded, like the grid, before numpy
+    points = [override(cfg, {"queue.arrival_rate": rate}) for rate in rates]
+    from .structure import checked_queue_range, grade
+    checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
     out = _outdir(args)
     rows = []
     any_unconverged = False
-    for rate in rates:
-        model = _build_model(cfg, rate)
-        solution = _solve(cfg, model)
+    for rate, point in zip(rates, points):
+        model = _build_model(point, f"warning at arrival rate {rate!r}")
+        solution = _solve(point, model)
         if not solution.converged:
             any_unconverged = True
-        report = grade(model, solution, cfg.analysis["buffer_fraction"])
+        report = grade(model, solution, point.analysis["buffer_fraction"])
         rows.extend(
             (rate, cog, *cells)
             for cog, cells in enumerate(_threshold_cells(report))

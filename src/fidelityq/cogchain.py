@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import UNIT_RATES
-from .config import TRUNCATION_TOL, check_chain, check_grid, step_probs
+from .config import TRUNCATION_TOL, check_chain, check_grid
 from .errors import InadmissibleRestError, InvalidRatesError, TailMassError
 
 
@@ -68,17 +68,6 @@ class ChainRates:
         probs = {a: tuple(float(x) for x in self.probs[a]) for a in UNIT_RATES}
         check_chain(probs)
         object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def default(cls, step_scale, overrides=None):
-        """Built-in drift rates scaled to per-step probabilities.
-
-        ``step_scale`` converts the per-unit-time rates to probabilities for
-        one discrete step; 0.8 keeps every row stochastic including the
-        strong high-fidelity push. ``overrides`` maps an action to a
-        (forward, backward) pair of unit rates replacing the built-in one.
-        """
-        return cls(probs=step_probs(step_scale, overrides))
 
 
 def build_step_matrix(grid, rates, action):

@@ -9,6 +9,7 @@ ready-made configurations ship with the package and can be addressed by
 name.
 """
 
+import copy
 import hashlib
 import json
 import math
@@ -201,16 +202,16 @@ def _typed(path, default, value):
     return value  # simulation.starts, checked against the grid
 
 
-def _merge(defaults, override, path=""):
-    _check_mapping(path, override)
+def _merge(defaults, doc, path=""):
+    _check_mapping(path, doc)
     merged = {}
     for key, default_value in defaults.items():
         here = f"{path}.{key}" if path else key
-        if key in override:
-            merged[key] = _typed(here, default_value, override[key])
+        if key in doc:
+            merged[key] = _typed(here, default_value, doc[key])
         else:
-            merged[key] = default_value
-    for key in override:
+            merged[key] = copy.deepcopy(default_value)
+    for key in doc:
         if key not in defaults:
             here = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown configuration key '{here}'")
@@ -322,7 +323,7 @@ def _model_fields(data):
     """Merged config data as the parameter classes' fields: ``CogGrid``'s,
     ``ChainRates``' probabilities and the actions whose unit rates are
     overridden, ``ServiceFamily``'s, and ``ModelParams``' scalars but the
-    arrival rate, which a sweep overrides."""
+    arrival rate, whose rule is ``check_arrival_rate``."""
     cognition, service, economics = data["cognition"], data["service"], data["economics"]
     overridden = _by_action(cognition["unit_rates"])
     grid_fields = {"n_intervals": cognition["intervals"], "star_index": cognition["star_index"]}
@@ -370,24 +371,22 @@ class RunConfig:
     def sweep(self):
         return self.data["sweep"]
 
-    def model_params(self, arrival_rate=None):
-        """Assemble model parameters; ``arrival_rate`` overrides the
-        configured one (used by sweeps)."""
+    def model_params(self):
+        """Assemble model parameters."""
         from .cogchain import ChainRates, CogGrid
         from .model import ModelParams
         from .sojourn import ServiceFamily
         grid, probs, _, service, scalars = _model_fields(self.data)
-        lam = self.data["queue"]["arrival_rate"] if arrival_rate is None else arrival_rate
         return ModelParams(
             grid=CogGrid(**grid),
             rates=ChainRates(probs=probs),
             service=ServiceFamily(**service),
-            arrival_rate=lam,
+            arrival_rate=self.data["queue"]["arrival_rate"],
             **scalars,
         )
 
-    def build_model(self, arrival_rate=None):
-        return build_model(self.model_params(arrival_rate))
+    def build_model(self):
+        return build_model(self.model_params())
 
 
 def build_model(params):
@@ -520,6 +519,22 @@ def from_mapping(doc):
     merged = _merge(DEFAULTS, doc or {})
     _check_ranges(merged)
     return RunConfig(name=merged["name"], data=merged, digest=config_digest(merged))
+
+
+def override(cfg, changes):
+    """``cfg`` with each dotted key of ``changes`` (``{"queue.arrival_rate":
+    0.3}``) set in a copy of its data, loaded by ``from_mapping`` as a file
+    holding them would be: every rule applies, and the digest is the copy's."""
+    data = copy.deepcopy(cfg.data)
+    for dotted, value in changes.items():
+        *sections, key = dotted.split(".")
+        node = data
+        for section in sections:
+            node = node.get(section) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError(f"unknown configuration key '{dotted}'")
+        node[key] = value
+    return from_mapping(data)
 
 
 def load_config(path):

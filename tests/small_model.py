@@ -4,6 +4,7 @@ module passes what it changes as keyword overrides of ``ModelParams``."""
 
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid
+from fidelityq.config import step_probs
 from fidelityq.model import ModelParams
 from fidelityq.sojourn import ServiceFamily
 
@@ -12,7 +13,7 @@ def small_params(**overrides):
     base = dict(
         queue_capacity=8,
         grid=CogGrid(n_intervals=4, star_index=2),
-        rates=ChainRates.default(step_scale=0.8),
+        rates=ChainRates(probs=step_probs(0.8)),
         service=ServiceFamily(
             base_mean={Action.NORMAL: 4.2, Action.HIGH: 6.0},
             curvature={Action.NORMAL: 5.0, Action.HIGH: 7.0},

@@ -16,7 +16,7 @@ import pytest
 
 from fidelityq import cli
 from fidelityq.actions import ACTIONS, Action
-from fidelityq.config import available_configs, builtin_config
+from fidelityq.config import available_configs, builtin_config, override
 from fidelityq.simulate import PolicySampler
 from fidelityq.solver import bellman_backup, value_iteration
 from fidelityq.structure import compute_rho, enforce_guarantee, grade
@@ -195,7 +195,7 @@ def test_07_skip_reappears_only_outside_the_guarantee():
     for rate in rates:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = cfg.build_model(arrival_rate=rate)
+            model = override(cfg, {"queue.arrival_rate": rate}).build_model()
         solution = value_iteration(model)
         assert solution.converged
         graded = grade(model, solution)

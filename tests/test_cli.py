@@ -343,13 +343,15 @@ class TestSweep:
         assert run("sweep", "--config", str(cfg_file),
                    "--out", str(tmp_path / "out")) == 1
 
-    def test_budget_enforced(self, tmp_path):
+    def test_budget_enforced(self, tmp_path, capsys):
         cfg_file = tmp_path / "small_budget.yaml"
         cfg_file.write_text("name: x\nsweep:\n  max_points: 2\n")
         code = run("sweep", "--config", str(cfg_file),
                    "--out", str(tmp_path / "out"),
                    "--grid", "0.1,0.2,0.3")
         assert code == 1
+        assert "sweep grid has 3 points, budget is 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_bad_grid_rate_rejected_before_solving(self, tmp_path, capsys):
         out = tmp_path / "out"

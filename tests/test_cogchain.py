@@ -19,7 +19,7 @@ from fidelityq.cogchain import (
     mean_first_passage,
     step_powers,
 )
-from fidelityq.config import builtin_config, resolve_config
+from fidelityq.config import builtin_config, resolve_config, step_probs
 from fidelityq.errors import InadmissibleRestError, InvalidRatesError, TailMassError
 
 
@@ -109,7 +109,7 @@ class TestStepMatrix:
             ChainRates(probs=probs)
 
     def test_default_scaling_keeps_rows_stochastic(self):
-        rates = ChainRates.default(step_scale=0.8)
+        rates = ChainRates(probs=step_probs(0.8))
         pf, pb = rates.probs[Action.HIGH]
         assert pf == pytest.approx(1.1 * 0.8)
         assert pb == pytest.approx(0.02 * 0.8)

@@ -1,5 +1,6 @@
 """Configuration loading, merging, and identity hashing."""
 
+import copy
 import inspect
 import re
 
@@ -15,6 +16,7 @@ from fidelityq.config import (
     config_digest,
     from_mapping,
     load_config,
+    override,
     resolve_config,
 )
 from fidelityq.errors import ConfigError
@@ -43,6 +45,21 @@ class TestMerge:
         assert cfg.data["service"][section][kept] == DEFAULTS["service"][section][kept]
         service = cfg.build_model().params.service
         assert getattr(service, section)[Action[kept.upper()]] == DEFAULTS["service"][section][kept]
+
+    def test_loaded_data_shares_nothing_with_the_defaults(self):
+        pristine = copy.deepcopy(DEFAULTS)
+        cfg = from_mapping({})
+        base = builtin_config("tiny")
+        point = override(base, {"queue.arrival_rate": 0.3})
+        for loaded in (cfg, point):
+            loaded.data["sweep"]["arrival_rates"].append(0.3)
+            loaded.data["solver"]["epsilon"] = 1.0
+            loaded.data["service"]["base_mean"]["high"] = 99.0
+        assert DEFAULTS == pristine
+        fresh = from_mapping({})
+        assert fresh.data == pristine and fresh.digest == config_digest(pristine)
+        assert base.data == builtin_config("tiny").data
+        assert config_digest(base.data) == base.digest
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key 'quue'"):
@@ -279,12 +296,53 @@ class TestBuiltins:
     def test_builtin_default_matches_bare_defaults(self):
         assert builtin_config("default").digest == from_mapping({}).digest
 
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_arrival_rate_override_digest_is_the_changed_configs(self, name):
+        cfg = builtin_config(name)
+        same = override(cfg, {"queue.arrival_rate": cfg.data["queue"]["arrival_rate"]})
+        assert same.digest == self.DIGESTS[name]
+        data = copy.deepcopy(cfg.data)
+        data["queue"]["arrival_rate"] = 0.3
+        changed = override(cfg, {"queue.arrival_rate": 0.3})
+        assert changed.digest == from_mapping(data).digest != self.DIGESTS[name]
+        assert changed.data == data
+        assert cfg.digest == self.DIGESTS[name]
+
+
+class TestOverride:
+    def test_unknown_key_refused_with_its_dotted_path(self):
+        cfg = builtin_config("tiny")
+        with pytest.raises(ConfigError, match="unknown configuration key 'queue.arival_rate'"):
+            override(cfg, {"queue.arival_rate": 0.3})
+        for key in ("queu.arrival_rate", "queue.capacity.slots"):
+            with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+                override(cfg, {key: 0.3})
+
+    def test_range_rule_applies(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("economics.discount: discount factor must lie in (0,1)")):
+            override(from_mapping({}), {"economics.discount": 1.5})
+
+    def test_type_rule_applies(self):
+        with pytest.raises(ConfigError, match="queue.capacity must be an integer, got 3.5"):
+            override(from_mapping({}), {"queue.capacity": 3.5})
+
+    def test_simulation_starts_override_loads(self):
+        cfg = override(builtin_config("high_lambda"), {"simulation.starts": [[1, 2], [5, 3]]})
+        assert cfg.simulation["starts"] == [[1, 2], [5, 3]]
+
+    def test_partial_open_section_keeps_the_other_fidelity(self):
+        base = builtin_config("tiny")
+        cfg = override(base, {"service.base_mean.high": 3.5})
+        assert cfg.data["service"]["base_mean"] == {
+            "normal": base.data["service"]["base_mean"]["normal"], "high": 3.5}
+
 
 class TestModelParams:
     def test_arrival_rate_override_for_sweeps(self):
         cfg = from_mapping({})
         base = cfg.model_params()
-        swept = cfg.model_params(arrival_rate=1.5)
+        swept = override(cfg, {"queue.arrival_rate": 1.5}).model_params()
         assert base.arrival_rate == 0.45
         assert swept.arrival_rate == 1.5
         assert swept.queue_capacity == base.queue_capacity

@@ -145,3 +145,29 @@ def test_refusing_an_arrival_rate_loads_no_numpy(tmp_path, doc, key, text, comma
     )
     run = run_fresh(code, str(path), key, text, command or "")
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("grid, text", [
+    ("0.3,-1", "error: --grid[1] must be positive and finite, got -1.0"),
+    (",".join(["0.3"] * 65), "error: sweep grid has 65 points, budget is 64"),
+    ("", "no arrival rates to sweep; set sweep.arrival_rates or --grid"),
+], ids=["bad-rate", "over-budget", "empty"])
+def test_refusing_a_sweep_grid_loads_no_numpy(tmp_path, grid, text):
+    """``sweep`` parses its ``--grid``, holds it to ``sweep.max_points`` and
+    loads every point's config before numpy is imported, so a bad rate, an
+    over-budget grid and an empty grid each exit 1 with numpy unloaded and
+    no output directory made."""
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from fidelityq import cli\n"
+        "grid, out, text = sys.argv[1:]\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    status = cli.main(['sweep', '--config', 'tiny', '--grid=' + grid, '--out', out])\n"
+        "assert status == 1 and text in err.getvalue(), (status, err.getvalue())\n"
+        "assert not os.path.exists(out)\n"
+        "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded\n"
+    )
+    run = run_fresh(code, grid, str(tmp_path / "out"), text)
+    assert run.returncode == 0, run.stderr

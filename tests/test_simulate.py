@@ -15,7 +15,7 @@ from scipy import stats
 
 from fidelityq.actions import DECREMENT, Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix
-from fidelityq.config import resolve_config
+from fidelityq.config import resolve_config, step_probs
 from fidelityq.errors import ConfigError
 from fidelityq.model import admissible, build_model
 from fidelityq.solver import policy_evaluation, value_iteration
@@ -293,7 +293,7 @@ class TestChainOccupancy:
         # constant-action chain stepped a long time; thinned to tame the
         # serial correlation before the chi-square comparison
         grid = CogGrid(n_intervals=4, star_index=2)
-        rates = ChainRates.default(step_scale=0.8)
+        rates = ChainRates(probs=step_probs(0.8))
         step = build_step_matrix(grid, rates, Action.WAIT)
         n = grid.n_levels
         a = np.vstack([step.T - np.eye(n), np.ones(n)])

@@ -23,7 +23,13 @@ from scipy import stats
 from fidelityq import sojourn
 from fidelityq.actions import Action
 from fidelityq.cogchain import ChainRates, CogGrid, build_step_matrix, mean_first_passage
-from fidelityq.config import MAX_SUPPORT, TRUNCATION_TOL, from_mapping, resolve_config
+from fidelityq.config import (
+    MAX_SUPPORT,
+    TRUNCATION_TOL,
+    from_mapping,
+    resolve_config,
+    step_probs,
+)
 from fidelityq.errors import SupportTooSmallError, TailMassError
 from fidelityq.sojourn import (
     MEAN_REL_TOL,
@@ -307,7 +313,7 @@ class TestRest:
 
     def test_mean_matches_linear_solve(self):
         grid = CogGrid(n_intervals=6, star_index=3)
-        rates = ChainRates.default(step_scale=0.8)
+        rates = ChainRates(probs=step_probs(0.8))
         step = build_step_matrix(grid, rates, Action.REST)
         for cog in range(grid.star_index + 1, grid.n_levels):
             pmf = capped_rest(step, grid, cog, cap_factor=50)
