@@ -25,7 +25,14 @@ import sys
 import warnings
 from dataclasses import asdict
 
-from .config import check_arrival_rates, check_episode_count, check_seed, override, resolve_config
+from .config import (
+    check_arrival_rates,
+    check_episode_count,
+    check_queue_range,
+    check_seed,
+    override,
+    resolve_config,
+)
 from .errors import (
     ConfigError,
     FidelityQError,
@@ -78,6 +85,15 @@ def _build_model(cfg, label="warning"):
     for warning in caught:
         print(f"{label}: {warning.message}", file=sys.stderr)
     return model
+
+
+def _check_queue_range(cfg):
+    """Refuse a queue too short for the structural checks' boundary buffer,
+    naming ``queue.capacity``, before anything is built."""
+    try:
+        check_queue_range(cfg.data["queue"]["capacity"], cfg.analysis["buffer_fraction"])
+    except ConfigError as exc:
+        raise ConfigError(f"{exc.key}: {exc}") from None
 
 
 def _solve(cfg, model):
@@ -237,10 +253,9 @@ def cmd_solve(args):
 
 def cmd_check(args):
     cfg = resolve_config(args.config)
+    _check_queue_range(cfg)
     from .simulate import PolicySampler
-    from .structure import checked_queue_range, enforce_guarantee, grade
-    # a queue too short for the boundary buffer fails before anything is built
-    checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
+    from .structure import enforce_guarantee, grade
     episodes, seed = _sim_settings(cfg, args)
     model = _build_model(cfg)
     solution = _solve(cfg, model)
@@ -389,8 +404,8 @@ def cmd_sweep(args):
         raise GridTooLargeError(f"sweep grid has {len(rates)} points, budget is {budget}")
     # each point is a config of its own, loaded, like the grid, before numpy
     points = [override(cfg, {"queue.arrival_rate": rate}) for rate in rates]
-    from .structure import checked_queue_range, grade
-    checked_queue_range(cfg.data["queue"]["capacity"] + 1, cfg.analysis["buffer_fraction"])
+    _check_queue_range(cfg)
+    from .structure import grade
     out = _outdir(args)
     rows = []
     any_unconverged = False

@@ -5,8 +5,8 @@ else comes from the built-in defaults. Unknown keys are rejected with the
 full dotted path so typos surface immediately instead of silently running
 the default. Each key's default also sets its type rule, applied once as
 the override is merged, so the merged data hold typed values. Several
-ready-made configurations ship with the package and can be addressed by
-name.
+ready-made configurations (``BUILTINS``) ship with the package and can be
+addressed by name; they are Python data, so only a file loads PyYAML.
 """
 
 import copy
@@ -16,9 +16,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from importlib import resources
-
-import yaml
 
 from .actions import UNIT_RATES, Action
 from .errors import ConfigError, InvalidRatesError
@@ -82,6 +79,92 @@ DEFAULTS = {
     "sweep": {
         "arrival_rates": [],
         "max_points": 64,
+    },
+}
+
+# the shipped configurations, each an override merged over DEFAULTS as a
+# file holding it would be
+BUILTINS = {
+    # Reference desk: every fidelity level shows up in the optimal policy and
+    # the queue stays comfortably stable.
+    "default": {"name": "default"},
+    # Heavy traffic: quick skips, arrivals fast enough that the queue almost
+    # never drains under the optimal policy. The busy-regime value-gap bounds
+    # and the monotonicity/unimodality shape checks are exercised here.
+    "high_lambda": {
+        "name": "high_lambda",
+        "queue": {"arrival_rate": 0.6},
+        "skip": {"duration": 1},
+        "economics": {"holding_cost": 0.008},
+        "simulation": {"episodes": 4000, "starts": [[20, 6]]},
+    },
+    # Slow everything: services take hundreds of steps, skips sixty, and the
+    # fidelity gap between high and normal service dwarfs every discounted
+    # continuation term. The sufficient condition for threshold structure
+    # holds at every cognitive level, and the light-tail bound is satisfied by
+    # every sojourn law, so the solved policy is certified end to end.
+    "large_gap": {
+        "name": "large_gap",
+        "queue": {"capacity": 12, "arrival_rate": 0.012},
+        "cognition": {
+            "intervals": 2,
+            "star_index": 1,
+            "unit_rates": {"rest": [0.0, 0.008333333333333333]},
+        },
+        "service": {
+            "family": "neg-binomial",
+            "base_mean": {"normal": 250.0, "high": 395.0},
+            "curvature": {"normal": 140.0, "high": 140.0},
+            "dispersion": 3.0,
+            "support": 3200,
+        },
+        "skip": {"duration": 60},
+        "rest": {"cap_factor": 20},
+        "economics": {
+            "holding_cost": 0.001,
+            "reward_normal": 6.0,
+            "reward_high": 9.5,
+            "discount": 0.96,
+        },
+        "simulation": {"episodes": 2000},
+    },
+    # Cheap skips under rising pressure. Sweeping the arrival rate upward
+    # makes skipping reappear above the service band in some cognitive rows —
+    # the non-threshold pattern that the sufficient condition deliberately
+    # does not rule out (its margin is negative exactly there).
+    "skip_cheap": {
+        "name": "skip_cheap",
+        "queue": {"arrival_rate": 1.0},
+        "skip": {"duration": 1},
+        "sweep": {"arrival_rates": [0.5, 1.0, 4.0]},
+        "simulation": {"episodes": 2000},
+    },
+    # Smallest faithful instance: four queue slots, three cognitive levels,
+    # single-step skips. Exact finite-horizon enumeration stays cheap here, so
+    # cross-checks against the fixed point run in well under a second.
+    "tiny": {
+        "name": "tiny",
+        "queue": {"capacity": 3, "arrival_rate": 0.5},
+        "cognition": {
+            "intervals": 2,
+            "star_index": 1,
+            "unit_rates": {"rest": [0.0, 0.8333333333333334]},
+        },
+        "service": {
+            "base_mean": {"normal": 2.0, "high": 3.0},
+            "curvature": {"normal": 0.5, "high": 1.0},
+            "dispersion": 4.0,
+            "support": 6,
+        },
+        "skip": {"duration": 1},
+        "economics": {
+            "holding_cost": 0.05,
+            "reward_normal": 1.0,
+            "reward_high": 2.0,
+            "discount": 0.9,
+        },
+        "solver": {"epsilon": 1.0e-10},
+        "simulation": {"episodes": 2000},
     },
 }
 
@@ -469,6 +552,27 @@ def check_start(start, capacity, intervals, what="start"):
     return int(start[0]), int(start[1])
 
 
+def check_buffer_fraction(name, fraction):
+    """Reject a share of the queue range to leave out that is not in [0, 1),
+    naming it as ``name``."""
+    if not 0 <= fraction < 1:
+        raise ConfigError(f"{name} must lie in [0, 1), got {fraction!r}")
+    return fraction
+
+
+def check_queue_range(capacity, buffer_fraction):
+    """Queue lengths the structural checks look at: q = 0 forces waiting
+    and the top ``buffer_fraction`` of the range is excluded to keep the
+    finite capacity from contaminating boundary states. A queue too short
+    to keep any length raises ``ConfigError`` keyed by ``queue.capacity``;
+    only the checks need a length, so the load does not apply this rule."""
+    check_buffer_fraction("buffer fraction", buffer_fraction)
+    hi = capacity - math.ceil(capacity * buffer_fraction)
+    _refuse_first([("queue.capacity", hi >= 1,
+                    "queue too short for the requested boundary buffer")])
+    return range(1, hi + 1)
+
+
 def _check_ranges(data):
     """Reject typed values the program cannot honour. Every comparison
     fails for NaN, so NaN is rejected wherever a range is checked."""
@@ -489,11 +593,7 @@ def _check_ranges(data):
     check_seed("simulation.seed", sim["seed"])
     check_positive("simulation.bias_ratio", sim["bias_ratio"])
     # the share of the top of the queue range the structural checks leave out
-    buffer_fraction = data["analysis"]["buffer_fraction"]
-    if not 0 <= buffer_fraction < 1:
-        raise ConfigError(
-            f"analysis.buffer_fraction must lie in [0, 1), got {buffer_fraction!r}"
-        )
+    check_buffer_fraction("analysis.buffer_fraction", data["analysis"]["buffer_fraction"])
     # a skip lasts skip.duration steps, the longest sojourn of its law
     for key, value in (("service.support", data["service"]["support"]),
                        ("skip.duration", data["skip"]["duration"])):
@@ -539,6 +639,8 @@ def override(cfg, changes):
 
 def load_config(path):
     """Read one YAML file into a run configuration."""
+    import yaml
+
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -553,22 +655,18 @@ def load_config(path):
 
 def available_configs():
     """Names of the configurations shipped with the package."""
-    root = resources.files(__package__) / "configs"
-    return sorted(p.name[: -len(".yaml")] for p in root.iterdir()
-                  if p.name.endswith(".yaml"))
+    return sorted(BUILTINS)
 
 
 def builtin_config(name):
-    """Load a packaged configuration by name."""
-    root = resources.files(__package__) / "configs"
-    candidate = root / f"{name}.yaml"
-    if not candidate.is_file():
+    """Load a packaged configuration by name. It loads from a copy, since
+    ``simulation.starts`` is kept as given and would otherwise be shared."""
+    if name not in BUILTINS:
         raise ConfigError(
             f"no built-in configuration named {name!r}; "
             f"available: {', '.join(available_configs())}"
         )
-    doc = yaml.safe_load(candidate.read_text())
-    return from_mapping(doc)
+    return from_mapping(copy.deepcopy(BUILTINS[name]))
 
 
 def resolve_config(spec=None):

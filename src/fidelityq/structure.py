@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .actions import ACTIONS, TIE_ORDER, Action
 from .config import DEFAULTS
 from .errors import ConfigError, GuaranteeViolationError
@@ -53,16 +54,9 @@ def gamma_mgf_bound(mean, variance, discount):
 
 
 def checked_queue_range(n_q, buffer_fraction=DEFAULT_BUFFER_FRACTION):
-    """Queue lengths the structural checks look at: q = 0 forces waiting
-    and the top ``buffer_fraction`` of the range is excluded to keep the
-    finite capacity from contaminating boundary states."""
-    if not 0 <= buffer_fraction < 1:
-        raise ValueError(f"buffer fraction must lie in [0, 1), got {buffer_fraction!r}")
-    capacity = n_q - 1
-    hi = capacity - math.ceil(capacity * buffer_fraction)
-    if hi < 1:
-        raise ValueError("queue too short for the requested boundary buffer")
-    return range(1, hi + 1)
+    """``config.check_queue_range`` over the ``n_q`` queue lengths 0 to
+    ``n_q - 1``."""
+    return config.check_queue_range(n_q - 1, buffer_fraction)
 
 
 # -- light-tail / contraction ---------------------------------------------

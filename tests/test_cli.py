@@ -1,15 +1,16 @@
 """End-to-end tests of the command-line interface on the small built-in
 configuration: files written, formats stable, exit codes correct."""
 
+import copy
 import json
 import xml.etree.ElementTree as ET
-from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from fidelityq import cli
-from fidelityq.config import builtin_config
+from fidelityq.config import BUILTINS, builtin_config
 from fidelityq.errors import GuaranteeViolationError, PolicyMismatchError
 from fidelityq.model import SmdpModel
 from fidelityq.solver import value_iteration
@@ -17,6 +18,19 @@ from fidelityq.solver import value_iteration
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def write_tiny(path, dotted, value):
+    """Write the built-in ``tiny`` config to ``path`` as YAML, with the
+    dotted key ``dotted`` set to ``value``."""
+    doc = copy.deepcopy(BUILTINS["tiny"])
+    *sections, key = dotted.split(".")
+    node = doc
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    path.write_text(yaml.safe_dump(doc))
+    return path
 
 
 @pytest.mark.parametrize(
@@ -91,9 +105,7 @@ class TestSolve:
     def test_heatmap_titles_are_escaped(self, tmp_path):
         """A config name with XML markup characters still gives heatmaps
         that parse, with the name as the title's text."""
-        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
-        cfg_file = tmp_path / "markup.yaml"
-        cfg_file.write_text(tiny.replace("name: tiny", 'name: "R&D <pilot>"'))
+        cfg_file = write_tiny(tmp_path / "markup.yaml", "name", "R&D <pilot>")
         out = tmp_path / "out"
         assert run("solve", "--config", str(cfg_file), "--out", str(out)) == 0
         for name in ["value_heatmap.svg", "policy_heatmap.svg"]:
@@ -126,9 +138,7 @@ class TestSolve:
     def test_single_sweep_writes_valid_json(self, tmp_path):
         # after one sweep every key is still a finite number or a flag:
         # no bare NaN that JSON parsers reject
-        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
-        cfg_file = tmp_path / "coarse.yaml"
-        cfg_file.write_text(tiny.replace("epsilon: 1.0e-10", "epsilon: 100"))
+        cfg_file = write_tiny(tmp_path / "coarse.yaml", "solver.epsilon", 100)
         out = tmp_path / "out"
         assert run("solve", "--config", str(cfg_file), "--out", str(out)) == 0
 
@@ -176,9 +186,7 @@ class TestCheck:
     def test_no_value_gap_pairs_writes_null_margins(self, tmp_path):
         # at capacity 2 the checked queue range is [1], so no value-gap pair
         # exists; the worst margins are null, never a bare Infinity
-        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
-        cfg_file = tmp_path / "short.yaml"
-        cfg_file.write_text(tiny.replace("capacity: 3", "capacity: 2"))
+        cfg_file = write_tiny(tmp_path / "short.yaml", "queue.capacity", 2)
         out = tmp_path / "out"
         assert run("check", "--config", str(cfg_file), "--out", str(out),
                    "--episodes", "200") == 0
@@ -297,9 +305,7 @@ class TestSimulate:
     def test_configured_bias_ratio_lengthens_horizon(self, tmp_path):
         # simulation.bias_ratio reaches the estimator: a tighter
         # truncation-bias target needs a longer horizon
-        tiny = (resources.files("fidelityq") / "configs" / "tiny.yaml").read_text()
-        tight = tmp_path / "tight.yaml"
-        tight.write_text(tiny.replace("simulation:\n", "simulation:\n  bias_ratio: 1e-4\n"))
+        tight = write_tiny(tmp_path / "tight.yaml", "simulation.bias_ratio", 1e-4)
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("simulate", "--config", "tiny", "--out", str(a),
                    "--episodes", "200", "--trajectories", "0") == 0

@@ -61,6 +61,15 @@ class TestMerge:
         assert base.data == builtin_config("tiny").data
         assert config_digest(base.data) == base.digest
 
+    def test_loaded_data_shares_nothing_with_the_builtins(self):
+        pristine = {name: copy.deepcopy(builtin_config(name).data)
+                    for name in ("high_lambda", "tiny")}
+        builtin_config("high_lambda").data["simulation"]["starts"][0][0] = 0
+        builtin_config("tiny").data["cognition"]["unit_rates"]["rest"][1] = 0.5
+        for name, data in pristine.items():
+            fresh = builtin_config(name)
+            assert fresh.data == data and fresh.digest == config_digest(data)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key 'quue'"):
             from_mapping({"quue": {}})

@@ -49,9 +49,9 @@ def test_star_import_binds_every_name():
 
 def test_resolving_a_config_loads_no_numpy(tmp_path):
     """``import fidelityq``, ``available_configs`` and ``resolve_config`` on
-    every shipped config and on a file config with sweep rates (checked by
-    the wait-law support rule) leave numpy unloaded; the first build loads
-    it, and the model solves."""
+    every shipped config load neither numpy nor PyYAML. A file config with
+    sweep rates (checked by the wait-law support rule) loads PyYAML and
+    still no numpy; the first build loads it, and the model solves."""
     path = tmp_path / "sweep.yaml"
     path.write_text("name: sweep\nsweep: {arrival_rates: [0.3, 0.5]}\n")
     code = (
@@ -59,7 +59,11 @@ def test_resolving_a_config_loads_no_numpy(tmp_path):
         "warnings.simplefilter('ignore')\n"
         "import fidelityq\n"
         "cfgs = [fidelityq.resolve_config(n) for n in fidelityq.available_configs()]\n"
+        "assert len(cfgs) == 5, cfgs\n"
+        "loaded = sorted(n for n in sys.modules if n.split('.')[0] in ('numpy', 'yaml'))\n"
+        "assert not loaded, loaded\n"
         "cfg = fidelityq.resolve_config(sys.argv[1])\n"
+        "assert 'yaml' in sys.modules\n"
         "assert cfg.sweep['arrival_rates'] == [0.3, 0.5], cfg.sweep\n"
         "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'numpy')\n"
         "assert not loaded, loaded\n"
@@ -113,13 +117,20 @@ def refused(doc, key, text, id=None, command=None):
             "neg-binomial dispersion is an integer shape", "neg-binomial-dispersion"),
     refused("economics: {discount: 1.5}", "economics.discount",
             "discount factor must lie in (0,1)", "cli", command="export-moments"),
+    refused("queue: {capacity: 1}", "queue.capacity",
+            "queue too short for the requested boundary buffer", "short-queue-check",
+            command="check"),
+    refused("queue: {capacity: 1}", "queue.capacity",
+            "queue too short for the requested boundary buffer", "short-queue-sweep",
+            command="sweep --grid 0.3"),
 ])
 def test_refusing_an_arrival_rate_loads_no_numpy(tmp_path, doc, key, text, command):
     """A file config with an arrival rate that has no wait law, or any
     other model key out of its range, is refused when it loads, before
     numpy is imported. The message names the key, then gives the text the
     parameter class gives a library caller. Through ``cli.main`` the
-    command exits 1 with that message."""
+    command (its words split on spaces) exits 1 with that message; ``check``
+    and ``sweep`` so refuse a queue too short to grade."""
     path = tmp_path / "refused.yaml"
     path.write_text(doc + "\n")
     code = (
@@ -129,7 +140,7 @@ def test_refusing_an_arrival_rate_loads_no_numpy(tmp_path, doc, key, text, comma
         "    from fidelityq import cli\n"
         "    err = io.StringIO()\n"
         "    with contextlib.redirect_stderr(err):\n"
-        "        status = cli.main([command, '--config', path, '--out', path + '.out'])\n"
+        "        status = cli.main([*command.split(), '--config', path, '--out', path + '.out'])\n"
         "    assert status == 1, status\n"
         "    message = err.getvalue().removeprefix('error: ')\n"
         "else:\n"
