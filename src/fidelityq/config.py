@@ -10,12 +10,10 @@ addressed by name; they are Python data, so only a file loads PyYAML.
 """
 
 import copy
-import hashlib
-import json
+import functools
 import math
 import numbers
 import os
-from dataclasses import dataclass
 
 from .actions import UNIT_RATES, Action
 from .errors import ConfigError, InvalidRatesError
@@ -28,6 +26,8 @@ from .errors import ConfigError, InvalidRatesError
 # layer has at most MAX_SUPPORT + 1.
 TRUNCATION_TOL = 1e-6
 MAX_SUPPORT = 10_000
+# the most bytes one table of the model may take (see _check_table_sizes)
+MAX_TABLE_BYTES = 2**30
 
 SERVICE_FAMILIES = ("beta-binomial", "neg-binomial")
 
@@ -430,13 +430,23 @@ def _model_fields(data):
     return grid_fields, probs, overridden, service_fields, scalars
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """A fully merged configuration plus its identity hash."""
+    """A fully merged configuration plus its identity hash. Its attributes
+    cannot be assigned, and ``data`` is read-only too: the hash is taken
+    from it when ``digest`` is first read, so a config loads no hashlib."""
 
-    name: str
-    data: dict
-    digest: str
+    def __init__(self, name, data):
+        self.__dict__.update(name=name, data=data)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    @functools.cached_property
+    def digest(self):
+        return config_digest(self.data)
 
     @property
     def solver(self):
@@ -480,7 +490,11 @@ def build_model(params):
 
 def config_digest(data):
     """Stable identity of a merged configuration: sha256 of its canonical
-    JSON form."""
+    JSON form. It imports hashlib and json on its first call, so a config
+    loads without them."""
+    import hashlib
+    import json
+
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -573,6 +587,27 @@ def check_queue_range(capacity, buffer_fraction):
     return range(1, hi + 1)
 
 
+def _check_table_sizes(data):
+    """Refuse a config whose model would allocate a float table over
+    ``MAX_TABLE_BYTES``, sized from the config alone: the backup window
+    (n_q x n_states), the step ladders (P^0 .. P^t of every chain-moving
+    action, t up to the longest service or wait law) and the dense policy
+    evaluation (n_states x n_states). The message starts with the key that
+    sizes the table, for the dense one the key of the longer side."""
+    n_q, n_cog = data["queue"]["capacity"] + 1, data["cognition"]["intervals"] + 1
+    n_states = n_q * n_cog
+    steps = max(data["service"]["support"], wait_support(data["queue"]["arrival_rate"])) + 1
+    for key, table, size in (
+        ("queue.capacity", "backup window", n_q * n_states * 8),
+        ("cognition.intervals", "step ladders", steps * n_cog**2 * 8),
+        ("queue.capacity" if n_q >= n_cog else "cognition.intervals",
+         "dense policy evaluation", n_states**2 * 8),
+    ):
+        if size > MAX_TABLE_BYTES:
+            raise ConfigError(
+                f"{key}: the {table} would take {size:,} bytes, over {MAX_TABLE_BYTES:,}")
+
+
 def _check_ranges(data):
     """Reject typed values the program cannot honour. Every comparison
     fails for NaN, so NaN is rejected wherever a range is checked."""
@@ -599,6 +634,7 @@ def _check_ranges(data):
                        ("skip.duration", data["skip"]["duration"])):
         if value > MAX_SUPPORT:
             raise ConfigError(f"{key} must be at most {MAX_SUPPORT}, got {value}")
+    _check_table_sizes(data)
     check_positive("solver.epsilon", data["solver"]["epsilon"])
     for key, value in (("solver.max_sweeps", data["solver"]["max_sweeps"]),
                        ("sweep.max_points", data["sweep"]["max_points"])):
@@ -618,7 +654,7 @@ def from_mapping(doc):
     the ranges and wrap it."""
     merged = _merge(DEFAULTS, doc or {})
     _check_ranges(merged)
-    return RunConfig(name=merged["name"], data=merged, digest=config_digest(merged))
+    return RunConfig(merged["name"], merged)
 
 
 def override(cfg, changes):

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import os
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from fidelityq.actions import Action
 from fidelityq.config import (
     DEFAULTS,
     MAX_SUPPORT,
+    MAX_TABLE_BYTES,
     _merge,
     available_configs,
     builtin_config,
@@ -20,6 +22,8 @@ from fidelityq.config import (
     resolve_config,
 )
 from fidelityq.errors import ConfigError
+
+WIDE_STATE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "wide_state.yaml")
 
 
 class TestMerge:
@@ -218,6 +222,34 @@ class TestMerge:
         ):
             from_mapping({"skip": {"duration": MAX_SUPPORT + 1}})
 
+    @pytest.mark.parametrize("load", [
+        # a 5.1 MB backup window and a 56 MB dense evaluation
+        lambda: override(builtin_config("high_lambda"), {"queue.capacity": 240}),
+        lambda: load_config(WIDE_STATE),
+        # step ladders of 8,192 powers of a 128-level chain: exactly the limit
+        lambda: from_mapping({"queue": {"capacity": 3}, "cognition": {"intervals": 127},
+                              "service": {"support": 8191}}),
+    ], ids=["high_lambda-capacity-240", "wide_state", "ladders-at-the-limit"])
+    def test_table_sizes_accepted(self, load):
+        load()
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"queue": {"capacity": 100000}},
+         "queue.capacity: the backup window would take 880,017,600,088 bytes"),
+        ({"cognition": {"intervals": 3000}},
+         "cognition.intervals: the step ladders would take 7,276,848,808 bytes"),
+        ({"queue": {"capacity": 3}, "cognition": {"intervals": 127},
+          "service": {"support": 8192}},
+         "cognition.intervals: the step ladders would take 1,073,872,896 bytes"),
+        ({"queue": {"capacity": 199}, "cognition": {"intervals": 59}},
+         "queue.capacity: the dense policy evaluation would take 1,152,000,000 bytes"),
+        ({"queue": {"capacity": 30}, "cognition": {"intervals": 1000}},
+         "cognition.intervals: the dense policy evaluation would take 7,703,383,688 bytes"),
+    ])
+    def test_table_sizes_refused(self, doc, match):
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}, over {MAX_TABLE_BYTES:,}$"):
+            from_mapping(doc)
+
     def test_simulation_settings_accepted(self):
         cfg = from_mapping(
             {"simulation": {"bias_ratio": "1e-4", "pilot_episodes": 2, "episodes": 2,
@@ -304,6 +336,20 @@ class TestBuiltins:
 
     def test_builtin_default_matches_bare_defaults(self):
         assert builtin_config("default").digest == from_mapping({}).digest
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_fields_cannot_be_assigned(self, read_first):
+        # the digest is taken from the data when first read, so neither the
+        # data nor the digest can be replaced before or after that
+        cfg = builtin_config("tiny")
+        if read_first:
+            assert cfg.digest == self.DIGESTS["tiny"]
+        for field in ("name", "data", "digest"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(cfg, field, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(cfg, field)
+        assert cfg.name == "tiny" and cfg.digest == self.DIGESTS["tiny"]
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_arrival_rate_override_digest_is_the_changed_configs(self, name):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+import test_config
 
 import fidelityq
 
@@ -76,6 +77,27 @@ def test_resolving_a_config_loads_no_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+def test_resolving_a_config_loads_no_hashlib_or_json():
+    """Beyond what a bare interpreter has loaded, ``import fidelityq`` and
+    ``resolve_config`` on every shipped config load none of dataclasses,
+    inspect, hashlib, _hashlib or json. Each digest is computed when first
+    read, which loads hashlib, and is the pinned one."""
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import fidelityq\n"
+        "cfgs = {n: fidelityq.resolve_config(n) for n in fidelityq.available_configs()}\n"
+        "new = {'dataclasses', 'inspect', 'hashlib', '_hashlib', 'json'} & set(sys.modules)\n"
+        "assert not new - bare, sorted(new - bare)\n"
+        "digests = [f'{n}={cfg.digest}' for n, cfg in cfgs.items()]\n"
+        "assert digests == sys.argv[1:], digests\n"
+        "assert 'hashlib' in sys.modules\n"
+    )
+    pinned = sorted(test_config.TestBuiltins.DIGESTS.items())
+    run = run_fresh(code, *(f"{n}={d}" for n, d in pinned))
+    assert run.returncode == 0, run.stderr
+
+
 def refused(doc, key, text, id=None, command=None):
     """A case for ``test_refusing_an_arrival_rate_loads_no_numpy``: a file
     config, the key its refusal names and the rule's own text (what a
@@ -115,6 +137,10 @@ def refused(doc, key, text, id=None, command=None):
             "base service means must exceed one time step"),
     refused("service: {family: neg-binomial, dispersion: 2.5}", "service.dispersion",
             "neg-binomial dispersion is an integer shape", "neg-binomial-dispersion"),
+    refused("queue: {capacity: 100000}", "queue.capacity",
+            "the backup window would take 880,017,600,088 bytes", "capacity-size"),
+    refused("cognition: {intervals: 3000}", "cognition.intervals",
+            "the step ladders would take 7,276,848,808 bytes", "intervals-size"),
     refused("economics: {discount: 1.5}", "economics.discount",
             "discount factor must lie in (0,1)", "cli", command="export-moments"),
     refused("queue: {capacity: 1}", "queue.capacity",
@@ -126,9 +152,10 @@ def refused(doc, key, text, id=None, command=None):
 ])
 def test_refusing_an_arrival_rate_loads_no_numpy(tmp_path, doc, key, text, command):
     """A file config with an arrival rate that has no wait law, or any
-    other model key out of its range, is refused when it loads, before
-    numpy is imported. The message names the key, then gives the text the
-    parameter class gives a library caller. Through ``cli.main`` the
+    other model key out of its range, or sizes over ``MAX_TABLE_BYTES``
+    for one table, is refused when it loads, before numpy is imported. The
+    message names the key, then gives the rule's text (for a range, the
+    text the parameter class gives a library caller). Through ``cli.main`` the
     command (its words split on spaces) exits 1 with that message; ``check``
     and ``sweep`` so refuse a queue too short to grade."""
     path = tmp_path / "refused.yaml"
